@@ -24,7 +24,14 @@ from .errors import (
     TomobellError,
     UnsupportedState,
 )
-from .portrait import DEFAULT_NMAX, DEFAULT_TAIL_EPS, PartitionScheme, PortraitVector, make_portrait_fn
+from .portrait import (
+    DEFAULT_NMAX,
+    DEFAULT_TAIL_EPS,
+    SUM_TOL,
+    PartitionScheme,
+    PortraitVector,
+    make_portrait_fn,
+)
 
 # fixed CHSH sign pattern: rows follow the portrait cell order
 # (++, +-, -+, --), columns follow the setting pairs of BellSettings.pairs()
@@ -42,8 +49,9 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CEILING_TOL = 1e-6
 # Bell matrix entries may undershoot 0 or overshoot 1 by at most this
 ENTRY_TOL = 1e-9
-# column mass must balance against the recorded tail deficit to within this
-COLUMN_TOL = 1e-9
+# column mass must balance against the recorded tail deficit to within this;
+# the same bound as a portrait's, so a checked portrait is a balanced column
+COLUMN_TOL = SUM_TOL
 
 VERDICT_SEPARABLE = "SEPARABLE-CONSISTENT"
 VERDICT_ENTANGLED = "ENTANGLED-WITNESSED"
@@ -153,18 +161,34 @@ class BellMatrix:
 def bell_matrix(
     portrait_fn: Callable[[complex, complex], PortraitVector], s: BellSettings
 ) -> BellMatrix:
-    """Assemble the Bell matrix column by column.
+    """Assemble the Bell matrix from the portraits at the four setting pairs.
 
-    Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2). Portrait errors
-    (truncation tail too large, negative cells) propagate to the caller.
+    Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2). A portrait function
+    with a ``bell_columns`` method (the closed forms of
+    ``make_portrait_fn``) evaluates all four columns in one call and has
+    already checked each column as a portrait; only the entry range is
+    checked here. Any other callable is called once per column. Portrait
+    errors (truncation tail too large, negative cells) propagate to the
+    caller.
     """
-    cols = []
-    deficits = []
-    for (x, y) in s.pairs():
-        v = portrait_fn(x, y)
-        cols.append(v.as_array())
-        deficits.append(v.tail_deficit)
-    return BellMatrix(np.column_stack(cols), np.array(deficits))
+    bell_columns = getattr(portrait_fn, "bell_columns", None)
+    if bell_columns is None:
+        cols = []
+        deficits = []
+        for (x, y) in s.pairs():
+            v = portrait_fn(x, y)
+            cols.append(v.as_array())
+            deficits.append(v.tail_deficit)
+        return BellMatrix(np.column_stack(cols), np.array(deficits))
+    columns = bell_columns(s)
+    for col in columns:
+        if min(col[:4]) < -ENTRY_TOL or max(col[:4]) > 1.0 + ENTRY_TOL:
+            raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
+    # one row per column: the four cells, then the tail deficit
+    rows = np.array(columns)
+    m = object.__new__(BellMatrix)
+    vars(m).update(matrix=np.ascontiguousarray(rows[:, :4].T), column_deficits=rows[:, 4])
+    return m
 
 
 def bell_number(m) -> float:

@@ -3,16 +3,26 @@
 A portrait collapses the displaced joint photon-number distribution into
 four cell probabilities under a product partition A1 x A2 of the photon
 lattice. The two canonical partitions split each mode by "no photons vs
-some" (zero-nonzero) or by photon-number parity (even-odd). Closed forms
-exist for cat, coherent-product, and Gaussian states under both canonical
-partitions; every other combination goes through a truncated table sum.
+some" (zero-nonzero) or by photon-number parity (even-odd).
+
+Under both canonical partitions every cell is a combination of the
+photon-number generating function G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2
+of the displaced state at points of {-1, 0, 1}^2: even-odd cells need
+G(-1, 1), G(1, -1) and G(-1, -1), zero-nonzero cells need G(0, 1),
+G(1, 0) and G(0, 0), and G(1, 1) = 1. Cat, coherent-product and Gaussian
+states have G in closed form, so their canonical portraits are exact with
+zero tail deficit. Each G splits into per-mode terms, which depend on one
+mode's displacement, and a joint term; ``make_portrait_fn`` returns for
+these states a portrait function that also evaluates the four columns of
+a Bell matrix in one call, computing each per-mode term once per setting.
+Every other state or partition goes through a truncated table sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +33,9 @@ from .errors import (
     UnsupportedState,
 )
 from .states import (
-    LOG_DOMAIN_THRESHOLD,
+    _MODE1_IDX,
+    _MODE2_IDX,
+    DEFAULT_NMAX,
     CatSource,
     CatState,
     CoherentProduct,
@@ -31,25 +43,20 @@ from .states import (
     GaussianSource,
     GaussianSpec,
     TomogramSource,
-    gaussian_effective_mean,
     make_source,
 )
 
-# closed-form cells are plain exp/cosh arithmetic; anything below this is a bug
+# closed-form cells are plain exp/cos arithmetic; anything below this is a bug
 NEGATIVITY_FLOOR_CLOSED = -1e-12
-# cells assembled from log-domain accumulation or infinite-sum identities
-# tolerate slightly more rounding
+# cells summed from truncated tables or assembled from Gaussian quadratic
+# forms tolerate slightly more rounding
 NEGATIVITY_FLOOR_LOG = -1e-9
 # component sums must balance against the tail deficit to within this
 SUM_TOL = 1e-9
 
-DEFAULT_NMAX = 30
 DEFAULT_TAIL_EPS = 1e-4
 
-LOG2 = math.log(2.0)
-
-_MODE1_IDX = np.array([0, 2])  # (p1, q1) rows/cols of the dispersion matrix
-_MODE2_IDX = np.array([1, 3])  # (p2, q2)
+SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +103,8 @@ class PartitionScheme:
 
         Accepts the canonical names "zero-nonzero" and "even-odd", or a
         dict {"mode1": rule, "mode2": rule} where each rule is "zero",
-        "even", or {"threshold": t} meaning the plus set is n <= t.
+        "even", or {"threshold": t} meaning the plus set is n <= t. The
+        pairs "zero"/"zero" and "even"/"even" give the canonical schemes.
         """
         if isinstance(cfg, str):
             name = cfg.strip().lower().replace("_", "-")
@@ -108,6 +116,12 @@ class PartitionScheme:
                 f"unknown partition name {cfg!r}; use zero-nonzero or even-odd"
             )
         if isinstance(cfg, dict):
+            rules = (cfg.get("mode1"), cfg.get("mode2"))
+            if rules == ("zero", "zero"):
+                return PartitionScheme.zero_nonzero()
+            if rules == ("even", "even"):
+                return PartitionScheme.even_odd()
+
             def rule(spec, which):
                 if spec == "zero":
                     return lambda n: n == 0
@@ -123,8 +137,8 @@ class PartitionScheme:
                     "{'threshold': t}"
                 )
             return PartitionScheme(
-                rule(cfg.get("mode1"), "mode1"),
-                rule(cfg.get("mode2"), "mode2"),
+                rule(rules[0], "mode1"),
+                rule(rules[1], "mode2"),
                 "custom",
             )
         raise InvalidParameter(f"cannot build a partition from {cfg!r}")
@@ -158,6 +172,33 @@ def _nonproduct_cell_sums(table: np.ndarray, cell_of: Callable[[int, int], int])
 # ---------------------------------------------------------------------------
 
 
+def _checked_cells(cells, deficit: float, floor: float, what: str):
+    """Run the portrait checks once; return (w_pp, w_pm, w_mp, w_mm, deficit).
+
+    Cells and deficit must be finite and at or above ``floor``; values
+    below 0 that pass are clamped to 0 after the check. The clamped cells
+    plus the deficit must sum to 1 within SUM_TOL.
+    """
+    w_pp, w_pm, w_mp, w_mm = cells
+    if not math.isfinite(w_pp + w_pm + w_mp + w_mm + deficit):
+        raise NumericalNegativity(f"{what}: components must be finite")
+    low = min(cells)
+    if low < 0.0:
+        if low < floor:
+            raise NumericalNegativity(f"{what}: cell value {low:.6e} below {floor:.0e}")
+        w_pp, w_pm, w_mp, w_mm = (max(c, 0.0) for c in cells)
+    if deficit < 0.0:
+        if deficit < floor:
+            raise NumericalNegativity(f"{what}: tail deficit {deficit:.6e} negative")
+        deficit = 0.0
+    total = w_pp + w_pm + w_mp + w_mm + deficit
+    if abs(total - 1.0) > SUM_TOL:
+        raise NumericalNegativity(
+            f"{what}: components + deficit sum to {total:.12f}, not 1"
+        )
+    return w_pp, w_pm, w_mp, w_mm, deficit
+
+
 @dataclass(frozen=True)
 class PortraitVector:
     """Four cell probabilities plus the truncation deficit.
@@ -175,25 +216,12 @@ class PortraitVector:
     tail_deficit: float = 0.0
 
     def __post_init__(self):
-        comps = (self.w_pp, self.w_pm, self.w_mp, self.w_mm)
-        if not all(math.isfinite(c) for c in comps) or not math.isfinite(
-            self.tail_deficit
-        ):
-            raise NumericalNegativity("portrait components must be finite")
-        low = min(comps)
-        if low < NEGATIVITY_FLOOR_CLOSED:
-            raise NumericalNegativity(
-                f"portrait component {low:.6e} below the validity floor"
-            )
-        if self.tail_deficit < NEGATIVITY_FLOOR_CLOSED:
-            raise NumericalNegativity(
-                f"tail deficit {self.tail_deficit:.6e} is negative"
-            )
-        total = sum(comps) + self.tail_deficit
-        if abs(total - 1.0) > SUM_TOL:
-            raise NumericalNegativity(
-                f"portrait components + deficit sum to {total:.12f}, not 1"
-            )
+        _checked_cells(
+            (self.w_pp, self.w_pm, self.w_mp, self.w_mm),
+            self.tail_deficit,
+            NEGATIVITY_FLOOR_CLOSED,
+            "portrait",
+        )
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w_pp, self.w_pm, self.w_mp, self.w_mm])
@@ -203,19 +231,14 @@ class PortraitVector:
         return self.w_pp - self.w_pm - self.w_mp + self.w_mm
 
 
-def _build_vector(cells, deficit: float, floor: float, what: str) -> PortraitVector:
-    """Validate raw cell values against a path-specific floor and clamp."""
-    cells = [float(c) for c in cells]
-    low = min(cells)
-    if low < floor:
-        raise NumericalNegativity(f"{what}: cell value {low:.6e} below {floor:.0e}")
-    cells = [max(c, 0.0) for c in cells]
-    deficit = float(deficit)
-    if deficit < 0.0:
-        if deficit < floor:
-            raise NumericalNegativity(f"{what}: tail deficit {deficit:.6e} negative")
-        deficit = 0.0
-    return PortraitVector(cells[0], cells[1], cells[2], cells[3], deficit)
+_VECTOR_FIELDS = ("w_pp", "w_pm", "w_mp", "w_mm", "tail_deficit")
+
+
+def _vector(checked) -> PortraitVector:
+    """A PortraitVector from the output of ``_checked_cells``, not checked again."""
+    v = object.__new__(PortraitVector)
+    vars(v).update(zip(_VECTOR_FIELDS, checked))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -260,260 +283,274 @@ def portrait_truncated(
             f"truncation at nmax={nmax} leaves deficit {deficit:.3e} "
             f"> tail_eps={tail_eps:.3e}",
         )
-    return _build_vector(cells, deficit, NEGATIVITY_FLOOR_LOG, "truncated portrait")
+    return _vector(
+        _checked_cells(cells, deficit, NEGATIVITY_FLOOR_LOG, "truncated portrait")
+    )
 
 
 # ---------------------------------------------------------------------------
-# signed log-domain arithmetic helpers
+# generating functions
 # ---------------------------------------------------------------------------
+#
+# Each class below evaluates G of one state family with every measured mode
+# at the same point s (-1 for parity, 0 for vacuum). ``mode1(alpha)`` and
+# ``mode2(alpha)`` return the marginal G(s, 1) or G(1, s) at that mode's
+# displacement together with the per-mode terms of the joint G(s, s), which
+# ``joint`` combines.
 
 
-def _log_cosh(x: float) -> float:
-    ax = abs(x)
-    return ax - LOG2 + math.log1p(math.exp(-2.0 * ax))
+class _BranchG:
+    """Shared per-mode plumbing of the coherent-branch states.
 
-
-def _log_sinh_abs(x: float) -> Optional[float]:
-    """log|sinh x|, or None when sinh is exactly zero."""
-    ax = abs(x)
-    if ax == 0.0:
-        return None
-    return ax - LOG2 + math.log1p(-math.exp(-2.0 * ax))
-
-
-def _sgn(v: float) -> float:
-    return 1.0 if v > 0.0 else (-1.0 if v < 0.0 else 0.0)
-
-
-def _log_abs(v: float):
-    """(log|v|, sign v) with None marking an exactly-zero factor."""
-    if v == 0.0:
-        return None, 0.0
-    return math.log(abs(v)), _sgn(v)
-
-
-def _signed_exp_sum(terms, log_prefactor: float) -> float:
-    """exp(log_prefactor) * sum of signed exponentials.
-
-    ``terms`` is a sequence of (log magnitude, sign) pairs; pairs whose
-    magnitude is None (an exactly-zero factor) are skipped. The peak
-    magnitude is factored out so the accumulation is exact to rounding
-    even when individual terms would overflow double precision.
+    ``_one1``/``_one2`` are the per-mode terms of an unmeasured mode
+    (s = 1), so a marginal is the joint G with the other mode unmeasured.
     """
-    live = [(l, s) for (l, s) in terms if l is not None and s != 0.0]
-    if not live:
-        return 0.0
-    peak = max(l for (l, _) in live)
-    if peak == -math.inf:
-        return 0.0
-    acc = 0.0
-    for (l, s) in live:
-        acc += s * math.exp(l - peak)
-    if acc == 0.0:
-        return 0.0
-    return math.copysign(math.exp(log_prefactor + peak + math.log(abs(acc))), acc)
+
+    def mode1(self, alpha):
+        d = self._mode(alpha, self._g1)
+        return self.joint(d, self._one2), d
+
+    def mode2(self, alpha):
+        d = self._mode(alpha, self._g2)
+        return self.joint(self._one1, d), d
+
+
+class _CatG(_BranchG):
+    """G of the displaced cat state N(|g1, g2> + |-g1, -g2>).
+
+    The two coherent branches and their interference give three
+    exponentials, G = N^2 [exp(E+) + exp(E-) + 2 Re exp(X)], with per-mode
+    exponents
+
+        E+_j = -(1 - s_j) |alpha_j + g_j|^2
+        E-_j = -(1 - s_j) |alpha_j - g_j|^2
+        X_j  = -(|alpha_j|^2 + |g_j|^2) + s_j (|alpha_j|^2 - |g_j|^2)
+               - 2i (1 - s_j) Im(conj(alpha_j) g_j)
+
+    summed over the modes before exp. Every real part is <= 0 for
+    |s_j| <= 1, so no term overflows at any amplitude.
+    """
+
+    name = "cat"
+    floor = NEGATIVITY_FLOOR_CLOSED
+
+    def __init__(self, state: CatState, s: float):
+        g1, g2 = complex(state.gamma1), complex(state.gamma2)
+        c1, c2 = abs(g1) ** 2, abs(g2) ** 2
+        self._g1, self._g2 = (g1.real, g1.imag, c1), (g2.real, g2.imag, c2)
+        self._s, self._k = s, 1.0 - s
+        self._norm2 = 0.5 / (1.0 + math.exp(-2.0 * (c1 + c2)))
+        self._one1 = (0.0, 0.0, -2.0 * c1, 0.0)
+        self._one2 = (0.0, 0.0, -2.0 * c2, 0.0)
+
+    def _mode(self, alpha, g):
+        ar, ai = alpha.real, alpha.imag
+        gr, gi, c = g
+        a = ar * ar + ai * ai
+        k = self._k
+        return (
+            -k * ((ar + gr) ** 2 + (ai + gi) ** 2),
+            -k * ((ar - gr) ** 2 + (ai - gi) ** 2),
+            self._s * (a - c) - (a + c),
+            -2.0 * k * (ar * gi - ai * gr),
+        )
+
+    def joint(self, d1, d2):
+        return self._norm2 * (
+            math.exp(d1[0] + d2[0])
+            + math.exp(d1[1] + d2[1])
+            + 2.0 * math.exp(d1[2] + d2[2]) * math.cos(d1[3] + d2[3])
+        )
+
+
+class _CoherentG(_BranchG):
+    """G of a coherent product: exp(-(1 - s1) lam1 - (1 - s2) lam2).
+
+    lam_j = |alpha_j + g_j|^2 is the Poisson mean of mode j.
+    """
+
+    name = "coherent"
+    floor = NEGATIVITY_FLOOR_CLOSED
+    _one1 = _one2 = 0.0
+
+    def __init__(self, state: CoherentProduct, s: float):
+        self._g1, self._g2 = complex(state.gamma1), complex(state.gamma2)
+        self._k = 1.0 - s
+
+    def _mode(self, alpha, g):
+        return -self._k * ((alpha.real + g.real) ** 2 + (alpha.imag + g.imag) ** 2)
+
+    def joint(self, e1, e2):
+        return math.exp(e1 + e2)
+
+
+class _GaussianG:
+    """G of a Gaussian state from its parity and vacuum quadratic forms.
+
+    With W = (1 - s) M + (1 + s)/2 and K = (1 - s)/2 W^-1,
+
+        G(s, s) = exp(-mu' K mu) / sqrt(det W)
+
+    for the kernel-order displaced mean mu (``gaussian_effective_mean``):
+    s = -1 gives the parity form K = M^-1 / 2, s = 0 the vacuum form
+    K = (2M + 1)^-1. A marginal uses the mode's 2x2 blocks of W in the
+    same way. The joint form splits into one quadratic form per mode and
+    the cross term 2 mu1' K12 mu2.
+    """
+
+    name = "gaussian"
+    floor = NEGATIVITY_FLOOR_LOG
+
+    def __init__(self, spec: GaussianSpec, s: float):
+        scale = 0.5 * (1.0 - s)
+        W = (1.0 - s) * spec.M + 0.5 * (1.0 + s) * np.eye(4)
+        K = (scale * np.linalg.inv(W)).tolist()
+        w = W.tolist()
+
+        def k(i, j):
+            return 0.5 * (K[i][j] + K[j][i])
+
+        self._c12 = 1.0 / math.sqrt(float(np.linalg.det(W)))
+        per_mode = []
+        for i, j in (_MODE1_IDX, _MODE2_IDX):
+            # the mode's 2x2 block of W, inverted by hand
+            det = w[i][i] * w[j][j] - w[i][j] * w[j][i]
+            f = scale / det
+            per_mode.append((
+                1.0 / math.sqrt(det),
+                (f * w[j][j], -2.0 * f * w[i][j], f * w[i][i]),
+                (k(i, i), 2.0 * k(i, j), k(j, j)),
+            ))
+        (self._c1, self._k1, self._j1), (self._c2, self._k2, self._j2) = per_mode
+        (i1, j1), (i2, j2) = _MODE1_IDX, _MODE2_IDX
+        self._x = (2.0 * k(i1, i2), 2.0 * k(i1, j2), 2.0 * k(j1, i2), 2.0 * k(j1, j2))
+        # kernel-order mean pairs (mu[0], mu[2]) and (mu[1], mu[3])
+        self._m1 = (float(spec.mean[2]), float(spec.mean[0]))
+        self._m2 = (float(spec.mean[3]), float(spec.mean[1]))
+
+    @staticmethod
+    def _form(k, x, y):
+        return k[0] * x * x + k[1] * x * y + k[2] * y * y
+
+    def mode1(self, alpha):
+        x = self._m1[0] + SQRT2 * alpha.real
+        y = self._m1[1] + SQRT2 * alpha.imag
+        x00, x01, x10, x11 = self._x
+        cross = (x00 * x + x10 * y, x01 * x + x11 * y)
+        return (
+            self._c1 * math.exp(-self._form(self._k1, x, y)),
+            (self._form(self._j1, x, y), cross),
+        )
+
+    def mode2(self, alpha):
+        x = self._m2[0] + SQRT2 * alpha.real
+        y = self._m2[1] + SQRT2 * alpha.imag
+        return (
+            self._c2 * math.exp(-self._form(self._k2, x, y)),
+            (self._form(self._j2, x, y), (x, y)),
+        )
+
+    def joint(self, d1, d2):
+        (own1, (h0, h1)), (own2, (x, y)) = d1, d2
+        return self._c12 * math.exp(-(own1 + own2 + h0 * x + h1 * y))
+
+
+def _even_odd_cells(p1, p2, p12):
+    """Cells from the parities G(-1, 1), G(1, -1) and G(-1, -1)."""
+    return (
+        0.25 * (1.0 + p1 + p2 + p12),
+        0.25 * (1.0 + p1 - p2 - p12),
+        0.25 * (1.0 - p1 + p2 - p12),
+        0.25 * (1.0 - p1 - p2 + p12),
+    )
+
+
+def _zero_nonzero_cells(v1, v2, v12):
+    """Cells from the vacuum probabilities G(0, 1), G(1, 0) and G(0, 0)."""
+    return (v12, v1 - v12, v2 - v12, 1.0 - v1 - v2 + v12)
+
+
+# partition kind -> (the point s of each measured mode, cells from G)
+_CANONICAL = {
+    "even-odd": (-1.0, _even_odd_cells),
+    "zero-nonzero": (0.0, _zero_nonzero_cells),
+}
+_GENERATING_FUNCTIONS = (
+    (CatState, _CatG),
+    (CoherentProduct, _CoherentG),
+    (GaussianSpec, _GaussianG),
+)
+_CLOSED_FORM_STATES = tuple(cls for cls, _ in _GENERATING_FUNCTIONS)
+# sources whose tomograms are known to be those of their ``state``
+_LIBRARY_SOURCES = (CatSource, CoherentSource, GaussianSource)
+
+
+class ClosedFormPortrait:
+    """Closed-form portrait function of one state under a canonical partition.
+
+    Calling it with (alpha1, alpha2) gives one PortraitVector with zero
+    tail deficit. ``bell_columns(s)`` evaluates the four Bell-matrix
+    columns of the settings ``s`` in one call, computing each per-mode term
+    once per setting, and runs the same checks once per column.
+    """
+
+    __slots__ = ("_g", "_cells", "_what")
+
+    def __init__(self, state, kind: str):
+        s, self._cells = _CANONICAL[kind]
+        for cls, family in _GENERATING_FUNCTIONS:
+            if isinstance(state, cls):
+                break
+        else:
+            raise UnsupportedState(f"no closed-form portrait for {type(state).__name__}")
+        self._g = family(state, s)
+        self._what = f"{family.name} {kind} portrait"
+
+    def _column(self, m1, m2):
+        (p1, d1), (p2, d2) = m1, m2
+        cells = self._cells(p1, p2, self._g.joint(d1, d2))
+        return _checked_cells(cells, 0.0, self._g.floor, self._what)
+
+    def __call__(self, alpha1, alpha2) -> PortraitVector:
+        return _vector(self._column(self._g.mode1(alpha1), self._g.mode2(alpha2)))
+
+    def bell_columns(self, s):
+        """Checked columns (w_pp, w_pm, w_mp, w_mm, tail_deficit) of settings ``s``.
+
+        Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2), as in
+        ``bell_matrix``.
+        """
+        g = self._g
+        a1, b1 = g.mode1(s.alpha1), g.mode1(s.beta1)
+        a2, b2 = g.mode2(s.alpha2), g.mode2(s.beta2)
+        column = self._column
+        return [column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2)]
 
 
 # ---------------------------------------------------------------------------
-# cat state closed forms
+# named closed forms
 # ---------------------------------------------------------------------------
 
 
 def cat_portrait_zero_nonzero(
     s: CatState, alpha1: complex, alpha2: complex
 ) -> PortraitVector:
-    """Zero-nonzero portrait of the cat state in closed form.
-
-    The first three cells are vacuum-row/column sums of the displaced
-    distribution; the last is their complement, so the components sum to
-    one exactly and the tail deficit is identically zero. Terms are
-    accumulated as (sign, log magnitude) pairs above the amplitude
-    threshold where cosh overflows.
-    """
-    g1, g2 = complex(s.gamma1), complex(s.gamma2)
-    a1, a2 = complex(alpha1), complex(alpha2)
-    ag1, ag2 = abs(g1) ** 2, abs(g2) ** 2
-    aa1, aa2 = abs(a1) ** 2, abs(a2) ** 2
-    big = ag1 + ag2
-    z1 = a1.conjugate() * g1
-    z2 = a2.conjugate() * g2
-    r = 2.0 * (z1.real + z2.real)
-    t = 2.0 * (z1.imag + z2.imag)
-
-    if big <= LOG_DOMAIN_THRESHOLD and aa1 + aa2 + big < 200.0:
-        pref = math.exp(-aa1 - aa2) / (2.0 * math.cosh(big))
-        w_pp = pref * (math.cosh(r) + math.cos(t))
-        w_pm = pref * (
-            math.exp(aa2 + ag2) * math.cosh(2.0 * z1.real)
-            + math.exp(aa2 - ag2) * math.cos(2.0 * z1.imag)
-            - math.cosh(r)
-            - math.cos(t)
-        )
-        w_mp = pref * (
-            math.exp(aa1 + ag1) * math.cosh(2.0 * z2.real)
-            + math.exp(aa1 - ag1) * math.cos(2.0 * z2.imag)
-            - math.cosh(r)
-            - math.cos(t)
-        )
-    else:
-        logpref = -aa1 - aa2 - LOG2 - _log_cosh(big)
-        lct, sct = _log_abs(math.cos(t))
-        base = [(_log_cosh(r), 1.0), (lct, sct)]
-        w_pp = _signed_exp_sum(base, logpref)
-        lc1, sc1 = _log_abs(math.cos(2.0 * z1.imag))
-        w_pm = _signed_exp_sum(
-            [
-                (aa2 + ag2 + _log_cosh(2.0 * z1.real), 1.0),
-                (None if lc1 is None else aa2 - ag2 + lc1, sc1),
-                (_log_cosh(r), -1.0),
-                (lct, -sct),
-            ],
-            logpref,
-        )
-        lc2, sc2 = _log_abs(math.cos(2.0 * z2.imag))
-        w_mp = _signed_exp_sum(
-            [
-                (aa1 + ag1 + _log_cosh(2.0 * z2.real), 1.0),
-                (None if lc2 is None else aa1 - ag1 + lc2, sc2),
-                (_log_cosh(r), -1.0),
-                (lct, -sct),
-            ],
-            logpref,
-        )
-    w_mm = 1.0 - w_pp - w_pm - w_mp
-    return _build_vector(
-        (w_pp, w_pm, w_mp, w_mm),
-        0.0,
-        NEGATIVITY_FLOOR_CLOSED if big <= LOG_DOMAIN_THRESHOLD else NEGATIVITY_FLOOR_LOG,
-        "cat zero-nonzero portrait",
-    )
-
-
-def _parity_components(parity: int, d: float, s: float):
-    """Signed-log (Re, Im) of cosh(d+is) for even parity, sinh(d+is) for odd.
-
-    cosh(d+is) = cosh d cos s + i sinh d sin s and
-    sinh(d+is) = sinh d cos s + i cosh d sin s; each part is returned as a
-    (log magnitude, sign) pair so products never overflow.
-    """
-    lcd = _log_cosh(d)
-    lsd = _log_sinh_abs(d)
-    sd = _sgn(d)
-    lcs, scs = _log_abs(math.cos(s))
-    lss, sss = _log_abs(math.sin(s))
-    if parity == 0:
-        re = (None, 0.0) if lcs is None else (lcd + lcs, scs)
-        im = (None, 0.0) if (lsd is None or lss is None) else (lsd + lss, sd * sss)
-    else:
-        re = (None, 0.0) if (lsd is None or lcs is None) else (lsd + lcs, sd * scs)
-        im = (None, 0.0) if lss is None else (lcd + lss, sss)
-    return re, im
+    """Zero-nonzero portrait of the cat state in closed form."""
+    return ClosedFormPortrait(s, "zero-nonzero")(alpha1, alpha2)
 
 
 def cat_portrait_even_odd(
     s: CatState, alpha1: complex, alpha2: complex
 ) -> PortraitVector:
-    """Even-odd portrait of the cat state in closed form.
-
-    Each cell is a four-term combination: two coherent-branch terms with
-    per-mode cosh/sinh factors of |alpha +- gamma|^2, and two interference
-    terms oscillating with the displacement phases. All four terms are
-    accumulated as (sign, log magnitude) pairs above the amplitude
-    threshold, which the large-cat acceptance values require.
-    """
-    g1, g2 = complex(s.gamma1), complex(s.gamma2)
-    a1, a2 = complex(alpha1), complex(alpha2)
-    ag1, ag2 = abs(g1) ** 2, abs(g2) ** 2
-    aa1, aa2 = abs(a1) ** 2, abs(a2) ** 2
-    big = ag1 + ag2
-    z1 = a1.conjugate() * g1
-    z2 = a2.conjugate() * g2
-    r = 2.0 * (z1.real + z2.real)
-    t = 2.0 * (z1.imag + z2.imag)
-    u1, u2 = abs(a1 + g1) ** 2, abs(a2 + g2) ** 2
-    v1, v2 = abs(a1 - g1) ** 2, abs(a2 - g2) ** 2
-    d1, d2 = aa1 - ag1, aa2 - ag2
-    s1, s2 = 2.0 * z1.imag, 2.0 * z2.imag
-
-    direct = big <= LOG_DOMAIN_THRESHOLD and max(u1, u2, v1, v2) < 200.0
-    cells = []
-    if direct:
-        quarter = math.exp(-aa1 - aa2) / (4.0 * math.cosh(big))
-        h = (math.cosh, math.sinh)
-        gfun = (
-            lambda d, sv: complex(math.cosh(d) * math.cos(sv), math.sinh(d) * math.sin(sv)),
-            lambda d, sv: complex(math.sinh(d) * math.cos(sv), math.cosh(d) * math.sin(sv)),
-        )
-        cos_t, sin_t = math.cos(t), math.sin(t)
-        for p1 in (0, 1):
-            g1c = gfun[p1](d1, s1)
-            for p2 in (0, 1):
-                g2c = gfun[p2](d2, s2)
-                gg = g1c * g2c
-                val = (
-                    math.exp(-r) * h[p1](u1) * h[p2](u2)
-                    + math.exp(r) * h[p1](v1) * h[p2](v2)
-                    + 2.0 * cos_t * gg.real
-                    + 2.0 * sin_t * gg.imag
-                )
-                cells.append(quarter * val)
-    else:
-        logq = -aa1 - aa2 - 2.0 * LOG2 - _log_cosh(big)
-        lct, sct = _log_abs(math.cos(t))
-        lst, sst = _log_abs(math.sin(t))
-        hu = (_log_cosh(u1), _log_cosh(u2), _log_cosh(v1), _log_cosh(v2))
-        ho = (_log_sinh_abs(u1), _log_sinh_abs(u2), _log_sinh_abs(v1), _log_sinh_abs(v2))
-        for p1 in (0, 1):
-            re1, im1 = _parity_components(p1, d1, s1)
-            l1u = hu[0] if p1 == 0 else ho[0]
-            l1v = hu[2] if p1 == 0 else ho[2]
-            for p2 in (0, 1):
-                re2, im2 = _parity_components(p2, d2, s2)
-                l2u = hu[1] if p2 == 0 else ho[1]
-                l2v = hu[3] if p2 == 0 else ho[3]
-                terms = []
-                if l1u is not None and l2u is not None:
-                    terms.append((-r + l1u + l2u, 1.0))
-                if l1v is not None and l2v is not None:
-                    terms.append((r + l1v + l2v, 1.0))
-                # Re(g1 g2) = Re1 Re2 - Im1 Im2, Im(g1 g2) = Re1 Im2 + Im1 Re2
-                if lct is not None:
-                    if re1[1] != 0.0 and re2[1] != 0.0:
-                        terms.append((LOG2 + lct + re1[0] + re2[0], sct * re1[1] * re2[1]))
-                    if im1[1] != 0.0 and im2[1] != 0.0:
-                        terms.append((LOG2 + lct + im1[0] + im2[0], -sct * im1[1] * im2[1]))
-                if lst is not None:
-                    if re1[1] != 0.0 and im2[1] != 0.0:
-                        terms.append((LOG2 + lst + re1[0] + im2[0], sst * re1[1] * im2[1]))
-                    if im1[1] != 0.0 and re2[1] != 0.0:
-                        terms.append((LOG2 + lst + im1[0] + re2[0], sst * im1[1] * re2[1]))
-                cells.append(_signed_exp_sum(terms, logq))
-    return _build_vector(
-        cells,
-        1.0 - sum(cells),
-        NEGATIVITY_FLOOR_CLOSED if direct else NEGATIVITY_FLOOR_LOG,
-        "cat even-odd portrait",
-    )
-
-
-# ---------------------------------------------------------------------------
-# coherent product closed forms
-# ---------------------------------------------------------------------------
+    """Even-odd portrait of the cat state in closed form."""
+    return ClosedFormPortrait(s, "even-odd")(alpha1, alpha2)
 
 
 def coherent_portrait_zero_nonzero(
     s: CoherentProduct, alpha1: complex, alpha2: complex
 ) -> PortraitVector:
     """Zero-nonzero portrait of a coherent product: Poisson vacuum masses."""
-    lam1 = abs(complex(alpha1) + complex(s.gamma1)) ** 2
-    lam2 = abs(complex(alpha2) + complex(s.gamma2)) ** 2
-    q1, q2 = math.exp(-lam1), math.exp(-lam2)
-    return _build_vector(
-        (q1 * q2, q1 * (1 - q2), (1 - q1) * q2, (1 - q1) * (1 - q2)),
-        0.0,
-        NEGATIVITY_FLOOR_CLOSED,
-        "coherent zero-nonzero portrait",
-    )
+    return ClosedFormPortrait(s, "zero-nonzero")(alpha1, alpha2)
 
 
 def coherent_portrait_even_odd(
@@ -525,102 +562,38 @@ def coherent_portrait_even_odd(
     (1 + exp(-2 lam)) / 2; the two modes are independent so the portrait
     is the outer product of the per-mode parity pairs.
     """
-    lam1 = abs(complex(alpha1) + complex(s.gamma1)) ** 2
-    lam2 = abs(complex(alpha2) + complex(s.gamma2)) ** 2
-    e1 = 0.5 * (1.0 + math.exp(-2.0 * lam1))
-    e2 = 0.5 * (1.0 + math.exp(-2.0 * lam2))
-    return _build_vector(
-        (e1 * e2, e1 * (1 - e2), (1 - e1) * e2, (1 - e1) * (1 - e2)),
-        0.0,
-        NEGATIVITY_FLOOR_CLOSED,
-        "coherent even-odd portrait",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gaussian closed forms
-# ---------------------------------------------------------------------------
+    return ClosedFormPortrait(s, "even-odd")(alpha1, alpha2)
 
 
 class GaussianPortraitContext:
-    """Per-state factorizations for closed-form Gaussian portraits.
+    """Both canonical closed-form portraits of one Gaussian state.
 
-    Both canonical portraits reduce to Gaussian quadratic forms in the
-    displaced mean: per-mode and joint parity expectations give the
-    even-odd cells, per-mode and joint vacuum projections give the
-    zero-nonzero cells. Everything that depends only on the dispersion
-    matrix is inverted once here; each evaluation is then a handful of
-    2- and 4-dimensional quadratic forms, which is what makes Bell
-    maximization over displacement settings affordable.
-
-    These identities hold for the full (untruncated) photon sums, so the
-    resulting portraits carry zero tail deficit.
+    Everything that depends only on the dispersion matrix is set up once
+    here; the portraits carry zero tail deficit.
     """
 
     def __init__(self, g: GaussianSpec):
         self.spec = g
-        M = g.M
-        I2, I4 = np.eye(2), np.eye(4)
-        M1 = M[np.ix_(_MODE1_IDX, _MODE1_IDX)]
-        M2 = M[np.ix_(_MODE2_IDX, _MODE2_IDX)]
-        # parity: <(-1)^n> = exp(-mu' M^-1 mu / 2) / (2 sqrt(det M)) per mode
-        self._iM1 = np.linalg.inv(M1)
-        self._iM2 = np.linalg.inv(M2)
-        self._iM = np.linalg.inv(M)
-        self._pc1 = 0.5 / math.sqrt(float(np.linalg.det(M1)))
-        self._pc2 = 0.5 / math.sqrt(float(np.linalg.det(M2)))
-        self._pc12 = 0.25 / math.sqrt(float(np.linalg.det(M)))
-        # vacuum projection: P(0) = 2 exp(-mu' (2M+I)^-1 mu) / sqrt(det(2M+I))
-        A1, A2, A = 2.0 * M1 + I2, 2.0 * M2 + I2, 2.0 * M + I4
-        self._iA1 = np.linalg.inv(A1)
-        self._iA2 = np.linalg.inv(A2)
-        self._iA = np.linalg.inv(A)
-        self._vc1 = 2.0 / math.sqrt(float(np.linalg.det(A1)))
-        self._vc2 = 2.0 / math.sqrt(float(np.linalg.det(A2)))
-        self._vc12 = 4.0 / math.sqrt(float(np.linalg.det(A)))
+        self._even_odd = ClosedFormPortrait(g, "even-odd")
+        self._zero_nonzero = ClosedFormPortrait(g, "zero-nonzero")
 
     def even_odd(self, alpha1: complex, alpha2: complex) -> PortraitVector:
-        mu = gaussian_effective_mean(self.spec, alpha1, alpha2)
-        m1, m2 = mu[_MODE1_IDX], mu[_MODE2_IDX]
-        p1 = self._pc1 * math.exp(-0.5 * float(m1 @ self._iM1 @ m1))
-        p2 = self._pc2 * math.exp(-0.5 * float(m2 @ self._iM2 @ m2))
-        p12 = self._pc12 * math.exp(-0.5 * float(mu @ self._iM @ mu))
-        return _build_vector(
-            (
-                0.25 * (1.0 + p1 + p2 + p12),
-                0.25 * (1.0 + p1 - p2 - p12),
-                0.25 * (1.0 - p1 + p2 - p12),
-                0.25 * (1.0 - p1 - p2 + p12),
-            ),
-            0.0,
-            NEGATIVITY_FLOOR_LOG,
-            "gaussian even-odd portrait",
-        )
+        return self._even_odd(alpha1, alpha2)
 
     def zero_nonzero(self, alpha1: complex, alpha2: complex) -> PortraitVector:
-        mu = gaussian_effective_mean(self.spec, alpha1, alpha2)
-        m1, m2 = mu[_MODE1_IDX], mu[_MODE2_IDX]
-        P1 = self._vc1 * math.exp(-float(m1 @ self._iA1 @ m1))
-        P2 = self._vc2 * math.exp(-float(m2 @ self._iA2 @ m2))
-        P12 = self._vc12 * math.exp(-float(mu @ self._iA @ mu))
-        return _build_vector(
-            (P12, P1 - P12, P2 - P12, 1.0 - P1 - P2 + P12),
-            0.0,
-            NEGATIVITY_FLOOR_LOG,
-            "gaussian zero-nonzero portrait",
-        )
+        return self._zero_nonzero(alpha1, alpha2)
 
 
 def gaussian_portrait_even_odd(
     g: GaussianSpec, alpha1: complex, alpha2: complex
 ) -> PortraitVector:
-    return GaussianPortraitContext(g).even_odd(alpha1, alpha2)
+    return ClosedFormPortrait(g, "even-odd")(alpha1, alpha2)
 
 
 def gaussian_portrait_zero_nonzero(
     g: GaussianSpec, alpha1: complex, alpha2: complex
 ) -> PortraitVector:
-    return GaussianPortraitContext(g).zero_nonzero(alpha1, alpha2)
+    return ClosedFormPortrait(g, "zero-nonzero")(alpha1, alpha2)
 
 
 # ---------------------------------------------------------------------------
@@ -637,27 +610,20 @@ def make_portrait_fn(
 ) -> Callable[[complex, complex], PortraitVector]:
     """Bind a state or source and a partition into a settings -> portrait map.
 
-    States with closed forms under a canonical partition get the exact
-    zero-deficit evaluator; everything else falls back to truncated table
-    sums with the given nmax and tail_eps. The returned callable is what
+    Cat, coherent-product and Gaussian states under a canonical partition
+    get a ``ClosedFormPortrait``, given as the state object itself or in
+    the library's own ``CatSource``, ``CoherentSource`` or
+    ``GaussianSource``. A subclass of those sources may override its
+    tomograms, so it goes through truncated table sums with the given nmax
+    and tail_eps, as does everything else. The returned callable is what
     the Bell-matrix assembly and the maximizer consume.
     """
-    source = make_source(src) if not isinstance(src, TomogramSource) else src
-    state = getattr(source, "state", None)
-    if prefer_closed_form and p.kind == "zero-nonzero":
-        if isinstance(state, CatState):
-            return lambda a1, a2: cat_portrait_zero_nonzero(state, a1, a2)
-        if isinstance(state, CoherentProduct):
-            return lambda a1, a2: coherent_portrait_zero_nonzero(state, a1, a2)
-        if isinstance(state, GaussianSpec):
-            ctx = GaussianPortraitContext(state)
-            return ctx.zero_nonzero
-    if prefer_closed_form and p.kind == "even-odd":
-        if isinstance(state, CatState):
-            return lambda a1, a2: cat_portrait_even_odd(state, a1, a2)
-        if isinstance(state, CoherentProduct):
-            return lambda a1, a2: coherent_portrait_even_odd(state, a1, a2)
-        if isinstance(state, GaussianSpec):
-            ctx = GaussianPortraitContext(state)
-            return ctx.even_odd
+    state = src.state if type(src) in _LIBRARY_SOURCES else src
+    if (
+        prefer_closed_form
+        and p.kind in _CANONICAL
+        and isinstance(state, _CLOSED_FORM_STATES)
+    ):
+        return ClosedFormPortrait(state, p.kind)
+    source = src if isinstance(src, TomogramSource) else make_source(src)
     return lambda a1, a2: portrait_truncated(source, p, a1, a2, nmax, tail_eps)

@@ -20,6 +20,7 @@ from tomobell.errors import (
     InvalidBellNumber,
     InvalidParameter,
     InvalidStochasticMatrix,
+    NumericalNegativity,
     TailTooLarge,
 )
 from tomobell.portrait import (
@@ -34,6 +35,7 @@ from tomobell.portrait import (
 from tomobell.states import (
     CatState,
     CoherentProduct,
+    GaussianSpec,
     TomogramSource,
     cat_tomogram,
     gaussian_purity_family,
@@ -106,6 +108,44 @@ def test_bell_matrix_column_swap_property():
     swapped = BellSettings(s.beta1, s.beta2, s.alpha1, s.alpha2)
     m2 = bell_matrix(fn, swapped)
     assert np.array_equal(m2.matrix, m.matrix[:, [3, 2, 1, 0]])
+
+
+def test_bell_matrix_four_columns_match_per_column_loop():
+    # the closed forms evaluate all four columns in one call; a plain
+    # wrapper around the same function goes column by column, and both
+    # must give the same matrix to the last bit
+    local = np.random.default_rng(2718)
+    A = local.normal(size=(4, 4))
+    states = [
+        CatState(1, 0.5), CatState(complex(*local.uniform(-2, 2, 2)), 0.7j),
+        CatState(50, 50), CatState(math.sqrt(50), math.sqrt(50)),
+        CoherentProduct(0.4 - 0.3j, -1.1),
+        gaussian_purity_family(0.9, 0.04),
+        GaussianSpec(A @ A.T + 0.6 * np.eye(4), local.uniform(-1, 1, 4)),
+    ]
+    for state in states:
+        for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
+            fn = make_portrait_fn(state, p)
+            assert hasattr(fn, "bell_columns")
+            for _ in range(20):
+                x = local.uniform(-2, 2, 8)
+                s = BellSettings.from_vector(x)
+                fast = bell_matrix(fn, s)
+                loop = bell_matrix(lambda a1, a2: fn(a1, a2), s)
+                assert np.array_equal(fast.matrix, loop.matrix)
+                assert np.array_equal(fast.column_deficits, loop.column_deficits)
+
+
+def test_bell_matrix_four_columns_keep_portrait_checks():
+    # mode 1 breaks the single-mode uncertainty bound, so its parity
+    # G(-1, 1) = 5 exceeds 1 and the even-odd cells go negative
+    spec = GaussianSpec(np.diag([0.1, 3.0, 0.1, 3.0]))
+    fn = make_portrait_fn(spec, PartitionScheme.even_odd())
+    s = BellSettings(0j, 0j, 0.1j, 0.1)
+    with pytest.raises(NumericalNegativity):
+        bell_matrix(fn, s)
+    with pytest.raises(NumericalNegativity):
+        bell_matrix(lambda a1, a2: fn(a1, a2), s)
 
 
 def test_trace_convention_regression():

@@ -25,7 +25,15 @@ from tomobell.portrait import (
     make_portrait_fn,
     portrait_truncated,
 )
-from tomobell.states import CatState, CoherentProduct, GaussianSpec, make_source
+from tomobell.states import (
+    CatSource,
+    CatState,
+    CoherentProduct,
+    FockOracleSource,
+    GaussianSpec,
+    cat_tomogram,
+    make_source,
+)
 
 CLOSED_VS_TRUNCATED_TOL = 1e-8
 FACTORIZATION_TOL = 1e-12
@@ -75,6 +83,19 @@ def test_partition_from_config_rules():
     assert list(m1) == [True, True, True, False, False]
     with pytest.raises(InvalidParameter):
         PartitionScheme.from_config({"mode1": "prime", "mode2": "zero"})
+
+
+def test_partition_from_config_canonical_rule_pairs():
+    # the rule pairs that spell a canonical partition get its closed form,
+    # not the truncated path with its tail deficit and refusals
+    state = CatState(2.5, 2.5)
+    for rule, canonical in (("zero", PartitionScheme.zero_nonzero()),
+                            ("even", PartitionScheme.even_odd())):
+        p = PartitionScheme.from_config({"mode1": rule, "mode2": rule})
+        assert p.kind == canonical.kind
+        v = make_portrait_fn(state, p)(1.5, 1.5)
+        assert v.tail_deficit == 0.0
+        assert v == make_portrait_fn(state, canonical)(1.5, 1.5)
 
 
 def test_nonproduct_partitions_only_through_debug_helper():
@@ -177,8 +198,9 @@ def test_cat_closed_forms_match_truncated_sums():
 
 
 def test_cat_log_branch_continuity():
-    # the evaluator switches to log-domain accumulation for large
-    # amplitudes; probe both sides of the switchover
+    # the closed forms once switched to log-domain accumulation above
+    # |g1|^2 + |g2|^2 = 30; the generating function has no such branch,
+    # and this guards continuity across the former threshold
     a1, a2 = 0.3 + 0.1j, -0.2 + 0.4j
     g_small = math.sqrt(15.0) - 1e-9
     g_large = math.sqrt(15.0) + 1e-9
@@ -198,6 +220,21 @@ def test_cat_closed_forms_large_amplitude_stay_valid():
             v = fn(s, a1, a2)
             assert np.all(v.as_array() >= 0)
             assert sum(v.as_array()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cat_closed_forms_match_fock_oracle():
+    # the independent Fock-expansion oracle, truncated: each cell may miss
+    # at most the mass beyond the truncation
+    for gamma_sq in (1.0, 10.0):
+        g = math.sqrt(gamma_sq)
+        state = CatState(g, g)
+        oracle = FockOracleSource(state)
+        for a1, a2 in ((0.3 - 0.2j, -0.5 + 0.1j), (-0.9 + 0.4j, 0.6j)):
+            for p in (PartitionScheme.zero_nonzero(), PartitionScheme.even_odd()):
+                t = portrait_truncated(oracle, p, a1, a2, nmax=50, tail_eps=1e-6)
+                c = make_portrait_fn(state, p)(a1, a2)
+                diff = np.max(np.abs(t.as_array() - c.as_array()))
+                assert diff <= t.tail_deficit + 1e-12
 
 
 def test_vacuum_cat_zero_nonzero_at_origin():
@@ -271,6 +308,30 @@ def test_make_portrait_fn_prefers_closed_forms():
     assert v.tail_deficit == pytest.approx(0.0, abs=1e-9)
     direct = cat_portrait_even_odd(CatState(1, 1), 0.2 + 0.1j, -0.3j)
     assert np.array_equal(v.as_array(), direct.as_array())
+
+
+class _FencedSource(CatSource):
+    """A library source whose subclass refuses settings beyond a fence."""
+
+    def tomogram(self, n1, n2, alpha1, alpha2):
+        if abs(alpha1) > 1.4:
+            raise TailTooLarge(1.0, f"|alpha1|={abs(alpha1):.3f} beyond fence")
+        return cat_tomogram(self.state, n1, n2, alpha1, alpha2)
+
+
+def test_make_portrait_fn_closed_forms_only_for_library_sources():
+    # a subclass may override its tomograms, so only the state object and
+    # the library's own source classes are given the closed form
+    state = CatState(1, 1)
+    zn = PartitionScheme.zero_nonzero()
+    fenced = make_portrait_fn(_FencedSource(state), zn, nmax=12, tail_eps=1.0)
+    with pytest.raises(TailTooLarge):
+        fenced(1.5, 0j)
+    inside = fenced(0.5, 0j)
+    assert inside.tail_deficit > 0.0
+    closed = make_portrait_fn(CatSource(state), zn)(1.5, 0j)
+    assert closed.tail_deficit == 0.0
+    assert closed == make_portrait_fn(state, zn)(1.5, 0j)
 
 
 def test_make_portrait_fn_truncated_fallback():
