@@ -5,17 +5,18 @@ displacement settings per mode. Contracting it against a fixed sign matrix
 gives the CHSH combination of the four correlations; values above 2
 witness entanglement, and no quantum state can exceed 2*sqrt(2) (the
 Tsirelson bound). The maximizer searches the 8 real setting coordinates
-for the largest witness value a state offers.
+for the largest witness value a state offers, with a Nelder-Mead simplex
+search (a port of scipy's, so scipy is not needed at run time).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     InvalidBellNumber,
@@ -28,6 +29,7 @@ from .portrait import (
     DEFAULT_NMAX,
     DEFAULT_TAIL_EPS,
     SUM_TOL,
+    ClosedFormPortrait,
     PartitionScheme,
     PortraitVector,
     make_portrait_fn,
@@ -238,6 +240,176 @@ def chsh_check(b: float) -> ChshVerdict:
 
 
 # ---------------------------------------------------------------------------
+# Nelder-Mead
+# ---------------------------------------------------------------------------
+
+# reflection, expansion, contraction and shrink coefficients of the
+# standard (non-adaptive) method
+RHO, CHI, PSI, SIGMA = 1.0, 2.0, 0.5, 0.5
+
+_SIMPLEX_MESSAGES = (
+    "Optimization terminated successfully.",
+    "Maximum number of function evaluations has been exceeded.",
+    "Maximum number of iterations has been exceeded.",
+)
+
+
+class _OutOfEvaluations(Exception):
+    """The evaluation budget ran out in the middle of an iteration."""
+
+
+@dataclass(frozen=True)
+class SimplexResult:
+    """Outcome of one Nelder-Mead descent, under scipy's field names.
+
+    ``status`` is 0 on convergence, 1 when ``maxfev`` evaluations were
+    spent and 2 when ``maxiter`` iterations were; ``success`` is
+    ``status == 0``.
+    """
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    status: int
+    success: bool
+    message: str
+
+
+def _sorted_simplex(sim, fsim):
+    """The vertices and their values, in ascending order as np.argsort sorts.
+
+    Without ties or NaN the order is unique and Python's sort finds it
+    faster. Otherwise np.argsort decides: its tie order depends on the
+    sort kernel numpy picks for the platform.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    values = [fsim[i] for i in order]
+    if not all(map(operator.lt, values, values[1:])):
+        order = np.argsort(fsim).tolist()
+        values = [fsim[i] for i in order]
+    return [sim[i] for i in order], values
+
+
+def _centroid(rows):
+    """Mean of the rows, summed in row order as numpy sums along axis 0."""
+    n = len(rows)
+    out = []
+    for column in zip(*rows):
+        total = column[0]
+        for v in column[1:]:
+            total += v
+        out.append(total / n)
+    return out
+
+
+def _affine(a, xbar, b, worst):
+    """a * xbar + b * worst, entry by entry.
+
+    scipy subtracts b * worst where b is negative here; x + (-y) and
+    x - y round alike, so the result is the same to the bit.
+    """
+    return [a * c + b * w for c, w in zip(xbar, worst)]
+
+
+def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev) -> SimplexResult:
+    """Minimize ``fun`` by Nelder-Mead from an initial simplex of n + 1 vertices.
+
+    A step-for-step port of scipy.optimize.minimize(method="Nelder-Mead")
+    without bounds or adaptive coefficients: the same arithmetic in the
+    same order, the same vertex order (ties broken by np.argsort) and the
+    same stopping rules. The search stops when every vertex lies within
+    ``xatol`` of the best in each coordinate and within ``fatol`` of it in
+    value, after ``maxiter`` iterations, or when ``maxfev`` evaluations are
+    spent, which may cut an iteration short (a shrink included); the
+    simplex is re-sorted after every iteration, cut or not. So it returns
+    scipy's x, fun, nit and nfev. ``fun`` receives each vertex as a list of
+    floats.
+    """
+    sim = np.asarray(simplex, dtype=float).tolist()
+    n = len(sim) - 1
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return fun(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _OutOfEvaluations:
+        pass
+    # scipy sorts twice here; with ties the second sort may reorder them
+    for _ in range(2):
+        sim, fsim = _sorted_simplex(sim, fsim)
+
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            best, f_best = sim[0], fsim[0]
+            # both spreads within tolerance; the cheaper value test first
+            if all(abs(f_best - v) <= fatol for v in fsim[1:]) and all(
+                abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)
+            ):
+                break
+            xbar, worst = _centroid(sim[:-1]), sim[-1]
+            xr = _affine(1.0 + RHO, xbar, -RHO, worst)
+            fxr = f(xr)
+            shrink = False
+            if fxr < f_best:
+                xe = _affine(1.0 + RHO * CHI, xbar, -RHO * CHI, worst)
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = _affine(1.0 + PSI * RHO, xbar, -PSI * RHO, worst)
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = _affine(1.0 - PSI, xbar, PSI, worst)
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [b + SIGMA * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = f(sim[j])
+            nit += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = _sorted_simplex(sim, fsim)
+
+    if nfev >= maxfev:
+        status = 1
+    elif nit >= maxiter:
+        status = 2
+    else:
+        status = 0
+    return SimplexResult(
+        x=np.array(sim[0]),
+        fun=min(fsim),
+        nit=nit,
+        nfev=nfev,
+        status=status,
+        success=status == 0,
+        message=_SIMPLEX_MESSAGES[status],
+    )
+
+
+# ---------------------------------------------------------------------------
 # maximization
 # ---------------------------------------------------------------------------
 
@@ -277,7 +449,14 @@ class MaximizeConfig:
 
 @dataclass(frozen=True)
 class MaximizeResult:
-    """Outcome of a multi-start search: a lower bound on the true maximum."""
+    """Outcome of a multi-start search: a lower bound on the true maximum.
+
+    The per-start lists hold one entry per start. ``per_start_nfev``
+    counts the evaluations of a start's descent (its re-evaluation at the
+    clipped end point not included), and ``per_start_converged`` is False
+    when the descent stopped at the ``max_iters`` limit. Both are None for
+    a start that raised, whose message is in ``per_start_error``.
+    """
 
     f: float
     argmax: BellSettings
@@ -285,6 +464,8 @@ class MaximizeResult:
     evaluations: int
     per_start_best: List[float]
     per_start_error: List[Optional[str]]
+    per_start_nfev: List[Optional[int]]
+    per_start_converged: List[Optional[bool]]
 
 
 def _start_point(seed: int, index: int, box: float) -> tuple:
@@ -300,31 +481,80 @@ def _start_point(seed: int, index: int, box: float) -> tuple:
     return x0, scale
 
 
+def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
+    """The Bell number at 8 setting coordinates, fused for a closed form.
+
+    Takes the coordinates in ``BellSettings.as_vector`` order and gives
+    bell_number(bell_matrix(portrait_fn, BellSettings.from_vector(
+    np.clip(x, -box, box)))) up to the order of the last sums, with the
+    same checks and errors: the coordinates are clipped into the box, every
+    column passes the portrait checks and then the Bell-matrix entry range,
+    B = |E0 + E1 + E2 - E3| from the column correlations
+    E = w++ - w+- - w-+ + w--, and B is recorded in the high-water mark.
+    No settings object or array is built.
+    """
+    mode1, mode2, column = portrait_fn.mode1, portrait_fn.mode2, portrait_fn.column
+    low, high = -ENTRY_TOL, 1.0 + ENTRY_TOL
+    lo_box = -box
+
+    def bell_value(x) -> float:
+        global _bell_high_water
+        # the comparison passes in-box values through; NaN fails it and
+        # stays NaN under min/max, as under np.clip
+        c = [v if lo_box <= v <= box else min(max(v, lo_box), box) for v in x]
+        if math.isnan(math.fsum(c)):
+            BellSettings.from_vector(c)  # raises InvalidParameter naming the setting
+        a1, b1 = mode1(complex(c[0], c[1])), mode1(complex(c[2], c[3]))
+        a2, b2 = mode2(complex(c[4], c[5])), mode2(complex(c[6], c[7]))
+        columns = (column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2))
+        e = []
+        for w_pp, w_pm, w_mp, w_mm, _ in columns:
+            if min(w_pp, w_pm, w_mp, w_mm) < low or max(w_pp, w_pm, w_mp, w_mm) > high:
+                raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
+            e.append(w_pp - w_pm - w_mp + w_mm)
+        b = abs(e[0] + e[1] + e[2] - e[3])
+        if b > _bell_high_water:
+            _bell_high_water = b
+        return b
+
+    return bell_value
+
+
 def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig()) -> MaximizeResult:
     """Maximize the Bell number over displacement settings inside the box.
 
     Runs ``cfg.starts`` Nelder-Mead descents on -B from deterministic
-    start points, projecting every proposal back into the box. Individual
-    starts that hit portrait errors (truncation tail, negative cells) are
-    recorded and skipped; the search fails only when every start failed.
-    The result is a lower bound on the true maximum; ties between starts
-    resolve to the lowest start index, so the outcome is reproducible
-    regardless of evaluation order.
+    start points, projecting every proposal back into the box. Closed-form
+    portraits are evaluated through a fused objective that builds no
+    intermediate objects; every other portrait function goes through
+    ``bell_matrix`` and ``bell_number``. Individual starts that hit
+    portrait errors (truncation tail, negative cells) are recorded and
+    skipped; the search fails only when every start failed. The result is
+    a lower bound on the true maximum; ties between starts resolve to the
+    lowest start index, so the outcome is reproducible regardless of
+    evaluation order.
     """
     portrait_fn = make_portrait_fn(src, p, nmax=cfg.nmax, tail_eps=cfg.tail_eps)
     box = float(cfg.box)
+    if isinstance(portrait_fn, ClosedFormPortrait):
+        bell_value = _closed_form_objective(portrait_fn, box)
+    else:
+        def bell_value(x) -> float:
+            s = BellSettings.from_vector(np.clip(x, -box, box))
+            return bell_number(bell_matrix(portrait_fn, s))
     eval_count = 0
 
-    def objective_value(x: np.ndarray) -> float:
+    def objective_value(x) -> float:
         nonlocal eval_count
         eval_count += 1
-        s = BellSettings.from_vector(np.clip(x, -box, box))
-        return bell_number(bell_matrix(portrait_fn, s))
+        return bell_value(x)
 
     best_f = -1.0
     best_x: Optional[np.ndarray] = None
     per_start_best: List[float] = []
     per_start_error: List[Optional[str]] = []
+    per_start_nfev: List[Optional[int]] = []
+    per_start_converged: List[Optional[bool]] = []
     last_error: Optional[TomobellError] = None
 
     for i in range(cfg.starts):
@@ -333,27 +563,27 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
         try:
             res = minimize(
                 lambda x: -objective_value(x),
-                x0,
-                method="Nelder-Mead",
-                options=dict(
-                    initial_simplex=simplex,
-                    fatol=cfg.ftol,
-                    xatol=cfg.xtol,
-                    maxiter=cfg.max_iters,
-                    maxfev=cfg.max_iters,
-                ),
+                simplex,
+                xatol=cfg.xtol,
+                fatol=cfg.ftol,
+                maxiter=cfg.max_iters,
+                maxfev=cfg.max_iters,
             )
             x = np.clip(res.x, -box, box)
-            f = objective_value(x)
+            f = objective_value(x.tolist())
         except (InvalidParameter, UnsupportedState):
             raise
         except TomobellError as exc:
             per_start_best.append(math.nan)
             per_start_error.append(f"{type(exc).__name__}: {exc}")
+            per_start_nfev.append(None)
+            per_start_converged.append(None)
             last_error = exc
             continue
         per_start_best.append(f)
         per_start_error.append(None)
+        per_start_nfev.append(res.nfev)
+        per_start_converged.append(res.success)
         # strict improvement beyond rounding noise; exact ties and
         # float-dust differences keep the earlier start's answer
         if f > best_f + 1e-12:
@@ -375,4 +605,6 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
         evaluations=eval_count,
         per_start_best=per_start_best,
         per_start_error=per_start_error,
+        per_start_nfev=per_start_nfev,
+        per_start_converged=per_start_converged,
     )

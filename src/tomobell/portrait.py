@@ -103,8 +103,9 @@ class PartitionScheme:
 
         Accepts the canonical names "zero-nonzero" and "even-odd", or a
         dict {"mode1": rule, "mode2": rule} where each rule is "zero",
-        "even", or {"threshold": t} meaning the plus set is n <= t. The
-        pairs "zero"/"zero" and "even"/"even" give the canonical schemes.
+        "even", or {"threshold": t} meaning the plus set is n <= t. A
+        threshold of 0 is the "zero" rule. The pairs "zero"/"zero" and
+        "even"/"even" give the canonical schemes.
         """
         if isinstance(cfg, str):
             name = cfg.strip().lower().replace("_", "-")
@@ -116,7 +117,14 @@ class PartitionScheme:
                 f"unknown partition name {cfg!r}; use zero-nonzero or even-odd"
             )
         if isinstance(cfg, dict):
-            rules = (cfg.get("mode1"), cfg.get("mode2"))
+
+            def named(spec):
+                # n <= 0 keeps only n = 0: the "zero" rule
+                if isinstance(spec, dict) and "threshold" in spec and int(spec["threshold"]) == 0:
+                    return "zero"
+                return spec
+
+            rules = (named(cfg.get("mode1")), named(cfg.get("mode2")))
             if rules == ("zero", "zero"):
                 return PartitionScheme.zero_nonzero()
             if rules == ("even", "even"):
@@ -491,10 +499,13 @@ class ClosedFormPortrait:
     Calling it with (alpha1, alpha2) gives one PortraitVector with zero
     tail deficit. ``bell_columns(s)`` evaluates the four Bell-matrix
     columns of the settings ``s`` in one call, computing each per-mode term
-    once per setting, and runs the same checks once per column.
+    once per setting, and runs the same checks once per column. The pieces
+    are public for callers that fuse more work around them: ``mode1`` and
+    ``mode2`` give the per-mode terms of one displacement, and ``column``
+    turns a mode-1 and a mode-2 term into a checked column.
     """
 
-    __slots__ = ("_g", "_cells", "_what")
+    __slots__ = ("mode1", "mode2", "_g", "_cells", "_what")
 
     def __init__(self, state, kind: str):
         s, self._cells = _CANONICAL[kind]
@@ -504,15 +515,17 @@ class ClosedFormPortrait:
         else:
             raise UnsupportedState(f"no closed-form portrait for {type(state).__name__}")
         self._g = family(state, s)
+        self.mode1, self.mode2 = self._g.mode1, self._g.mode2
         self._what = f"{family.name} {kind} portrait"
 
-    def _column(self, m1, m2):
+    def column(self, m1, m2):
+        """Checked (w_pp, w_pm, w_mp, w_mm, tail_deficit) from per-mode terms."""
         (p1, d1), (p2, d2) = m1, m2
         cells = self._cells(p1, p2, self._g.joint(d1, d2))
         return _checked_cells(cells, 0.0, self._g.floor, self._what)
 
     def __call__(self, alpha1, alpha2) -> PortraitVector:
-        return _vector(self._column(self._g.mode1(alpha1), self._g.mode2(alpha2)))
+        return _vector(self.column(self.mode1(alpha1), self.mode2(alpha2)))
 
     def bell_columns(self, s):
         """Checked columns (w_pp, w_pm, w_mp, w_mm, tail_deficit) of settings ``s``.
@@ -520,10 +533,9 @@ class ClosedFormPortrait:
         Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2), as in
         ``bell_matrix``.
         """
-        g = self._g
-        a1, b1 = g.mode1(s.alpha1), g.mode1(s.beta1)
-        a2, b2 = g.mode2(s.alpha2), g.mode2(s.beta2)
-        column = self._column
+        a1, b1 = self.mode1(s.alpha1), self.mode1(s.beta1)
+        a2, b2 = self.mode2(s.alpha2), self.mode2(s.beta2)
+        column = self.column
         return [column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2)]
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateGaussian,
@@ -83,7 +82,7 @@ def _log_cosh(x: float) -> float:
 
 
 def _log_factorial(n: int) -> float:
-    return float(gammaln(n + 1))
+    return math.lgamma(n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +482,7 @@ def gaussian_tomogram_table(
             f"gaussian tomogram table: imaginary residue {worst.imag:.3e} "
             f"too large for real part {worst.real:.3e}"
         )
-    log_fact = gammaln(idx + 1.0)
+    log_fact = np.array([_log_factorial(n) for n in range(nmax + 1)])
     w = _gaussian_prefactor(g, alpha1, alpha2) * h.real * np.exp(
         -log_fact[:, None] - log_fact[None, :]
     )

@@ -43,6 +43,13 @@ from tomobell.states import (
 
 CEILING = TSIRELSON_BOUND + 1e-6
 
+SQUEEZED_M = np.array([
+    [3.0, math.sqrt(35) / 2, 0.0, 0.0],
+    [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, math.sqrt(3) / 2],
+    [0.0, 0.0, math.sqrt(3) / 2, 1.0],
+])
+
 rng = np.random.default_rng(77)
 
 # the worked Bell matrix as printed, four decimals per entry
@@ -220,6 +227,20 @@ def test_maximize_monotone_in_starts():
     assert large.per_start_best[:3] == small.per_start_best
 
 
+def test_maximize_reports_each_start():
+    # two of these ten starts stop at the evaluation limit
+    cfg = MaximizeConfig(starts=10, seed=0)
+    r = maximize_bell(GaussianSpec(SQUEEZED_M), PartitionScheme.zero_nonzero(), cfg)
+    assert len(r.per_start_nfev) == len(r.per_start_converged) == cfg.starts
+    assert all(e is None for e in r.per_start_error)
+    for nfev, converged in zip(r.per_start_nfev, r.per_start_converged):
+        assert 0 < nfev <= cfg.max_iters
+        assert converged == (nfev < cfg.max_iters)
+    assert r.per_start_converged.count(False) == 2
+    # each start evaluates once more, at its clipped end point
+    assert sum(n + 1 for n in r.per_start_nfev) == r.evaluations
+
+
 def test_maximize_coherent_stays_below_two():
     r = maximize_bell(CoherentProduct(0.5, 0.5), PartitionScheme.even_odd(),
                       MaximizeConfig(starts=16, seed=0))
@@ -264,6 +285,8 @@ def test_maximize_continues_past_failed_starts():
     assert r.f > 2.0  # the surviving fine starts still find the violation
     nan_count = sum(1 for v in r.per_start_best if math.isnan(v))
     assert nan_count == len(failed)
+    for error, nfev, converged in zip(r.per_start_error, r.per_start_nfev, r.per_start_converged):
+        assert (nfev is None) == (converged is None) == (error is not None)
 
 
 def test_maximize_raises_when_all_starts_fail():

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tomobell
 from tomobell.cli import format_complex, main, parse_complex
 from tomobell.errors import InvalidParameter
 
@@ -253,3 +258,20 @@ def test_usage_error_single_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[Usage]:")
     assert err.count("\n") == 1
+
+
+# --- import cost ---------------------------------------------------------------
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; the package and its CLI run without it
+    src = str(Path(tomobell.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, tomobell, tomobell.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -98,6 +98,25 @@ def test_partition_from_config_canonical_rule_pairs():
         assert v == make_portrait_fn(state, canonical)(1.5, 1.5)
 
 
+def test_partition_from_config_zero_threshold_is_zero_rule():
+    # {"threshold": 0} keeps only n = 0, the "zero" rule, so two of them
+    # spell the zero-nonzero partition and get its closed form
+    state = CatState(2.5, 2.5)
+    canonical = make_portrait_fn(state, PartitionScheme.zero_nonzero())(1.5, 1.5)
+    for rules in ({"mode1": {"threshold": 0}, "mode2": {"threshold": 0}},
+                  {"mode1": "zero", "mode2": {"threshold": 0}}):
+        p = PartitionScheme.from_config(rules)
+        assert p.kind == "zero-nonzero"
+        assert make_portrait_fn(state, p)(1.5, 1.5) == canonical
+    t = PartitionScheme.from_config({"mode1": {"threshold": 1}, "mode2": {"threshold": 0}})
+    assert t.kind == "custom"
+    m1, m2 = t.masks(2)
+    assert list(m1) == [True, True, False]
+    assert list(m2) == [True, False, False]
+    with pytest.raises(InvalidParameter):
+        PartitionScheme.from_config({"mode1": {"threshold": -1}, "mode2": "zero"})
+
+
 def test_nonproduct_partitions_only_through_debug_helper():
     # the public constructors only build product partitions A1 x A2; a
     # diagonal (non-product) cell assignment exists solely as a debug
