@@ -12,7 +12,6 @@ search (a port of scipy's, so scipy is not needed at run time).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -51,6 +50,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CEILING_TOL = 1e-6
 # Bell matrix entries may undershoot 0 or overshoot 1 by at most this
 ENTRY_TOL = 1e-9
+_ENTRY_LOW, _ENTRY_HIGH = -ENTRY_TOL, 1.0 + ENTRY_TOL
 # column mass must balance against the recorded tail deficit to within this;
 # the same bound as a portrait's, so a checked portrait is a balanced column
 COLUMN_TOL = SUM_TOL
@@ -160,6 +160,14 @@ class BellMatrix:
         object.__setattr__(self, "column_deficits", d)
 
 
+def _check_entry_range(columns) -> None:
+    """Raise unless every cell of each (w++, w+-, w-+, w--, deficit) column
+    lies in [0, 1] up to ENTRY_TOL."""
+    for w_pp, w_pm, w_mp, w_mm, _ in columns:
+        if min(w_pp, w_pm, w_mp, w_mm) < _ENTRY_LOW or max(w_pp, w_pm, w_mp, w_mm) > _ENTRY_HIGH:
+            raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
+
+
 def bell_matrix(
     portrait_fn: Callable[[complex, complex], PortraitVector], s: BellSettings
 ) -> BellMatrix:
@@ -183,9 +191,7 @@ def bell_matrix(
             deficits.append(v.tail_deficit)
         return BellMatrix(np.column_stack(cols), np.array(deficits))
     columns = bell_columns(s)
-    for col in columns:
-        if min(col[:4]) < -ENTRY_TOL or max(col[:4]) > 1.0 + ENTRY_TOL:
-            raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
+    _check_entry_range(columns)
     # one row per column: the four cells, then the tail deficit
     rows = np.array(columns)
     m = object.__new__(BellMatrix)
@@ -277,18 +283,14 @@ class SimplexResult:
 
 
 def _sorted_simplex(sim, fsim):
-    """The vertices and their values, in ascending order as np.argsort sorts.
+    """The vertices and their values, in the order np.argsort gives fsim.
 
-    Without ties or NaN the order is unique and Python's sort finds it
-    faster. Otherwise np.argsort decides: its tie order depends on the
-    sort kernel numpy picks for the platform.
+    scipy orders the simplex with np.argsort; calling it on the same
+    values, the same number of times, breaks ties (and places NaN) as
+    scipy does, whatever sort kernel numpy picks for the platform.
     """
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    values = [fsim[i] for i in order]
-    if not all(map(operator.lt, values, values[1:])):
-        order = np.argsort(fsim).tolist()
-        values = [fsim[i] for i in order]
-    return [sim[i] for i in order], values
+    order = np.argsort(np.array(fsim)).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def _centroid(rows):
@@ -343,7 +345,9 @@ def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev) -> SimplexResult:
             fsim[k] = f(sim[k])
     except _OutOfEvaluations:
         pass
-    # scipy sorts twice here; with ties the second sort may reorder them
+    # scipy sorts here twice (in a ``finally`` and once more), and below
+    # once per iteration but not after the convergence break; the same
+    # sequence of argsorts gives the same vertex order
     for _ in range(2):
         sim, fsim = _sorted_simplex(sim, fsim)
 
@@ -494,27 +498,22 @@ def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
     No settings object or array is built.
     """
     mode1, mode2, column = portrait_fn.mode1, portrait_fn.mode2, portrait_fn.column
-    low, high = -ENTRY_TOL, 1.0 + ENTRY_TOL
     lo_box = -box
 
     def bell_value(x) -> float:
-        global _bell_high_water
-        # the comparison passes in-box values through; NaN fails it and
-        # stays NaN under min/max, as under np.clip
+        # in-box values pass the comparison untouched, which costs a
+        # quarter of min/max on all 8; NaN fails it and stays NaN under
+        # min/max, as under np.clip
         c = [v if lo_box <= v <= box else min(max(v, lo_box), box) for v in x]
         if math.isnan(math.fsum(c)):
             BellSettings.from_vector(c)  # raises InvalidParameter naming the setting
         a1, b1 = mode1(complex(c[0], c[1])), mode1(complex(c[2], c[3]))
         a2, b2 = mode2(complex(c[4], c[5])), mode2(complex(c[6], c[7]))
         columns = (column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2))
-        e = []
-        for w_pp, w_pm, w_mp, w_mm, _ in columns:
-            if min(w_pp, w_pm, w_mp, w_mm) < low or max(w_pp, w_pm, w_mp, w_mm) > high:
-                raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
-            e.append(w_pp - w_pm - w_mp + w_mm)
+        _check_entry_range(columns)
+        e = [w_pp - w_pm - w_mp + w_mm for w_pp, w_pm, w_mp, w_mm, _ in columns]
         b = abs(e[0] + e[1] + e[2] - e[3])
-        if b > _bell_high_water:
-            _bell_high_water = b
+        _record_bell(b)
         return b
 
     return bell_value

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize as sp
 
 from tomobell import bell
 from tomobell.bell import (
@@ -64,7 +65,6 @@ def _start_simplex(seed, index):
 
 
 def _assert_same_as_scipy(fun, simplex, maxfev=CFG.max_iters):
-    sp = pytest.importorskip("scipy.optimize")
     ours = minimize(fun, simplex, xatol=CFG.xtol, fatol=CFG.ftol,
                     maxiter=maxfev, maxfev=maxfev)
     ref = sp.minimize(fun, simplex[0], method="Nelder-Mead",
@@ -121,6 +121,26 @@ def test_minimize_matches_scipy_on_a_tied_plateau():
     res = _assert_same_as_scipy(fun, plateau)
     assert res.status == 0
     # straddling the box edge: clipped vertices tie with each other
+    edge = np.full(8, 1.9)
+    _assert_same_as_scipy(fun, np.vstack([edge, edge + 0.25 * np.eye(8)]))
+
+
+def test_minimize_sorts_ties_as_often_as_scipy(monkeypatch):
+    # numpy's argsort may leave sorted ties in place on one platform and
+    # swap them on another; one that reverses ties on every call makes
+    # each extra or missing sort change the vertex order, so only the
+    # same sequence of sorts as scipy's gives scipy's answer
+    def reverse_ties(a):
+        a = np.asarray(a)
+        return np.lexsort((-np.arange(len(a)), a))
+
+    monkeypatch.setattr(np, "argsort", reverse_ties)
+    fun = _negative_b(CoherentProduct(0.5, 0.5j), EO)
+    outside = np.full(8, 2.5)
+    plateau = np.vstack([outside, outside + 0.25 * np.eye(8)])
+    for maxfev in (5, 9, 10, 20, 44):
+        _assert_same_as_scipy(fun, plateau, maxfev)
+    assert _assert_same_as_scipy(fun, plateau).status == 0
     edge = np.full(8, 1.9)
     _assert_same_as_scipy(fun, np.vstack([edge, edge + 0.25 * np.eye(8)]))
 
