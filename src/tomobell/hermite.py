@@ -12,8 +12,8 @@ obtained by differentiating the generating function, memoized per (R, x)
 context. ``hermite_oracle`` instead differentiates exp(-x.R.x/2)
 symbolically, carrying the exact multivariate polynomial coefficient
 table, and is the ground truth the recursion is tested against.
-``hermite_box`` fills a whole index box with vectorized sweeps and is the
-fast path used for photon-number tables.
+``hermite_box`` fills a whole index box with vectorized sweeps; photon
+tables no longer use it, and tests keep it as an oracle for them.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 
 from .errors import AsymmetricR, OrderOverflow
 
+# largest |A - A^T| entry accepted for a matrix that must be symmetric
+# (R here, the dispersion matrix M in ``states``)
 SYMMETRY_TOL = 1e-12
 DEFAULT_MAX_ORDER = 128
 
@@ -122,8 +124,8 @@ def hermite_box(params: HermiteParams, shape) -> np.ndarray:
 
     ``shape`` gives the box extents as (A+1, B+1, C+1, D+1). The fill runs
     the same recursion as ``hermite_eval`` but sweeps one axis at a time
-    with whole-slab numpy operations, which is what makes 30-photon
-    tables affordable.
+    with whole-slab numpy operations. Its diagonal (n1, n2, n1, n2) is the
+    paper's route to Gaussian photon tables, which tests compare against.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) != 4 or any(s < 1 for s in shape):

@@ -8,9 +8,16 @@ counting (n1, n2) photons in the two modes after displacing the state by
   through a closed formula with a log-domain branch for large amplitudes;
 * products of coherent states (Poisson statistics);
 * generic Gaussian states given by a 4x4 dispersion matrix and mean
-  vector, through four-dimensional Hermite polynomials;
+  vector, through the four-dimensional Hermite polynomials of the paper;
 * a brute-force Fock-basis oracle for any finite superposition of
   two-mode coherent states, used to cross-check the closed forms.
+
+Whole photon-number tables take faster routes than the scalar formulas.
+A cat or coherent table is one vectorized pass over the coherent
+superposition terms: |sum_b c_b phi_b1 (x) phi_b2|^2 with displaced Fock
+amplitude vectors phi. A Gaussian table is the array of Taylor
+coefficients of the closed-form generating function
+G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2, expanded in real arithmetic.
 
 Quadrature ordering is (p1, p2, q1, q2) everywhere a 4-vector or 4x4
 matrix appears, with p = -i(a - a^dag)/sqrt(2), q = (a + a^dag)/sqrt(2)
@@ -23,6 +30,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,21 +42,22 @@ from .errors import (
     SingularMatrix,
     UnsupportedState,
 )
-from .hermite import HermiteParams, hermite_box, hermite_eval
+# no table here fills a Hermite box; ``hermite_box`` stays importable from
+# this module because ``perfbench/spans.py`` patches it here by name
+from .hermite import SYMMETRY_TOL, HermiteParams, hermite_box, hermite_eval  # noqa: F401
 from .numerics import mat4_det, mat4_inverse
 
 # cat-state formulas switch to (sign, log magnitude) accumulation above this
 # value of |gamma1|^2 + |gamma2|^2; cosh of anything much larger overflows
 LOG_DOMAIN_THRESHOLD = 30.0
 
-# tolerated rounding negativity for closed forms / for the Hermite path
+# tolerated rounding negativity for closed forms / for Gaussian values
 NEGATIVITY_TOL = 1e-12
 NEGATIVITY_TOL_HERMITE = 1e-9
 
 # |Im H| <= IMAG_RESIDUE_TOL * (1 + |Re H|) must hold before Re is taken
 IMAG_RESIDUE_TOL = 1e-8
 
-SYMMETRY_TOL = 1e-12
 R_SYMMETRY_TOL = 1e-10
 DET_BOUND_SLACK = 1e-10
 
@@ -149,6 +158,11 @@ class GaussianSpec:
 
     def __repr__(self):
         return f"GaussianSpec(M={self.M.tolist()}, mean={self.mean.tolist()})"
+
+    @cached_property
+    def _generating_polynomials(self):
+        # depends on M alone, so every table of this spec shares it
+        return _generating_polynomials(self.M)
 
 
 def gaussian_purity_family(k: float, l: float) -> GaussianSpec:
@@ -350,6 +364,41 @@ def fock_oracle_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: compl
     return abs(amp) ** 2
 
 
+def _fock_amplitudes(mu: complex, log_fact: np.ndarray) -> np.ndarray:
+    # <n|mu> for n = 0..len(log_fact) - 1; each has modulus <= 1
+    if mu == 0:
+        out = np.zeros(len(log_fact), dtype=complex)
+        out[0] = 1.0
+        return out
+    n = np.arange(len(log_fact))
+    log_mag = -abs(mu) ** 2 / 2.0 + n * math.log(abs(mu)) - 0.5 * log_fact
+    return np.exp(log_mag + 1j * cmath.phase(mu) * n)
+
+
+def coherent_superposition_table(
+    state, alpha1: complex, alpha2: complex, nmax: int = DEFAULT_NMAX
+) -> np.ndarray:
+    """All tomogram values for 0 <= n1, n2 <= nmax of a coherent superposition.
+
+    The same sum as ``fock_oracle_tomogram`` for every (n1, n2) at once:
+    |sum_b c_b phi_b1 (x) phi_b2|^2, where phi_bj holds the Fock amplitudes
+    <n|alpha_j + delta_bj> for n = 0..nmax and c_b is the term's
+    coefficient times its displacement phases. Every amplitude has modulus
+    at most 1, so no amplitude needs a log-domain branch.
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    a1, a2 = complex(alpha1), complex(alpha2)
+    log_fact = np.array([_log_factorial(n) for n in range(int(nmax) + 1)])
+    amp = 0.0
+    for coeff, d1, d2 in coherent_superposition_terms(state):
+        c = coeff * _displacement_phase(a1, d1) * _displacement_phase(a2, d2)
+        amp = amp + np.outer(
+            c * _fock_amplitudes(a1 + d1, log_fact), _fock_amplitudes(a2 + d2, log_fact)
+        )
+    return amp.real ** 2 + amp.imag ** 2
+
+
 # ---------------------------------------------------------------------------
 # Gaussian states
 # ---------------------------------------------------------------------------
@@ -458,39 +507,151 @@ def gaussian_tomogram(
     return _clamp_probability(w, NEGATIVITY_TOL_HERMITE, "gaussian tomogram")
 
 
+# row masks of W: row i is taken from 1/2 - M when bit i is set, from
+# M + 1/2 otherwise; bits 0, 2 belong to mode 1 and bits 1, 3 to mode 2
+_ROW_MASKS = (np.arange(16)[:, None] >> np.arange(4)) & 1
+# one_hot[m, a, b] = 1 where mask m sets a mode-1 bits and b mode-2 bits
+_MASK_POWERS = np.zeros((16, 3, 3))
+_MASK_POWERS[np.arange(16), _ROW_MASKS[:, 0] + _ROW_MASKS[:, 2], _ROW_MASKS[:, 1] + _ROW_MASKS[:, 3]] = 1.0
+# row (or column) indices of a 4x4 matrix left after deleting row i
+_KEPT = np.array([[k for k in range(4) if k != i] for i in range(4)])
+_COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+
+
+def _generating_polynomials(M):
+    """Coefficients of Delta = det W and A = adj(W) diag(1 - s) in (s1, s2).
+
+    W(s) = diag(1 - s) M + diag((1 + s)/2) = (M + 1/2) + diag(s) (1/2 - M)
+    with s = (s1, s2, s1, s2). A determinant is linear in each row, so
+    Delta is the sum over the 16 ways of taking each row from M + 1/2 or
+    from s_i (1/2 - M), and each cofactor of W the same sum over the three
+    rows it keeps: 16 determinants and 256 3x3 minors, with no matrix
+    inversion and no cancellation between samples. Returns Delta[a, b] and
+    A[i, j, a, b], the real coefficients of s1^a s2^b (a, b <= 2).
+    """
+    rows = np.where(_ROW_MASKS[:, :, None] == 1, 0.5 * _I4 - M, M + 0.5 * _I4)
+    delta = np.einsum("m,mab->ab", np.linalg.det(rows), _MASK_POWERS)
+    minors = np.linalg.det(rows[:, _KEPT[:, None, :, None], _KEPT[None, :, None, :]])
+    # adj(W)[i, j] is the cofactor of W[j, i], which does not involve row j
+    adjugates = np.swapaxes(_COFACTOR_SIGN * minors, 1, 2) * (_ROW_MASKS[:, None, :] == 0)
+    adj = np.einsum("mij,mab->ijab", adjugates, _MASK_POWERS)
+    # times diag(1 - s): column j gains a factor 1 - s of its own mode
+    A = adj.copy()
+    A[:, 0::2, 1:, :] -= adj[:, 0::2, :-1, :]
+    A[:, 1::2, :, 1:] -= adj[:, 1::2, :, :-1]
+    return delta, A
+
+
+def _s2_multipliers(rows, n: int) -> np.ndarray:
+    """Multiplication by each s2-series in ``rows``, truncated at order n.
+
+    Returns T with T[i, r, j] = rows[r][i - j] (0 for j > i): T[:, r] is
+    the lower-triangular Toeplitz matrix that multiplies a series by
+    rows[r], and ``T.reshape(n + 1, -1)`` applies all of them to stacked
+    series and sums the products.
+    """
+    rows = np.atleast_2d(rows)[:, : n + 1]
+    z = np.zeros((len(rows), 2 * n + 1))
+    z[:, n : n + rows.shape[1]] = rows
+    # windows[r, i, m] = z[r, i + m], and i + (n - j) indexes rows[r][i - j]
+    windows = np.lib.stride_tricks.sliding_window_view(z, n + 1, axis=1)
+    return np.ascontiguousarray(windows[:, :, ::-1].transpose(1, 0, 2))
+
+
+def _exp_series(e: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of exp(e(s)) from those of e, as many as given.
+
+    f' = e' f gives (k + 1) f[k + 1] = sum_j (j + 1) e[j + 1] f[k - j].
+    """
+    n = len(e) - 1
+    de = e[1:] * np.arange(1, n + 1)
+    f = np.zeros(n + 1)
+    f[0] = math.exp(e[0])
+    for k in range(n):
+        f[k + 1] = de[: k + 1] @ f[k::-1] / (k + 1)
+    return f
+
+
 def gaussian_tomogram_table(
     g: GaussianSpec, alpha1: complex, alpha2: complex, nmax: int = DEFAULT_NMAX
 ) -> np.ndarray:
     """All tomogram values for 0 <= n1, n2 <= nmax as an array.
 
-    One Hermite box fill per displacement, then the diagonal index pattern
-    (n1, n2, n1, n2) is read off. Orders of magnitude faster than calling
-    ``gaussian_tomogram`` in a double loop.
+    The table is the array of Taylor coefficients of the generating
+    function of the displaced state,
+
+        G(s1, s2) = exp(-mu' A mu / (2 Delta)) / sqrt(Delta),
+
+    with mu the kernel-order displaced mean (``gaussian_effective_mean``)
+    and Delta, A the polynomials of ``_generating_polynomials``, computed
+    once per spec. Per call, E = log G = -(mu' A mu / Delta + log Delta)/2
+    is expanded as a real series in powers of s1 whose coefficients are
+    series in s2 truncated at nmax; exp(E) then follows from the
+    recurrence (k + 1) P_{k+1} = sum_j (j + 1) E_{j+1} P_{k-j} along s1,
+    with products along s2. There is no complex arithmetic and no
+    Hermite box; ``gaussian_tomogram`` keeps the paper's Hermite formula
+    for single values.
+
+    Raises:
+        NumericalNegativity: if an entry is not finite or lies below
+            -1e-9. A spec that passes the det M >= 1/16 check without
+            being a physical state can have such a table.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    R = gaussian_R(g.M)
-    y = gaussian_y(g.M, gaussian_shifted_mean(g, alpha1, alpha2))
-    ctx = HermiteParams(R, y, max_order=4 * max(nmax, 2))
-    box = hermite_box(ctx, (nmax + 1,) * 4)
-    idx = np.arange(nmax + 1)
-    h = box[idx[:, None], idx[None, :], idx[:, None], idx[None, :]]
-    bad = np.abs(h.imag) > IMAG_RESIDUE_TOL * (1.0 + np.abs(h.real))
-    if np.any(bad):
-        worst = h[bad][0]
-        raise NumericalNegativity(
-            f"gaussian tomogram table: imaginary residue {worst.imag:.3e} "
-            f"too large for real part {worst.real:.3e}"
-        )
-    log_fact = np.array([_log_factorial(n) for n in range(nmax + 1)])
-    w = _gaussian_prefactor(g, alpha1, alpha2) * h.real * np.exp(
-        -log_fact[:, None] - log_fact[None, :]
-    )
+    n = int(nmax)
+    delta, A = g._generating_polynomials
+    mu = gaussian_effective_mean(g, alpha1, alpha2)
+    N = np.einsum("i,ijab,j->ab", mu, A, mu)
+    d_rows = _s2_multipliers(delta, n)
+    n_rows = _s2_multipliers(N, n)
+
+    # R = 1/Delta row by row in s1: Delta_0 R_k = -(Delta_1 R_(k-1) + Delta_2 R_(k-2))
+    d00, d01, d02 = delta[0]
+    r0 = np.zeros(n + 1)
+    r0[0] = 1.0 / d00
+    for k in range(1, n + 1):
+        r0[k] = -(d01 * r0[k - 1] + (d02 * r0[k - 2] if k >= 2 else 0.0)) / d00
+    inv0 = _s2_multipliers(r0, n)[:, 0]
+    q1, q2 = inv0 @ d_rows[:, 1], inv0 @ d_rows[:, 2]
+    R = np.zeros((n + 1, n + 1))
+    R[0] = r0
+    for k in range(1, n + 1):
+        R[k] = -(q1 @ R[k - 1])
+        if k >= 2:
+            R[k] -= q2 @ R[k - 2]
+
+    # log Delta: row 0 from d/ds2 log Delta_0 = Delta_0' R_0, the other
+    # rows from d/ds1 log Delta = (Delta_1 + 2 s1 Delta_2) R
+    L = np.zeros((n + 1, n + 1))
+    L[0, 0] = math.log(d00)
+    s2_r0 = np.concatenate(([0.0], r0[:-1]))
+    L[0, 1:] = (d01 * r0 + 2.0 * d02 * s2_r0)[:-1] / np.arange(1, n + 1)
+    dlog = R @ d_rows[:, 1].T
+    dlog[1:] += 2.0 * R[:-1] @ d_rows[:, 2].T
+    L[1:] = dlog[:-1] / np.arange(1, n + 1)[:, None]
+
+    # E = -(N R + L)/2, with N = mu' A mu of degree <= 2 in s1
+    NR = R @ n_rows[:, 0].T
+    NR[1:] += R[:-1] @ n_rows[:, 1].T
+    NR[2:] += R[:-2] @ n_rows[:, 2].T
+    E = -0.5 * (NR + L)
+
+    # P = exp(E): row 0 along s2, then P_(k+1) from P_k .. P_0 stored in
+    # reverse (P_m in row n - m) so that they lie contiguous in memory
+    dE = _s2_multipliers(E[1:] * np.arange(1, n + 1)[:, None], n).reshape(n + 1, -1)
+    P = np.zeros((n + 1, n + 1))
+    P[n] = _exp_series(E[0])
+    for k in range(n):
+        P[n - k - 1] = dE[:, : (k + 1) * (n + 1)] @ P[n - k:].ravel() / (k + 1)
+    w = P[::-1]
+
+    if not np.all(np.isfinite(w)):
+        raise NumericalNegativity("gaussian tomogram table is not finite")
     low = float(w.min())
     if low < -NEGATIVITY_TOL_HERMITE:
         raise NumericalNegativity(f"gaussian tomogram table hit {low:.6e}")
-    np.clip(w, 0.0, None, out=w)
-    return w
+    return np.clip(w, 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +675,26 @@ class TomogramSource:
         return out
 
 
-class CatSource(TomogramSource):
-    def __init__(self, state: CatState):
+class _SuperpositionSource(TomogramSource):
+    """Cat and coherent sources: tables in one pass over the state's terms."""
+
+    def __init__(self, state):
         self.state = state
 
+    def tomogram_table(self, alpha1, alpha2, nmax):
+        # a subclass may override ``tomogram``, so only the library's own
+        # classes are known to tabulate the state itself
+        if type(self) not in (CatSource, CoherentSource):
+            return super().tomogram_table(alpha1, alpha2, nmax)
+        return coherent_superposition_table(self.state, alpha1, alpha2, nmax)
+
+
+class CatSource(_SuperpositionSource):
     def tomogram(self, n1, n2, alpha1, alpha2):
         return cat_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
-class CoherentSource(TomogramSource):
-    def __init__(self, state: CoherentProduct):
-        self.state = state
-
+class CoherentSource(_SuperpositionSource):
     def tomogram(self, n1, n2, alpha1, alpha2):
         return coherent_tomogram(self.state, n1, n2, alpha1, alpha2)
 

@@ -196,9 +196,12 @@ def test_criterion_08_truncation_mass_box_bound():
     # claim under test: truncating the squeezed-state photon table at
     # nmax = 30 leaves a residue below 1e-4 anywhere in the settings box.
     # That holds at the worked-example settings (residue ~7e-6) but not
-    # across the box: sampled clean points reach residues above 2e-3, and
-    # most box points fail the table negativity guard outright. Kept at
-    # the stated bound as a faithful record; expected to fail.
+    # across the box: sampled clean points reach residues above 1e-3, and
+    # most box points fail the table negativity guard outright. The
+    # squeezed example is no physical state (it violates the symplectic
+    # uncertainty relations), and those refusals are real negative entries
+    # of its table, not rounding artifacts. Kept at the stated bound as a
+    # faithful record; expected to fail.
     spec = GaussianSpec(SQUEEZED_M)
     anchors = [(0j, 0j), (-0.12j, 0.04j), (-0.12j, -0.32j),
                (0.22j, 0.04j), (0.22j, -0.32j)]

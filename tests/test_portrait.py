@@ -12,6 +12,7 @@ from tomobell.errors import (
 )
 from tomobell.numerics import stochastic_reduce
 from tomobell.portrait import (
+    ClosedFormPortrait,
     PartitionScheme,
     PortraitVector,
     _nonproduct_cell_sums,
@@ -32,6 +33,8 @@ from tomobell.states import (
     FockOracleSource,
     GaussianSpec,
     cat_tomogram,
+    gaussian_purity_family,
+    gaussian_tomogram_table,
     make_source,
 )
 
@@ -292,6 +295,21 @@ def test_gaussian_closed_forms_match_truncated_at_clean_settings():
                                   nmax=42, tail_eps=1.0)
         c_zn = gaussian_portrait_zero_nonzero(g, a1, a2)
         assert np.max(np.abs(t_zn.as_array() - c_zn.as_array())) < 1e-6
+
+
+def test_physical_gaussian_table_at_box_scale():
+    # the l = 0 family member has the photon counts of a two-mode squeezed
+    # vacuum; at box-scale settings the Hermite box refused its table
+    # ("imaginary residue") through cancellation among huge values
+    g = gaussian_purity_family(0.9, 0.0)
+    a1, a2 = 1.5 + 0.5j, -1 + 1j
+    assert gaussian_tomogram_table(g, a1, a2, 30).min() >= 0.0
+    src = make_source(g)
+    for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
+        v = portrait_truncated(src, p, a1, a2, nmax=30)
+        d = ClosedFormPortrait(g, p.kind)(a1, a2).as_array() - v.as_array()
+        assert d.min() >= -1e-12
+        assert d.max() <= v.tail_deficit + 1e-12
 
 
 def test_gaussian_context_matches_one_shot():

@@ -12,6 +12,7 @@ from tomobell.errors import (
     NumericalNegativity,
     UnsupportedState,
 )
+from tomobell.hermite import HermiteParams, hermite_box
 from tomobell.states import (
     CatState,
     CoherentProduct,
@@ -20,6 +21,7 @@ from tomobell.states import (
     cat_tomogram,
     coherent_tomogram,
     gaussian_R,
+    gaussian_effective_mean,
     gaussian_purity_family,
     gaussian_shifted_mean,
     gaussian_tomogram_table,
@@ -103,6 +105,27 @@ def test_cat_table_normalizes():
     assert table.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_cat_table_matches_scalar_log_branch():
+    # |gamma|^2 = 50 puts the scalar formula on its log-domain branch; the
+    # table sums amplitudes of modulus <= 1 and needs no such branch
+    for s in (CatState(math.sqrt(50), math.sqrt(50)), CatState(5.0, 5.0j),
+              CatState(1.0 + 0.5j, -0.7)):
+        src = make_source(s)
+        for a1, a2 in ((0j, 0j), (1.7 - 1.2j, -1.9 + 0.6j), (-2 + 2j, 2 - 0.5j)):
+            table = src.tomogram_table(a1, a2, 30)
+            want = np.array([[cat_tomogram(s, n1, n2, a1, a2) for n2 in range(31)]
+                             for n1 in range(31)])
+            assert np.max(np.abs(table - want)) <= 1e-14
+
+
+def test_coherent_table_matches_scalar():
+    s = CoherentProduct(1.2 - 0.4j, -0.3 + 0.9j)
+    table = make_source(s).tomogram_table(1.5 + 0.5j, -1 + 1j, 30)
+    want = np.array([[coherent_tomogram(s, n1, n2, 1.5 + 0.5j, -1 + 1j)
+                      for n2 in range(31)] for n1 in range(31)])
+    assert np.max(np.abs(table - want)) <= 1e-14
+
+
 def test_vacuum_cat_tomogram_at_origin():
     s = CatState(0j, 0j)
     assert cat_tomogram(s, 0, 0, 0j, 0j) == pytest.approx(1.0, abs=1e-12)
@@ -141,6 +164,86 @@ def test_thermal_diagonal_is_geometric():
             assert abs(table[n1, n2] - want) <= GEOMETRIC_TOL * max(want, 1e-12)
 
 
+def _laguerre(n, x):
+    out = [1.0, 1.0 - x]
+    for k in range(1, n):
+        out.append(((2 * k + 1 - x) * out[k] - k * out[k - 1]) / (k + 1))
+    return np.array(out[: n + 1])
+
+
+def _displaced_thermal(nbar, beta, nmax):
+    # photon statistics of a thermal state with mean nbar displaced by beta
+    x = abs(beta) ** 2
+    n = np.arange(nmax + 1)
+    return (nbar ** n / (1 + nbar) ** (n + 1) * math.exp(-x / (1 + nbar))
+            * _laguerre(nmax, -x / (nbar * (1 + nbar))))
+
+
+def test_displaced_thermal_table_matches_laguerre_form():
+    nbar1, nbar2 = 0.8, 2.3
+    g = GaussianSpec(np.diag([nbar1 + 0.5, nbar2 + 0.5, nbar1 + 0.5, nbar2 + 0.5]))
+    for a1, a2 in ((1.7 - 1.2j, -1.9 + 0.6j), (-2 + 2j, 0.4j), (0j, 0j)):
+        table = gaussian_tomogram_table(g, a1, a2, 30)
+        want = np.outer(_displaced_thermal(nbar1, a1, 30), _displaced_thermal(nbar2, a2, 30))
+        err = np.abs(table - want)
+        assert err.max() <= 1e-14
+        # criterion 7's relative metric and bound
+        assert np.max(err / np.maximum(want, 1e-12)) <= ORACLE_TOL
+
+
+def test_two_mode_squeezed_vacuum_table():
+    # P(n, n) = tanh^2n(r) / cosh^2(r) and nothing off the diagonal; the
+    # purity family at l = 0 is its mirror p2 -> -p2, with the same counts
+    # at zero displacement
+    for r in (0.3, 0.7, 1.1):
+        k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+        tmsv = GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
+                                      [0, 0, k, s], [0, 0, s, k]]))
+        want = np.diag(math.tanh(r) ** (2 * np.arange(31)) / math.cosh(r) ** 2)
+        for g in (tmsv, gaussian_purity_family(k, 0.0)):
+            table = gaussian_tomogram_table(g, 0j, 0j, 30)
+            assert np.max(np.abs(table - want)) <= 1e-14
+
+
+def _hermite_table(g, a1, a2, nmax):
+    # the paper's route: the (n1, n2, n1, n2) diagonal of a Hermite box
+    ctx = HermiteParams(gaussian_R(g.M), gaussian_y(g.M, gaussian_shifted_mean(g, a1, a2)),
+                        max_order=4 * nmax)
+    box = hermite_box(ctx, (nmax + 1,) * 4)
+    n = np.arange(nmax + 1)
+    h = box[n[:, None], n[None, :], n[:, None], n[None, :]]
+    mu = gaussian_effective_mean(g, a1, a2)
+    prefactor = (math.exp(-mu @ np.linalg.inv(2 * g.M + np.eye(4)) @ mu)
+                 / math.sqrt(np.linalg.det(g.M + np.eye(4) / 2)))
+    fact = np.array([math.factorial(int(k)) for k in n], dtype=float)
+    return prefactor * h / np.outer(fact, fact)
+
+
+def test_gaussian_table_matches_hermite_box():
+    for g in (GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.9, 0.04)):
+        for a1, a2 in ((0j, 0j), (-0.12j, 0.04j), (-0.12j, -0.32j),
+                       (0.22j, 0.04j), (0.22j, -0.32j)):
+            want = _hermite_table(g, a1, a2, 30)
+            assert np.max(np.abs(want.imag)) <= 1e-13
+            table = gaussian_tomogram_table(g, a1, a2, 30)
+            assert np.max(np.abs(table - want.real)) <= 1e-13
+
+
+def test_vacuum_noise_gaussian_table_is_coherent():
+    # M = I/2 makes I - 2M singular, which the Hermite route cannot take;
+    # the state is the coherent product at the mean
+    mean = np.array([0.3, -1.1, 0.8, 0.5])
+    g = GaussianSpec(np.eye(4) / 2, mean)
+    coh = make_source(CoherentProduct(complex(mean[2], mean[0]) / math.sqrt(2),
+                                      complex(mean[3], mean[1]) / math.sqrt(2)))
+    for a1, a2 in ((0j, 0j), (1.5 + 0.5j, -1 + 1j), (-2 - 2j, 0.3j)):
+        for nmax in (0, 1, 2, 30):
+            table = gaussian_tomogram_table(g, a1, a2, nmax)
+            assert table.shape == (nmax + 1, nmax + 1)
+            want = coh.tomogram_table(a1, a2, nmax)
+            assert np.max(np.abs(table - want)) <= 1e-14
+
+
 def test_gaussian_table_mass_at_moderate_settings():
     g = GaussianSpec(SQUEEZED_M, np.zeros(4))
     table = gaussian_tomogram_table(g, -0.12j, 0.04j, 30)
@@ -148,9 +251,9 @@ def test_gaussian_table_mass_at_moderate_settings():
 
 
 def test_gaussian_table_negativity_guard():
-    # the squeezed example narrowly violates the full symplectic
-    # uncertainty relations, so some displaced tables are contaminated;
-    # the guard must refuse them instead of returning garbage
+    # the squeezed example passes det M >= 1/16 but violates the full
+    # symplectic uncertainty relations, so it is no physical state: its
+    # "table" here has truly negative entries, which the guard refuses
     g = GaussianSpec(SQUEEZED_M, np.zeros(4))
     with pytest.raises(NumericalNegativity):
         gaussian_tomogram_table(g, 1.5 + 0.5j, -1 + 1j, 30)
