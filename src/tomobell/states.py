@@ -507,17 +507,6 @@ def gaussian_tomogram(
     return _clamp_probability(w, NEGATIVITY_TOL_HERMITE, "gaussian tomogram")
 
 
-# row masks of W: row i is taken from 1/2 - M when bit i is set, from
-# M + 1/2 otherwise; bits 0, 2 belong to mode 1 and bits 1, 3 to mode 2
-_ROW_MASKS = (np.arange(16)[:, None] >> np.arange(4)) & 1
-# one_hot[m, a, b] = 1 where mask m sets a mode-1 bits and b mode-2 bits
-_MASK_POWERS = np.zeros((16, 3, 3))
-_MASK_POWERS[np.arange(16), _ROW_MASKS[:, 0] + _ROW_MASKS[:, 2], _ROW_MASKS[:, 1] + _ROW_MASKS[:, 3]] = 1.0
-# row (or column) indices of a 4x4 matrix left after deleting row i
-_KEPT = np.array([[k for k in range(4) if k != i] for i in range(4)])
-_COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
-
-
 def _generating_polynomials(M):
     """Coefficients of Delta = det W and A = adj(W) diag(1 - s) in (s1, s2).
 
@@ -529,12 +518,21 @@ def _generating_polynomials(M):
     inversion and no cancellation between samples. Returns Delta[a, b] and
     A[i, j, a, b], the real coefficients of s1^a s2^b (a, b <= 2).
     """
-    rows = np.where(_ROW_MASKS[:, :, None] == 1, 0.5 * _I4 - M, M + 0.5 * _I4)
-    delta = np.einsum("m,mab->ab", np.linalg.det(rows), _MASK_POWERS)
-    minors = np.linalg.det(rows[:, _KEPT[:, None, :, None], _KEPT[None, :, None, :]])
+    # mask m takes row i from 1/2 - M when bit i is set; bits 0, 2 belong
+    # to mode 1 and bits 1, 3 to mode 2, so mask m carries s1^a s2^b with
+    # powers[m, a, b] = 1
+    masks = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    powers = np.zeros((16, 3, 3))
+    powers[np.arange(16), masks[:, 0] + masks[:, 2], masks[:, 1] + masks[:, 3]] = 1.0
+    rows = np.where(masks[:, :, None] == 1, 0.5 * _I4 - M, M + 0.5 * _I4)
+    delta = np.einsum("m,mab->ab", np.linalg.det(rows), powers)
+    # minors[m, i, j]: rows[m] without row i and column j
+    kept = np.array([[k for k in range(4) if k != i] for i in range(4)])
+    minors = np.linalg.det(rows[:, kept[:, None, :, None], kept[None, :, None, :]])
+    sign = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
     # adj(W)[i, j] is the cofactor of W[j, i], which does not involve row j
-    adjugates = np.swapaxes(_COFACTOR_SIGN * minors, 1, 2) * (_ROW_MASKS[:, None, :] == 0)
-    adj = np.einsum("mij,mab->ijab", adjugates, _MASK_POWERS)
+    adjugates = np.swapaxes(sign * minors, 1, 2) * (masks[:, None, :] == 0)
+    adj = np.einsum("mij,mab->ijab", adjugates, powers)
     # times diag(1 - s): column j gains a factor 1 - s of its own mode
     A = adj.copy()
     A[:, 0::2, 1:, :] -= adj[:, 0::2, :-1, :]
