@@ -12,8 +12,9 @@ obtained by differentiating the generating function, memoized per (R, x)
 context. ``hermite_oracle`` instead differentiates exp(-x.R.x/2)
 symbolically, carrying the exact multivariate polynomial coefficient
 table, and is the ground truth the recursion is tested against.
-``hermite_box`` fills a whole index box with vectorized sweeps; photon
-tables no longer use it, and tests keep it as an oracle for them.
+``hermite_box`` fills a whole index box with vectorized sweeps. Photon
+tables come from generating functions in ``states``; tests use the box as
+their oracle.
 """
 
 from __future__ import annotations
