@@ -5,13 +5,18 @@ displacement settings per mode. Contracting it against a fixed sign matrix
 gives the CHSH combination of the four correlations; values above 2
 witness entanglement, and no quantum state can exceed 2*sqrt(2) (the
 Tsirelson bound). The maximizer searches the 8 real setting coordinates
-for the largest witness value a state offers, with a Nelder-Mead simplex
-search (a port of scipy's, so scipy is not needed at run time).
+for the largest witness value a state offers. Each start runs a bounded
+limited-memory quasi-Newton search (L-BFGS-B, written here so that scipy
+is not needed at run time) on B and its gradient: exact for closed-form
+portraits, whose generating-function terms are exponentials of quadratics
+in the settings, and forward differences for any other portrait.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -246,31 +251,34 @@ def chsh_check(b: float) -> ChshVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Nelder-Mead
+# bounded quasi-Newton search
 # ---------------------------------------------------------------------------
 
-# reflection, expansion, contraction and shrink coefficients of the
-# standard (non-adaptive) method
-RHO, CHI, PSI, SIGMA = 1.0, 2.0, 0.5, 0.5
+# the line search's sufficient-decrease and curvature constants (those of
+# L-BFGS-B) and its relative tolerance on the width of the bracket
+LS_FTOL, LS_GTOL, LS_XTOL = 1e-3, 0.9, 0.1
+# trial steps one line search may take before it counts as failed
+LS_MAX_TRIALS = 20
+# curvature pairs the search keeps, as in L-BFGS-B
+LBFGS_MEMORY = 10
+_UPPER = np.triu(np.ones((LBFGS_MEMORY, LBFGS_MEMORY)))
+_EPS = sys.float_info.epsilon
 
-_SIMPLEX_MESSAGES = (
+_SEARCH_MESSAGES = (
     "Optimization terminated successfully.",
     "Maximum number of function evaluations has been exceeded.",
-    "Maximum number of iterations has been exceeded.",
+    "The line search found no decrease, even from a fresh Hessian estimate.",
 )
 
 
-class _OutOfEvaluations(Exception):
-    """The evaluation budget ran out in the middle of an iteration."""
-
-
 @dataclass(frozen=True)
-class SimplexResult:
-    """Outcome of one Nelder-Mead descent, under scipy's field names.
+class SearchResult:
+    """Outcome of one bounded search, under scipy's field names.
 
-    ``status`` is 0 on convergence, 1 when ``maxfev`` evaluations were
-    spent and 2 when ``maxiter`` iterations were; ``success`` is
-    ``status == 0``.
+    ``status`` is 0 on convergence, 1 when ``maxfev`` value-and-gradient
+    calls were spent and 2 when the line search found no decrease from a
+    fresh Hessian estimate; ``success`` is ``status == 0``. ``nit`` counts
+    accepted steps and ``nfev`` value-and-gradient calls.
     """
 
     x: np.ndarray
@@ -282,134 +290,357 @@ class SimplexResult:
     message: str
 
 
-def _sorted_simplex(sim, fsim):
-    """The vertices and their values, in the order np.argsort gives fsim.
+def _cubic_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
+    """One safeguarded step of the More-Thuente line search (their dcstep).
 
-    scipy orders the simplex with np.argsort; calling it on the same
-    values, the same number of times, breaks ties (and places NaN) as
-    scipy does, whatever sort kernel numpy picks for the platform.
+    (stx, fx, dx) is the best step so far, (sty, fy, dy) the other end of
+    the interval and (stp, fp, dp) the latest trial, each with its value
+    and slope. Returns the updated interval, whether it now brackets a
+    minimizer, and the next trial step, from cubic and quadratic
+    interpolation kept inside [stpmin, stpmax].
     """
-    order = np.argsort(np.array(fsim)).tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
+    sgnd = dp * math.copysign(1.0, dx)
+    if fp > fx:
+        # higher value: the minimizer is bracketed, take the closer of the
+        # cubic and quadratic minimizers
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        sc = max(abs(theta), abs(dx), abs(dp))
+        gamma = sc * math.sqrt((theta / sc) ** 2 - (dx / sc) * (dp / sc))
+        if stp < stx:
+            gamma = -gamma
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        bracketed = True
+    elif sgnd < 0.0:
+        # slopes of opposite sign: bracketed, take the farther of the
+        # cubic and secant steps
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        sc = max(abs(theta), abs(dx), abs(dp))
+        gamma = sc * math.sqrt((theta / sc) ** 2 - (dx / sc) * (dp / sc))
+        if stp > stx:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        bracketed = True
+    elif abs(dp) < abs(dx):
+        # lower value, same slope sign, slope shrinking: the cubic step
+        # only if it heads the right way, else the interval's end
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        sc = max(abs(theta), abs(dx), abs(dp))
+        gamma = sc * math.sqrt(max(0.0, (theta / sc) ** 2 - (dx / sc) * (dp / sc)))
+        if stp > stx:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if bracketed:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = max(stpmin, min(stpmax, stpf))
+    elif bracketed:
+        # lower value, slope not shrinking: the cubic through the trial
+        # and the other end
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        sc = max(abs(theta), abs(dy), abs(dp))
+        gamma = sc * math.sqrt((theta / sc) ** 2 - (dy / sc) * (dp / sc))
+        if stp > sty:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, bracketed, stpf
 
 
-def _centroid(rows):
-    """Mean of the rows, summed in row order as numpy sums along axis 0."""
-    n = len(rows)
-    out = []
-    for column in zip(*rows):
-        total = column[0]
-        for v in column[1:]:
-            total += v
-        out.append(total / n)
-    return out
+def _line_search(phi, f0, g0, stp, stpmax, trials):
+    """Search t in (0, stpmax] for the Wolfe conditions (More & Thuente).
 
-
-def _affine(a, xbar, b, worst):
-    """a * xbar + b * worst, entry by entry.
-
-    scipy subtracts b * worst where b is negative here; x + (-y) and
-    x - y round alike, so the result is the same to the bit.
+    ``phi(t)`` returns the value at step t, its slope along the direction
+    and a payload; ``f0`` and ``g0 < 0`` are the value and slope at t = 0.
+    Accepts a step with sufficient decrease and a slope shrunk by LS_GTOL,
+    or with sufficient decrease at ``stpmax`` while still descending, or
+    any decrease once rounding or the bracket width stops the search.
+    Returns (t, value, payload), or None when ``trials`` steps found none.
     """
-    return [a * c + b * w for c, w in zip(xbar, worst)]
+    gtest = LS_FTOL * g0
+    width, width1 = stpmax, 2.0 * stpmax
+    bracketed, stage = False, 1
+    stx, fx, gx = 0.0, f0, g0
+    sty, fy, gy = 0.0, f0, g0
+    stmin, stmax = 0.0, 5.0 * stp
+    for _ in range(trials):
+        f, g, payload = phi(stp)
+        ftest = f0 + stp * gtest
+        if f <= ftest and (abs(g) <= LS_GTOL * -g0 or (stp == stpmax and g <= gtest)):
+            return stp, f, payload
+        if bracketed and (stp <= stmin or stp >= stmax or stmax - stmin <= LS_XTOL * stmax):
+            return (stp, f, payload) if f < f0 else None
+        if stage == 1 and f <= ftest and g >= 0.0:
+            stage = 2
+        if stage == 1 and ftest < f <= fx:
+            # search on the modified function f(t) - f0 - t * gtest, whose
+            # minimizers satisfy the sufficient-decrease condition
+            stx, fxm, gxm, sty, fym, gym, bracketed, stp = _cubic_step(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, g - gtest, bracketed, stmin, stmax)
+            fx, gx = fxm + stx * gtest, gxm + gtest
+            fy, gy = fym + sty * gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, bracketed, stp = _cubic_step(
+                stx, fx, gx, sty, fy, gy, stp, f, g, bracketed, stmin, stmax)
+        if bracketed:
+            # force enough shrinkage of the bracket
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), stpmax)
+        if bracketed and (stp <= stmin or stp >= stmax or stmax - stmin <= LS_XTOL * stmax):
+            stp = stx
+    return None
 
 
-def minimize(fun, simplex, *, xatol, fatol, maxiter, maxfev) -> SimplexResult:
-    """Minimize ``fun`` by Nelder-Mead from an initial simplex of n + 1 vertices.
+def _inverse_hessian(S, Y, gamma):
+    """The L-BFGS inverse-Hessian estimate of the pairs in the rows of S, Y.
 
-    A step-for-step port of scipy.optimize.minimize(method="Nelder-Mead")
-    without bounds or adaptive coefficients: the same arithmetic in the
-    same order, the same vertex order (ties broken by np.argsort) and the
-    same stopping rules. The search stops when every vertex lies within
-    ``xatol`` of the best in each coordinate and within ``fatol`` of it in
-    value, after ``maxiter`` iterations, or when ``maxfev`` evaluations are
-    spent, which may cut an iteration short (a shrink included); the
-    simplex is re-sorted after every iteration, cut or not. So it returns
-    scipy's x, fun, nit and nfev. ``fun`` receives each vertex as a list of
-    floats.
+    The compact form of Byrd, Nocedal & Schnabel (Math. Prog. 63, 129,
+    1994) with initial matrix gamma * I, made dense: with R the upper
+    triangle of S Y' and D its diagonal, P = R^-1 S gives
+    H = gamma I + P' (D + gamma Y Y') P - gamma (P' Y + Y' P).
     """
-    sim = np.asarray(simplex, dtype=float).tolist()
-    n = len(sim) - 1
-    fsim = [math.inf] * (n + 1)
+    k, n = S.shape
+    SY = S @ Y.T
+    P = np.linalg.solve(SY * _UPPER[:k, :k], S)
+    A = gamma * (Y @ Y.T)
+    A.flat[:: k + 1] += SY.flat[:: k + 1]
+    PY = P.T @ Y
+    H = P.T @ A @ P - gamma * (PY + PY.T)
+    H.flat[:: n + 1] += gamma
+    return H
+
+
+def _breakpoints(x, g, lower, upper) -> list:
+    """For each coordinate, the t at which the path x - t g reaches its bound."""
+    return [(xi - ui) / gi if gi < 0.0 else (xi - li) / gi if gi > 0.0 else math.inf
+            for xi, gi, li, ui in zip(x.tolist(), g.tolist(), lower.tolist(), upper.tolist())]
+
+
+def _cauchy_point(x, g, t, B, lower, upper):
+    """The first local minimizer of the model g'z + z'Bz/2 along the
+    projected steepest-descent path P(x - t g), with breakpoints ``t``, and
+    the coordinates the path has pinned to a bound; None for the point
+    when the projected gradient vanishes."""
+    pinned = [i for i, ti in enumerate(t) if ti <= 0.0]
+    d = -g
+    d[pinned] = 0.0
+    if not d.any():
+        return None, pinned
+    z = np.zeros(len(x))
+    t_old = 0.0
+
+    def segment_minimum(bd):
+        # the step to the model's minimum along d, from the current z
+        f2 = float(d @ bd)
+        return -float(g @ d + z @ bd) / f2 if f2 > 0.0 else 0.0
+
+    dtm = segment_minimum(B @ d)
+    for i in sorted((i for i, ti in enumerate(t) if 0.0 < ti < math.inf), key=t.__getitem__):
+        if dtm < t[i] - t_old:
+            break
+        # coordinate i reaches its bound before the model stops falling
+        z += (t[i] - t_old) * d
+        z[i] = (upper[i] if d[i] > 0.0 else lower[i]) - x[i]
+        d[i] = 0.0
+        pinned.append(i)
+        t_old = t[i]
+        dtm = segment_minimum(B @ d)
+    xc = x + z + max(dtm, 0.0) * d
+    for i in pinned:
+        xc[i] = upper[i] if g[i] < 0.0 else lower[i]
+    return xc, pinned
+
+
+def _model_target(x, g, H, lower, upper):
+    """The point an iteration searches toward, for inverse Hessian H.
+
+    The model's minimizer over the coordinates that the generalized Cauchy
+    point leaves free, projected onto the box, or, when the projection is
+    no descent direction, the longest feasible fraction of the step from
+    the Cauchy point. None when the projected gradient vanishes.
+    """
+    gg = float(g @ g)
+    if gg == 0.0:
+        return None
+    hg = H @ g
+    t = _breakpoints(x, g, lower, upper)
+    # With B = H^-1, (g'g)^2 <= (g'Hg)(g'Bg); so when the first
+    # breakpoint lies beyond g'Hg / g'g, it lies beyond the Cauchy step
+    # g'g / g'Bg, no coordinate gets pinned, and the subspace step from
+    # the Cauchy point lands on the model's minimizer x - Hg.
+    xc, pinned = x, None
+    if gg * min(t) <= float(g @ hg):
+        B = np.linalg.inv(H)
+        xc, pinned = _cauchy_point(x, g, t, B, lower, upper)
+        if xc is None:
+            return None
+    if not pinned:
+        target = x - hg
+    elif len(pinned) < len(x):
+        free = np.ones(len(x), dtype=bool)
+        free[pinned] = False
+        target = xc.copy()
+        target[free] += np.linalg.solve(B[np.ix_(free, free)], -(g + B @ (xc - x))[free])
+    else:
+        target = xc
+    projected = np.clip(target, lower, upper)
+    if (projected - x) @ g <= 0.0:
+        return projected
+    if pinned is None:
+        xc, _ = _cauchy_point(x, g, t, np.linalg.inv(H), lower, upper)
+    du = target - xc
+    return xc + min(1.0, _max_step(xc, du, lower, upper)) * du
+
+
+def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResult:
+    """Minimize ``fun`` over the box lower <= x <= upper (L-BFGS-B).
+
+    ``fun`` takes a list of floats and returns the value and its gradient.
+    The limited-memory BFGS search of Byrd, Lu, Nocedal & Zhu (SIAM J. Sci.
+    Comput. 16, 1190, 1995), with the model Hessian B made dense. Each
+    iteration
+
+    - finds the generalized Cauchy point: the first minimizer of the
+      quadratic model along the projected steepest-descent path;
+    - minimizes the model over the coordinates that path left free, and
+      projects that point onto the box (or, when the projection is no
+      descent direction, takes the longest feasible fraction of the step);
+    - searches toward it for the Wolfe conditions (More-Thuente), up to the
+      unit step in the first iteration and up to the box after that;
+    - keeps the last LBFGS_MEMORY steps with positive curvature, and scales
+      the initial matrix by the curvature of the latest.
+
+    B starts as the identity over ``scale**2``: the first step is steepest
+    descent in the coordinates (x - x0) / scale, of the size of ``scale``
+    where the slope in those coordinates is of order 1. When a line search
+    fails or H comes out numerically singular, the memory is cleared and
+    the iteration retried.
+
+    Stops with status 0 when a step lowers f by at most
+    ``ftol * max(|f_old|, |f_new|, 1)`` or moves no coordinate by more
+    than ``xtol``, or when the projected gradient vanishes; with status 1
+    when ``maxfev`` value-and-gradient calls are spent; with status 2 when
+    the line search finds no decrease from a cleared memory.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = len(x)
     nfev = 0
 
-    def f(x):
+    def evaluate(z):
         nonlocal nfev
-        if nfev >= maxfev:
-            raise _OutOfEvaluations
         nfev += 1
-        return fun(x)
+        value, grad = fun(z.tolist())
+        return value, np.array(grad, dtype=float)
 
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _OutOfEvaluations:
-        pass
-    # scipy sorts here twice (in a ``finally`` and once more), and below
-    # once per iteration but not after the convergence break; the same
-    # sequence of argsorts gives the same vertex order
-    for _ in range(2):
-        sim, fsim = _sorted_simplex(sim, fsim)
-
-    nit = 1
-    while nfev < maxfev and nit < maxiter:
+    f, g = evaluate(x)
+    # the kept steps and gradient changes, one per row
+    steps = changes = np.empty((0, n))
+    gamma0 = scale * scale
+    gamma = gamma0
+    nit = 0
+    status = 1 if nfev >= maxfev else None
+    while status is None:
+        # pairs of very different curvature can leave H numerically
+        # singular; then there is no step, and the memory is cleared as
+        # after a failed line search
         try:
-            best, f_best = sim[0], fsim[0]
-            # both spreads within tolerance; the cheaper value test first
-            if all(abs(f_best - v) <= fatol for v in fsim[1:]) and all(
-                abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)
-            ):
-                break
-            xbar, worst = _centroid(sim[:-1]), sim[-1]
-            xr = _affine(1.0 + RHO, xbar, -RHO, worst)
-            fxr = f(xr)
-            shrink = False
-            if fxr < f_best:
-                xe = _affine(1.0 + RHO * CHI, xbar, -RHO * CHI, worst)
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = _affine(1.0 + PSI * RHO, xbar, -PSI * RHO, worst)
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
-            else:
-                xcc = _affine(1.0 - PSI, xbar, PSI, worst)
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = [b + SIGMA * (v - b) for b, v in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
-            nit += 1
-        except _OutOfEvaluations:
-            pass
-        sim, fsim = _sorted_simplex(sim, fsim)
+            H = _inverse_hessian(steps, changes, gamma) if len(steps) else gamma * np.eye(n)
+            target = _model_target(x, g, H, lower, upper)
+        except np.linalg.LinAlgError:
+            target = x
+        if target is None:
+            status = 0
+            break
+        if not np.isfinite(target).all():
+            target = x
+        p = target - x
+        slope = float(p @ g)
+        stpmax = 1.0 if nit == 0 else _max_step(x, p, lower, upper)
 
-    if nfev >= maxfev:
-        status = 1
-    elif nit >= maxiter:
-        status = 2
-    else:
-        status = 0
-    return SimplexResult(
-        x=np.array(sim[0]),
-        fun=min(fsim),
+        def phi(t):
+            z = target if t == 1.0 else np.clip(x + t * p, lower, upper)
+            fz, gz = evaluate(z)
+            return fz, float(gz @ p), (z, gz)
+
+        found = None
+        if slope < 0.0:
+            found = _line_search(phi, f, slope, min(1.0, stpmax), stpmax,
+                                 min(LS_MAX_TRIALS, maxfev - nfev))
+        if found is None:
+            if nfev >= maxfev:
+                status = 1
+            elif not len(steps):
+                status = 2
+            else:
+                steps = changes = np.empty((0, n))
+                gamma = gamma0
+            continue
+        t, f_new, (x_new, g_new) = found
+        nit += 1
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        settled = (f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
+                   or float(np.max(np.abs(s))) <= xtol)
+        if sy > _EPS * -slope * t:
+            steps = np.vstack((steps[1 - LBFGS_MEMORY:], s))
+            changes = np.vstack((changes[1 - LBFGS_MEMORY:], y))
+            gamma = sy / float(y @ y)
+        x, f, g = x_new, f_new, g_new
+        if settled:
+            status = 0
+        elif nfev >= maxfev:
+            status = 1
+    return SearchResult(
+        x=x,
+        fun=f,
         nit=nit,
         nfev=nfev,
         status=status,
         success=status == 0,
-        message=_SIMPLEX_MESSAGES[status],
+        message=_SEARCH_MESSAGES[status],
+    )
+
+
+def _max_step(x, d, lower, upper) -> float:
+    """The largest t with x + t d inside the box (inf when d is 0)."""
+    return min(
+        ((u - xi) / di if di > 0.0 else (l - xi) / di if di < 0.0 else math.inf
+         for xi, di, l, u in zip(x.tolist(), d.tolist(), lower.tolist(), upper.tolist())),
+        default=math.inf,
     )
 
 
@@ -423,8 +654,12 @@ class MaximizeConfig:
     """Search configuration for the Bell maximizer.
 
     box bounds |Re| and |Im| of every setting; starts is the number of
-    independent simplex descents; nmax and tail_eps only matter when the
-    state has no closed-form portrait and the truncated path is used.
+    independent bounded searches. Each search stops (converged) when one
+    step raises B by at most ``ftol`` times max(B, 1) or moves no setting
+    coordinate by more than ``xtol``, and gives up (not converged) after
+    ``max_iters`` value-and-gradient calls. nmax and tail_eps only matter
+    when the state has no closed-form portrait and the truncated path is
+    used.
     """
 
     box: float = 2.0
@@ -439,10 +674,16 @@ class MaximizeConfig:
     def __post_init__(self):
         if not (self.box > 0.0 and math.isfinite(self.box)):
             raise InvalidParameter(f"box must be positive, got {self.box}")
+        for name in ("starts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if self.starts < 1:
             raise InvalidParameter(f"starts must be >= 1, got {self.starts}")
         if self.max_iters < 1:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if not (self.xtol > 0.0 and self.ftol > 0.0):
             raise InvalidParameter("xtol and ftol must be positive")
         if self.nmax < 1:
@@ -456,10 +697,14 @@ class MaximizeResult:
     """Outcome of a multi-start search: a lower bound on the true maximum.
 
     The per-start lists hold one entry per start. ``per_start_nfev``
-    counts the evaluations of a start's descent (its re-evaluation at the
-    clipped end point not included), and ``per_start_converged`` is False
-    when the descent stopped at the ``max_iters`` limit. Both are None for
-    a start that raised, whose message is in ``per_start_error``.
+    counts the value-and-gradient calls of a start's search (its
+    re-evaluation at the clipped end point not included), and
+    ``evaluations`` counts them over all starts, re-evaluations included.
+    ``per_start_converged`` is False when the search spent its
+    ``max_iters`` calls, or when its line search found no decrease from a
+    fresh Hessian estimate before the convergence test passed. Both are
+    None for a start that raised, whose message is in
+    ``per_start_error``.
     """
 
     f: float
@@ -473,7 +718,7 @@ class MaximizeResult:
 
 
 def _start_point(seed: int, index: int, box: float) -> tuple:
-    """Deterministic start point and simplex scale for one start index.
+    """Deterministic start point and search scale for one start index.
 
     Each index draws from its own generator seeded by (seed, index), so
     enlarging ``starts`` keeps every earlier start identical (the best-f
@@ -485,69 +730,117 @@ def _start_point(seed: int, index: int, box: float) -> tuple:
     return x0, scale
 
 
-def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
-    """The Bell number at 8 setting coordinates, fused for a closed form.
+def _clipped(x, box: float) -> list:
+    """The coordinates clipped into the box; NaN raises InvalidParameter."""
+    lo_box = -box
+    # in-box values pass the comparison untouched, which costs a quarter
+    # of min/max on all 8; NaN fails it and stays NaN under min/max, as
+    # under np.clip
+    c = [v if lo_box <= v <= box else min(max(v, lo_box), box) for v in x]
+    if math.isnan(math.fsum(c)):
+        BellSettings.from_vector(c)  # raises InvalidParameter naming the setting
+    return c
 
-    Takes the coordinates in ``BellSettings.as_vector`` order and gives
+
+def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
+    """The Bell number and its gradient at 8 setting coordinates, fused for
+    a closed form.
+
+    Takes the coordinates in ``BellSettings.as_vector`` order. The value is
     bell_number(bell_matrix(portrait_fn, BellSettings.from_vector(
     np.clip(x, -box, box)))) up to the order of the last sums, with the
     same checks and errors: the coordinates are clipped into the box, every
     column passes the portrait checks and then the Bell-matrix entry range,
     B = |E0 + E1 + E2 - E3| from the column correlations
     E = w++ - w+- - w-+ + w--, and B is recorded in the high-water mark.
-    No settings object or array is built.
+    The gradient is the exact derivative of the closed form at the clipped
+    point, from the derivatives of its per-mode terms; on the box edge it
+    is the derivative from inside. No settings object or array is built.
     """
-    mode1, mode2, column = portrait_fn.mode1, portrait_fn.mode2, portrait_fn.column
-    lo_box = -box
+    mode1, mode2, column = portrait_fn.mode1_grad, portrait_fn.mode2_grad, portrait_fn.column_grad
 
-    def bell_value(x) -> float:
-        # in-box values pass the comparison untouched, which costs a
-        # quarter of min/max on all 8; NaN fails it and stays NaN under
-        # min/max, as under np.clip
-        c = [v if lo_box <= v <= box else min(max(v, lo_box), box) for v in x]
-        if math.isnan(math.fsum(c)):
-            BellSettings.from_vector(c)  # raises InvalidParameter naming the setting
+    def bell_value_grad(x):
+        c = _clipped(x, box)
         a1, b1 = mode1(complex(c[0], c[1])), mode1(complex(c[2], c[3]))
         a2, b2 = mode2(complex(c[4], c[5])), mode2(complex(c[6], c[7]))
-        columns = (column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2))
+        (k0, g0), (k1, g1), (k2, g2), (k3, g3) = (
+            column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2))
+        columns = (k0, k1, k2, k3)
         _check_entry_range(columns)
         e = [w_pp - w_pm - w_mp + w_mm for w_pp, w_pm, w_mp, w_mm, _ in columns]
-        b = abs(e[0] + e[1] + e[2] - e[3])
+        chsh = e[0] + e[1] + e[2] - e[3]
+        b = abs(chsh)
         _record_bell(b)
-        return b
+        sign = 1.0 if chsh >= 0.0 else -1.0
+        return b, [
+            sign * (g0[0] + g1[0]), sign * (g0[1] + g1[1]),
+            sign * (g2[0] - g3[0]), sign * (g2[1] - g3[1]),
+            sign * (g0[2] + g2[2]), sign * (g0[3] + g2[3]),
+            sign * (g1[2] - g3[2]), sign * (g1[3] - g3[3]),
+        ]
 
-    return bell_value
+    return bell_value_grad
+
+
+# forward-difference step, relative to max(1, |coordinate|)
+FD_STEP = math.sqrt(_EPS)
+
+
+def _difference_objective(portrait_fn, box: float):
+    """The Bell number through ``bell_matrix`` and ``bell_number``, with a
+    forward-difference gradient: 9 Bell numbers per call.
+
+    Each coordinate steps by FD_STEP * max(1, |x_i|) toward the inside of
+    the box, so no probe leaves it.
+    """
+
+    def value(c):
+        return bell_number(bell_matrix(portrait_fn, BellSettings.from_vector(c)))
+
+    def bell_value_grad(x):
+        c = _clipped(x, box)
+        b = value(c)
+        grad = []
+        for i, ci in enumerate(c):
+            h = FD_STEP * max(1.0, abs(ci))
+            probe = list(c)
+            probe[i] = ci + h if ci + h <= box else ci - h
+            grad.append((value(probe) - b) / (probe[i] - ci))
+        return b, grad
+
+    return bell_value_grad
 
 
 def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig()) -> MaximizeResult:
     """Maximize the Bell number over displacement settings inside the box.
 
-    Runs ``cfg.starts`` Nelder-Mead descents on -B from deterministic
-    start points, projecting every proposal back into the box. Closed-form
-    portraits are evaluated through a fused objective that builds no
-    intermediate objects; every other portrait function goes through
-    ``bell_matrix`` and ``bell_number``. Individual starts that hit
-    portrait errors (truncation tail, negative cells) are recorded and
-    skipped; the search fails only when every start failed. The result is
-    a lower bound on the true maximum; ties between starts resolve to the
-    lowest start index, so the outcome is reproducible regardless of
-    evaluation order.
+    Runs ``cfg.starts`` bounded quasi-Newton searches (``minimize``) on -B
+    from deterministic start points, each starting at the scale its start
+    point was drawn at. Closed-form portraits give B and its exact
+    gradient through a fused objective that builds no intermediate
+    objects; every other portrait function goes through ``bell_matrix``
+    and ``bell_number`` with a forward-difference gradient. Individual
+    starts that hit portrait errors (truncation tail, negative cells) are
+    recorded and skipped; the search fails only when every start failed.
+    The result is a lower bound on the true maximum; ties between starts
+    resolve to the lowest start index, so the outcome is reproducible
+    regardless of evaluation order.
     """
     portrait_fn = make_portrait_fn(src, p, nmax=cfg.nmax, tail_eps=cfg.tail_eps)
     box = float(cfg.box)
     if isinstance(portrait_fn, ClosedFormPortrait):
-        bell_value = _closed_form_objective(portrait_fn, box)
+        bell_value_grad = _closed_form_objective(portrait_fn, box)
     else:
-        def bell_value(x) -> float:
-            s = BellSettings.from_vector(np.clip(x, -box, box))
-            return bell_number(bell_matrix(portrait_fn, s))
+        bell_value_grad = _difference_objective(portrait_fn, box)
     eval_count = 0
 
-    def objective_value(x) -> float:
+    def negative_b(x):
         nonlocal eval_count
         eval_count += 1
-        return bell_value(x)
+        b, grad = bell_value_grad(x)
+        return -b, [-v for v in grad]
 
+    lower, upper = np.full(8, -box), np.full(8, box)
     best_f = -1.0
     best_x: Optional[np.ndarray] = None
     per_start_best: List[float] = []
@@ -558,18 +851,11 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
 
     for i in range(cfg.starts):
         x0, scale = _start_point(cfg.seed, i, box)
-        simplex = np.vstack([x0, x0 + (scale / 2.0) * np.eye(8)])
         try:
-            res = minimize(
-                lambda x: -objective_value(x),
-                simplex,
-                xatol=cfg.xtol,
-                fatol=cfg.ftol,
-                maxiter=cfg.max_iters,
-                maxfev=cfg.max_iters,
-            )
+            res = minimize(negative_b, x0, lower, upper, scale=scale / 2.0,
+                           xtol=cfg.xtol, ftol=cfg.ftol, maxfev=cfg.max_iters)
             x = np.clip(res.x, -box, box)
-            f = objective_value(x.tolist())
+            f = -negative_b(x.tolist())[0]
         except (InvalidParameter, UnsupportedState):
             raise
         except TomobellError as exc:

@@ -325,6 +325,7 @@ def _print_result(r: MaximizeResult) -> None:
     print(f"evaluations {r.evaluations}")
     failed = sum(1 for e in r.per_start_error if e is not None)
     print(f"starts {len(r.per_start_best)} failed {failed}")
+    print(f"converged {sum(1 for c in r.per_start_converged if c)}")
 
 
 def cmd_maximize(args) -> int:
@@ -392,12 +393,14 @@ def cmd_scan(args) -> int:
         raise InvalidParameter(f"--jobs must be >= 1, got {args.jobs}")
     log.info("scan %s: %d grid points, %d jobs", args.preset, len(grid), args.jobs)
 
+    cfg_fields = dict(box=args.box, starts=args.starts, seed=args.seed,
+                      max_iters=args.max_iters, nmax=args.nmax, tail_eps=args.tail_eps)
+    # a bad setting is a usage error of the whole scan, not one per row
+    MaximizeConfig(**cfg_fields)
     # each point gets its own seed so rows are independent of grid shape;
     # derivation from (seed, index) keeps repeat runs byte-identical
     tasks = [
-        (args.preset, partition, p1, p2,
-         dict(box=args.box, starts=args.starts, seed=args.seed + idx,
-              max_iters=args.max_iters, nmax=args.nmax, tail_eps=args.tail_eps))
+        (args.preset, partition, p1, p2, dict(cfg_fields, seed=args.seed + idx))
         for idx, (p1, p2) in enumerate(grid)
     ]
 

@@ -304,7 +304,9 @@ def portrait_truncated(
 # at the same point s (-1 for parity, 0 for vacuum). ``mode1(alpha)`` and
 # ``mode2(alpha)`` return the marginal G(s, 1) or G(1, s) at that mode's
 # displacement together with the per-mode terms of the joint G(s, s), which
-# ``joint`` combines.
+# ``joint`` combines. ``mode1_grad``, ``mode2_grad`` and ``joint_grad`` add
+# the derivatives along (Re alpha, Im alpha): the marginal's, the per-mode
+# terms', and the joint's along both modes' displacements.
 
 
 class _BranchG:
@@ -322,6 +324,16 @@ class _BranchG:
         d = self._mode(alpha, self._g2)
         return self.joint(self._one1, d), d
 
+    def mode1_grad(self, alpha):
+        d, t = self._mode_grad(alpha, self._g1)
+        p, p_re, p_im, _, _ = self.joint_grad(d, t, self._one2, self._still)
+        return (p, p_re, p_im), d, t
+
+    def mode2_grad(self, alpha):
+        d, t = self._mode_grad(alpha, self._g2)
+        p, _, _, p_re, p_im = self.joint_grad(self._one1, self._still, d, t)
+        return (p, p_re, p_im), d, t
+
 
 class _CatG(_BranchG):
     """G of the displaced cat state N(|g1, g2> + |-g1, -g2>).
@@ -336,11 +348,14 @@ class _CatG(_BranchG):
                - 2i (1 - s_j) Im(conj(alpha_j) g_j)
 
     summed over the modes before exp. Every real part is <= 0 for
-    |s_j| <= 1, so no term overflows at any amplitude.
+    |s_j| <= 1, so no term overflows at any amplitude. Each exponent is a
+    quadratic in (Re alpha_j, Im alpha_j), so its derivatives are linear.
     """
 
     name = "cat"
     floor = NEGATIVITY_FLOOR_CLOSED
+    # derivatives of an unmeasured mode's terms
+    _still = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 
     def __init__(self, state: CatState, s: float):
         g1, g2 = complex(state.gamma1), complex(state.gamma2)
@@ -363,11 +378,44 @@ class _CatG(_BranchG):
             -2.0 * k * (ar * gi - ai * gr),
         )
 
+    def _mode_grad(self, alpha, g):
+        """The per-mode terms and their derivatives along Re and Im alpha."""
+        ar, ai = alpha.real, alpha.imag
+        gr, gi, _ = g
+        k2 = -2.0 * self._k
+        return self._mode(alpha, g), (
+            (k2 * (ar + gr), k2 * (ar - gr), k2 * ar, k2 * gi),
+            (k2 * (ai + gi), k2 * (ai - gi), k2 * ai, -k2 * gr),
+        )
+
     def joint(self, d1, d2):
         return self._norm2 * (
             math.exp(d1[0] + d2[0])
             + math.exp(d1[1] + d2[1])
             + 2.0 * math.exp(d1[2] + d2[2]) * math.cos(d1[3] + d2[3])
+        )
+
+    def joint_grad(self, d1, t1, d2, t2):
+        """``joint`` and its derivatives along (Re, Im) of mode 1, then of mode 2.
+
+        ``t1`` and ``t2`` are the derivatives of the per-mode terms that
+        ``_mode_grad`` returns.
+        """
+        n = self._norm2
+        e_plus = math.exp(d1[0] + d2[0])
+        e_minus = math.exp(d1[1] + d2[1])
+        x = 2.0 * math.exp(d1[2] + d2[2])
+        phase = d1[3] + d2[3]
+        x_cos, x_sin = x * math.cos(phase), x * math.sin(phase)
+        # the derivative of G along each per-mode term
+        w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, -n * x_sin
+        (r1, i1), (r2, i2) = t1, t2
+        return (
+            n * (e_plus + e_minus + x_cos),
+            w0 * r1[0] + w1 * r1[1] + w2 * r1[2] + w3 * r1[3],
+            w0 * i1[0] + w1 * i1[1] + w2 * i1[2] + w3 * i1[3],
+            w0 * r2[0] + w1 * r2[1] + w2 * r2[2] + w3 * r2[3],
+            w0 * i2[0] + w1 * i2[1] + w2 * i2[2] + w3 * i2[3],
         )
 
 
@@ -380,6 +428,7 @@ class _CoherentG(_BranchG):
     name = "coherent"
     floor = NEGATIVITY_FLOOR_CLOSED
     _one1 = _one2 = 0.0
+    _still = (0.0, 0.0)
 
     def __init__(self, state: CoherentProduct, s: float):
         self._g1, self._g2 = complex(state.gamma1), complex(state.gamma2)
@@ -388,8 +437,16 @@ class _CoherentG(_BranchG):
     def _mode(self, alpha, g):
         return -self._k * ((alpha.real + g.real) ** 2 + (alpha.imag + g.imag) ** 2)
 
+    def _mode_grad(self, alpha, g):
+        k2 = -2.0 * self._k
+        return self._mode(alpha, g), (k2 * (alpha.real + g.real), k2 * (alpha.imag + g.imag))
+
     def joint(self, e1, e2):
         return math.exp(e1 + e2)
+
+    def joint_grad(self, e1, t1, e2, t2):
+        v = math.exp(e1 + e2)
+        return v, v * t1[0], v * t1[1], v * t2[0], v * t2[1]
 
 
 class _GaussianG:
@@ -440,6 +497,10 @@ class _GaussianG:
     def _form(k, x, y):
         return k[0] * x * x + k[1] * x * y + k[2] * y * y
 
+    @staticmethod
+    def _form_grad(k, x, y):
+        return 2.0 * k[0] * x + k[1] * y, k[1] * x + 2.0 * k[2] * y
+
     def mode1(self, alpha):
         x = self._m1[0] + SQRT2 * alpha.real
         y = self._m1[1] + SQRT2 * alpha.imag
@@ -462,6 +523,40 @@ class _GaussianG:
         (own1, (h0, h1)), (own2, (x, y)) = d1, d2
         return self._c12 * math.exp(-(own1 + own2 + h0 * x + h1 * y))
 
+    # The gradient forms below differentiate the exponents above through
+    # x = mean + sqrt(2) Re alpha and y = mean + sqrt(2) Im alpha.
+
+    def _marginal_grad(self, c, k, x, y):
+        p = c * math.exp(-self._form(k, x, y))
+        kx, ky = self._form_grad(k, x, y)
+        return p, -SQRT2 * p * kx, -SQRT2 * p * ky
+
+    def mode1_grad(self, alpha):
+        x = self._m1[0] + SQRT2 * alpha.real
+        y = self._m1[1] + SQRT2 * alpha.imag
+        x00, x01, x10, x11 = self._x
+        d = (self._form(self._j1, x, y), (x00 * x + x10 * y, x01 * x + x11 * y))
+        return self._marginal_grad(self._c1, self._k1, x, y), d, self._form_grad(self._j1, x, y)
+
+    def mode2_grad(self, alpha):
+        x = self._m2[0] + SQRT2 * alpha.real
+        y = self._m2[1] + SQRT2 * alpha.imag
+        d = (self._form(self._j2, x, y), (x, y))
+        return self._marginal_grad(self._c2, self._k2, x, y), d, self._form_grad(self._j2, x, y)
+
+    def joint_grad(self, d1, t1, d2, t2):
+        (_, (h0, h1)), (_, (x, y)) = d1, d2
+        v = self.joint(d1, d2)
+        x00, x01, x10, x11 = self._x
+        f = -SQRT2 * v
+        return (
+            v,
+            f * (t1[0] + x00 * x + x01 * y),
+            f * (t1[1] + x10 * x + x11 * y),
+            f * (t2[0] + h0),
+            f * (t2[1] + h1),
+        )
+
 
 def _even_odd_cells(p1, p2, p12):
     """Cells from the parities G(-1, 1), G(1, -1) and G(-1, -1)."""
@@ -478,10 +573,12 @@ def _zero_nonzero_cells(v1, v2, v12):
     return (v12, v1 - v12, v2 - v12, 1.0 - v1 - v2 + v12)
 
 
-# partition kind -> (the point s of each measured mode, cells from G)
+# partition kind -> (the point s of each measured mode, cells from G, the
+# weights (c1, c2, c12) of the correlation E = c0 + c1 G1 + c2 G2 + c12 G12
+# in the marginals and the joint term)
 _CANONICAL = {
-    "even-odd": (-1.0, _even_odd_cells),
-    "zero-nonzero": (0.0, _zero_nonzero_cells),
+    "even-odd": (-1.0, _even_odd_cells, (0.0, 0.0, 1.0)),
+    "zero-nonzero": (0.0, _zero_nonzero_cells, (-2.0, -2.0, 4.0)),
 }
 _GENERATING_FUNCTIONS = (
     (CatState, _CatG),
@@ -502,13 +599,16 @@ class ClosedFormPortrait:
     once per setting, and runs the same checks once per column. The pieces
     are public for callers that fuse more work around them: ``mode1`` and
     ``mode2`` give the per-mode terms of one displacement, and ``column``
-    turns a mode-1 and a mode-2 term into a checked column.
+    turns a mode-1 and a mode-2 term into a checked column. ``mode1_grad``,
+    ``mode2_grad`` and ``column_grad`` do the same and also carry the
+    derivatives along the real and imaginary parts of each displacement,
+    so a column comes with the gradient of its correlation.
     """
 
-    __slots__ = ("mode1", "mode2", "_g", "_cells", "_what")
+    __slots__ = ("mode1", "mode2", "mode1_grad", "mode2_grad", "_g", "_cells", "_weights", "_what")
 
     def __init__(self, state, kind: str):
-        s, self._cells = _CANONICAL[kind]
+        s, self._cells, self._weights = _CANONICAL[kind]
         for cls, family in _GENERATING_FUNCTIONS:
             if isinstance(state, cls):
                 break
@@ -516,6 +616,7 @@ class ClosedFormPortrait:
             raise UnsupportedState(f"no closed-form portrait for {type(state).__name__}")
         self._g = family(state, s)
         self.mode1, self.mode2 = self._g.mode1, self._g.mode2
+        self.mode1_grad, self.mode2_grad = self._g.mode1_grad, self._g.mode2_grad
         self._what = f"{family.name} {kind} portrait"
 
     def column(self, m1, m2):
@@ -523,6 +624,28 @@ class ClosedFormPortrait:
         (p1, d1), (p2, d2) = m1, m2
         cells = self._cells(p1, p2, self._g.joint(d1, d2))
         return _checked_cells(cells, 0.0, self._g.floor, self._what)
+
+    def column_grad(self, m1, m2):
+        """``column`` from the terms of ``mode1_grad`` and ``mode2_grad``,
+        and the derivatives of the column's correlation
+        E = w_pp - w_pm - w_mp + w_mm along (Re alpha1, Im alpha1, Re alpha2,
+        Im alpha2).
+
+        E is linear in the two marginals and the joint term, so its
+        derivatives are theirs, weighted. They are those of the closed form
+        before the cells are clamped at 0, which moves a cell by at most
+        the negativity floor.
+        """
+        ((p1, p1_re, p1_im), d1, t1), ((p2, p2_re, p2_im), d2, t2) = m1, m2
+        v, v1_re, v1_im, v2_re, v2_im = self._g.joint_grad(d1, t1, d2, t2)
+        c1, c2, c12 = self._weights
+        checked = _checked_cells(self._cells(p1, p2, v), 0.0, self._g.floor, self._what)
+        return checked, (
+            c1 * p1_re + c12 * v1_re,
+            c1 * p1_im + c12 * v1_im,
+            c2 * p2_re + c12 * v2_re,
+            c2 * p2_im + c12 * v2_im,
+        )
 
     def __call__(self, alpha1, alpha2) -> PortraitVector:
         return _vector(self.column(self.mode1(alpha1), self.mode2(alpha2)))

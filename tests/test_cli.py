@@ -188,6 +188,33 @@ def test_maximize_coherent_product(coherent_file, capsys):
     assert any(l.startswith("evaluations ") for l in lines)
 
 
+def test_maximize_prints_converged_starts(coherent_file, capsys):
+    rc = main(["maximize", "--state", coherent_file, "--partition", "even-odd",
+               "--starts", "4", "--seed", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [l.split()[0] for l in lines]
+    assert names == ["f", "alpha1", "alpha2", "beta1", "beta2", "verdict", "margin",
+                     "evaluations", "starts", "converged"]
+    assert lines[-2] == "starts 4 failed 0"
+    assert lines[-1] == "converged 4"
+    # a budget of one value-and-gradient call stops every start unconverged
+    rc = main(["maximize", "--state", coherent_file, "--partition", "even-odd",
+               "--starts", "4", "--seed", "3", "--max-iters", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "converged 0"
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--starts", "0"), ("--max-iters", "0")])
+def test_maximize_bad_integer_setting_exits_2(coherent_file, capsys, flag, value):
+    rc = main(["maximize", "--state", coherent_file, "--partition", "even-odd",
+               "--starts", "2", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidParameter]:")
+    assert "non-negative integer" not in err
+
+
 # --- scan -----------------------------------------------------------------------
 
 
@@ -246,6 +273,15 @@ def test_scan_empty_grid_exits_2(capsys):
     assert "empty" in capsys.readouterr().err
 
 
+def test_scan_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    rc = main(["scan", "--preset", "cat-even-odd", "--param1", "0,1", "--param2", "1",
+               "--starts", "2", "--seed", "-1", "--jobs", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error[InvalidParameter]: seed must be >= 0")
+    assert not out.exists()
+
+
 def test_scan_unknown_preset_exits_2(capsys):
     rc = main(["scan", "--preset", "nope"])
     assert rc == 2
@@ -275,3 +311,19 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_maximize_loads_neither_scipy_nor_mpmath(coherent_file):
+    # both are test oracles; a whole maximize run must not import them
+    src = str(Path(tomobell.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, contextlib, io, tomobell.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = tomobell.cli.main(['maximize', '--state', {coherent_file!r}, '--starts', '2'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"

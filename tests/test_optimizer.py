@@ -1,14 +1,16 @@
-"""The in-package Nelder-Mead and the fused closed-form Bell objective.
+"""The bounded quasi-Newton search and the fused closed-form Bell objective.
 
-``bell.minimize`` ports scipy's Nelder-Mead step for step, so scipy (from
-the ``test`` extra) is its oracle: every case must give the same x, fun,
-nit, nfev and status, compared with ``==``. The fused objective that
-``maximize_bell`` runs on closed-form portraits is checked against the
-Bell-matrix route it replaces.
+The objective's gradient is checked against central differences and
+against an ``mpmath`` evaluation of the generating functions, and its
+value against the Bell-matrix route it replaces. scipy's L-BFGS-B (from
+the ``test`` extra) is the oracle for the search: from the same start
+points and in the same start-scaled coordinates it must reach the same
+per-start maxima.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize as sp
@@ -22,6 +24,7 @@ from tomobell.bell import (
     bell_matrix,
     bell_number,
     get_bell_high_water,
+    maximize_bell,
     minimize,
 )
 from tomobell.errors import InvalidParameter, NumericalNegativity
@@ -40,121 +43,129 @@ SQUEEZED_M = np.array([
     [0.0, 0.0, math.sqrt(3) / 2, 1.0],
 ])
 
-# the members of the benchmark's maximize-closed mix
+# the members of the benchmark's maximize-closed mix: state, partition,
+# the number of starts the benchmark gives it, and the value its maximum
+# must reach within 1e-3
 MIX = {
-    "cat50-even-odd": (CatState(math.sqrt(50), math.sqrt(50)), EO),
-    "coherent-even-odd": (CoherentProduct(0.5, 0.5j), EO),
-    "cat1-zero-nonzero": (CatState(1.0, 1.0), ZN),
-    "family-0.6-even-odd": (gaussian_purity_family(0.6, 0.0), EO),
-    "cat10-even-odd": (CatState(math.sqrt(10), math.sqrt(10)), EO),
-    "family-1.2-even-odd": (gaussian_purity_family(1.2, 0.0), EO),
-    "cat1-even-odd": (CatState(1.0, 1.0), EO),
-    "squeezed-zero-nonzero": (GaussianSpec(SQUEEZED_M), ZN),
+    "cat50-even-odd": (CatState(math.sqrt(50), math.sqrt(50)), EO, 5, 2.73),
+    "coherent-even-odd": (CoherentProduct(0.5, 0.5j), EO, 5, 2.0),
+    "cat1-zero-nonzero": (CatState(1.0, 1.0), ZN, 10, 2.0),
+    "family-0.6-even-odd": (gaussian_purity_family(0.6, 0.0), EO, 5, 2.0),
+    "cat10-even-odd": (CatState(math.sqrt(10), math.sqrt(10)), EO, 5, 2.65),
+    "family-1.2-even-odd": (gaussian_purity_family(1.2, 0.0), EO, 5, 2.0),
+    "cat1-even-odd": (CatState(1.0, 1.0), EO, 5, 2.469),
+    "squeezed-zero-nonzero": (GaussianSpec(SQUEEZED_M), ZN, 5, 2.4709),
 }
 
 
-def _negative_b(state, p):
-    """-B as the maximizer minimizes it; vertices arrive as lists or arrays."""
-    value = _closed_form_objective(make_portrait_fn(state, p), BOX)
-    return lambda x: -value(np.asarray(x, dtype=float).tolist())
-
-
-def _start_simplex(seed, index):
-    x0, scale = _start_point(seed, index, BOX)
-    return np.vstack([x0, x0 + (scale / 2.0) * np.eye(8)])
-
-
-def _assert_same_as_scipy(fun, simplex, maxfev=CFG.max_iters):
-    ours = minimize(fun, simplex, xatol=CFG.xtol, fatol=CFG.ftol,
-                    maxiter=maxfev, maxfev=maxfev)
-    ref = sp.minimize(fun, simplex[0], method="Nelder-Mead",
-                      options=dict(initial_simplex=simplex, xatol=CFG.xtol,
-                                   fatol=CFG.ftol, maxiter=maxfev, maxfev=maxfev))
-    assert ours.x.tolist() == ref.x.tolist()
-    assert ours.fun == ref.fun
-    assert (ours.nit, ours.nfev, ours.status) == (ref.nit, ref.nfev, ref.status)
-    assert ours.success == ref.success and ours.message == ref.message
-    return ours
-
-
-# --- the optimizer against scipy ---------------------------------------------
-
-
-@pytest.mark.parametrize("label", sorted(MIX))
-def test_minimize_matches_scipy_on_the_maximize_mix(label):
-    fun = _negative_b(*MIX[label])
-    for index in (0, 1):
-        _assert_same_as_scipy(fun, _start_simplex(0, index))
-
-
-def test_minimize_matches_scipy_where_the_budget_runs_out():
-    # the two starts of the squeezed example (zero-nonzero, seed 0) that
-    # stop at maxfev
-    fun = _negative_b(GaussianSpec(SQUEEZED_M), ZN)
-    for index in (4, 9):
-        res = _assert_same_as_scipy(fun, _start_simplex(0, index))
-        assert res.status == 1 and res.nfev == CFG.max_iters and not res.success
-
-
-def test_minimize_matches_scipy_under_small_budgets():
-    # budgets that cut the initial simplex or an iteration short; on the
-    # first start of cat1-even-odd, budgets 18-23 stop a shrink after a
-    # shrunk vertex has beaten the best one, so the answer depends on the
-    # simplex being re-sorted after the cut
-    for label, seed, index in (("cat1-even-odd", 0, 0), ("cat1-even-odd", 3, 2),
-                               ("squeezed-zero-nonzero", 3, 2)):
-        fun = _negative_b(*MIX[label])
-        simplex = _start_simplex(seed, index)
-        for maxfev in (1, 5, 9, 10, 11, 18, 20, 23, 60, 150):
-            res = _assert_same_as_scipy(fun, simplex, maxfev)
-            assert res.nfev <= maxfev
-
-
-def test_minimize_matches_scipy_on_a_tied_plateau():
-    # outside the box the clipped objective is flat: every vertex ties,
-    # each iteration ends in a shrink, and budgets cut shrinks short
-    fun = _negative_b(CoherentProduct(0.5, 0.5j), EO)
-    outside = np.full(8, 2.5)
-    plateau = np.vstack([outside, outside + 0.25 * np.eye(8)])
-    for maxfev in range(1, 45):
-        _assert_same_as_scipy(fun, plateau, maxfev)
-    res = _assert_same_as_scipy(fun, plateau)
-    assert res.status == 0
-    # straddling the box edge: clipped vertices tie with each other
-    edge = np.full(8, 1.9)
-    _assert_same_as_scipy(fun, np.vstack([edge, edge + 0.25 * np.eye(8)]))
-
-
-def test_minimize_sorts_ties_as_often_as_scipy(monkeypatch):
-    # numpy's argsort may leave sorted ties in place on one platform and
-    # swap them on another; one that reverses ties on every call makes
-    # each extra or missing sort change the vertex order, so only the
-    # same sequence of sorts as scipy's gives scipy's answer
-    def reverse_ties(a):
-        a = np.asarray(a)
-        return np.lexsort((-np.arange(len(a)), a))
-
-    monkeypatch.setattr(np, "argsort", reverse_ties)
-    fun = _negative_b(CoherentProduct(0.5, 0.5j), EO)
-    outside = np.full(8, 2.5)
-    plateau = np.vstack([outside, outside + 0.25 * np.eye(8)])
-    for maxfev in (5, 9, 10, 20, 44):
-        _assert_same_as_scipy(fun, plateau, maxfev)
-    assert _assert_same_as_scipy(fun, plateau).status == 0
-    edge = np.full(8, 1.9)
-    _assert_same_as_scipy(fun, np.vstack([edge, edge + 0.25 * np.eye(8)]))
+# --- the search -----------------------------------------------------------------
 
 
 def test_minimize_quadratic_converges():
-    res = minimize(lambda x: sum((v - 0.5) ** 2 for v in x),
-                   np.vstack([np.zeros(3), np.eye(3)]),
-                   xatol=1e-8, fatol=1e-12, maxiter=1000, maxfev=1000)
+    def fun(x):
+        return sum((v - 0.5) ** 2 for v in x), [2.0 * (v - 0.5) for v in x]
+
+    res = minimize(fun, np.zeros(3), np.full(3, -1.0), np.full(3, 1.0),
+                   scale=1.0, xtol=1e-12, ftol=1e-15, maxfev=100)
     assert res.success and res.status == 0
-    assert np.allclose(res.x, 0.5, atol=1e-6)
+    assert np.allclose(res.x, 0.5, atol=1e-8)
+    assert res.nfev < 20
 
 
-# --- the fused objective ------------------------------------------------------
+def test_minimize_stops_on_the_box():
+    # the unconstrained minimizer (3, -3, 0.5) lies outside the box in
+    # two coordinates: the search ends on those bounds, exactly
+    target = np.array([3.0, -3.0, 0.5])
 
+    def fun(x):
+        d = np.asarray(x) - target
+        return float(d @ d), (2.0 * d).tolist()
+
+    res = minimize(fun, np.array([0.2, 0.1, -0.3]), np.full(3, -1.0), np.full(3, 1.0),
+                   scale=0.5, xtol=1e-12, ftol=1e-15, maxfev=100)
+    assert res.success
+    assert res.x[0] == 1.0 and res.x[1] == -1.0
+    assert abs(res.x[2] - 0.5) <= 1e-8
+
+
+def test_minimize_respects_the_budget():
+    def fun(x):
+        return math.cos(3.0 * x[0]) + x[1] ** 2, [-3.0 * math.sin(3.0 * x[0]), 2.0 * x[1]]
+
+    for maxfev in (1, 2, 3, 5):
+        res = minimize(fun, np.array([0.1, 0.7]), np.full(2, -2.0), np.full(2, 2.0),
+                       scale=0.01, xtol=1e-12, ftol=1e-15, maxfev=maxfev)
+        assert res.nfev <= maxfev
+        assert res.status == 1 and not res.success
+        assert np.all(np.abs(res.x) <= 2.0)
+
+
+def _scipy_start(label, index, seed=0):
+    """-B maximized by scipy's L-BFGS-B from one start of ``maximize_bell``,
+    in the coordinates y with x = x0 + (scale / 2) y that the search uses."""
+    state, p = MIX[label][:2]
+    value = _closed_form_objective(make_portrait_fn(state, p), BOX)
+    x0, scale = _start_point(seed, index, BOX)
+    h = scale / 2.0
+
+    def fun(y):
+        b, grad = value((x0 + h * y).tolist())
+        return -b, -h * np.asarray(grad)
+
+    return sp.minimize(fun, np.zeros(8), jac=True, method="L-BFGS-B",
+                       bounds=list(zip((-BOX - x0) / h, (BOX - x0) / h)),
+                       options=dict(ftol=CFG.ftol, gtol=0.0, maxcor=bell.LBFGS_MEMORY,
+                                    maxfun=CFG.max_iters))
+
+
+@pytest.mark.parametrize("label", sorted(MIX))
+def test_maximize_matches_scipy_per_start(label):
+    # One cycle of the five start scales. Both searches run the same
+    # iteration; rounding can still part long searches on flat ground,
+    # where neither is converged beyond what ftol asks: cat50-even-odd at
+    # seed 1, start 0 ends at B = 0.06347 after about 100 calls on both
+    # sides, 5e-8 apart.
+    state, p = MIX[label][:2]
+    r = maximize_bell(state, p, MaximizeConfig(starts=5, seed=0))
+    compared = 0
+    for index, (f, converged) in enumerate(zip(r.per_start_best, r.per_start_converged)):
+        ref = _scipy_start(label, index)
+        if converged and ref.success:
+            assert abs(f + ref.fun) <= 1e-9, (index, f, -ref.fun)
+            compared += 1
+    assert compared >= 4
+
+
+@pytest.mark.parametrize("label", sorted(MIX))
+def test_mix_reaches_its_reference_on_ten_seeds(label):
+    # the benchmark counts a maximize that falls short of its reference by
+    # more than 1e-3 as failed
+    state, p, starts, ref = MIX[label]
+    for seed in range(10):
+        r = maximize_bell(state, p, MaximizeConfig(starts=starts, seed=seed))
+        assert r.f >= ref - 1e-3, (seed, r.f)
+        assert all(r.per_start_converged)
+        if isinstance(state, CoherentProduct):
+            assert r.f <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("label, seed", [("cat10-even-odd", 1818361604), ("cat50-even-odd", 946867497)])
+def test_maximize_survives_a_singular_inverse_hessian(label, seed):
+    # on these seeds a curvature pair with s'y near 3e-9 leaves the dense
+    # inverse Hessian numerically singular; the start clears its memory
+    # and goes on
+    state, p, starts, ref = MIX[label]
+    r = maximize_bell(state, p, MaximizeConfig(starts=starts, seed=seed))
+    assert all(r.per_start_converged)
+    assert r.f >= ref - 1e-3
+
+
+# --- the fused objective: value -------------------------------------------------
+
+
+# a physical Gaussian (M >= I/2) whose quadratures all correlate, with a mean
+_A = np.random.default_rng(8).normal(scale=0.4, size=(4, 4))
+CORRELATED = GaussianSpec(0.5 * np.eye(4) + _A @ _A.T, mean=[0.3, -0.2, 0.1, 0.4])
 
 FUSED_STATES = (
     CatState(1.0, 1.0),
@@ -164,7 +175,20 @@ FUSED_STATES = (
     CoherentProduct(-1.0 + 0.3j, 0.2),
     gaussian_purity_family(1.2, 0.04),
     GaussianSpec(SQUEEZED_M),
+    CatState(math.sqrt(50), math.sqrt(50)),
+    CORRELATED,
 )
+
+
+def _edge_points(rng, count):
+    """Points in the box with one to three coordinates on its edge."""
+    out = []
+    for _ in range(count):
+        x = rng.uniform(-BOX, BOX, 8)
+        pinned = rng.choice(8, size=rng.integers(1, 4), replace=False)
+        x[pinned] = BOX * rng.choice([-1.0, 1.0], size=len(pinned))
+        out.append(x)
+    return out
 
 
 def test_fused_objective_matches_bell_matrix_route():
@@ -173,11 +197,13 @@ def test_fused_objective_matches_bell_matrix_route():
         for p in (EO, ZN):
             fn = make_portrait_fn(state, p)
             value = _closed_form_objective(fn, BOX)
-            for _ in range(40):
-                # a few coordinates fall outside the box and get clipped
-                x = rng.uniform(-1.25 * BOX, 1.25 * BOX, 8)
+            # a few coordinates fall outside the box and get clipped
+            points = [rng.uniform(-1.25 * BOX, 1.25 * BOX, 8) for _ in range(40)]
+            for x in points + _edge_points(rng, 10):
                 ref = bell_number(bell_matrix(fn, BellSettings.from_vector(np.clip(x, -BOX, BOX))))
-                assert abs(value(x.tolist()) - ref) <= 1e-14
+                b, grad = value(x.tolist())
+                assert abs(b - ref) <= 1e-14
+                assert len(grad) == 8 and all(math.isfinite(v) for v in grad)
 
 
 def test_fused_objective_raises_the_same_errors():
@@ -195,7 +221,7 @@ def test_fused_objective_raises_the_same_errors():
     y = list(x)
     y[2] = math.inf
     ref = bell_number(bell_matrix(fn, BellSettings.from_vector(np.clip(y, -BOX, BOX))))
-    assert abs(value(y) - ref) <= 1e-14
+    assert abs(value(y)[0] - ref) <= 1e-14
     # det M >= 1/16 but not a physical state: the closed-form cells go
     # negative and the portrait check refuses them on both routes
     fake = make_portrait_fn(GaussianSpec(np.diag([0.1, 5.0, 0.1, 5.0])), EO)
@@ -208,8 +234,131 @@ def test_fused_objective_raises_the_same_errors():
 def test_fused_objective_updates_the_high_water_mark(monkeypatch):
     monkeypatch.setattr(bell, "_bell_high_water", 0.0)
     value = _closed_form_objective(make_portrait_fn(CatState(1.0, 1.0), EO), BOX)
-    b = value([0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8])
+    b, _ = value([0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8])
     assert b > 0.0
     assert get_bell_high_water() == b
     value([0.0] * 8)
     assert get_bell_high_water() >= b
+
+
+# --- the fused objective: gradient ----------------------------------------------
+
+
+def _central_difference(value, x, h=1e-6):
+    out = []
+    for i in range(8):
+        up, down = list(x), list(x)
+        up[i] += h
+        down[i] -= h
+        out.append((value(up)[0] - value(down)[0]) / (2.0 * h))
+    return np.array(out)
+
+
+def test_gradient_matches_central_differences():
+    # the differences run on a larger box, so that probes around a point
+    # on the edge of the search box are not clipped
+    rng = np.random.default_rng(77)
+    for state in FUSED_STATES:
+        for p in (EO, ZN):
+            fn = make_portrait_fn(state, p)
+            value = _closed_form_objective(fn, BOX)
+            wide = _closed_form_objective(fn, BOX + 1.0)
+            points = [rng.uniform(-BOX, BOX, 8) for _ in range(6)] + _edge_points(rng, 4)
+            for x in points:
+                b, grad = value(x.tolist())
+                if b < 1e-6:
+                    continue  # |S| has a kink at S = 0
+                ref = _central_difference(wide, x.tolist())
+                # central differences err by about h^2 |B'''|, which the
+                # 100-per-unit phases of CatState(50, 50) blow up
+                tol = 1e-6 * max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(np.array(grad) - ref)) <= tol, (state, p.kind, x)
+
+
+# generating functions with every mode at its own point s_j, in mpmath
+
+
+def _g_cat(state, s, alphas):
+    gammas = (mpmath.mpc(complex(state.gamma1)), mpmath.mpc(complex(state.gamma2)))
+    e_plus = e_minus = cross = mpmath.mpf(0)
+    for sj, a, g in zip(s, alphas, gammas):
+        e_plus += -(1 - sj) * abs(a + g) ** 2
+        e_minus += -(1 - sj) * abs(a - g) ** 2
+        cross += (-(abs(a) ** 2 + abs(g) ** 2) + sj * (abs(a) ** 2 - abs(g) ** 2)
+                  - 2j * (1 - sj) * mpmath.im(mpmath.conj(a) * g))
+    c = abs(gammas[0]) ** 2 + abs(gammas[1]) ** 2
+    norm2 = 1 / (2 * (1 + mpmath.exp(-2 * c)))
+    return norm2 * (mpmath.exp(e_plus) + mpmath.exp(e_minus) + 2 * mpmath.re(mpmath.exp(cross)))
+
+
+def _g_coherent(state, s, alphas):
+    gammas = (complex(state.gamma1), complex(state.gamma2))
+    return mpmath.exp(sum(-(1 - sj) * abs(a + g) ** 2 for sj, a, g in zip(s, alphas, gammas)))
+
+
+def _g_gaussian(spec, s, alphas):
+    # kernel-order mean (q1, q2, p1, p2) of the displaced state, and
+    # W = diag(1 - s) M + diag((1 + s) / 2) with s per (mode 1, mode 2, mode 1, mode 2)
+    m = [mpmath.mpf(float(v)) for v in spec.mean]
+    r2 = mpmath.sqrt(2)
+    a1, a2 = alphas
+    mu = mpmath.matrix([m[2] + r2 * mpmath.re(a1), m[3] + r2 * mpmath.re(a2),
+                        m[0] + r2 * mpmath.im(a1), m[1] + r2 * mpmath.im(a2)])
+    sv = (s[0], s[1], s[0], s[1])
+    W = mpmath.matrix(4, 4)
+    for i in range(4):
+        for j in range(4):
+            W[i, j] = (1 - sv[i]) * mpmath.mpf(float(spec.M[i, j])) + (i == j) * (1 + sv[i]) / 2
+    k = mpmath.lu_solve(W, mpmath.matrix([(1 - sv[i]) * mu[i] for i in range(4)]))
+    quad = sum(mu[i] * k[i] for i in range(4))
+    return mpmath.exp(-quad / 2) / mpmath.sqrt(mpmath.det(W))
+
+
+_G_MP = {CatState: _g_cat, CoherentProduct: _g_coherent, GaussianSpec: _g_gaussian}
+
+
+def _bell_mp(state, p, x):
+    """B at settings x from the generating function, in mpmath."""
+    g = _G_MP[type(state)]
+    s = mpmath.mpf(-1 if p.kind == "even-odd" else 0)
+    a1, b1 = mpmath.mpc(x[0], x[1]), mpmath.mpc(x[2], x[3])
+    a2, b2 = mpmath.mpc(x[4], x[5]), mpmath.mpc(x[6], x[7])
+
+    def correlation(u, v):
+        joint = g(state, (s, s), (u, v))
+        if p.kind == "even-odd":
+            return joint
+        return 1 - 2 * g(state, (s, 1), (u, v)) - 2 * g(state, (1, s), (u, v)) + 4 * joint
+
+    return abs(correlation(a1, a2) + correlation(a1, b2) + correlation(b1, a2) - correlation(b1, b2))
+
+
+@pytest.mark.parametrize("state", [
+    CatState(1.0, 1.0),
+    CatState(50, 50),
+    CatState(math.sqrt(50), math.sqrt(50)),
+    CoherentProduct(-1.0 + 0.3j, 0.2),
+    gaussian_purity_family(1.2, 0.04),
+    GaussianSpec(SQUEEZED_M),
+    CORRELATED,
+], ids=["cat1", "cat50x50", "cat-sqrt50", "coherent", "family", "squeezed", "correlated"])
+@pytest.mark.parametrize("p", [EO, ZN], ids=["even-odd", "zero-nonzero"])
+def test_gradient_matches_mpmath(state, p):
+    rng = np.random.default_rng(5)
+    value = _closed_form_objective(make_portrait_fn(state, p), BOX)
+    points = [rng.uniform(-BOX, BOX, 8)] + _edge_points(rng, 1)
+    with mpmath.workdps(30):
+        for x in points:
+            b, grad = value(x.tolist())
+            xs = [mpmath.mpf(float(v)) for v in x]
+            assert abs(b - float(_bell_mp(state, p, xs))) <= 1e-13
+            if b < 1e-6:
+                continue
+            for i in range(8):
+                def along(t, i=i):
+                    y = list(xs)
+                    y[i] += t
+                    return _bell_mp(state, p, y)
+
+                ref = float(mpmath.diff(along, 0))
+                assert abs(grad[i] - ref) <= 1e-10 * max(1.0, abs(ref)), (i, grad[i], ref)
