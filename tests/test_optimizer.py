@@ -119,7 +119,7 @@ def _scipy_start(label, index, seed=0):
 
 
 @pytest.mark.parametrize("label", sorted(MIX))
-def test_maximize_matches_scipy_per_start(label):
+def test_minimize_matches_scipy_on_the_maximize_mix(label):
     # One cycle of the five start scales. Both searches run the same
     # iteration; rounding can still part long searches on flat ground,
     # where neither is converged beyond what ftol asks: cat50-even-odd at
