@@ -9,7 +9,9 @@ for the largest witness value a state offers. Each start runs a bounded
 limited-memory quasi-Newton search (L-BFGS-B, written here so that scipy
 is not needed at run time) on B and its gradient: exact for closed-form
 portraits, whose generating-function terms are exponentials of quadratics
-in the settings, and forward differences for any other portrait.
+in the settings, and forward differences for any other portrait. Its
+steps grow from the start's scale by at most a fixed factor per
+iteration, so each start explores the neighbourhood it was drawn for.
 """
 
 from __future__ import annotations
@@ -261,6 +263,10 @@ LS_FTOL, LS_GTOL, LS_XTOL = 1e-3, 0.9, 0.1
 LS_MAX_TRIALS = 20
 # curvature pairs the search keeps, as in L-BFGS-B
 LBFGS_MEMORY = 10
+# after the first step, a step moves no coordinate by more than this many
+# times the largest move of the previous step, or the start's scale if that
+# is larger
+STEP_GROWTH = 3.0
 _UPPER = np.triu(np.ones((LBFGS_MEMORY, LBFGS_MEMORY)))
 _EPS = sys.float_info.epsilon
 
@@ -491,23 +497,12 @@ def _model_target(x, g, H, lower, upper):
     no descent direction, the longest feasible fraction of the step from
     the Cauchy point. None when the projected gradient vanishes.
     """
-    gg = float(g @ g)
-    if gg == 0.0:
+    B = np.linalg.inv(H)
+    xc, pinned = _cauchy_point(x, g, _breakpoints(x, g, lower, upper), B, lower, upper)
+    if xc is None:
         return None
-    hg = H @ g
-    t = _breakpoints(x, g, lower, upper)
-    # With B = H^-1, (g'g)^2 <= (g'Hg)(g'Bg); so when the first
-    # breakpoint lies beyond g'Hg / g'g, it lies beyond the Cauchy step
-    # g'g / g'Bg, no coordinate gets pinned, and the subspace step from
-    # the Cauchy point lands on the model's minimizer x - Hg.
-    xc, pinned = x, None
-    if gg * min(t) <= float(g @ hg):
-        B = np.linalg.inv(H)
-        xc, pinned = _cauchy_point(x, g, t, B, lower, upper)
-        if xc is None:
-            return None
     if not pinned:
-        target = x - hg
+        target = x - H @ g
     elif len(pinned) < len(x):
         free = np.ones(len(x), dtype=bool)
         free[pinned] = False
@@ -518,8 +513,6 @@ def _model_target(x, g, H, lower, upper):
     projected = np.clip(target, lower, upper)
     if (projected - x) @ g <= 0.0:
         return projected
-    if pinned is None:
-        xc, _ = _cauchy_point(x, g, t, np.linalg.inv(H), lower, upper)
     du = target - xc
     return xc + min(1.0, _max_step(xc, du, lower, upper)) * du
 
@@ -538,15 +531,21 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
       projects that point onto the box (or, when the projection is no
       descent direction, takes the longest feasible fraction of the step);
     - searches toward it for the Wolfe conditions (More-Thuente), up to the
-      unit step in the first iteration and up to the box after that;
+      unit step in the first iteration and, after that, up to the box and
+      up to STEP_GROWTH times the largest coordinate move of the previous
+      step (or ``scale``, if that is larger);
     - keeps the last LBFGS_MEMORY steps with positive curvature, and scales
       the initial matrix by the curvature of the latest.
 
     B starts as the identity over ``scale**2``: the first step is steepest
     descent in the coordinates (x - x0) / scale, of the size of ``scale``
-    where the slope in those coordinates is of order 1. When a line search
-    fails or H comes out numerically singular, the memory is cleared and
-    the iteration retried.
+    where the slope in those coordinates is of order 1. The growth cap is
+    the one departure from L-BFGS-B. Without it, a start near a small
+    feature can leap across the box on its first curvature estimate and end
+    on a face of the box; with it, the steps grow from the start's scale by
+    at most STEP_GROWTH per iteration, as a simplex search expands. When a
+    line search fails or H comes out numerically singular, the memory is
+    cleared and the iteration retried.
 
     Stops with status 0 when a step lowers f by at most
     ``ftol * max(|f_old|, |f_new|, 1)`` or moves no coordinate by more
@@ -571,6 +570,7 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
     steps = changes = np.empty((0, n))
     gamma0 = scale * scale
     gamma = gamma0
+    reach = scale
     nit = 0
     status = 1 if nfev >= maxfev else None
     while status is None:
@@ -589,7 +589,6 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
             target = x
         p = target - x
         slope = float(p @ g)
-        stpmax = 1.0 if nit == 0 else _max_step(x, p, lower, upper)
 
         def phi(t):
             z = target if t == 1.0 else np.clip(x + t * p, lower, upper)
@@ -598,6 +597,10 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
 
         found = None
         if slope < 0.0:
+            stpmax = 1.0
+            if nit:
+                stpmax = min(_max_step(x, p, lower, upper),
+                             STEP_GROWTH * reach / float(np.max(np.abs(p))))
             found = _line_search(phi, f, slope, min(1.0, stpmax), stpmax,
                                  min(LS_MAX_TRIALS, maxfev - nfev))
         if found is None:
@@ -613,12 +616,13 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
         nit += 1
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
-        settled = (f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
-                   or float(np.max(np.abs(s))) <= xtol)
+        move = float(np.max(np.abs(s)))
+        settled = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0) or move <= xtol
         if sy > _EPS * -slope * t:
             steps = np.vstack((steps[1 - LBFGS_MEMORY:], s))
             changes = np.vstack((changes[1 - LBFGS_MEMORY:], y))
             gamma = sy / float(y @ y)
+        reach = max(move, scale)
         x, f, g = x_new, f_new, g_new
         if settled:
             status = 0
@@ -697,9 +701,9 @@ class MaximizeResult:
     """Outcome of a multi-start search: a lower bound on the true maximum.
 
     The per-start lists hold one entry per start. ``per_start_nfev``
-    counts the value-and-gradient calls of a start's search (its
-    re-evaluation at the clipped end point not included), and
-    ``evaluations`` counts them over all starts, re-evaluations included.
+    counts the value-and-gradient calls of a start's search, and
+    ``evaluations`` counts them over all starts, those of failed starts
+    included.
     ``per_start_converged`` is False when the search spent its
     ``max_iters`` calls, or when its line search found no decrease from a
     fresh Hessian estimate before the convergence test passed. Both are
@@ -854,8 +858,6 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
         try:
             res = minimize(negative_b, x0, lower, upper, scale=scale / 2.0,
                            xtol=cfg.xtol, ftol=cfg.ftol, maxfev=cfg.max_iters)
-            x = np.clip(res.x, -box, box)
-            f = -negative_b(x.tolist())[0]
         except (InvalidParameter, UnsupportedState):
             raise
         except TomobellError as exc:
@@ -865,6 +867,9 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
             per_start_converged.append(None)
             last_error = exc
             continue
+        # the objective clips its argument into the box, so -res.fun is B
+        # at the clipped end point; rounding can leave res.x an ulp outside
+        f = -res.fun
         per_start_best.append(f)
         per_start_error.append(None)
         per_start_nfev.append(res.nfev)
@@ -873,7 +878,7 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
         # float-dust differences keep the earlier start's answer
         if f > best_f + 1e-12:
             best_f = f
-            best_x = x
+            best_x = np.clip(res.x, lower, upper)
 
     if best_x is None:
         assert last_error is not None

@@ -249,8 +249,8 @@ def test_maximize_reports_each_start():
         assert 0 < nfev <= cfg.max_iters
         assert converged == (nfev < cfg.max_iters)
     assert r.per_start_converged.count(False) == 0
-    # each start evaluates once more, at its clipped end point
-    assert sum(n + 1 for n in r.per_start_nfev) == r.evaluations
+    # the searches' calls are all the evaluations
+    assert sum(r.per_start_nfev) == r.evaluations
 
 
 def test_maximize_coherent_stays_below_two():
