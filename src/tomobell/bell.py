@@ -267,7 +267,6 @@ LBFGS_MEMORY = 10
 # times the largest move of the previous step, or the start's scale if that
 # is larger
 STEP_GROWTH = 3.0
-_UPPER = np.triu(np.ones((LBFGS_MEMORY, LBFGS_MEMORY)))
 _EPS = sys.float_info.epsilon
 
 _SEARCH_MESSAGES = (
@@ -429,22 +428,64 @@ def _line_search(phi, f0, g0, stp, stpmax, trials):
     return None
 
 
-def _inverse_hessian(S, Y, gamma):
-    """The L-BFGS inverse-Hessian estimate of the pairs in the rows of S, Y.
+class _CurvatureMemory:
+    """The last LBFGS_MEMORY curvature pairs (s, y) of a search, with the
+    parts of the compact form that change only as pairs come and go.
+
+    The k pairs sit oldest first in the first k rows of S and Y. Alongside
+    are D, the products s_i'y_i, and the inverse of R, the upper triangle
+    of S Y', in the leading k x k block of ``Rinv``. A new pair adds a row
+    to S and Y and a column to R^-1: with r_i = s_i'y, -R^-1 r / (s'y)
+    above the new diagonal entry 1 / (s'y). When the memory is full the
+    oldest pair goes first, and each array keeps its trailing block, moved
+    to the front: the trailing block of the inverse of an upper-triangular
+    matrix is the inverse of its trailing block. ``gamma``, the scale
+    s'y / y'y of the initial matrix, is that of the latest pair.
+    """
+
+    def __init__(self, n: int):
+        self.S = np.zeros((LBFGS_MEMORY, n))
+        self.Y = np.zeros((LBFGS_MEMORY, n))
+        self.D = np.zeros((LBFGS_MEMORY, 1))
+        self.Rinv = np.zeros((LBFGS_MEMORY, LBFGS_MEMORY))
+        self.eye = np.eye(n)
+        self.k = 0
+        self.gamma = 1.0
+
+    def clear(self) -> None:
+        self.k = 0
+
+    def add(self, s, y, sy: float) -> None:
+        """Keep the pair (s, y), whose curvature s'y is ``sy`` > 0."""
+        S, Y, D, Rinv = self.S, self.Y, self.D, self.Rinv
+        k = self.k
+        if k == LBFGS_MEMORY:
+            k -= 1
+            S[:k], Y[:k], D[:k] = S[1:], Y[1:], D[1:]
+            Rinv[:k, :k] = Rinv[1:, 1:]
+        if k:
+            Rinv[:k, k] = Rinv[:k, :k].dot(S[:k].dot(y)) * (-1.0 / sy)
+        Rinv[k, k] = 1.0 / sy
+        S[k], Y[k], D[k] = s, y, sy
+        self.k = k + 1
+        self.gamma = sy / float(y.dot(y))
+
+
+def _inverse_hessian(memory: _CurvatureMemory):
+    """The L-BFGS inverse-Hessian estimate of the pairs in ``memory``.
 
     The compact form of Byrd, Nocedal & Schnabel (Math. Prog. 63, 129,
-    1994) with initial matrix gamma * I, made dense: with R the upper
-    triangle of S Y' and D its diagonal, P = R^-1 S gives
-    H = gamma I + P' (D + gamma Y Y') P - gamma (P' Y + Y' P).
+    1994) with initial matrix gamma * I, made dense: with P = R^-1 S,
+    H = gamma I + P' (D + gamma Y Y') P - gamma (P' Y + Y' P), formed as
+    gamma M'M + P' D P with M = Y' P - I.
     """
-    k, n = S.shape
-    SY = S @ Y.T
-    P = np.linalg.solve(SY * _UPPER[:k, :k], S)
-    A = gamma * (Y @ Y.T)
-    A.flat[:: k + 1] += SY.flat[:: k + 1]
-    PY = P.T @ Y
-    H = P.T @ A @ P - gamma * (PY + PY.T)
-    H.flat[:: n + 1] += gamma
+    k = memory.k
+    P = memory.Rinv[:k, :k].dot(memory.S[:k])
+    M = memory.Y[:k].T.dot(P)
+    M -= memory.eye
+    H = M.T.dot(M)
+    H *= memory.gamma
+    H += P.T.dot(memory.D[:k] * P)
     return H
 
 
@@ -461,29 +502,30 @@ def _cauchy_point(x, g, t, B, lower, upper):
     when the projected gradient vanishes."""
     pinned = [i for i, ti in enumerate(t) if ti <= 0.0]
     d = -g
-    d[pinned] = 0.0
-    if not d.any():
+    if pinned:
+        d[pinned] = 0.0
+    if not any(d.tolist()):
         return None, pinned
-    z = np.zeros(len(x))
+    # the step to the model's minimum along d from x, and, once a
+    # coordinate has reached its bound, from the point z the path has got to
+    bd = B.dot(d)
+    f2 = float(d.dot(bd))
+    dtm = -float(g.dot(d)) / f2 if f2 > 0.0 else 0.0
+    z = None
     t_old = 0.0
-
-    def segment_minimum(bd):
-        # the step to the model's minimum along d, from the current z
-        f2 = float(d @ bd)
-        return -float(g @ d + z @ bd) / f2 if f2 > 0.0 else 0.0
-
-    dtm = segment_minimum(B @ d)
-    for i in sorted((i for i, ti in enumerate(t) if 0.0 < ti < math.inf), key=t.__getitem__):
-        if dtm < t[i] - t_old:
+    for ti, i in sorted([(ti, i) for i, ti in enumerate(t) if 0.0 < ti < math.inf]):
+        if dtm < ti - t_old:
             break
         # coordinate i reaches its bound before the model stops falling
-        z += (t[i] - t_old) * d
+        z = (ti - t_old) * d if z is None else z + (ti - t_old) * d
         z[i] = (upper[i] if d[i] > 0.0 else lower[i]) - x[i]
         d[i] = 0.0
         pinned.append(i)
-        t_old = t[i]
-        dtm = segment_minimum(B @ d)
-    xc = x + z + max(dtm, 0.0) * d
+        t_old = ti
+        bd = B.dot(d)
+        f2 = float(d.dot(bd))
+        dtm = -float(g.dot(d) + z.dot(bd)) / f2 if f2 > 0.0 else 0.0
+    xc = x + max(dtm, 0.0) * d if z is None else x + z + max(dtm, 0.0) * d
     for i in pinned:
         xc[i] = upper[i] if g[i] < 0.0 else lower[i]
     return xc, pinned
@@ -502,16 +544,16 @@ def _model_target(x, g, H, lower, upper):
     if xc is None:
         return None
     if not pinned:
-        target = x - H @ g
+        target = x - H.dot(g)
     elif len(pinned) < len(x):
         free = np.ones(len(x), dtype=bool)
         free[pinned] = False
         target = xc.copy()
-        target[free] += np.linalg.solve(B[np.ix_(free, free)], -(g + B @ (xc - x))[free])
+        target[free] += np.linalg.solve(B[free][:, free], -(g + B.dot(xc - x))[free])
     else:
         target = xc
-    projected = np.clip(target, lower, upper)
-    if (projected - x) @ g <= 0.0:
+    projected = np.minimum(np.maximum(target, lower), upper)
+    if float((projected - x).dot(g)) <= 0.0:
         return projected
     du = target - xc
     return xc + min(1.0, _max_step(xc, du, lower, upper)) * du
@@ -537,6 +579,14 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
     - keeps the last LBFGS_MEMORY steps with positive curvature, and scales
       the initial matrix by the curvature of the latest.
 
+    The kept pairs live in a ``_CurvatureMemory`` that holds, besides the
+    pairs, the diagonal D and the inverse of the triangle R of the compact
+    form, kept up to date rather than rebuilt: an accepted pair appends one
+    column to R^-1, the oldest pair leaves by keeping the trailing block of
+    each array, and a reset empties the memory. H comes from it in five
+    matrix products, with no system solved; B = H^-1 serves the Cauchy
+    point and the subspace step.
+
     B starts as the identity over ``scale**2``: the first step is steepest
     descent in the coordinates (x - x0) / scale, of the size of ``scale``
     where the slope in those coordinates is of order 1. The growth cap is
@@ -555,7 +605,7 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lower), upper)
     n = len(x)
     nfev = 0
 
@@ -566,10 +616,8 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
         return value, np.array(grad, dtype=float)
 
     f, g = evaluate(x)
-    # the kept steps and gradient changes, one per row
-    steps = changes = np.empty((0, n))
-    gamma0 = scale * scale
-    gamma = gamma0
+    memory = _CurvatureMemory(n)
+    H0 = np.eye(n) * (scale * scale)
     reach = scale
     nit = 0
     status = 1 if nfev >= maxfev else None
@@ -578,50 +626,46 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
         # singular; then there is no step, and the memory is cleared as
         # after a failed line search
         try:
-            H = _inverse_hessian(steps, changes, gamma) if len(steps) else gamma * np.eye(n)
+            H = _inverse_hessian(memory) if memory.k else H0
             target = _model_target(x, g, H, lower, upper)
         except np.linalg.LinAlgError:
             target = x
         if target is None:
             status = 0
             break
-        if not np.isfinite(target).all():
-            target = x
         p = target - x
-        slope = float(p @ g)
+        # a target that is not finite gives no finite slope, and no step
+        slope = float(p.dot(g))
 
         def phi(t):
-            z = target if t == 1.0 else np.clip(x + t * p, lower, upper)
+            z = target if t == 1.0 else np.minimum(np.maximum(x + t * p, lower), upper)
             fz, gz = evaluate(z)
-            return fz, float(gz @ p), (z, gz)
+            return fz, float(gz.dot(p)), (z, gz)
 
         found = None
-        if slope < 0.0:
+        if -math.inf < slope < 0.0:
             stpmax = 1.0
             if nit:
                 stpmax = min(_max_step(x, p, lower, upper),
-                             STEP_GROWTH * reach / float(np.max(np.abs(p))))
+                             STEP_GROWTH * reach / max(map(abs, p.tolist())))
             found = _line_search(phi, f, slope, min(1.0, stpmax), stpmax,
                                  min(LS_MAX_TRIALS, maxfev - nfev))
         if found is None:
             if nfev >= maxfev:
                 status = 1
-            elif not len(steps):
+            elif not memory.k:
                 status = 2
             else:
-                steps = changes = np.empty((0, n))
-                gamma = gamma0
+                memory.clear()
             continue
         t, f_new, (x_new, g_new) = found
         nit += 1
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        move = float(np.max(np.abs(s)))
+        sy = float(s.dot(y))
+        move = max(map(abs, s.tolist()))
         settled = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0) or move <= xtol
         if sy > _EPS * -slope * t:
-            steps = np.vstack((steps[1 - LBFGS_MEMORY:], s))
-            changes = np.vstack((changes[1 - LBFGS_MEMORY:], y))
-            gamma = sy / float(y @ y)
+            memory.add(s, y, sy)
         reach = max(move, scale)
         x, f, g = x_new, f_new, g_new
         if settled:
@@ -641,11 +685,9 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
 
 def _max_step(x, d, lower, upper) -> float:
     """The largest t with x + t d inside the box (inf when d is 0)."""
-    return min(
-        ((u - xi) / di if di > 0.0 else (l - xi) / di if di < 0.0 else math.inf
-         for xi, di, l, u in zip(x.tolist(), d.tolist(), lower.tolist(), upper.tolist())),
-        default=math.inf,
-    )
+    return min([(u - xi) / di if di > 0.0 else (l - xi) / di if di < 0.0 else math.inf
+                for xi, di, l, u in zip(x.tolist(), d.tolist(), lower.tolist(), upper.tolist())],
+               default=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -795,14 +837,24 @@ def _difference_objective(portrait_fn, box: float):
     forward-difference gradient: 9 Bell numbers per call.
 
     Each coordinate steps by FD_STEP * max(1, |x_i|) toward the inside of
-    the box, so no probe leaves it.
+    the box, so no probe leaves it. A probe moves one setting, which enters
+    two of the four Bell-matrix columns; the other two are the base point's
+    portraits, kept for the call, so a call computes 20 portraits, not 36.
     """
-
-    def value(c):
-        return bell_number(bell_matrix(portrait_fn, BellSettings.from_vector(c)))
 
     def bell_value_grad(x):
         c = _clipped(x, box)
+        portraits = {}
+
+        def portrait(u, v):
+            w = portraits.get((u, v))
+            if w is None:
+                w = portraits[(u, v)] = portrait_fn(u, v)
+            return w
+
+        def value(c):
+            return bell_number(bell_matrix(portrait, BellSettings.from_vector(c)))
+
         b = value(c)
         grad = []
         for i, ci in enumerate(c):

@@ -1,11 +1,14 @@
-"""The bounded quasi-Newton search and the fused closed-form Bell objective.
+"""The bounded quasi-Newton search and the Bell objectives it climbs.
 
-The objective's gradient is checked against central differences and
-against an ``mpmath`` evaluation of the generating functions, and its
-value against the Bell-matrix route it replaces. scipy's L-BFGS-B (from
-the ``test`` extra) is the oracle for the search: with the step-growth
-cap lifted, from the same start points and in the same start-scaled
-coordinates, it must reach the same per-start maxima.
+The fused closed-form objective's gradient is checked against central
+differences and against an ``mpmath`` evaluation of the generating
+functions, and its value against the Bell-matrix route it replaces; the
+forward-difference objective against nine independent Bell numbers.
+scipy's L-BFGS-B (from the ``test`` extra) is the oracle for the search:
+with the step-growth cap lifted, from the same start points and in the
+same start-scaled coordinates, it must reach the same per-start maxima.
+The search's curvature memory is checked against the compact form built
+from scratch.
 """
 
 import math
@@ -20,6 +23,9 @@ from tomobell.bell import (
     BellSettings,
     MaximizeConfig,
     _closed_form_objective,
+    _CurvatureMemory,
+    _difference_objective,
+    _inverse_hessian,
     _start_point,
     bell_matrix,
     bell_number,
@@ -147,6 +153,62 @@ def test_minimize_recovers_from_a_singular_inverse_hessian(monkeypatch):
     assert len(calls) > 2
     assert res.success
     assert np.allclose(res.x, [0.3, -0.4, 0.5], atol=1e-7)
+
+
+def _inverse_hessian_from_scratch(S, Y, gamma):
+    """The L-BFGS inverse Hessian of the pairs in the rows of S and Y, with
+    initial matrix gamma * I: the compact form of Byrd, Nocedal & Schnabel
+    solved anew. With R the upper triangle of S Y' and D its diagonal,
+    P = R^-1 S gives H = gamma I + P' (D + gamma Y Y') P - gamma (P' Y + Y' P).
+    """
+    k, n = S.shape
+    SY = S @ Y.T
+    P = np.linalg.solve(np.triu(SY), S)
+    A = gamma * (Y @ Y.T)
+    A.flat[:: k + 1] += SY.flat[:: k + 1]
+    PY = P.T @ Y
+    H = P.T @ A @ P - gamma * (PY + PY.T)
+    H.flat[:: n + 1] += gamma
+    return H
+
+
+def test_curvature_memory_matches_the_compact_form_from_scratch():
+    # 60 pairs with a reset after 30: in each half the memory fills and
+    # then drops its oldest pair 20 times. Each pair has its own curvature
+    # along each coordinate, so every pair tells H something new.
+    rng = np.random.default_rng(31)
+    n = 8
+    memory = _CurvatureMemory(n)
+    kept = []
+    for j in range(60):
+        if j == 30:
+            memory.clear()
+            kept = []
+        assert memory.k == len(kept)
+        while True:
+            s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 1)
+            scales = 10.0 ** rng.uniform(-1, 1, n)
+            y = scales * s + 0.05 * rng.normal(size=n) * np.linalg.norm(s)
+            sy = float(s @ y)
+            if sy > 0.0:
+                break
+        memory.add(s, y, sy)
+        kept = (kept + [(s, y)])[-bell.LBFGS_MEMORY:]
+        S = np.array([pair[0] for pair in kept])
+        Y = np.array([pair[1] for pair in kept])
+        ref = _inverse_hessian_from_scratch(S, Y, sy / float(y @ y))
+        H = _inverse_hessian(memory)
+        assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref)), j
+
+
+def test_maximize_reproduces_the_readme_maxima():
+    # the README's quick-start cat and the squeezed example of criterion 3
+    cat = maximize_bell(CatState(1.0, 1.0), EO, MaximizeConfig(starts=64, seed=0))
+    assert f"{cat.f:.10f}" == "2.4693690878"
+    assert all(cat.per_start_converged)
+    squeezed = maximize_bell(GaussianSpec(SQUEEZED_M), ZN, MaximizeConfig(starts=64, seed=0))
+    assert f"{squeezed.f:.9f}" == "2.470926744"
+    assert all(squeezed.per_start_converged)
 
 
 def _scipy_start(label, index, seed=0):
@@ -290,6 +352,44 @@ def test_fused_objective_updates_the_high_water_mark(monkeypatch):
     assert get_bell_high_water() == b
     value([0.0] * 8)
     assert get_bell_high_water() >= b
+
+
+def test_difference_objective_matches_nine_bell_numbers():
+    # A truncated portrait takes the forward-difference route. Each probe
+    # moves one setting, so it reuses two of the base point's columns: 20
+    # portraits per call, and B and the gradient are those of nine
+    # independent Bell numbers, bit for bit. On the edge of the box the
+    # probe steps inward.
+    fn = make_portrait_fn(CatState(1.0, 1.0), ZN, nmax=15, tail_eps=1.0, prefer_closed_form=False)
+    calls = []
+
+    def counted(a1, a2):
+        calls.append((a1, a2))
+        return fn(a1, a2)
+
+    value = _difference_objective(counted, BOX)
+
+    def bell_at(c):
+        return bell_number(bell_matrix(fn, BellSettings.from_vector(c)))
+
+    rng = np.random.default_rng(12)
+    points = [rng.uniform(-BOX, BOX, 8) for _ in range(3)] + _edge_points(rng, 3)
+    for x in points:
+        c = x.tolist()
+        calls.clear()
+        b, grad = value(c)
+        assert len(calls) == 20
+        ref = bell_at(c)
+        ref_grad = []
+        for i, ci in enumerate(c):
+            h = bell.FD_STEP * max(1.0, abs(ci))
+            probe = list(c)
+            probe[i] = ci + h if ci + h <= BOX else ci - h
+            if abs(ci) == BOX:
+                assert abs(probe[i]) < BOX
+            ref_grad.append((bell_at(probe) - ref) / (probe[i] - ci))
+        assert b == ref
+        assert grad == ref_grad
 
 
 # --- the fused objective: gradient ----------------------------------------------
