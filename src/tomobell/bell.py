@@ -583,7 +583,7 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
     pairs, the diagonal D and the inverse of the triangle R of the compact
     form, kept up to date rather than rebuilt: an accepted pair appends one
     column to R^-1, the oldest pair leaves by keeping the trailing block of
-    each array, and a reset empties the memory. H comes from it in five
+    each array, and a reset empties the memory. H comes from it in four
     matrix products, with no system solved; B = H^-1 serves the Cauchy
     point and the subspace step.
 
