@@ -30,13 +30,11 @@ from .errors import (
     NonPhysicalSpec,
     NumericalNegativity,
     OrderOverflow,
-    SingularMatrix,
     TailTooLarge,
     TomobellError,
     UnsupportedState,
 )
 from .hermite import HermiteParams, hermite_box, hermite_eval, hermite_oracle
-from .numerics import mat4_det, mat4_inverse, stochastic_reduce
 from .portrait import (
     PartitionScheme,
     PortraitVector,
@@ -88,7 +86,6 @@ __all__ = [
     "OrderOverflow",
     "PartitionScheme",
     "PortraitVector",
-    "SingularMatrix",
     "TSIRELSON_BOUND",
     "TailTooLarge",
     "TomobellError",
@@ -114,10 +111,7 @@ __all__ = [
     "load_state",
     "make_portrait_fn",
     "make_source",
-    "mat4_det",
-    "mat4_inverse",
     "maximize_bell",
     "parse_state",
     "portrait_truncated",
-    "stochastic_reduce",
 ]

@@ -6,7 +6,8 @@ datasets as CSV scans over state-family grids.
 
 Exit codes: 0 success, 2 argument/configuration problems (including
 malformed complex literals and state files), 3 numerical failures during
-computation (truncation tail too large, negativity, singular matrices).
+computation (truncation tail too large, negativity, a Bell number above
+the Tsirelson bound).
 Every error path prints a single line ``error[<Case>]: <message>`` to
 stderr. Set TOMOBELL_LOG=debug (or info, warning) for diagnostics.
 """

@@ -10,14 +10,9 @@ class TomobellError(Exception):
     """Base class for all library errors."""
 
 
-class SingularMatrix(TomobellError):
-    """A 4x4 matrix inversion was requested but |det| fell below the
-    singularity threshold."""
-
-
 class InvalidStochasticMatrix(TomobellError):
-    """A reduction map column does not sum to 1, or the input table is not
-    a probability distribution."""
+    """A Bell matrix has an entry outside [0, 1], or a column that does not
+    sum to 1 minus its tail deficit."""
 
 
 class AsymmetricR(TomobellError):

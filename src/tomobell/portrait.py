@@ -21,6 +21,7 @@ Every other state or partition goes through a truncated table sum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,14 +34,12 @@ from .errors import (
     UnsupportedState,
 )
 from .states import (
+    _LIBRARY_SOURCES,
     _MODE1_IDX,
     _MODE2_IDX,
     DEFAULT_NMAX,
-    CatSource,
     CatState,
     CoherentProduct,
-    CoherentSource,
-    GaussianSource,
     GaussianSpec,
     TomogramSource,
     make_source,
@@ -64,38 +63,51 @@ SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 
+# the rule pairs of the canonical partitions, which have closed forms
+_CANONICAL_RULES = {(0, 0): "zero-nonzero", ("even", "even"): "even-odd"}
+
+
+def _plus_set(rule, n: np.ndarray) -> np.ndarray:
+    return n % 2 == 0 if rule == "even" else n <= rule
+
+
 class PartitionScheme:
     """Product partition of the photon lattice into four cells.
 
-    ``mode1`` and ``mode2`` are membership predicates for the "plus" set of
-    each mode; the four cells are A1xA2, A1x~A2, ~A1xA2, ~A1x~A2 and always
-    tile the lattice because the partition is a product. ``kind`` names the
-    canonical schemes so closed-form fast paths can dispatch on it.
+    ``rule1`` and ``rule2`` give the "plus" set of each mode as data: an
+    integer t >= 0 for the counts n <= t (0 is the "zero" rule: the mode
+    saw no photons), or "even" for the even counts. The four cells are
+    A1xA2, A1x~A2, ~A1xA2, ~A1x~A2 and always tile the lattice because the
+    partition is a product. ``kind`` is set here and nowhere else:
+    "zero-nonzero" for the rules (0, 0), "even-odd" for ("even", "even"),
+    and "custom" for every other pair. Closed-form fast paths dispatch on
+    it.
     """
 
-    __slots__ = ("mode1", "mode2", "kind")
+    __slots__ = ("rule1", "rule2", "kind")
 
-    def __init__(
-        self,
-        mode1: Callable[[int], bool],
-        mode2: Callable[[int], bool],
-        kind: str = "custom",
-    ):
-        self.mode1 = mode1
-        self.mode2 = mode2
-        self.kind = kind
+    def __init__(self, rule1, rule2):
+        rules = []
+        for which, rule in (("mode1", rule1), ("mode2", rule2)):
+            if rule != "even" and (
+                isinstance(rule, bool) or not isinstance(rule, numbers.Integral) or rule < 0
+            ):
+                raise InvalidParameter(
+                    f"{which} rule must be an integer t >= 0 or 'even', got {rule!r}"
+                )
+            rules.append(rule if rule == "even" else int(rule))
+        self.rule1, self.rule2 = rules
+        self.kind = _CANONICAL_RULES.get(tuple(rules), "custom")
 
     @staticmethod
     def zero_nonzero() -> "PartitionScheme":
         """Plus set = {0}: the mode saw no photons."""
-        return PartitionScheme(lambda n: n == 0, lambda n: n == 0, "zero-nonzero")
+        return PartitionScheme(0, 0)
 
     @staticmethod
     def even_odd() -> "PartitionScheme":
         """Plus set = even integers: the mode saw an even photon count."""
-        return PartitionScheme(
-            lambda n: n % 2 == 0, lambda n: n % 2 == 0, "even-odd"
-        )
+        return PartitionScheme("even", "even")
 
     @staticmethod
     def from_config(cfg) -> "PartitionScheme":
@@ -103,9 +115,8 @@ class PartitionScheme:
 
         Accepts the canonical names "zero-nonzero" and "even-odd", or a
         dict {"mode1": rule, "mode2": rule} where each rule is "zero",
-        "even", or {"threshold": t} meaning the plus set is n <= t. A
-        threshold of 0 is the "zero" rule. The pairs "zero"/"zero" and
-        "even"/"even" give the canonical schemes.
+        "even", or {"threshold": t} meaning the plus set is n <= t for an
+        integer t >= 0. "zero" is the threshold 0.
         """
         if isinstance(cfg, str):
             name = cfg.strip().lower().replace("_", "-")
@@ -118,61 +129,23 @@ class PartitionScheme:
             )
         if isinstance(cfg, dict):
 
-            def named(spec):
-                # n <= 0 keeps only n = 0: the "zero" rule
-                if isinstance(spec, dict) and "threshold" in spec and int(spec["threshold"]) == 0:
-                    return "zero"
-                return spec
-
-            rules = (named(cfg.get("mode1")), named(cfg.get("mode2")))
-            if rules == ("zero", "zero"):
-                return PartitionScheme.zero_nonzero()
-            if rules == ("even", "even"):
-                return PartitionScheme.even_odd()
-
             def rule(spec, which):
-                if spec == "zero":
-                    return lambda n: n == 0
-                if spec == "even":
-                    return lambda n: n % 2 == 0
-                if isinstance(spec, dict) and "threshold" in spec:
-                    t = int(spec["threshold"])
-                    if t < 0:
-                        raise InvalidParameter(f"{which} threshold must be >= 0")
-                    return lambda n: n <= t
+                if spec in ("zero", "even"):
+                    return 0 if spec == "zero" else spec
+                if isinstance(spec, dict) and isinstance(spec.get("threshold"), numbers.Integral):
+                    return spec["threshold"]
                 raise InvalidParameter(
                     f"bad {which} rule {spec!r}; use 'zero', 'even', or "
-                    "{'threshold': t}"
+                    "{'threshold': t} with an integer t >= 0"
                 )
-            return PartitionScheme(
-                rule(rules[0], "mode1"),
-                rule(rules[1], "mode2"),
-                "custom",
-            )
+
+            return PartitionScheme(rule(cfg.get("mode1"), "mode1"), rule(cfg.get("mode2"), "mode2"))
         raise InvalidParameter(f"cannot build a partition from {cfg!r}")
 
     def masks(self, nmax: int):
         """Boolean membership vectors for 0..nmax, one per mode."""
-        ns = range(int(nmax) + 1)
-        m1 = np.array([bool(self.mode1(n)) for n in ns])
-        m2 = np.array([bool(self.mode2(n)) for n in ns])
-        return m1, m2
-
-
-def _nonproduct_cell_sums(table: np.ndarray, cell_of: Callable[[int, int], int]):
-    """Debug-only reduction over an arbitrary cell labeling.
-
-    Non-product partitions are deliberately not constructible through
-    ``PartitionScheme``: summing a tomogram over cells that do not factor
-    as A1 x A2 yields a four-vector that is not a two-qubit distribution.
-    This helper exists so tests can demonstrate that failure.
-    """
-    out = np.zeros(4)
-    n = table.shape[0]
-    for i in range(n):
-        for j in range(n):
-            out[cell_of(i, j)] += table[i, j]
-    return out
+        n = np.arange(int(nmax) + 1)
+        return _plus_set(self.rule1, n), _plus_set(self.rule2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +251,7 @@ def portrait_truncated(
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
     table = src.tomogram_table(alpha1, alpha2, nmax)
     m1, m2 = p.masks(nmax)
-    cells = (
-        float(table[np.ix_(m1, m2)].sum()),
-        float(table[np.ix_(m1, ~m2)].sum()),
-        float(table[np.ix_(~m1, m2)].sum()),
-        float(table[np.ix_(~m1, ~m2)].sum()),
-    )
+    cells = (np.array((m1, ~m1)) @ table @ np.array((m2, ~m2)).T).ravel().tolist()
     deficit = 1.0 - sum(cells)
     if deficit > tail_eps:
         raise TailTooLarge(
@@ -586,8 +554,6 @@ _GENERATING_FUNCTIONS = (
     (GaussianSpec, _GaussianG),
 )
 _CLOSED_FORM_STATES = tuple(cls for cls, _ in _GENERATING_FUNCTIONS)
-# sources whose tomograms are known to be those of their ``state``
-_LIBRARY_SOURCES = (CatSource, CoherentSource, GaussianSource)
 
 
 class ClosedFormPortrait:

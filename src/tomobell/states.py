@@ -4,20 +4,23 @@ A photon-number tomogram w(n1, n2, alpha1, alpha2) is the probability of
 counting (n1, n2) photons in the two modes after displacing the state by
 (alpha1, alpha2). This module implements four sources:
 
-* Schroedinger cat states (superpositions of opposite coherent states),
-  through a closed formula with a log-domain branch for large amplitudes;
+* Schroedinger cat states (superpositions of opposite coherent states);
 * products of coherent states (Poisson statistics);
 * generic Gaussian states given by a 4x4 dispersion matrix and mean
-  vector, through the four-dimensional Hermite polynomials of the paper;
+  vector;
 * a brute-force Fock-basis oracle for any finite superposition of
   two-mode coherent states, used to cross-check the closed forms.
 
-Whole photon-number tables take faster routes than the scalar formulas.
-A cat or coherent table is one vectorized pass over the coherent
-superposition terms: |sum_b c_b phi_b1 (x) phi_b2|^2 with displaced Fock
-amplitude vectors phi. A Gaussian table is the array of Taylor
-coefficients of the closed-form generating function
-G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2, expanded in real arithmetic.
+Whole photon-number tables, which every truncated portrait uses, never
+go through the scalar formulas. A cat or coherent table is one
+vectorized pass over the coherent superposition terms:
+|sum_b c_b phi_b1 (x) phi_b2|^2 with displaced Fock amplitude vectors
+phi. A Gaussian table is the array of Taylor coefficients of the
+closed-form generating function G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2,
+expanded in real arithmetic. The paper's formulas belong to the scalar
+functions only: ``cat_tomogram`` keeps a closed formula with a
+log-domain branch for large amplitudes, and ``gaussian_tomogram`` the
+four-dimensional Hermite polynomials of the paper.
 
 Quadrature ordering is (p1, p2, q1, q2) everywhere a 4-vector or 4x4
 matrix appears, with p = -i(a - a^dag)/sqrt(2), q = (a + a^dag)/sqrt(2)
@@ -39,13 +42,11 @@ from .errors import (
     InvalidParameter,
     NonPhysicalSpec,
     NumericalNegativity,
-    SingularMatrix,
     UnsupportedState,
 )
 # no table here fills a Hermite box; ``hermite_box`` stays importable from
 # this module because ``perfbench/spans.py`` patches it here by name
 from .hermite import SYMMETRY_TOL, HermiteParams, hermite_box, hermite_eval  # noqa: F401
-from .numerics import mat4_det, mat4_inverse
 
 # cat-state formulas switch to (sign, log magnitude) accumulation above this
 # value of |gamma1|^2 + |gamma2|^2; cosh of anything much larger overflows
@@ -59,6 +60,9 @@ NEGATIVITY_TOL_HERMITE = 1e-9
 IMAG_RESIDUE_TOL = 1e-8
 
 R_SYMMETRY_TOL = 1e-10
+# I - 2M counts as singular when |det| <= this multiple of ||I - 2M||_F^4;
+# the fourth power keeps the test scale invariant, as det scales as c^4
+SINGULARITY_SCALE = 1e-12
 DET_BOUND_SLACK = 1e-10
 
 # photon-number truncation defaults: counts up to 30 per mode, displacement
@@ -428,10 +432,17 @@ def gaussian_effective_mean(g: GaussianSpec, alpha1: complex, alpha2: complex) -
     return m[[2, 3, 0, 1]]
 
 
+def _dispersion(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.shape != (4, 4) or not np.all(np.isfinite(M)):
+        raise ValueError(f"M must be a finite 4x4 matrix, got shape {M.shape}")
+    return M
+
+
 def gaussian_R(M) -> np.ndarray:
     """Hermite parameter matrix R = U^dag (I - 2M) (I + 2M)^{-1} U^*."""
-    M = np.asarray(M, dtype=float)
-    core = (_I4 - 2.0 * M) @ mat4_inverse(_I4 + 2.0 * M)
+    M = _dispersion(M)
+    core = (_I4 - 2.0 * M) @ np.linalg.inv(_I4 + 2.0 * M)
     R = U_MATRIX.conj().T @ core @ U_MATRIX.conj()
     asym = float(np.max(np.abs(R - R.T)))
     if asym > R_SYMMETRY_TOL:
@@ -452,21 +463,19 @@ def gaussian_y(M, shifted_mean) -> np.ndarray:
         DegenerateGaussian: when I - 2M is singular (coherent or vacuum
             state); the Poisson closed form applies there instead.
     """
-    M = np.asarray(M, dtype=float)
     mu = np.asarray(shifted_mean, dtype=float)[[2, 3, 0, 1]]
-    try:
-        inv = mat4_inverse(_I4 - 2.0 * M)
-    except SingularMatrix as exc:
+    a = _I4 - 2.0 * _dispersion(M)
+    if abs(np.linalg.det(a)) <= SINGULARITY_SCALE * float(np.linalg.norm(a)) ** 4:
         raise DegenerateGaussian(
             "I - 2M is singular; the state has coherent-state photon statistics"
-        ) from exc
-    return 2.0 * U_MATRIX.T @ (inv @ mu)
+        )
+    return 2.0 * U_MATRIX.T @ (np.linalg.inv(a) @ mu)
 
 
 def _gaussian_prefactor(g: GaussianSpec, alpha1: complex, alpha2: complex) -> float:
     mu = gaussian_effective_mean(g, alpha1, alpha2)
-    quad = float(mu @ mat4_inverse(2.0 * g.M + _I4) @ mu)
-    det = float(mat4_det(g.M + 0.5 * _I4).real)
+    quad = float(mu @ np.linalg.inv(2.0 * g.M + _I4) @ mu)
+    det = float(np.linalg.det(g.M + 0.5 * _I4))
     return math.exp(-quad) / math.sqrt(det)
 
 
@@ -673,8 +682,8 @@ class TomogramSource:
         return out
 
 
-class _SuperpositionSource(TomogramSource):
-    """Cat and coherent sources: tables in one pass over the state's terms."""
+class _LibrarySource(TomogramSource):
+    """A library state's source: whole tables come from the state itself."""
 
     def __init__(self, state):
         self.state = state
@@ -682,30 +691,34 @@ class _SuperpositionSource(TomogramSource):
     def tomogram_table(self, alpha1, alpha2, nmax):
         # a subclass may override ``tomogram``, so only the library's own
         # classes are known to tabulate the state itself
-        if type(self) not in (CatSource, CoherentSource):
+        if type(self) not in _LIBRARY_SOURCES:
             return super().tomogram_table(alpha1, alpha2, nmax)
-        return coherent_superposition_table(self.state, alpha1, alpha2, nmax)
+        return self._table(self.state, alpha1, alpha2, nmax)
 
 
-class CatSource(_SuperpositionSource):
+class CatSource(_LibrarySource):
+    _table = staticmethod(coherent_superposition_table)
+
     def tomogram(self, n1, n2, alpha1, alpha2):
         return cat_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
-class CoherentSource(_SuperpositionSource):
+class CoherentSource(_LibrarySource):
+    _table = staticmethod(coherent_superposition_table)
+
     def tomogram(self, n1, n2, alpha1, alpha2):
         return coherent_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
-class GaussianSource(TomogramSource):
-    def __init__(self, state: GaussianSpec):
-        self.state = state
+class GaussianSource(_LibrarySource):
+    _table = staticmethod(gaussian_tomogram_table)
 
     def tomogram(self, n1, n2, alpha1, alpha2):
         return gaussian_tomogram(self.state, n1, n2, alpha1, alpha2)
 
-    def tomogram_table(self, alpha1, alpha2, nmax):
-        return gaussian_tomogram_table(self.state, alpha1, alpha2, nmax)
+
+# sources whose tomograms are known to be those of their ``state``
+_LIBRARY_SOURCES = (CatSource, CoherentSource, GaussianSource)
 
 
 class FockOracleSource(TomogramSource):

@@ -10,12 +10,10 @@ from tomobell.errors import (
     NumericalNegativity,
     TailTooLarge,
 )
-from tomobell.numerics import stochastic_reduce
 from tomobell.portrait import (
     ClosedFormPortrait,
     PartitionScheme,
     PortraitVector,
-    _nonproduct_cell_sums,
     cat_portrait_even_odd,
     cat_portrait_zero_nonzero,
     coherent_portrait_even_odd,
@@ -31,9 +29,11 @@ from tomobell.states import (
     CatState,
     CoherentProduct,
     FockOracleSource,
+    GaussianSource,
     GaussianSpec,
     cat_tomogram,
     gaussian_purity_family,
+    gaussian_tomogram,
     gaussian_tomogram_table,
     make_source,
 )
@@ -53,6 +53,23 @@ SQUEEZED_M = np.array([
 
 def _random_amplitude(scale=1.0):
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+def _nonproduct_cell_sums(table, cell_of):
+    """Reduction over an arbitrary cell labeling, one table entry at a time.
+
+    Non-product partitions are deliberately not constructible through
+    ``PartitionScheme``: summing a tomogram over cells that do not factor
+    as A1 x A2 yields a four-vector that is not a two-qubit distribution.
+    With a product labeling this is also an entry-by-entry oracle for the
+    truncated portrait.
+    """
+    out = np.zeros(4)
+    n = table.shape[0]
+    for i in range(n):
+        for j in range(n):
+            out[cell_of(i, j)] += table[i, j]
+    return out
 
 
 # --- partitions --------------------------------------------------------------
@@ -116,8 +133,15 @@ def test_partition_from_config_zero_threshold_is_zero_rule():
     m1, m2 = t.masks(2)
     assert list(m1) == [True, True, False]
     assert list(m2) == [True, False, False]
-    with pytest.raises(InvalidParameter):
-        PartitionScheme.from_config({"mode1": {"threshold": -1}, "mode2": "zero"})
+    # a threshold is an integer: no bool (False == 0 would spell zero-nonzero),
+    # no fraction, no string
+    for bad in (-1, True, False, 2.5, 0.0, "1", "even", None):
+        with pytest.raises(InvalidParameter):
+            PartitionScheme.from_config({"mode1": {"threshold": bad}, "mode2": "zero"})
+    for bad in ((False, 0), (0, True), (1.0, 1), (-2, "even"), ("odd", 0)):
+        with pytest.raises(InvalidParameter):
+            PartitionScheme(*bad)
+    assert PartitionScheme(np.int64(0), 0).kind == "zero-nonzero"
 
 
 def test_nonproduct_partitions_only_through_debug_helper():
@@ -185,20 +209,21 @@ def test_truncated_parameter_validation():
         portrait_truncated(s, zn, 0j, 0j, tail_eps=0.0)
 
 
-def test_truncated_equals_stochastic_reduce():
-    # cell sums over a partition are one specific stochastic reduction of
-    # the full table; both routes must produce the same numbers
+def test_truncated_equals_per_entry_cell_sums():
+    # the truncated portrait reduces the table in one matrix product; the
+    # entry-by-entry sum over the product labeling must give the same cells
     s = make_source(CatState(1.0, 0.8 + 0.4j))
     nmax = 30
     a1, a2 = 0.4 - 0.2j, 0.1 + 0.3j
     table = s.tomogram_table(a1, a2, nmax)
-    for p in (PartitionScheme.zero_nonzero(), PartitionScheme.even_odd()):
+    partitions = [PartitionScheme.zero_nonzero(), PartitionScheme.even_odd()]
+    partitions += [PartitionScheme(t, t) for t in (1, 2, 3)]
+    partitions += [PartitionScheme(2, "even"), PartitionScheme("even", 0)]
+    for p in partitions:
         v = portrait_truncated(s, p, a1, a2, nmax=nmax)
         m1, m2 = p.masks(nmax)
-        rows = np.vstack([m1.astype(float), 1.0 - m1.astype(float)])
-        cols = np.vstack([m2.astype(float), 1.0 - m2.astype(float)])
-        reduced = stochastic_reduce(table / table.sum(), rows, cols) * table.sum()
-        assert np.max(np.abs(v.as_array() - reduced.ravel())) < 1e-12
+        cells = _nonproduct_cell_sums(table, lambda i, j: 2 * (not m1[i]) + (not m2[j]))
+        assert np.max(np.abs(v.as_array() - cells)) < 1e-12
 
 
 # --- closed forms vs truncation ------------------------------------------------
@@ -347,28 +372,42 @@ def test_make_portrait_fn_prefers_closed_forms():
     assert np.array_equal(v.as_array(), direct.as_array())
 
 
+def _fence(alpha1):
+    if abs(alpha1) > 1.4:
+        raise TailTooLarge(1.0, f"|alpha1|={abs(alpha1):.3f} beyond fence")
+
+
 class _FencedSource(CatSource):
     """A library source whose subclass refuses settings beyond a fence."""
 
     def tomogram(self, n1, n2, alpha1, alpha2):
-        if abs(alpha1) > 1.4:
-            raise TailTooLarge(1.0, f"|alpha1|={abs(alpha1):.3f} beyond fence")
+        _fence(alpha1)
         return cat_tomogram(self.state, n1, n2, alpha1, alpha2)
+
+
+class _FencedGaussianSource(GaussianSource):
+    def tomogram(self, n1, n2, alpha1, alpha2):
+        _fence(alpha1)
+        return gaussian_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
 def test_make_portrait_fn_closed_forms_only_for_library_sources():
     # a subclass may override its tomograms, so only the state object and
-    # the library's own source classes are given the closed form
-    state = CatState(1, 1)
+    # the library's own source classes are given the closed form, and the
+    # subclass's tables are built from its own tomogram
     zn = PartitionScheme.zero_nonzero()
-    fenced = make_portrait_fn(_FencedSource(state), zn, nmax=12, tail_eps=1.0)
-    with pytest.raises(TailTooLarge):
-        fenced(1.5, 0j)
-    inside = fenced(0.5, 0j)
-    assert inside.tail_deficit > 0.0
-    closed = make_portrait_fn(CatSource(state), zn)(1.5, 0j)
-    assert closed.tail_deficit == 0.0
-    assert closed == make_portrait_fn(state, zn)(1.5, 0j)
+    for fenced_cls, state in ((_FencedSource, CatState(1, 1)),
+                              (_FencedGaussianSource, gaussian_purity_family(0.9, 0.0))):
+        fenced = make_portrait_fn(fenced_cls(state), zn, nmax=12, tail_eps=1.0)
+        with pytest.raises(TailTooLarge):
+            fenced(1.5, 0j)
+        with pytest.raises(TailTooLarge):
+            portrait_truncated(fenced_cls(state), zn, 1.5, 0j, nmax=12, tail_eps=1.0)
+        inside = fenced(0.5, 0j)
+        assert inside.tail_deficit > 0.0
+        closed = make_portrait_fn(fenced_cls.__base__(state), zn)(1.5, 0j)
+        assert closed.tail_deficit == 0.0
+        assert closed == make_portrait_fn(state, zn)(1.5, 0j)
 
 
 def test_make_portrait_fn_truncated_fallback():

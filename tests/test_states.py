@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tomobell.errors import (
+    DegenerateGaussian,
     InvalidParameter,
     NonPhysicalSpec,
     NumericalNegativity,
@@ -24,6 +25,7 @@ from tomobell.states import (
     gaussian_effective_mean,
     gaussian_purity_family,
     gaussian_shifted_mean,
+    gaussian_tomogram,
     gaussian_tomogram_table,
     gaussian_y,
     load_state,
@@ -150,6 +152,32 @@ def test_gaussian_y_worked_value():
     y = gaussian_y(SQUEEZED_M, gaussian_shifted_mean(g, 1j, 0j))
     want = np.array([1.0, -math.sqrt(3), 1.0, -math.sqrt(3)])
     assert np.max(np.abs(y - want)) < 1e-10
+
+
+def test_degenerate_gaussian_refused():
+    # at the vacuum M = I/2, I - 2M vanishes and the Hermite route is undefined
+    vacuum = np.eye(4) / 2
+    with pytest.raises(DegenerateGaussian):
+        gaussian_y(vacuum, np.zeros(4))
+    with pytest.raises(DegenerateGaussian):
+        gaussian_tomogram(GaussianSpec(vacuum), 0, 0, 0.3j, 0j)
+
+
+def test_degenerate_gaussian_guard_is_scale_invariant():
+    # I - 2M = 1e-8 * ones is a tiny multiple of a singular matrix and is
+    # refused; I - 2M = 1e-3 * I is small but well conditioned and is not
+    with pytest.raises(DegenerateGaussian):
+        gaussian_y((np.eye(4) - 1e-8 * np.ones((4, 4))) / 2, np.zeros(4))
+    y = gaussian_y((1.0 - 1e-3) * np.eye(4) / 2, np.ones(4))
+    assert np.all(np.isfinite(y))
+
+
+def test_gaussian_R_and_y_reject_malformed_M():
+    for bad in (np.eye(3), np.ones(4), np.where(np.eye(4) > 0, np.nan, 0.0)):
+        with pytest.raises(ValueError):
+            gaussian_R(bad)
+        with pytest.raises(ValueError):
+            gaussian_y(bad, np.zeros(4))
 
 
 def test_thermal_diagonal_is_geometric():
