@@ -231,7 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="CSV output path (default: stdout)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent grid points")
+                   help="concurrent grid points (worker processes, at most one per point)")
     p.add_argument("--box", type=float, default=2.0)
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -392,7 +392,6 @@ def cmd_scan(args) -> int:
         raise InvalidParameter("scan grid is empty")
     if args.jobs < 1:
         raise InvalidParameter(f"--jobs must be >= 1, got {args.jobs}")
-    log.info("scan %s: %d grid points, %d jobs", args.preset, len(grid), args.jobs)
 
     cfg_fields = dict(box=args.box, starts=args.starts, seed=args.seed,
                       max_iters=args.max_iters, nmax=args.nmax, tail_eps=args.tail_eps)
@@ -405,10 +404,13 @@ def cmd_scan(args) -> int:
         for idx, (p1, p2) in enumerate(grid)
     ]
 
-    if args.jobs == 1:
+    # a process pool starts all its workers at once, needed or not
+    jobs = min(args.jobs, len(tasks))
+    log.info("scan %s: %d grid points, %d jobs", args.preset, len(grid), jobs)
+    if jobs == 1:
         rows = [_scan_point(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_point, *zip(*tasks)))
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout

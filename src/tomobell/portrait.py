@@ -227,6 +227,12 @@ def _vector(checked) -> PortraitVector:
 # ---------------------------------------------------------------------------
 
 
+def _check_nmax(nmax) -> None:
+    """Raise unless nmax is an integer >= 1 (a bool is no integer here)."""
+    if isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral) or nmax < 1:
+        raise InvalidParameter(f"nmax must be an integer >= 1, got {nmax!r}")
+
+
 def portrait_truncated(
     src: TomogramSource,
     p: PartitionScheme,
@@ -245,8 +251,7 @@ def portrait_truncated(
         TailTooLarge: deficit > tail_eps (carries the deficit value).
         NumericalNegativity: propagated from the table evaluation.
     """
-    if nmax < 1:
-        raise InvalidParameter(f"nmax must be >= 1, got {nmax}")
+    _check_nmax(nmax)
     if not tail_eps > 0.0:
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
     table = src.tomogram_table(alpha1, alpha2, nmax)
@@ -719,6 +724,7 @@ def make_portrait_fn(
     and tail_eps, as does everything else. The returned callable is what
     the Bell-matrix assembly and the maximizer consume.
     """
+    _check_nmax(nmax)
     state = src.state if type(src) in _LIBRARY_SOURCES else src
     if (
         prefer_closed_form

@@ -204,7 +204,7 @@ def test_maximize_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("seed", -1), ("seed", 1.0), ("seed", "0"), ("starts", 2.5), ("starts", True),
-    ("max_iters", 100.0), ("max_iters", None),
+    ("max_iters", 100.0), ("max_iters", None), ("nmax", 15.5), ("nmax", True), ("nmax", "15"),
 ])
 def test_maximize_config_requires_integers(field, value):
     # these used to be accepted and fail later, inside numpy or range()

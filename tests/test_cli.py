@@ -249,6 +249,35 @@ def test_scan_jobs_agree_with_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_scan_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
+    # a stand-in pool records its size and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("tomobell.cli.ProcessPoolExecutor", SerialPool)
+    base = ["scan", "--preset", "cat-even-odd", "--param2", "1", "--starts", "2", "--seed", "2"]
+    for param1, jobs, size in (("0,1,2", "8", [3]), ("0,1,2", "2", [2]), ("1", "8", [])):
+        serial = tmp_path / f"serial-{param1}.csv"
+        pooled = tmp_path / f"pooled-{param1}-{jobs}.csv"
+        assert main(base + ["--param1", param1, "--out", str(serial)]) == 0
+        sizes.clear()
+        assert main(base + ["--param1", param1, "--jobs", jobs, "--out", str(pooled)]) == 0
+        assert sizes == size
+        assert pooled.read_bytes() == serial.read_bytes()
+
+
 def test_scan_error_rows_continue(tmp_path):
     import csv
 

@@ -8,7 +8,8 @@ scipy's L-BFGS-B (from the ``test`` extra) is the oracle for the search:
 with the step-growth cap lifted, from the same start points and in the
 same start-scaled coordinates, it must reach the same per-start maxima.
 The search's curvature memory is checked against the compact form built
-from scratch.
+from scratch, and its model target against the route that always forms
+B = H^-1 and the generalized Cauchy point.
 """
 
 import math
@@ -23,9 +24,12 @@ from tomobell.bell import (
     BellSettings,
     MaximizeConfig,
     _closed_form_objective,
+    _breakpoints,
+    _cauchy_point,
     _CurvatureMemory,
     _difference_objective,
     _inverse_hessian,
+    _max_step,
     _start_point,
     bell_matrix,
     bell_number,
@@ -201,14 +205,118 @@ def test_curvature_memory_matches_the_compact_form_from_scratch():
         assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref)), j
 
 
+def _model_target_with_cauchy_point(x, g, H, lower, upper):
+    """The model target through B = H^-1 and the generalized Cauchy point
+    on every call, as the search found it before the pin bound."""
+    B = np.linalg.inv(H)
+    xc, pinned = _cauchy_point(x, g, _breakpoints(x, g, lower, upper), B, lower, upper)
+    if xc is None:
+        return None
+    if not pinned:
+        target = x - H.dot(g)
+    elif len(pinned) < len(x):
+        free = np.ones(len(x), dtype=bool)
+        free[pinned] = False
+        target = xc.copy()
+        target[free] += np.linalg.solve(B[free][:, free], -(g + B.dot(xc - x))[free])
+    else:
+        target = xc
+    projected = np.minimum(np.maximum(target, lower), upper)
+    if float((projected - x).dot(g)) <= 0.0:
+        return projected
+    du = target - xc
+    return xc + min(1.0, _max_step(xc, du, lower, upper)) * du
+
+
+def _random_curvature_memory(rng, n, spread):
+    """A memory of 1 to 19 random pairs, each with its own curvature along
+    each coordinate, from 10**-spread to 10**spread, and a noise term that
+    can leave s'y small against |s| |y|."""
+    memory = _CurvatureMemory(n)
+    for _ in range(rng.integers(1, 2 * bell.LBFGS_MEMORY)):
+        while True:
+            s = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+            y = 10.0 ** rng.uniform(-spread, spread, n) * s
+            y += 10.0 ** rng.uniform(-8, -1) * rng.normal(size=n) * np.linalg.norm(s)
+            sy = float(s @ y)
+            if sy > 0.0:
+                break
+        memory.add(s, y, sy)
+    return memory
+
+
+def test_model_target_skips_the_cauchy_point_only_where_it_pins_nothing(monkeypatch):
+    # The pin bound must not move a single target: against the route that
+    # always inverts H and finds the Cauchy point, bit for bit, for H from
+    # well- and ill-conditioned memories (condition numbers up to about
+    # 1e13), x inside the box, within 1e-9 of a face and on a face, and
+    # gradients that are random or near the extreme eigenvectors of H.
+    # Every third interior case moves a face so that the first breakpoint
+    # lies just above or below the bound g'Hg / g'g.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _cauchy_point(*args)
+
+    monkeypatch.setattr(bell, "_cauchy_point", counted)
+    rng = np.random.default_rng(10)
+    n = 8
+    interior = skipped = 0
+    for case in range(3000):
+        H = _inverse_hessian(_random_curvature_memory(rng, n, spread=1 if case % 2 else 8))
+        lower, upper = np.full(n, -1.0), np.full(n, 1.0)
+        x = rng.uniform(-0.9, 0.9, n)
+        where = case % 3
+        if where:
+            i = rng.integers(n)
+            x[i] = rng.choice([-1.0, 1.0]) * (1.0 if where == 2 else 1.0 - 10.0 ** rng.uniform(-12, -9))
+        w, v = np.linalg.eigh(H)
+        direction = rng.integers(3)
+        if direction:
+            g = v[:, 0 if direction == 1 else -1] + 10.0 ** rng.uniform(-16, -2) * rng.normal(size=n)
+        else:
+            g = rng.normal(size=n)
+        # steps Hg from well inside the box to far beyond it
+        g *= 10.0 ** rng.uniform(-4, 1) / w[-1]
+        near_bound = where == 0 and case % 9 == 0
+        if near_bound:
+            rq = float(g @ H @ g) / float(g @ g)
+            t = rq * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16, -1))
+            i = int(np.argmax(np.abs(g)))
+            if g[i] > 0.0:
+                lower[i] = x[i] - t * g[i]
+            else:
+                upper[i] = x[i] - t * g[i]
+        try:
+            ref = _model_target_with_cauchy_point(x, g, H, lower, upper)
+        except np.linalg.LinAlgError:
+            # H singular to LU, the one case where the routes may part:
+            # there the search clears its memory, unless the bound holds
+            # and the target is x - Hg
+            continue
+        calls.clear()
+        got = bell._model_target(x, g, H, lower, upper)
+        assert (got is None) == (ref is None), case
+        if ref is not None:
+            assert got.tobytes() == ref.tobytes(), case
+        if where == 0 and not near_bound:
+            interior += 1
+            skipped += not calls
+    assert skipped > 0.75 * interior, (skipped, interior)
+
+
 def test_maximize_reproduces_the_readme_maxima():
-    # the README's quick-start cat and the squeezed example of criterion 3
+    # the README's quick-start cat and the squeezed example of criterion 3,
+    # with their call counts, so that any change to the iterates shows here
     cat = maximize_bell(CatState(1.0, 1.0), EO, MaximizeConfig(starts=64, seed=0))
     assert f"{cat.f:.10f}" == "2.4693690878"
     assert all(cat.per_start_converged)
+    assert cat.evaluations == 1836
     squeezed = maximize_bell(GaussianSpec(SQUEEZED_M), ZN, MaximizeConfig(starts=64, seed=0))
     assert f"{squeezed.f:.9f}" == "2.470926744"
     assert all(squeezed.per_start_converged)
+    assert squeezed.evaluations == 2023
 
 
 def _scipy_start(label, index, seed=0):

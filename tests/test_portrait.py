@@ -209,6 +209,26 @@ def test_truncated_parameter_validation():
         portrait_truncated(s, zn, 0j, 0j, tail_eps=0.0)
 
 
+@pytest.mark.parametrize("nmax", [15.5, True, "15"])
+def test_nmax_must_be_an_integer(nmax):
+    # 15.5 used to tabulate at 15 and True at 1; "15" failed inside a comparison
+    state = CatState(1.0, 1.0)
+    zn = PartitionScheme.zero_nonzero()
+    with pytest.raises(InvalidParameter, match="nmax"):
+        portrait_truncated(make_source(state), zn, 0.1j, 0.2, nmax=nmax)
+    with pytest.raises(InvalidParameter, match="nmax"):
+        make_portrait_fn(state, zn, nmax=nmax)
+
+
+def test_nmax_accepts_numpy_integers():
+    state = CatState(1.0, 1.0)
+    zn = PartitionScheme.zero_nonzero()
+    v = portrait_truncated(make_source(state), zn, 0.1j, 0.2, nmax=np.int64(15))
+    assert v == portrait_truncated(make_source(state), zn, 0.1j, 0.2, nmax=15)
+    fn = make_portrait_fn(state, zn, nmax=np.int64(15), prefer_closed_form=False)
+    assert fn(0.1j, 0.2) == v
+
+
 def test_truncated_equals_per_entry_cell_sums():
     # the truncated portrait reduces the table in one matrix product; the
     # entry-by-entry sum over the product labeling must give the same cells
