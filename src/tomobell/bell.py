@@ -41,6 +41,7 @@ from .portrait import (
     _check_nmax,
     make_portrait_fn,
 )
+from .states import DEFAULT_BOX
 
 # fixed CHSH sign pattern: rows follow the portrait cell order
 # (++, +-, -+, --), columns follow the setting pairs of BellSettings.pairs()
@@ -56,11 +57,11 @@ I_MATRIX = np.array(
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 # computed Bell numbers above the bound by more than this signal a bug
 CEILING_TOL = 1e-6
-# Bell matrix entries may undershoot 0 or overshoot 1 by at most this
-ENTRY_TOL = 1e-9
-_ENTRY_LOW, _ENTRY_HIGH = -ENTRY_TOL, 1.0 + ENTRY_TOL
-# column mass must balance against the recorded tail deficit to within this;
-# the same bound as a portrait's, so a checked portrait is a balanced column
+# Bell matrix entries may undershoot 0 or overshoot 1 by at most this, and
+# column mass must balance against the recorded tail deficit to within
+# that; both are a portrait's sum bound, so every checked portrait (clamped
+# at 0, summing to 1 within SUM_TOL) is an in-range, balanced column
+ENTRY_TOL = SUM_TOL
 COLUMN_TOL = SUM_TOL
 
 VERDICT_SEPARABLE = "SEPARABLE-CONSISTENT"
@@ -168,14 +169,6 @@ class BellMatrix:
         object.__setattr__(self, "column_deficits", d)
 
 
-def _check_entry_range(columns) -> None:
-    """Raise unless every cell of each (w++, w+-, w-+, w--, deficit) column
-    lies in [0, 1] up to ENTRY_TOL."""
-    for w_pp, w_pm, w_mp, w_mm, _ in columns:
-        if min(w_pp, w_pm, w_mp, w_mm) < _ENTRY_LOW or max(w_pp, w_pm, w_mp, w_mm) > _ENTRY_HIGH:
-            raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
-
-
 def bell_matrix(
     portrait_fn: Callable[[complex, complex], PortraitVector], s: BellSettings
 ) -> BellMatrix:
@@ -184,10 +177,10 @@ def bell_matrix(
     Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2). A portrait function
     with a ``bell_columns`` method (the closed forms of
     ``make_portrait_fn``) evaluates all four columns in one call and has
-    already checked each column as a portrait; only the entry range is
-    checked here. Any other callable is called once per column. Portrait
-    errors (truncation tail too large, negative cells) propagate to the
-    caller.
+    already checked each column as a portrait, which puts every entry in
+    [0, 1 + ENTRY_TOL]; nothing is checked again. Any other callable is
+    called once per column. Portrait errors (truncation tail too large,
+    negative cells) propagate to the caller.
     """
     bell_columns = getattr(portrait_fn, "bell_columns", None)
     if bell_columns is None:
@@ -199,7 +192,6 @@ def bell_matrix(
             deficits.append(v.tail_deficit)
         return BellMatrix(np.column_stack(cols), np.array(deficits))
     columns = bell_columns(s)
-    _check_entry_range(columns)
     # one row per column: the four cells, then the tail deficit
     rows = np.array(columns)
     m = object.__new__(BellMatrix)
@@ -736,7 +728,7 @@ class MaximizeConfig:
     used.
     """
 
-    box: float = 2.0
+    box: float = DEFAULT_BOX
     starts: int = 64
     seed: int = 0
     max_iters: int = 2000
@@ -746,8 +738,8 @@ class MaximizeConfig:
     tail_eps: float = DEFAULT_TAIL_EPS
 
     def __post_init__(self):
-        if not (self.box > 0.0 and math.isfinite(self.box)):
-            raise InvalidParameter(f"box must be positive, got {self.box}")
+        if isinstance(self.box, bool) or not (self.box > 0.0 and math.isfinite(self.box)):
+            raise InvalidParameter(f"box must be a positive number, got {self.box!r}")
         for name in ("starts", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -823,9 +815,9 @@ def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
     bell_number(bell_matrix(portrait_fn, BellSettings.from_vector(
     np.clip(x, -box, box)))) up to the order of the last sums, with the
     same checks and errors: the coordinates are clipped into the box, every
-    column passes the portrait checks and then the Bell-matrix entry range,
-    B = |E0 + E1 + E2 - E3| from the column correlations
-    E = w++ - w+- - w-+ + w--, and B is recorded in the high-water mark.
+    column passes the portrait checks, B = |E0 + E1 + E2 - E3| from the
+    column correlations E = w++ - w+- - w-+ + w--, and B is recorded in the
+    high-water mark.
     The gradient is the exact derivative of the closed form at the clipped
     point, from the derivatives of its per-mode terms; on the box edge it
     is the derivative from inside. No settings object or array is built.
@@ -838,9 +830,7 @@ def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
         a2, b2 = mode2(complex(c[4], c[5])), mode2(complex(c[6], c[7]))
         (k0, g0), (k1, g1), (k2, g2), (k3, g3) = (
             column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2))
-        columns = (k0, k1, k2, k3)
-        _check_entry_range(columns)
-        e = [w_pp - w_pm - w_mp + w_mm for w_pp, w_pm, w_mp, w_mm, _ in columns]
+        e = [w_pp - w_pm - w_mp + w_mm for w_pp, w_pm, w_mp, w_mm, _ in (k0, k1, k2, k3)]
         chsh = e[0] + e[1] + e[2] - e[3]
         b = abs(chsh)
         _record_bell(b)

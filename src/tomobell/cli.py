@@ -46,7 +46,7 @@ from .portrait import (
     PartitionScheme,
     make_portrait_fn,
 )
-from .states import CatState, gaussian_purity_family, load_state, make_source
+from .states import DEFAULT_BOX, CatState, gaussian_purity_family, load_state, make_source
 
 log = logging.getLogger("tomobell.cli")
 
@@ -161,14 +161,10 @@ def _add_truncation_args(p):
                    help="photon-number cutoff for truncated portraits")
     p.add_argument("--tail-eps", type=float, default=None, metavar="EPS",
                    help="largest acceptable truncation tail deficit")
-    p.add_argument("--method", choices=("auto", "closed", "truncated"),
-                   default="auto",
-                   help="portrait evaluation path (auto prefers closed "
-                        "forms unless --nmax/--tail-eps are given)")
 
 
 def _add_box_args(p):
-    p.add_argument("--box", type=float, default=2.0, metavar="B",
+    p.add_argument("--box", type=float, default=DEFAULT_BOX, metavar="B",
                    help="bound on |Re| and |Im| of every setting")
     p.add_argument("--box-enforce", choices=("off", "strict"), default="off",
                    help="strict rejects supplied settings outside the box")
@@ -211,7 +207,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("maximize", help="maximize B over settings in the box")
     _add_state_arg(p)
     _add_partition_arg(p)
-    p.add_argument("--box", type=float, default=2.0)
+    p.add_argument("--box", type=float, default=DEFAULT_BOX)
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
@@ -232,7 +228,7 @@ def build_parser() -> _Parser:
                    help="CSV output path (default: stdout)")
     p.add_argument("--jobs", type=int, default=1,
                    help="concurrent grid points (worker processes, at most one per point)")
-    p.add_argument("--box", type=float, default=2.0)
+    p.add_argument("--box", type=float, default=DEFAULT_BOX)
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
@@ -245,8 +241,8 @@ def build_parser() -> _Parser:
 
 def _parse_settings(args, names) -> List[complex]:
     values = [parse_complex(getattr(args, n)) for n in names]
-    if getattr(args, "box_enforce", "off") == "strict":
-        box = float(getattr(args, "box", 2.0))
+    if args.box_enforce == "strict":
+        box = args.box
         for n, z in zip(names, values):
             if abs(z.real) > box or abs(z.imag) > box:
                 raise InvalidParameter(
@@ -257,18 +253,16 @@ def _parse_settings(args, names) -> List[complex]:
 
 
 def _portrait_fn_for(args, src):
-    """Resolve the portrait path from --method/--nmax/--tail-eps flags."""
+    """The portrait function: truncated when --nmax or --tail-eps is given,
+    else a closed form wherever the state and partition have one."""
     p = PartitionScheme.from_config(args.partition)
+    truncated = args.nmax is not None or args.tail_eps is not None
     nmax = DEFAULT_NMAX if args.nmax is None else args.nmax
     tail_eps = DEFAULT_TAIL_EPS if args.tail_eps is None else args.tail_eps
-    method = args.method
-    if method == "auto":
-        explicit = args.nmax is not None or args.tail_eps is not None
-        method = "truncated" if explicit else "closed"
-    prefer_closed = method == "closed"
     fn = make_portrait_fn(src, p, nmax=nmax, tail_eps=tail_eps,
-                          prefer_closed_form=prefer_closed)
-    log.debug("portrait path: %s (nmax=%d, tail_eps=%g)", method, nmax, tail_eps)
+                          prefer_closed_form=not truncated)
+    log.debug("portrait path: %s (nmax=%d, tail_eps=%g)",
+              "truncated" if truncated else "closed", nmax, tail_eps)
     return fn
 
 

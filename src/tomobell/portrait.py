@@ -38,6 +38,8 @@ from .states import (
     _MODE1_IDX,
     _MODE2_IDX,
     DEFAULT_NMAX,
+    NEGATIVITY_TOL,
+    NEGATIVITY_TOL_HERMITE,
     CatState,
     CoherentProduct,
     GaussianSpec,
@@ -45,11 +47,12 @@ from .states import (
     make_source,
 )
 
-# closed-form cells are plain exp/cos arithmetic; anything below this is a bug
-NEGATIVITY_FLOOR_CLOSED = -1e-12
-# cells summed from truncated tables or assembled from Gaussian quadratic
-# forms tolerate slightly more rounding
-NEGATIVITY_FLOOR_LOG = -1e-9
+# Cells may dip below 0 by rounding: by NEGATIVITY_TOL where they are plain
+# exp/cos arithmetic (cat and coherent closed forms), by the looser
+# NEGATIVITY_TOL_HERMITE where they are summed from truncated tables or
+# assembled from Gaussian quadratic forms. Anything lower raises
+# NumericalNegativity.
+
 # component sums must balance against the tail deficit to within this
 SUM_TOL = 1e-9
 
@@ -153,10 +156,10 @@ class PartitionScheme:
 # ---------------------------------------------------------------------------
 
 
-def _checked_cells(cells, deficit: float, floor: float, what: str):
+def _checked_cells(cells, deficit: float, tol: float, what: str):
     """Run the portrait checks once; return (w_pp, w_pm, w_mp, w_mm, deficit).
 
-    Cells and deficit must be finite and at or above ``floor``; values
+    Cells and deficit must be finite and at or above ``-tol``; values
     below 0 that pass are clamped to 0 after the check. The clamped cells
     plus the deficit must sum to 1 within SUM_TOL.
     """
@@ -165,11 +168,11 @@ def _checked_cells(cells, deficit: float, floor: float, what: str):
         raise NumericalNegativity(f"{what}: components must be finite")
     low = min(cells)
     if low < 0.0:
-        if low < floor:
-            raise NumericalNegativity(f"{what}: cell value {low:.6e} below {floor:.0e}")
+        if low < -tol:
+            raise NumericalNegativity(f"{what}: cell value {low:.6e} below {-tol:.0e}")
         w_pp, w_pm, w_mp, w_mm = (max(c, 0.0) for c in cells)
     if deficit < 0.0:
-        if deficit < floor:
+        if deficit < -tol:
             raise NumericalNegativity(f"{what}: tail deficit {deficit:.6e} negative")
         deficit = 0.0
     total = w_pp + w_pm + w_mp + w_mm + deficit
@@ -200,7 +203,7 @@ class PortraitVector:
         _checked_cells(
             (self.w_pp, self.w_pm, self.w_mp, self.w_mm),
             self.tail_deficit,
-            NEGATIVITY_FLOOR_CLOSED,
+            NEGATIVITY_TOL,
             "portrait",
         )
 
@@ -265,7 +268,7 @@ def portrait_truncated(
             f"> tail_eps={tail_eps:.3e}",
         )
     return _vector(
-        _checked_cells(cells, deficit, NEGATIVITY_FLOOR_LOG, "truncated portrait")
+        _checked_cells(cells, deficit, NEGATIVITY_TOL_HERMITE, "truncated portrait")
     )
 
 
@@ -326,7 +329,7 @@ class _CatG(_BranchG):
     """
 
     name = "cat"
-    floor = NEGATIVITY_FLOOR_CLOSED
+    tol = NEGATIVITY_TOL
     # derivatives of an unmeasured mode's terms
     _still = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 
@@ -399,7 +402,7 @@ class _CoherentG(_BranchG):
     """
 
     name = "coherent"
-    floor = NEGATIVITY_FLOOR_CLOSED
+    tol = NEGATIVITY_TOL
     _one1 = _one2 = 0.0
     _still = (0.0, 0.0)
 
@@ -437,7 +440,7 @@ class _GaussianG:
     """
 
     name = "gaussian"
-    floor = NEGATIVITY_FLOOR_LOG
+    tol = NEGATIVITY_TOL_HERMITE
 
     def __init__(self, spec: GaussianSpec, s: float):
         scale = 0.5 * (1.0 - s)
@@ -594,7 +597,7 @@ class ClosedFormPortrait:
         """Checked (w_pp, w_pm, w_mp, w_mm, tail_deficit) from per-mode terms."""
         (p1, d1), (p2, d2) = m1, m2
         cells = self._cells(p1, p2, self._g.joint(d1, d2))
-        return _checked_cells(cells, 0.0, self._g.floor, self._what)
+        return _checked_cells(cells, 0.0, self._g.tol, self._what)
 
     def column_grad(self, m1, m2):
         """``column`` from the terms of ``mode1_grad`` and ``mode2_grad``,
@@ -605,12 +608,12 @@ class ClosedFormPortrait:
         E is linear in the two marginals and the joint term, so its
         derivatives are theirs, weighted. They are those of the closed form
         before the cells are clamped at 0, which moves a cell by at most
-        the negativity floor.
+        the negativity tolerance.
         """
         ((p1, p1_re, p1_im), d1, t1), ((p2, p2_re, p2_im), d2, t2) = m1, m2
         v, v1_re, v1_im, v2_re, v2_im = self._g.joint_grad(d1, t1, d2, t2)
         c1, c2, c12 = self._weights
-        checked = _checked_cells(self._cells(p1, p2, v), 0.0, self._g.floor, self._what)
+        checked = _checked_cells(self._cells(p1, p2, v), 0.0, self._g.tol, self._what)
         return checked, (
             c1 * p1_re + c12 * v1_re,
             c1 * p1_im + c12 * v1_im,

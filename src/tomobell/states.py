@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,7 +53,8 @@ from .hermite import SYMMETRY_TOL, HermiteParams, hermite_box, hermite_eval  # n
 # value of |gamma1|^2 + |gamma2|^2; cosh of anything much larger overflows
 LOG_DOMAIN_THRESHOLD = 30.0
 
-# tolerated rounding negativity for closed forms / for Gaussian values
+# tolerated rounding negativity of a probability: for cat and coherent
+# closed forms, and for Gaussian values and sums over truncated tables
 NEGATIVITY_TOL = 1e-12
 NEGATIVITY_TOL_HERMITE = 1e-9
 
@@ -68,7 +70,7 @@ DET_BOUND_SLACK = 1e-10
 # photon-number truncation defaults: counts up to 30 per mode, displacement
 # components confined to |Re alpha|, |Im alpha| <= 2
 DEFAULT_NMAX = 30
-DEFAULT_ALPHA_BOX = 2.0
+DEFAULT_BOX = 2.0
 
 # the unitary that maps quadrature variables to the Hermite-form arguments
 U_MATRIX = np.array(
@@ -103,12 +105,22 @@ def _log_factorial(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_amplitudes(state) -> None:
+    """Raise InvalidParameter unless both amplitudes are finite numbers."""
+    for name in ("gamma1", "gamma2"):
+        value = getattr(state, name)
+        if not (isinstance(value, numbers.Number) and cmath.isfinite(value)):
+            raise InvalidParameter(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CatState:
     """Normalized superposition of |g1, g2> and |-g1, -g2>."""
 
     gamma1: complex
     gamma2: complex
+
+    __post_init__ = _check_amplitudes
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,8 @@ class CoherentProduct:
 
     gamma1: complex
     gamma2: complex
+
+    __post_init__ = _check_amplitudes
 
 
 class GaussianSpec:

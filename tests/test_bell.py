@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tomobell.bell import (
+    ENTRY_TOL,
     BellMatrix,
     BellSettings,
     I_MATRIX,
@@ -24,8 +25,10 @@ from tomobell.errors import (
     TailTooLarge,
 )
 from tomobell.portrait import (
+    SUM_TOL,
     PartitionScheme,
     PortraitVector,
+    _checked_cells,
     cat_portrait_even_odd,
     cat_portrait_zero_nonzero,
     coherent_portrait_even_odd,
@@ -33,6 +36,8 @@ from tomobell.portrait import (
     make_portrait_fn,
 )
 from tomobell.states import (
+    NEGATIVITY_TOL,
+    NEGATIVITY_TOL_HERMITE,
     CatState,
     CoherentProduct,
     GaussianSpec,
@@ -155,6 +160,37 @@ def test_bell_matrix_four_columns_keep_portrait_checks():
         bell_matrix(lambda a1, a2: fn(a1, a2), s)
 
 
+def test_checked_columns_lie_in_the_entry_range():
+    # bell_matrix and the fused objective take closed-form columns as they
+    # come from _checked_cells, with no entry-range check of their own: the
+    # clamp at 0 and the sum bound must keep every entry in [0, 1 + ENTRY_TOL]
+    assert ENTRY_TOL >= SUM_TOL
+    fuzz = np.random.default_rng(11)
+    accepted, over_one = 0, 0
+    for tol in (NEGATIVITY_TOL, NEGATIVITY_TOL_HERMITE):
+        for i in range(20_000):
+            # a deficit at 0, near its negativity floor, or a real tail
+            deficit = fuzz.uniform(-2.0, 2.0) * tol + (fuzz.uniform(0.0, 1e-3) if i % 3 == 0 else 0.0)
+            if i % 2:
+                # all the mass in one cell: the others sit near their floor
+                cells = np.zeros(4)
+                cells[i % 4] = 1.0 - deficit
+            else:
+                cells = fuzz.dirichlet(np.full(4, 0.3)) * (1.0 - deficit)
+            cells += fuzz.uniform(-2.0, 2.0, 4) * tol
+            # the total near both ends of its bound
+            cells[fuzz.integers(4)] += fuzz.uniform(-2.0, 2.0) * SUM_TOL
+            try:
+                out = _checked_cells(tuple(cells.tolist()), float(deficit), tol, "fuzz")
+            except NumericalNegativity:
+                continue
+            accepted += 1
+            over_one += max(out) > 1.0
+            assert all(0.0 <= v <= 1.0 + ENTRY_TOL for v in out)
+    # the draws reach the accepted edge on both sides of 1
+    assert accepted > 5_000 and over_one > 100
+
+
 def test_trace_convention_regression():
     # the sign matrix is not symmetric, so the trace contraction and the
     # entrywise sum against it differ; only the former reproduces the
@@ -200,6 +236,13 @@ def test_maximize_config_validation():
         MaximizeConfig(nmax=0)
     with pytest.raises(InvalidParameter):
         MaximizeConfig(tail_eps=0.0)
+
+
+def test_maximize_config_refuses_a_bool_box():
+    # True == 1.0 would pass as a box of width 1
+    with pytest.raises(InvalidParameter, match="box"):
+        MaximizeConfig(box=True)
+    assert MaximizeConfig(box=np.float64(1.5)).box == 1.5
 
 
 @pytest.mark.parametrize("field, value", [

@@ -141,6 +141,21 @@ def test_portrait_vacuum_zero_nonzero(cat_file, capsys):
     assert values == pytest.approx([1, 0, 0, 0], abs=1e-12)
 
 
+def test_portrait_truncation_flags_select_the_path(squeezed_file, capsys):
+    base = ["portrait", "--state", squeezed_file, "--partition", "even-odd",
+            "--alpha1", "-0.12i", "--alpha2", "0.04i"]
+    assert main(base) == 0
+    assert capsys.readouterr().out.splitlines()[4] == "tail_deficit 0"
+    assert main(base + ["--nmax", "30"]) == 0
+    deficit = float(capsys.readouterr().out.splitlines()[4].split()[1])
+    assert 0.0 < deficit <= 1e-4
+    # the path follows from the flags; there is no switch to name it
+    assert main(base + ["--method", "closed"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[Usage]:")
+    assert err.count("\n") == 1
+
+
 # --- bell -----------------------------------------------------------------------
 
 
@@ -315,6 +330,24 @@ def test_scan_unknown_preset_exits_2(capsys):
     rc = main(["scan", "--preset", "nope"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error[Usage]:")
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["tomogram", "--n1", "0", "--n2", "0"], {"type": "cat", "gamma1": math.nan, "gamma2": [1, 0]}),
+    (["portrait"], {"type": "cat", "gamma1": math.nan, "gamma2": [1, 0]}),
+    (["maximize", "--starts", "2"], {"type": "coherent", "gamma1": math.inf, "gamma2": 0.5}),
+])
+def test_non_finite_amplitude_exits_2(tmp_path, capsys, command, doc):
+    # json writes and reads NaN and Infinity; such a state is a bad input
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    settings = [] if command[0] == "maximize" else ["--alpha1", "0", "--alpha2", "0"]
+    rc = main(command + ["--state", str(path)] + settings)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[InvalidParameter]: gamma1 must be a finite number")
+    assert captured.err.count("\n") == 1
 
 
 def test_usage_error_single_line(capsys):

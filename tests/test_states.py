@@ -341,6 +341,21 @@ def test_parse_state_cat_and_coherent():
     assert c.gamma2 == 1j
 
 
+@pytest.mark.parametrize("cls", [CatState, CoherentProduct])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 0.0)])
+def test_amplitudes_must_be_finite(cls, bad):
+    # these used to be accepted and gave nan tomograms or a silent B = 0
+    with pytest.raises(InvalidParameter, match="gamma1"):
+        cls(bad, 1.0)
+    with pytest.raises(InvalidParameter, match="gamma2"):
+        cls(1j, bad)
+    # json reads NaN and Infinity, so state files reach the same check
+    doc = json.loads('{"type": "%s", "gamma1": [0.5, 0], "gamma2": Infinity}'
+                     % ("cat" if cls is CatState else "coherent"))
+    with pytest.raises(InvalidParameter, match="gamma2"):
+        parse_state(doc)
+
+
 def test_parse_state_gaussian_nested_and_flat():
     nested = parse_state({"type": "gaussian", "M": SQUEEZED_M.tolist()})
     flat = parse_state({"type": "gaussian", "M": SQUEEZED_M.ravel().tolist()})
