@@ -187,7 +187,7 @@ def test_checked_columns_lie_in_the_entry_range():
             accepted += 1
             over_one += max(out) > 1.0
             assert all(0.0 <= v <= 1.0 + ENTRY_TOL for v in out)
-    # the draws reach the accepted edge on both sides of 1
+    # the draws reach the accepted edge above 1, where a looser sum bound shows
     assert accepted > 5_000 and over_one > 100
 
 

@@ -48,7 +48,7 @@ def test_reduces_to_probabilists_hermite_in_one_variable():
 
 
 def test_box_matches_scalar_evaluations():
-    # every entry of a box whose corner order |k| = 8 is the oracle's limit
+    # every entry of the box up to corner order |k| = 8, the oracle's limit
     ctx = _random_context()
     box = hermite_box(ctx, (3, 3, 3, 3))
     assert box.shape == (3, 3, 3, 3)
