@@ -256,6 +256,10 @@ LS_FTOL, LS_GTOL, LS_XTOL = 1e-3, 0.9, 0.1
 LS_MAX_TRIALS = 20
 # curvature pairs the search keeps, as in L-BFGS-B
 LBFGS_MEMORY = 10
+# the maximizer's stop test: a step that moves no setting coordinate by
+# more than XTOL, or raises B by at most FTOL * max(B, 1), ends a start
+XTOL = 1e-10
+FTOL = 1e-9
 # after the first step, a step moves no coordinate by more than this many
 # times the largest move of the previous step, or the start's scale if that
 # is larger
@@ -715,14 +719,21 @@ def _max_step(x, d, lower, upper) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_box(box) -> None:
+    """Raise InvalidParameter unless the box half-width is a finite number > 0."""
+    # True == 1.0 would pass as a box of width 1
+    if isinstance(box, bool) or not (box > 0.0 and math.isfinite(box)):
+        raise InvalidParameter(f"box must be a positive number, got {box!r}")
+
+
 @dataclass(frozen=True)
 class MaximizeConfig:
     """Search configuration for the Bell maximizer.
 
     box bounds |Re| and |Im| of every setting; starts is the number of
     independent bounded searches. Each search stops (converged) when one
-    step raises B by at most ``ftol`` times max(B, 1) or moves no setting
-    coordinate by more than ``xtol``, and gives up (not converged) after
+    step raises B by at most ``FTOL`` times max(B, 1) or moves no setting
+    coordinate by more than ``XTOL``, and gives up (not converged) after
     ``max_iters`` value-and-gradient calls. nmax and tail_eps only matter
     when the state has no closed-form portrait and the truncated path is
     used.
@@ -732,14 +743,11 @@ class MaximizeConfig:
     starts: int = 64
     seed: int = 0
     max_iters: int = 2000
-    xtol: float = 1e-10
-    ftol: float = 1e-9
     nmax: int = DEFAULT_NMAX
     tail_eps: float = DEFAULT_TAIL_EPS
 
     def __post_init__(self):
-        if isinstance(self.box, bool) or not (self.box > 0.0 and math.isfinite(self.box)):
-            raise InvalidParameter(f"box must be a positive number, got {self.box!r}")
+        _check_box(self.box)
         for name in ("starts", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -750,8 +758,6 @@ class MaximizeConfig:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
-        if not (self.xtol > 0.0 and self.ftol > 0.0):
-            raise InvalidParameter("xtol and ftol must be positive")
         _check_nmax(self.nmax)
         if not self.tail_eps > 0.0:
             raise InvalidParameter(f"tail_eps must be positive, got {self.tail_eps}")
@@ -926,7 +932,7 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
         x0, scale = _start_point(cfg.seed, i, box)
         try:
             res = minimize(negative_b, x0, lower, upper, scale=scale / 2.0,
-                           xtol=cfg.xtol, ftol=cfg.ftol, maxfev=cfg.max_iters)
+                           xtol=XTOL, ftol=FTOL, maxfev=cfg.max_iters)
         except (InvalidParameter, UnsupportedState):
             raise
         except TomobellError as exc:

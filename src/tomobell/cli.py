@@ -9,7 +9,7 @@ malformed complex literals and state files), 3 numerical failures during
 computation (truncation tail too large, negativity, a Bell number above
 the Tsirelson bound).
 Every error path prints a single line ``error[<Case>]: <message>`` to
-stderr. Set TOMOBELL_LOG=debug (or info, warning) for diagnostics.
+stderr.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +27,7 @@ from .bell import (
     BellSettings,
     MaximizeConfig,
     MaximizeResult,
+    _check_box,
     bell_matrix,
     bell_number,
     chsh_check,
@@ -47,8 +46,6 @@ from .portrait import (
     make_portrait_fn,
 )
 from .states import DEFAULT_BOX, CatState, gaussian_purity_family, load_state, make_source
-
-log = logging.getLogger("tomobell.cli")
 
 # complex literal grammar: a, bi, a+bi, a-bi with decimal reals and no
 # spaces; the imaginary unit follows its coefficient ("2i", never "i2")
@@ -163,11 +160,9 @@ def _add_truncation_args(p):
                    help="largest acceptable truncation tail deficit")
 
 
-def _add_box_args(p):
-    p.add_argument("--box", type=float, default=DEFAULT_BOX, metavar="B",
-                   help="bound on |Re| and |Im| of every setting")
-    p.add_argument("--box-enforce", choices=("off", "strict"), default="off",
-                   help="strict rejects supplied settings outside the box")
+def _add_box_arg(p):
+    p.add_argument("--box", type=float, default=None, metavar="B",
+                   help="reject supplied settings with |Re| or |Im| above B")
 
 
 def build_parser() -> _Parser:
@@ -183,7 +178,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n2", type=int, required=True, help="photon count, mode 2")
     p.add_argument("--alpha1", required=True, help="mode-1 displacement (complex literal)")
     p.add_argument("--alpha2", required=True, help="mode-2 displacement (complex literal)")
-    _add_box_args(p)
+    _add_box_arg(p)
     p.set_defaults(func=cmd_tomogram)
 
     p = sub.add_parser("portrait", help="print a two-qubit portrait vector")
@@ -192,7 +187,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha1", required=True)
     p.add_argument("--alpha2", required=True)
     _add_truncation_args(p)
-    _add_box_args(p)
+    _add_box_arg(p)
     p.set_defaults(func=cmd_portrait)
 
     p = sub.add_parser("bell", help="print the Bell matrix, B, and verdict")
@@ -201,7 +196,7 @@ def build_parser() -> _Parser:
     for name in ("--alpha1", "--alpha2", "--beta1", "--beta2"):
         p.add_argument(name, required=True)
     _add_truncation_args(p)
-    _add_box_args(p)
+    _add_box_arg(p)
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("maximize", help="maximize B over settings in the box")
@@ -211,8 +206,6 @@ def build_parser() -> _Parser:
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
-    p.add_argument("--tail-eps", type=float, default=DEFAULT_TAIL_EPS)
     p.set_defaults(func=cmd_maximize)
 
     p = sub.add_parser("scan", help="run a preset grid of maximizations to CSV")
@@ -232,8 +225,6 @@ def build_parser() -> _Parser:
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
-    p.add_argument("--tail-eps", type=float, default=DEFAULT_TAIL_EPS)
     p.set_defaults(func=cmd_scan)
 
     return parser
@@ -241,8 +232,9 @@ def build_parser() -> _Parser:
 
 def _parse_settings(args, names) -> List[complex]:
     values = [parse_complex(getattr(args, n)) for n in names]
-    if args.box_enforce == "strict":
-        box = args.box
+    box = args.box
+    if box is not None:
+        _check_box(box)
         for n, z in zip(names, values):
             if abs(z.real) > box or abs(z.imag) > box:
                 raise InvalidParameter(
@@ -259,11 +251,8 @@ def _portrait_fn_for(args, src):
     truncated = args.nmax is not None or args.tail_eps is not None
     nmax = DEFAULT_NMAX if args.nmax is None else args.nmax
     tail_eps = DEFAULT_TAIL_EPS if args.tail_eps is None else args.tail_eps
-    fn = make_portrait_fn(src, p, nmax=nmax, tail_eps=tail_eps,
-                          prefer_closed_form=not truncated)
-    log.debug("portrait path: %s (nmax=%d, tail_eps=%g)",
-              "truncated" if truncated else "closed", nmax, tail_eps)
-    return fn
+    return make_portrait_fn(src, p, nmax=nmax, tail_eps=tail_eps,
+                            prefer_closed_form=not truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +316,7 @@ def cmd_maximize(args) -> int:
     src = make_source(load_state(args.state))
     p = PartitionScheme.from_config(args.partition)
     cfg = MaximizeConfig(box=args.box, starts=args.starts, seed=args.seed,
-                         max_iters=args.max_iters, nmax=args.nmax,
-                         tail_eps=args.tail_eps)
+                         max_iters=args.max_iters)
     r = maximize_bell(src, p, cfg)
     _print_result(r)
     return 0
@@ -388,7 +376,7 @@ def cmd_scan(args) -> int:
         raise InvalidParameter(f"--jobs must be >= 1, got {args.jobs}")
 
     cfg_fields = dict(box=args.box, starts=args.starts, seed=args.seed,
-                      max_iters=args.max_iters, nmax=args.nmax, tail_eps=args.tail_eps)
+                      max_iters=args.max_iters)
     # a bad setting is a usage error of the whole scan, not one per row
     MaximizeConfig(**cfg_fields)
     # each point gets its own seed so rows are independent of grid shape;
@@ -400,7 +388,6 @@ def cmd_scan(args) -> int:
 
     # a process pool starts all its workers at once, needed or not
     jobs = min(args.jobs, len(tasks))
-    log.info("scan %s: %d grid points, %d jobs", args.preset, len(grid), jobs)
     if jobs == 1:
         rows = [_scan_point(*t) for t in tasks]
     else:
@@ -434,18 +421,7 @@ _CONFIG_ERRORS = (
 )
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("TOMOBELL_LOG", "").strip().upper()
-    level = getattr(logging, level_name, None) if level_name else None
-    logging.basicConfig(
-        level=level if isinstance(level, int) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

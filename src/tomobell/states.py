@@ -109,7 +109,10 @@ def _check_amplitudes(state) -> None:
     """Raise InvalidParameter unless both amplitudes are finite numbers."""
     for name in ("gamma1", "gamma2"):
         value = getattr(state, name)
-        if not (isinstance(value, numbers.Number) and cmath.isfinite(value)):
+        # True == 1 would pass as an amplitude of 1
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Number) and cmath.isfinite(value)
+        ):
             raise InvalidParameter(f"{name} must be a finite number, got {value!r}")
 
 
@@ -334,10 +337,7 @@ def _fock_amplitude(n: int, mu: complex) -> complex:
 
 
 def coherent_superposition_terms(state):
-    """Expand a supported pure state into [(coeff, delta1, delta2), ...].
-
-    Supported inputs are CatState, CoherentProduct, or an explicit list of
-    (coeff, delta1, delta2) triples.
+    """Expand a CatState or CoherentProduct into [(coeff, delta1, delta2), ...].
 
     Raises:
         UnsupportedState: for anything else (mixed Gaussian specs included).
@@ -350,10 +350,6 @@ def coherent_superposition_terms(state):
         ]
     if isinstance(state, CoherentProduct):
         return [(1.0 + 0.0j, complex(state.gamma1), complex(state.gamma2))]
-    if isinstance(state, (list, tuple)) and all(
-        isinstance(t, (list, tuple)) and len(t) == 3 for t in state
-    ) and len(state) > 0:
-        return [(complex(c), complex(d1), complex(d2)) for c, d1, d2 in state]
     raise UnsupportedState(
         f"no coherent-superposition expansion for {type(state).__name__}"
     )
@@ -737,10 +733,11 @@ _LIBRARY_SOURCES = (CatSource, CoherentSource, GaussianSource)
 
 class FockOracleSource(TomogramSource):
     def __init__(self, state):
-        self.terms = coherent_superposition_terms(state)
+        coherent_superposition_terms(state)  # refuses a state it cannot expand
+        self.state = state
 
     def tomogram(self, n1, n2, alpha1, alpha2):
-        return fock_oracle_tomogram(self.terms, n1, n2, alpha1, alpha2)
+        return fock_oracle_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
 def make_source(state) -> TomogramSource:
@@ -761,14 +758,17 @@ def make_source(state) -> TomogramSource:
 # ---------------------------------------------------------------------------
 
 
+def _json_float(value, field: str) -> float:
+    """A number of a state description as a float. Bools and strings are
+    refused, though float() would read true as 1.0 and "0.5" as 0.5."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_complex_pair(value, field: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        re, im = value
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(float(re), float(im))
-    raise ValueError(f"{field} must be a number or a [re, im] pair, got {value!r}")
+    re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    return complex(_json_float(re, field), _json_float(im, field))
 
 
 def parse_state(doc: dict):
@@ -797,20 +797,20 @@ def parse_state(doc: dict):
             _parse_complex_pair(doc.get("gamma2"), "gamma2"),
         )
     if kind == "gaussian":
-        M = np.asarray(doc.get("M"), dtype=float)
+        M = np.asarray(doc.get("M"), dtype=object)
+        M = np.reshape([_json_float(v, "gaussian M entry") for v in M.flat], M.shape)
         if M.size == 16:
             M = M.reshape(4, 4)
         if M.shape != (4, 4):
             raise ValueError("gaussian M must hold 16 numbers (4x4 or flat)")
-        mean = doc.get("mean", [0.0, 0.0, 0.0, 0.0])
-        mean = np.asarray(mean, dtype=float)
+        mean = np.asarray(doc.get("mean", [0.0, 0.0, 0.0, 0.0]), dtype=object)
+        mean = np.reshape([_json_float(v, "gaussian mean entry") for v in mean.flat], mean.shape)
         if mean.shape != (4,):
             raise ValueError("gaussian mean must hold 4 numbers")
         return GaussianSpec(M, mean)
     if kind == "gaussian_family":
-        if "k" not in doc or "l" not in doc:
-            raise ValueError("gaussian_family needs numeric fields k and l")
-        return gaussian_purity_family(float(doc["k"]), float(doc["l"]))
+        return gaussian_purity_family(_json_float(doc.get("k"), "gaussian_family k"),
+                                      _json_float(doc.get("l"), "gaussian_family l"))
     raise ValueError(f"unknown state type {kind!r}")
 
 

@@ -231,8 +231,6 @@ def test_maximize_config_validation():
     with pytest.raises(InvalidParameter):
         MaximizeConfig(starts=0)
     with pytest.raises(InvalidParameter):
-        MaximizeConfig(ftol=0.0)
-    with pytest.raises(InvalidParameter):
         MaximizeConfig(nmax=0)
     with pytest.raises(InvalidParameter):
         MaximizeConfig(tail_eps=0.0)

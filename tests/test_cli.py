@@ -175,9 +175,55 @@ def test_bell_outside_box_strict_exits_2(squeezed_file, capsys):
     rc = main(["bell", "--state", squeezed_file, "--partition", "even-odd",
                "--alpha1", "2.5", "--alpha2", "0.04i",
                "--beta1", "0.22i", "--beta2", "-0.32i",
-               "--box-enforce", "strict"])
+               "--box", "2"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error[InvalidParameter]:")
+    assert capsys.readouterr().err == (
+        "error[InvalidParameter]: --alpha1 = 2.5+0i lies outside the box "
+        "|Re|,|Im| <= 2 (strict box enforcement)\n")
+
+
+def test_settings_inside_the_box_print_the_same_bytes(squeezed_file, capsys):
+    base = ["bell", "--state", squeezed_file, "--partition", "even-odd",
+            "--alpha1", "-0.12i", "--alpha2", "0.04i", "--beta1", "0.22i", "--beta2", "-0.32i"]
+    assert main(base) == 0
+    unboxed = capsys.readouterr()
+    assert main(base + ["--box", "2"]) == 0
+    assert capsys.readouterr() == unboxed
+
+
+@pytest.mark.parametrize("box", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [
+    ["tomogram", "--state", "STATE", "--n1", "0", "--n2", "0", "--alpha1", "0", "--alpha2", "0"],
+    ["portrait", "--state", "STATE", "--alpha1", "0", "--alpha2", "0"],
+    ["bell", "--state", "STATE", "--alpha1", "5", "--alpha2", "0", "--beta1", "0", "--beta2", "0"],
+    ["maximize", "--state", "STATE", "--starts", "2"],
+    ["scan", "--preset", "cat-even-odd", "--param1", "1", "--param2", "1", "--starts", "2"],
+])
+def test_bad_box_exits_2(cat_file, capsys, command, box):
+    # --box nan once let every setting through, and --box -1 refused all
+    rc = main([cat_file if a == "STATE" else a for a in command] + ["--box", box])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[InvalidParameter]: box must be a positive number")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["maximize", "--state", "STATE", "--nmax", "30"],
+    ["scan", "--preset", "cat-even-odd", "--tail-eps", "1e-4"],
+    ["bell", "--state", "STATE", "--alpha1", "0", "--alpha2", "0", "--beta1", "0",
+     "--beta2", "0", "--box-enforce", "strict"],
+])
+def test_removed_flags_are_usage_errors(cat_file, capsys, command):
+    # maximize and scan never read --nmax or --tail-eps (every state and
+    # partition they take has a closed form); --box alone now checks settings
+    rc = main([cat_file if a == "STATE" else a for a in command])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[Usage]:")
+    assert captured.err.count("\n") == 1
 
 
 def test_bell_coherent_separable(coherent_file, capsys):
@@ -348,6 +394,18 @@ def test_non_finite_amplitude_exits_2(tmp_path, capsys, command, doc):
     assert captured.out == ""
     assert captured.err.startswith("error[InvalidParameter]: gamma1 must be a finite number")
     assert captured.err.count("\n") == 1
+
+
+def test_bool_in_state_file_exits_2(tmp_path, capsys):
+    # json reads true as True, which once passed as the amplitude 1.0
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"type": "cat", "gamma1": True, "gamma2": [1, 0]}))
+    rc = main(["tomogram", "--state", str(path), "--n1", "0", "--n2", "0",
+               "--alpha1", "0", "--alpha2", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[ValueError]: gamma1 must be a number, got True\n"
 
 
 def test_usage_error_single_line(capsys):

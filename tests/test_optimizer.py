@@ -333,7 +333,7 @@ def _scipy_start(label, index, seed=0):
 
     return sp.minimize(fun, np.zeros(8), jac=True, method="L-BFGS-B",
                        bounds=list(zip((-BOX - x0) / h, (BOX - x0) / h)),
-                       options=dict(ftol=CFG.ftol, gtol=0.0, maxcor=bell.LBFGS_MEMORY,
+                       options=dict(ftol=bell.FTOL, gtol=0.0, maxcor=bell.LBFGS_MEMORY,
                                     maxfun=CFG.max_iters))
 
 

@@ -342,9 +342,11 @@ def test_parse_state_cat_and_coherent():
 
 
 @pytest.mark.parametrize("cls", [CatState, CoherentProduct])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 0.0)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 0.0),
+                                 True, False])
 def test_amplitudes_must_be_finite(cls, bad):
-    # these used to be accepted and gave nan tomograms or a silent B = 0
+    # these used to be accepted and gave nan tomograms or a silent B = 0;
+    # a bool read as the amplitude 1 or 0
     with pytest.raises(InvalidParameter, match="gamma1"):
         cls(bad, 1.0)
     with pytest.raises(InvalidParameter, match="gamma2"):
@@ -372,6 +374,23 @@ def test_parse_state_family_and_errors():
         parse_state({"type": "cat", "gamma1": "one", "gamma2": 0})
     with pytest.raises(ValueError):
         parse_state([1, 2, 3])
+    # json reads true as True, and float() reads True as 1.0 and "0.5" as 0.5
+    m = SQUEEZED_M.tolist()
+    for doc in (
+        {"type": "cat", "gamma1": True, "gamma2": 0},
+        {"type": "cat", "gamma1": [True, False], "gamma2": 0},
+        {"type": "coherent", "gamma1": 0.5, "gamma2": [0, "1"]},
+        {"type": "gaussian_family", "k": True, "l": 0},
+        {"type": "gaussian_family", "k": "0.9", "l": 0},
+        {"type": "gaussian_family", "k": 0.9},
+        {"type": "gaussian", "M": [[True] + m[0][1:]] + m[1:]},
+        {"type": "gaussian", "M": [["3"] + m[0][1:]] + m[1:]},
+        {"type": "gaussian", "M": SQUEEZED_M.ravel().tolist()[:-1] + [True]},
+        {"type": "gaussian", "M": m, "mean": [True, 0, 0, 0]},
+        {"type": "gaussian", "M": m, "mean": [0, 0, "0.5", 0]},
+    ):
+        with pytest.raises(ValueError, match="must be a number"):
+            parse_state(doc)
 
 
 def test_load_state_roundtrip(tmp_path):
@@ -391,3 +410,6 @@ def test_make_source_dispatch():
 def test_fock_oracle_rejects_gaussian():
     with pytest.raises(UnsupportedState):
         FockOracleSource(GaussianSpec(SQUEEZED_M))
+    # a list of (coeff, delta1, delta2) triples is no state either
+    with pytest.raises(UnsupportedState):
+        FockOracleSource([(1.0, 0.5, 0.5)])
