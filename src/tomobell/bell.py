@@ -382,7 +382,7 @@ def _cubic_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax
     return stx, fx, dx, sty, fy, dy, bracketed, stpf
 
 
-def _line_search(phi, f0, g0, stp, stpmax, trials):
+def _line_search(phi, f0, g0, stp, stpmax, trials, first=None):
     """Search t in (0, stpmax] for the Wolfe conditions (More & Thuente).
 
     ``phi(t)`` returns the value at step t, its slope along the direction
@@ -390,6 +390,8 @@ def _line_search(phi, f0, g0, stp, stpmax, trials):
     Accepts a step with sufficient decrease and a slope shrunk by LS_GTOL,
     or with sufficient decrease at ``stpmax`` while still descending, or
     any decrease once rounding or the bracket width stops the search.
+    ``first``, when given, is ``phi(stp)``, already evaluated; it counts as
+    the first of the ``trials``.
     Returns (t, value, payload), or None when ``trials`` steps found none.
     """
     gtest = LS_FTOL * g0
@@ -399,7 +401,10 @@ def _line_search(phi, f0, g0, stp, stpmax, trials):
     sty, fy, gy = 0.0, f0, g0
     stmin, stmax = 0.0, 5.0 * stp
     for _ in range(trials):
-        f, g, payload = phi(stp)
+        if first is None:
+            f, g, payload = phi(stp)
+        else:
+            (f, g, payload), first = first, None
         ftest = f0 + stp * gtest
         if f <= ftest and (abs(g) <= LS_GTOL * -g0 or (stp == stpmax and g <= gtest)):
             return stp, f, payload
@@ -436,42 +441,48 @@ class _CurvatureMemory:
     """The last LBFGS_MEMORY curvature pairs (s, y) of a search, with the
     parts of the compact form that change only as pairs come and go.
 
-    The k pairs sit oldest first in the first k rows of S and Y. Alongside
-    are D, the products s_i'y_i, and the inverse of R, the upper triangle
-    of S Y', in the leading k x k block of ``Rinv``. A new pair adds a row
-    to S and Y and a column to R^-1: with r_i = s_i'y, -R^-1 r / (s'y)
-    above the new diagonal entry 1 / (s'y). When the memory is full the
-    oldest pair goes first, and each array keeps its trailing block, moved
-    to the front: the trailing block of the inverse of an upper-triangular
-    matrix is the inverse of its trailing block. ``gamma``, the scale
-    s'y / y'y of the initial matrix, is that of the latest pair.
+    The k pairs sit oldest first in rows [o, o + k) of S and Y, which hold
+    2 * LBFGS_MEMORY rows. Alongside are D, the products s_i'y_i, and the
+    inverse of R, the upper triangle of S Y', in the block [o, o + k) of
+    ``Rinv``. A new pair adds a row to S and Y and a column to R^-1: with
+    r_i = s_i'y, -R^-1 r / (s'y) above the new diagonal entry 1 / (s'y).
+    When the memory is full the oldest pair leaves by o += 1, since the
+    trailing block of the inverse of an upper-triangular matrix is the
+    inverse of its trailing block. Only when the window reaches the last
+    row is it moved to the front, once per LBFGS_MEMORY pairs. ``gamma``,
+    the scale s'y / y'y of the initial matrix, is that of the latest pair.
     """
 
     def __init__(self, n: int):
-        self.S = np.zeros((LBFGS_MEMORY, n))
-        self.Y = np.zeros((LBFGS_MEMORY, n))
-        self.D = np.zeros((LBFGS_MEMORY, 1))
-        self.Rinv = np.zeros((LBFGS_MEMORY, LBFGS_MEMORY))
+        rows = 2 * LBFGS_MEMORY
+        self.S = np.zeros((rows, n))
+        self.Y = np.zeros((rows, n))
+        self.D = np.zeros((rows, 1))
+        self.Rinv = np.zeros((rows, rows))
         self.eye = np.eye(n)
+        self.o = 0
         self.k = 0
         self.gamma = 1.0
 
     def clear(self) -> None:
-        self.k = 0
+        self.o = self.k = 0
 
     def add(self, s, y, sy: float) -> None:
         """Keep the pair (s, y), whose curvature s'y is ``sy`` > 0."""
         S, Y, D, Rinv = self.S, self.Y, self.D, self.Rinv
-        k = self.k
+        o, k = self.o, self.k
         if k == LBFGS_MEMORY:
-            k -= 1
-            S[:k], Y[:k], D[:k] = S[1:], Y[1:], D[1:]
-            Rinv[:k, :k] = Rinv[1:, 1:]
+            o, k = o + 1, k - 1
+        e = o + k
+        if e == len(S):
+            S[:k], Y[:k], D[:k] = S[o:], Y[o:], D[o:]
+            Rinv[:k, :k] = Rinv[o:, o:]
+            o, e = 0, k
         if k:
-            Rinv[:k, k] = Rinv[:k, :k].dot(S[:k].dot(y)) * (-1.0 / sy)
-        Rinv[k, k] = 1.0 / sy
-        S[k], Y[k], D[k] = s, y, sy
-        self.k = k + 1
+            Rinv[o:e, e] = Rinv[o:e, o:e].dot(S[o:e].dot(y)) * (-1.0 / sy)
+        Rinv[e, e] = 1.0 / sy
+        S[e], Y[e], D[e] = s, y, sy
+        self.o, self.k = o, k + 1
         self.gamma = sy / float(y.dot(y))
 
 
@@ -483,20 +494,22 @@ def _inverse_hessian(memory: _CurvatureMemory):
     H = gamma I + P' (D + gamma Y Y') P - gamma (P' Y + Y' P), formed as
     gamma M'M + P' D P with M = Y' P - I.
     """
-    k = memory.k
-    P = memory.Rinv[:k, :k].dot(memory.S[:k])
-    M = memory.Y[:k].T.dot(P)
+    o = memory.o
+    e = o + memory.k
+    P = memory.Rinv[o:e, o:e].dot(memory.S[o:e])
+    M = memory.Y[o:e].T.dot(P)
     M -= memory.eye
     H = M.T.dot(M)
     H *= memory.gamma
-    H += P.T.dot(memory.D[:k] * P)
+    H += P.T.dot(memory.D[o:e] * P)
     return H
 
 
 def _breakpoints(x, g, lower, upper) -> list:
-    """For each coordinate, the t at which the path x - t g reaches its bound."""
+    """For each coordinate, the t at which the path x - t g reaches its
+    bound; ``lower`` and ``upper`` are sequences of floats."""
     return [(xi - ui) / gi if gi < 0.0 else (xi - li) / gi if gi > 0.0 else math.inf
-            for xi, gi, li, ui in zip(x.tolist(), g.tolist(), lower.tolist(), upper.tolist())]
+            for xi, gi, li, ui in zip(x.tolist(), g.tolist(), lower, upper)]
 
 
 def _cauchy_point(x, g, t, B, lower, upper):
@@ -506,8 +519,8 @@ def _cauchy_point(x, g, t, B, lower, upper):
     when the projected gradient vanishes."""
     pinned = [i for i, ti in enumerate(t) if ti <= 0.0]
     d = -g
-    if pinned:
-        d[pinned] = 0.0
+    for i in pinned:
+        d[i] = 0.0
     if not any(d.tolist()):
         return None, pinned
     # the step to the model's minimum along d from x, and, once a
@@ -521,7 +534,10 @@ def _cauchy_point(x, g, t, B, lower, upper):
         if dtm < ti - t_old:
             break
         # coordinate i reaches its bound before the model stops falling
-        z = (ti - t_old) * d if z is None else z + (ti - t_old) * d
+        if z is None:
+            z = (ti - t_old) * d
+        else:
+            z += (ti - t_old) * d
         z[i] = (upper[i] if d[i] > 0.0 else lower[i]) - x[i]
         d[i] = 0.0
         pinned.append(i)
@@ -535,7 +551,7 @@ def _cauchy_point(x, g, t, B, lower, upper):
     return xc, pinned
 
 
-def _model_target(x, g, H, lower, upper):
+def _model_target(x, g, H, lower, upper, bounds=None):
     """The point an iteration searches toward, for inverse Hessian H.
 
     The model's minimizer over the coordinates that the generalized Cauchy
@@ -550,8 +566,10 @@ def _model_target(x, g, H, lower, upper):
     that bound lies below the first breakpoint, the Cauchy point pins
     nothing and the target is x - Hg, as the full route would find it; if
     its projection is a descent direction it is returned from here.
+    ``bounds``, when given, is ``(lower.tolist(), upper.tolist())``.
     """
-    t = _breakpoints(x, g, lower, upper)
+    lo, up = bounds or (lower.tolist(), upper.tolist())
+    t = _breakpoints(x, g, lo, up)
     hg = H.dot(g)
     t_min = min(t, default=math.inf)
     gg = float(g.dot(g))
@@ -562,23 +580,22 @@ def _model_target(x, g, H, lower, upper):
         if float((projected - x).dot(g)) <= 0.0:
             return projected
     B = np.linalg.inv(H)
-    xc, pinned = _cauchy_point(x, g, t, B, lower, upper)
+    xc, pinned = _cauchy_point(x, g, t, B, lo, up)
     if xc is None:
         return None
     if not pinned:
         target = x - hg
     elif len(pinned) < len(x):
-        free = np.ones(len(x), dtype=bool)
-        free[pinned] = False
+        free = np.array([i for i in range(len(x)) if i not in pinned])
         target = xc.copy()
-        target[free] += np.linalg.solve(B[free][:, free], -(g + B.dot(xc - x))[free])
+        target[free] += np.linalg.solve(B[free[:, None], free], -(g + B.dot(xc - x))[free])
     else:
         target = xc
     projected = np.minimum(np.maximum(target, lower), upper)
     if float((projected - x).dot(g)) <= 0.0:
         return projected
     du = target - xc
-    return xc + min(1.0, _max_step(xc, du, lower, upper)) * du
+    return xc + min(1.0, _max_step(xc, du, lo, up)) * du
 
 
 def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResult:
@@ -604,8 +621,8 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
     The kept pairs live in a ``_CurvatureMemory`` that holds, besides the
     pairs, the diagonal D and the inverse of the triangle R of the compact
     form, kept up to date rather than rebuilt: an accepted pair appends one
-    column to R^-1, the oldest pair leaves by keeping the trailing block of
-    each array, and a reset empties the memory. H comes from it in four
+    column to R^-1, the oldest pair leaves by sliding the memory's window
+    one row on, and a reset empties the memory. H comes from it in four
     matrix products, with no system solved. B = H^-1 is formed only when a
     Cauchy-Schwarz bound cannot rule out that the Cauchy point pins a
     coordinate (most iterations it can, and the step is x - Hg); then B
@@ -629,6 +646,7 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    bounds = lower.tolist(), upper.tolist()
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lower), upper)
     n = len(x)
     nfev = 0
@@ -651,7 +669,7 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
         # after a failed line search
         try:
             H = _inverse_hessian(memory) if memory.k else H0
-            target = _model_target(x, g, H, lower, upper)
+            target = _model_target(x, g, H, lower, upper, bounds)
         except np.linalg.LinAlgError:
             target = x
         if target is None:
@@ -670,10 +688,18 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
         if -math.inf < slope < 0.0:
             stpmax = 1.0
             if nit:
-                stpmax = min(_max_step(x, p, lower, upper),
+                stpmax = min(_max_step(x, p, *bounds),
                              STEP_GROWTH * reach / max(map(abs, p.tolist())))
-            found = _line_search(phi, f, slope, min(1.0, stpmax), stpmax,
-                                 min(LS_MAX_TRIALS, maxfev - nfev))
+            stp, trials = min(1.0, stpmax), min(LS_MAX_TRIALS, maxfev - nfev)
+            # the line search's first trial and its acceptance test, inline:
+            # most searches stop there
+            first = phi(stp)
+            gtest = LS_FTOL * slope
+            if first[0] <= f + stp * gtest and (
+                    abs(first[1]) <= LS_GTOL * -slope or (stp == stpmax and first[1] <= gtest)):
+                found = stp, first[0], first[2]
+            else:
+                found = _line_search(phi, f, slope, stp, stpmax, trials, first)
         if found is None:
             if nfev >= maxfev:
                 status = 1
@@ -708,9 +734,10 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
 
 
 def _max_step(x, d, lower, upper) -> float:
-    """The largest t with x + t d inside the box (inf when d is 0)."""
+    """The largest t with x + t d inside the box (inf when d is 0);
+    ``lower`` and ``upper`` are sequences of floats."""
     return min([(u - xi) / di if di > 0.0 else (l - xi) / di if di < 0.0 else math.inf
-                for xi, di, l, u in zip(x.tolist(), d.tolist(), lower.tolist(), upper.tolist())],
+                for xi, di, l, u in zip(x.tolist(), d.tolist(), lower, upper)],
                default=math.inf)
 
 

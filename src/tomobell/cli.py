@@ -19,7 +19,6 @@ import csv
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -391,6 +390,10 @@ def cmd_scan(args) -> int:
     if jobs == 1:
         rows = [_scan_point(*t) for t in tasks]
     else:
+        # imported here: the pool's modules cost every other command
+        # about 15 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_point, *zip(*tasks)))
 

@@ -289,7 +289,9 @@ class _BranchG:
     """Shared per-mode plumbing of the coherent-branch states.
 
     ``_one1``/``_one2`` are the per-mode terms of an unmeasured mode
-    (s = 1), so a marginal is the joint G with the other mode unmeasured.
+    (s = 1), so a marginal is the joint G with the other mode unmeasured;
+    ``_marginal_grad`` is ``joint_grad`` so restricted, with the
+    derivatives of the measured mode only.
     """
 
     def mode1(self, alpha):
@@ -302,13 +304,11 @@ class _BranchG:
 
     def mode1_grad(self, alpha):
         d, t = self._mode_grad(alpha, self._g1)
-        p, p_re, p_im, _, _ = self.joint_grad(d, t, self._one2, self._still)
-        return (p, p_re, p_im), d, t
+        return self._marginal_grad(d, t, self._one2), d, t
 
     def mode2_grad(self, alpha):
         d, t = self._mode_grad(alpha, self._g2)
-        p, _, _, p_re, p_im = self.joint_grad(self._one1, self._still, d, t)
-        return (p, p_re, p_im), d, t
+        return self._marginal_grad(d, t, self._one1), d, t
 
 
 class _CatG(_BranchG):
@@ -330,8 +330,6 @@ class _CatG(_BranchG):
 
     name = "cat"
     tol = NEGATIVITY_TOL
-    # derivatives of an unmeasured mode's terms
-    _still = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 
     def __init__(self, state: CatState, s: float):
         g1, g2 = complex(state.gamma1), complex(state.gamma2)
@@ -394,6 +392,24 @@ class _CatG(_BranchG):
             w0 * i2[0] + w1 * i2[1] + w2 * i2[2] + w3 * i2[3],
         )
 
+    def _marginal_grad(self, d, t, one):
+        """The marginal and its derivatives along (Re, Im) of the measured
+        mode: ``joint_grad`` with the other mode unmeasured (terms ``one``),
+        by the same operations, so with the same bits."""
+        n = self._norm2
+        e_plus = math.exp(d[0] + one[0])
+        e_minus = math.exp(d[1] + one[1])
+        x = 2.0 * math.exp(d[2] + one[2])
+        phase = d[3] + one[3]
+        x_cos, x_sin = x * math.cos(phase), x * math.sin(phase)
+        w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, -n * x_sin
+        r, i = t
+        return (
+            n * (e_plus + e_minus + x_cos),
+            w0 * r[0] + w1 * r[1] + w2 * r[2] + w3 * r[3],
+            w0 * i[0] + w1 * i[1] + w2 * i[2] + w3 * i[3],
+        )
+
 
 class _CoherentG(_BranchG):
     """G of a coherent product: exp(-(1 - s1) lam1 - (1 - s2) lam2).
@@ -404,7 +420,6 @@ class _CoherentG(_BranchG):
     name = "coherent"
     tol = NEGATIVITY_TOL
     _one1 = _one2 = 0.0
-    _still = (0.0, 0.0)
 
     def __init__(self, state: CoherentProduct, s: float):
         self._g1, self._g2 = complex(state.gamma1), complex(state.gamma2)
@@ -423,6 +438,10 @@ class _CoherentG(_BranchG):
     def joint_grad(self, e1, t1, e2, t2):
         v = math.exp(e1 + e2)
         return v, v * t1[0], v * t1[1], v * t2[0], v * t2[1]
+
+    def _marginal_grad(self, e, t, one):
+        v = math.exp(e + one)
+        return v, v * t[0], v * t[1]
 
 
 class _GaussianG:

@@ -327,7 +327,7 @@ def test_scan_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr("tomobell.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     base = ["scan", "--preset", "cat-even-odd", "--param2", "1", "--starts", "2", "--seed", "2"]
     for param1, jobs, size in (("0,1,2", "8", [3]), ("0,1,2", "2", [2]), ("1", "8", [])):
         serial = tmp_path / f"serial-{param1}.csv"
@@ -447,3 +447,15 @@ def test_maximize_loads_neither_scipy_nor_mpmath(coherent_file):
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 []"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only scan --jobs > 1 uses a process pool; every other command, and
+    # the benchmark that imports the CLI, starts without its modules
+    src = str(Path(tomobell.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, tomobell.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -205,6 +205,143 @@ def test_curvature_memory_matches_the_compact_form_from_scratch():
         assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref)), j
 
 
+class _SliceMoveMemory:
+    """The curvature memory as it was kept before its sliding window: the
+    k pairs in the first k rows, and every pair added to a full memory
+    moves each array's trailing block to the front. ``inverse_hessian``
+    is the compact form read from those rows."""
+
+    def __init__(self, n):
+        m = bell.LBFGS_MEMORY
+        self.S, self.Y = np.zeros((m, n)), np.zeros((m, n))
+        self.D, self.Rinv = np.zeros((m, 1)), np.zeros((m, m))
+        self.eye = np.eye(n)
+        self.k = 0
+        self.gamma = 1.0
+
+    def clear(self):
+        self.k = 0
+
+    def add(self, s, y, sy):
+        S, Y, D, Rinv = self.S, self.Y, self.D, self.Rinv
+        k = self.k
+        if k == bell.LBFGS_MEMORY:
+            k -= 1
+            S[:k], Y[:k], D[:k] = S[1:], Y[1:], D[1:]
+            Rinv[:k, :k] = Rinv[1:, 1:]
+        if k:
+            Rinv[:k, k] = Rinv[:k, :k].dot(S[:k].dot(y)) * (-1.0 / sy)
+        Rinv[k, k] = 1.0 / sy
+        S[k], Y[k], D[k] = s, y, sy
+        self.k = k + 1
+        self.gamma = sy / float(y.dot(y))
+
+    def inverse_hessian(self):
+        k = self.k
+        P = self.Rinv[:k, :k].dot(self.S[:k])
+        M = self.Y[:k].T.dot(P)
+        M -= self.eye
+        H = M.T.dot(M)
+        H *= self.gamma
+        H += P.T.dot(self.D[:k] * P)
+        return H
+
+
+def test_sliding_window_memory_gives_the_slice_move_inverse_hessian_bit_for_bit():
+    # 300 random histories of up to 4 * LBFGS_MEMORY pairs, each cleared at
+    # random points as a failed line search clears it; after every pair
+    # the two memories must give the same H to the last bit
+    rng = np.random.default_rng(13)
+    n = 8
+    wraps = 0
+    for history in range(300):
+        memory, ref = _CurvatureMemory(n), _SliceMoveMemory(n)
+        spread = 1 if history % 2 else 8
+        for _ in range(rng.integers(1, 4 * bell.LBFGS_MEMORY + 1)):
+            if rng.uniform() < 0.03:
+                memory.clear()
+                ref.clear()
+            while True:
+                s = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+                y = 10.0 ** rng.uniform(-spread, spread, n) * s
+                y += 10.0 ** rng.uniform(-8, -1) * rng.normal(size=n) * np.linalg.norm(s)
+                sy = float(s @ y)
+                if sy > 0.0:
+                    break
+            offset = memory.o
+            memory.add(s, y, sy)
+            ref.add(s, y, sy)
+            wraps += memory.o < offset
+            assert memory.k == ref.k and memory.gamma == ref.gamma
+            got, want = _inverse_hessian(memory), ref.inverse_hessian()
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), history
+    # the window reaches the last row, and moves to the front, every
+    # LBFGS_MEMORY pairs once the memory is full
+    assert wraps >= 100, wraps
+
+
+def _smooth_line(rng):
+    """phi(t) of a random smooth 1-D function with a negative slope at 0,
+    counting its calls; some rise so steeply that no trial finds a drop."""
+    a, b, c = rng.uniform(0.1, 2.0), rng.uniform(0.5, 20.0), rng.uniform(-3.0, 3.0)
+    q = 10.0 ** rng.uniform(-2, 4)
+    slope0 = a * b * math.cos(c)
+    lin = -abs(slope0) - 10.0 ** rng.uniform(-3, 1) - slope0
+    calls = []
+
+    def phi(t):
+        calls.append(t)
+        return (a * math.sin(b * t + c) + q * t * t + lin * t,
+                a * b * math.cos(b * t + c) + 2.0 * q * t + lin, ("payload", t))
+
+    f0, g0, _ = phi(0.0)
+    calls.clear()
+    return phi, f0, g0, calls
+
+
+def test_line_search_resumes_from_a_supplied_first_trial():
+    # a search given its first trial returns the bits of a fresh search
+    # and spends the same number of trials, found or failed
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for case in range(2000):
+        phi, f0, g0, calls = _smooth_line(rng)
+        stpmax = 10.0 ** rng.uniform(-2, 2)
+        stp = min(1.0, stpmax)
+        trials = int(rng.choice([1, 2, 3, 5, bell.LS_MAX_TRIALS]))
+        fresh = bell._line_search(phi, f0, g0, stp, stpmax, trials)
+        fresh_calls = list(calls)
+        calls.clear()
+        resumed = bell._line_search(phi, f0, g0, stp, stpmax, trials, phi(stp))
+        assert calls == fresh_calls, case
+        if fresh is None:
+            assert resumed is None, case
+        else:
+            t, f, payload = resumed
+            assert (t.hex(), f.hex(), payload) == (fresh[0].hex(), fresh[1].hex(), fresh[2]), case
+        outcomes.add((fresh is None, len(fresh_calls) > 1))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_mix_evaluation_counts_at_seed_0():
+    # every member of the benchmark's mix at its start count, so that any
+    # change to the iterates shows here
+    counts = {
+        "cat50-even-odd": (195, [57, 55, 34, 24, 25]),
+        "coherent-even-odd": (153, [47, 14, 18, 30, 44]),
+        "cat1-zero-nonzero": (357, [47, 31, 32, 31, 33, 40, 26, 27, 55, 35]),
+        "family-0.6-even-odd": (127, [46, 16, 18, 23, 24]),
+        "cat10-even-odd": (177, [62, 38, 18, 30, 29]),
+        "family-1.2-even-odd": (108, [2, 35, 20, 24, 27]),
+        "cat1-even-odd": (140, [47, 24, 21, 27, 21]),
+        "squeezed-zero-nonzero": (152, [26, 32, 25, 33, 36]),
+    }
+    assert set(counts) == set(MIX)
+    for label, (state, p, starts, _) in MIX.items():
+        r = maximize_bell(state, p, MaximizeConfig(starts=starts, seed=0))
+        assert (r.evaluations, r.per_start_nfev) == counts[label], label
+
+
 def _model_target_with_cauchy_point(x, g, H, lower, upper):
     """The model target through B = H^-1 and the generalized Cauchy point
     on every call, as the search found it before the pin bound."""

@@ -309,6 +309,36 @@ def test_vacuum_cat_zero_nonzero_at_origin():
     assert v.as_array().tolist() == pytest.approx([1, 0, 0, 0], abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["even-odd", "zero-nonzero"])
+@pytest.mark.parametrize("state", [
+    CatState(1.0, 1.0), CatState(math.sqrt(50), -2.0 + 1.5j), CatState(0.3j, 0.0),
+    CoherentProduct(0.5, 0.5j), CoherentProduct(-1.0 + 0.3j, 0.0),
+], ids=["cat1", "cat50", "cat-vacuum-mode2", "coherent", "coherent-vacuum-mode2"])
+def test_marginal_gradients_are_the_joint_gradient_bit_for_bit(state, kind):
+    # a marginal gradient is the joint gradient with the other mode
+    # unmeasured; it must keep the joint gradient's bits, including the
+    # sign of a zero, on settings near 0 as well as in the box
+    g = ClosedFormPortrait(state, kind)._g
+    if isinstance(state, CatState):
+        still = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+    else:
+        still = (0.0, 0.0)
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    local = np.random.default_rng(77)
+    for case in range(300):
+        scale = 10.0 ** local.uniform(-12, 0.5) if case % 3 else 3.0
+        alpha = complex(*(local.uniform(-scale, scale, 2) * (case % 7 != 0)))
+        p1, d1, t1 = g.mode1_grad(alpha)
+        joint = g.joint_grad(d1, t1, g._one2, still)
+        assert bits(p1) == bits(joint[:3]), (case, alpha)
+        p2, d2, t2 = g.mode2_grad(alpha)
+        joint = g.joint_grad(g._one1, still, d2, t2)
+        assert bits(p2) == bits((joint[0],) + joint[3:]), (case, alpha)
+
+
 def test_coherent_closed_forms_factorize_and_match_truncation():
     for _ in range(50):
         s = CoherentProduct(_random_amplitude(), _random_amplitude())
