@@ -815,16 +815,85 @@ class MaximizeResult:
     per_start_converged: List[Optional[bool]]
 
 
+# numpy's default generator (SeedSequence seeding PCG64), written out for
+# the eight draws a start needs: importing numpy.random costs every process
+# 11-12 ms (it pulls in secrets, hmac and _hashlib), against about 30 us
+# per start here
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_state(entropy: List[int]) -> List[int]:
+    """``SeedSequence(entropy).generate_state(4, uint64)``, for ints >= 0."""
+    words = []
+    for n in entropy:
+        # each int contributes its 32-bit words, least significant first
+        words.append(n & _MASK32)
+        n >>= 32
+        while n:
+            words.append(n & _MASK32)
+            n >>= 32
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        out.append(value ^ (value >> 16))
+    return [out[i] | (out[i + 1] << 32) for i in range(0, 8, 2)]
+
+
+def _uniform(entropy: List[int], low: float, high: float, n: int) -> List[float]:
+    """``np.random.default_rng(entropy).uniform(low, high, n)``, bit for bit."""
+    s0, s1, s2, s3 = _seed_sequence_state(entropy)
+    inc = (((s2 << 64) | s3) << 1 | 1) & _MASK128
+    state = (((inc + (s0 << 64 | s1)) & _MASK128) * _PCG64_MULT + inc) & _MASK128
+    width = high - low
+    out = []
+    for _ in range(n):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        # XSL-RR output: xor the halves, rotate right by the top 6 bits
+        x = ((state >> 64) ^ state) & _MASK64
+        r = state >> 122
+        u = ((x >> r) | (x << (64 - r))) & _MASK64
+        out.append(low + width * ((u >> 11) * 2.0**-53))
+    return out
+
+
 def _start_point(seed: int, index: int, box: float) -> tuple:
     """Deterministic start point and search scale for one start index.
 
     Each index draws from its own generator seeded by (seed, index), so
     enlarging ``starts`` keeps every earlier start identical (the best-f
-    found is monotone in the number of starts under a fixed seed).
+    found is monotone in the number of starts under a fixed seed). The
+    point is ``np.random.default_rng([seed, index]).uniform(-scale, scale,
+    8)``.
     """
-    rng = np.random.default_rng([seed, index])
     scale = box * START_SCALES[index % len(START_SCALES)]
-    x0 = rng.uniform(-scale, scale, 8)
+    x0 = np.array(_uniform([seed, index], -scale, scale, 8))
     return x0, scale
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import pickle
 import re
 import sys
 from dataclasses import dataclass
@@ -219,7 +221,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="CSV output path (default: stdout)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent grid points (worker processes, at most one per point)")
+                   help="concurrent grid points: this process and up to N - 1 forked "
+                        "workers, each taking the next point when free (serial where "
+                        "os.fork is missing)")
     p.add_argument("--box", type=float, default=DEFAULT_BOX)
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -345,7 +349,7 @@ def _parse_grid_override(text: Optional[str], flag: str):
 
 def _scan_point(preset_name: str, partition: str, p1: float, p2: float,
                 cfg_fields: dict) -> List[str]:
-    """Run one grid point and return its CSV row (picklable, top level)."""
+    """Run one grid point and return its CSV row."""
     preset = PRESETS[preset_name]
     row: List[str] = [repr(float(p1)), repr(float(p2))]
     try:
@@ -361,6 +365,101 @@ def _scan_point(preset_name: str, partition: str, p1: float, p2: float,
         row.extend([""] * (len(CSV_FIELDS) - 3))
         row.append(f"{type(exc).__name__}: {exc}")
     return row
+
+
+def _work(tasks, fd) -> tuple:
+    """Run the grid points handed out on the pipe ``fd`` until it runs dry.
+
+    Returns ``(rows, failure)``: the CSV rows by grid index, and
+    ``(index, exception)`` for a point that raised, else None. Indices go
+    out in grid order, so when a point raises, every earlier one is taken;
+    the worker then empties the pipe, which stops every worker after its
+    current point, as a serial scan stops at its first exception.
+    """
+    rows = {}
+    while True:
+        record = os.read(fd, 4)
+        if not record:
+            return rows, None
+        idx = int.from_bytes(record, "little")
+        try:
+            rows[idx] = _scan_point(*tasks[idx])
+        except Exception as exc:
+            while os.read(fd, 1 << 16):
+                pass
+            return rows, (idx, exc)
+
+
+def _child(tasks, task_r, task_w, res_r, res_w):
+    """A forked worker: take points, send back ``_work``'s result pickled
+    over its own pipe, and leave without running the parent's clean-up."""
+    status = 1
+    try:
+        os.close(task_w)
+        os.close(res_r)
+        payload = pickle.dumps(_work(tasks, task_r))
+        with open(res_w, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _scan_forked(tasks, jobs: int) -> List[List[str]]:
+    """The rows of every task, run by this process and ``jobs - 1`` forked
+    workers. Grid indices go out as 4-byte records on one shared pipe, so
+    each worker takes the next point as soon as it is free; a worker's
+    exception is raised here, the one of the lowest grid index first."""
+    task_r, task_w = os.pipe()
+    children = []  # (pid, read end of its result pipe)
+    finished = False
+    try:
+        for _ in range(jobs - 1):
+            res_r, res_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(res_r)
+                os.close(res_w)
+                raise
+            if pid == 0:
+                _child(tasks, task_r, task_w, res_r, res_w)
+            children.append((pid, res_r))
+            os.close(res_w)
+        # writes of at most PIPE_BUF bytes are atomic, so the pipe only
+        # ever holds whole records and a 4-byte read takes exactly one
+        step = min(4096, os.fpathconf(task_w, "PC_PIPE_BUF")) // 4 * 4
+        records = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
+        for at in range(0, len(records), step):
+            os.write(task_w, records[at:at + step])
+        os.close(task_w)
+        task_w = None
+        results = [_work(tasks, task_r)]
+        for pid, res_r in children:
+            with open(res_r, "rb", closefd=False) as fh:
+                payload = fh.read()
+            if not payload:
+                raise ChildProcessError(f"scan worker {pid} exited without a result")
+            results.append(pickle.loads(payload))
+        finished = True
+    finally:
+        for fd in (task_r, task_w, *(res_r for _, res_r in children)):
+            if fd is not None:
+                os.close(fd)
+        if not finished and children:
+            import signal
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = {}
+    for part, _ in results:
+        rows.update(part)
+    return [rows[idx] for idx in range(len(tasks))]
 
 
 def cmd_scan(args) -> int:
@@ -385,20 +484,14 @@ def cmd_scan(args) -> int:
         for idx, (p1, p2) in enumerate(grid)
     ]
 
-    # a process pool starts all its workers at once, needed or not
-    jobs = min(args.jobs, len(tasks))
-    if jobs == 1:
-        rows = [_scan_point(*t) for t in tasks]
-    else:
-        # imported here: the pool's modules cost every other command
-        # about 15 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_point, *zip(*tasks)))
-
+    # opened before the grid runs, so an unwritable path costs no compute
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
+        jobs = min(args.jobs, len(tasks))
+        if jobs == 1 or not hasattr(os, "fork"):
+            rows = [_scan_point(*t) for t in tasks]
+        else:
+            rows = _scan_forked(tasks, jobs)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         writer.writerows(rows)

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -311,32 +313,124 @@ def test_scan_jobs_agree_with_serial(tmp_path):
 
 
 def test_scan_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
-    # a stand-in pool records its size and maps in this process
-    sizes = []
+    # this process takes grid points too, so --jobs N forks at most N - 1
+    # workers, and no more than the grid has points besides its own
+    forks = []
+    real_fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     base = ["scan", "--preset", "cat-even-odd", "--param2", "1", "--starts", "2", "--seed", "2"]
-    for param1, jobs, size in (("0,1,2", "8", [3]), ("0,1,2", "2", [2]), ("1", "8", [])):
+    for param1, jobs, count in (("0,1,2", "8", 2), ("0,1,2", "2", 1), ("1", "8", 0)):
         serial = tmp_path / f"serial-{param1}.csv"
-        pooled = tmp_path / f"pooled-{param1}-{jobs}.csv"
+        forked = tmp_path / f"forked-{param1}-{jobs}.csv"
         assert main(base + ["--param1", param1, "--out", str(serial)]) == 0
-        sizes.clear()
-        assert main(base + ["--param1", param1, "--jobs", jobs, "--out", str(pooled)]) == 0
-        assert sizes == size
-        assert pooled.read_bytes() == serial.read_bytes()
+        forks.clear()
+        assert main(base + ["--param1", param1, "--jobs", jobs, "--out", str(forked)]) == 0
+        assert len(forks) == count
+        assert forked.read_bytes() == serial.read_bytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad", [{2}, {1, 3}], ids=["one-point", "two-points"])
+def test_scan_worker_exception_is_the_serial_error(monkeypatch, capsys, bad):
+    # forked workers inherit the patch; whichever process runs a bad point,
+    # the scan stops with the error of the first bad point in grid order,
+    # also when a later one fails first
+    def point(preset_name, partition, p1, p2, cfg_fields):
+        if p1 in bad:
+            if p1 == min(bad) and len(bad) > 1:
+                time.sleep(0.2)
+            raise ValueError(f"bad point {p1:g}")
+        return [repr(float(p1)), repr(float(p2))] + [""] * 11
+
+    monkeypatch.setattr("tomobell.cli._scan_point", point)
+    base = ["scan", "--preset", "cat-even-odd", "--param1", "0,1,2,3,4", "--param2", "1"]
+    errors = []
+    for jobs in ("1", "2", "3"):
+        assert main(base + ["--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        errors.append(captured.err)
+    assert errors == [f"error[ValueError]: bad point {min(bad)}\n"] * 3
+    _no_child_left()
+
+
+def test_scan_workers_stop_taking_points_after_an_exception(tmp_path, monkeypatch, capsys):
+    # as a serial scan stops at its first exception, the worker that hits
+    # one empties the hand-out pipe, and the other finishes its point and
+    # stops: a few of the 200 points run, not all of them
+    log = tmp_path / "points.log"
+
+    def point(preset_name, partition, p1, p2, cfg_fields):
+        with open(log, "a") as fh:
+            fh.write(f"{p1:g}\n")
+        if p1 == 1:
+            raise ValueError("bad point 1")
+        time.sleep(0.01)
+        return [repr(float(p1)), repr(float(p2))] + [""] * 11
+
+    monkeypatch.setattr("tomobell.cli._scan_point", point)
+    grid = ",".join(str(i) for i in range(200))
+    assert main(["scan", "--preset", "cat-even-odd", "--param1", grid, "--param2", "1",
+                 "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == "error[ValueError]: bad point 1\n"
+    taken = log.read_text().split()
+    assert "1" in taken and len(taken) < 50
+    _no_child_left()
+
+
+def test_scan_worker_that_dies_without_a_result_exits_2(monkeypatch, capsys):
+    # a worker killed mid-scan sends no rows: the scan fails, and every
+    # worker is reaped. This process holds its first point until a worker
+    # has taken one and died.
+    parent = os.getpid()
+    died_r, died_w = os.pipe()
+    held = []
+
+    def point(preset_name, partition, p1, p2, cfg_fields):
+        if os.getpid() != parent:
+            os.write(died_w, b"x")
+            os._exit(3)
+        if not held:
+            held.append(select.select([died_r], [], [], 30.0)[0])
+        return [repr(float(p1)), repr(float(p2))] + [""] * 11
+
+    monkeypatch.setattr("tomobell.cli._scan_point", point)
+    try:
+        rc = main(["scan", "--preset", "cat-even-odd", "--param1", "0,1,2", "--param2", "1",
+                   "--jobs", "2"])
+    finally:
+        os.close(died_r)
+        os.close(died_w)
+    assert held == [[died_r]]
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[ChildProcessError]: scan worker ")
+    assert captured.err.count("\n") == 1
+    _no_child_left()
+
+
+def test_scan_unwritable_out_fails_before_the_grid_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("tomobell.cli._scan_point", lambda *task: calls.append(task))
+    rc = main(["scan", "--preset", "gaussian-family", "--param1", "0.6,1.0",
+               "--param2", "0.0,0.07", "--starts", "20",
+               "--out", str(tmp_path / "missing" / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[FileNotFoundError]: ")
+    assert err.count("\n") == 1
+    assert calls == []
 
 
 def test_scan_error_rows_continue(tmp_path):
@@ -450,8 +544,8 @@ def test_maximize_loads_neither_scipy_nor_mpmath(coherent_file):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only scan --jobs > 1 uses a process pool; every other command, and
-    # the benchmark that imports the CLI, starts without its modules
+    # the CLI forks its scan workers itself; no command, nor the benchmark
+    # that imports the CLI, loads the process pool's modules
     src = str(Path(tomobell.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -459,3 +553,27 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    (["maximize", "--starts", "2"], ["numpy.random"]),
+    (["scan", "--preset", "cat-even-odd", "--param1", "0,1", "--param2", "1",
+      "--starts", "2", "--jobs", "2"], ["numpy.random", "concurrent.futures", "multiprocessing"]),
+], ids=["maximize", "scan-jobs-2"])
+def test_runs_load_neither_numpy_random_nor_a_process_pool(coherent_file, command, unloaded):
+    # start points come from the package's own generator, and scan
+    # workers are forked directly: neither pays for those imports
+    src = str(Path(tomobell.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if command[0] == "maximize":
+        command = command + ["--state", coherent_file]
+    code = (
+        "import sys, contextlib, io, tomobell.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = tomobell.cli.main({command!r})\n"
+        f"print(rc, [m for m in {unloaded!r} if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"

@@ -456,6 +456,29 @@ def test_maximize_reproduces_the_readme_maxima():
     assert squeezed.evaluations == 2023
 
 
+def test_start_point_is_numpys_default_generator_bit_for_bit():
+    # the start points are numpy's SeedSequence + PCG64 draws, written out
+    # so that a run need not import numpy.random; seeds of 2**32 and above
+    # enter the seed sequence as several 32-bit words, beyond 2**96 as more
+    # words than its pool holds
+    draw = np.random.default_rng(4)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7, 2**200 + 11]
+    while len(seeds) < 2000:
+        seeds.append(int(draw.integers(2**63)) >> int(draw.integers(64)))
+        seeds.append(int(draw.integers(2**63)) << int(draw.integers(1, 140)))
+    boxes = [BOX, 1.0, float(draw.uniform(0.01, 10.0))]
+    pairs = 0
+    for k, seed in enumerate(seeds[:2000]):
+        for index in range(2 * len(bell.START_SCALES)):
+            box = boxes[(k + index) % len(boxes)]
+            x0, scale = _start_point(seed, index, box)
+            assert scale == box * bell.START_SCALES[index % len(bell.START_SCALES)]
+            expected = np.random.default_rng([seed, index]).uniform(-scale, scale, 8)
+            assert x0.tobytes() == expected.tobytes(), (seed, index, box)
+            pairs += 1
+    assert pairs == 20000
+
+
 def _scipy_start(label, index, seed=0):
     """-B maximized by scipy's L-BFGS-B from one start of ``maximize_bell``,
     in the coordinates y with x = x0 + (scale / 2) y that the search uses."""
