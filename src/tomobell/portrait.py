@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -151,6 +152,24 @@ class PartitionScheme:
         return _plus_set(self.rule1, n), _plus_set(self.rule2, n)
 
 
+@lru_cache(maxsize=64)
+def _cell_masks(rule1, rule2, nmax: int):
+    """Float membership masks for 0..nmax, read-only: the (plus, minus)
+    rows of mode 1 and the (plus, minus) columns of mode 2, so that the
+    cells (++, +-, -+, --) of a table are ``rows1 @ table @ cols2``.
+
+    Both are C-contiguous. Multiplying by a transposed view of the mode-2
+    rows instead takes another BLAS path, which moves the cells in their
+    last bits.
+    """
+    m1, m2 = PartitionScheme(rule1, rule2).masks(nmax)
+    rows1 = np.array((m1, ~m1), dtype=float)
+    cols2 = np.array((m2, ~m2), dtype=float).T.copy()
+    rows1.setflags(write=False)
+    cols2.setflags(write=False)
+    return rows1, cols2
+
+
 # ---------------------------------------------------------------------------
 # portrait vector
 # ---------------------------------------------------------------------------
@@ -258,8 +277,8 @@ def portrait_truncated(
     if not tail_eps > 0.0:
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
     table = src.tomogram_table(alpha1, alpha2, nmax)
-    m1, m2 = p.masks(nmax)
-    cells = (np.array((m1, ~m1)) @ table @ np.array((m2, ~m2)).T).ravel().tolist()
+    rows1, cols2 = _cell_masks(p.rule1, p.rule2, nmax)
+    cells = (rows1 @ table @ cols2).ravel().tolist()
     deficit = 1.0 - sum(cells)
     if deficit > tail_eps:
         raise TailTooLarge(

@@ -34,7 +34,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,6 +98,27 @@ def _log_cosh(x: float) -> float:
 
 def _log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
+
+
+def _table_size(nmax) -> int:
+    """nmax as an int, for the tables of 0 <= n1, n2 <= nmax.
+
+    A bool or a non-integer is refused rather than truncated: int(2.5)
+    would silently give a 3 x 3 table and True a 2 x 2 one.
+    """
+    if isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral):
+        raise ValueError(f"nmax must be an integer, got {nmax!r}")
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    return int(nmax)
+
+
+@lru_cache(maxsize=8)
+def _log_factorials(nmax: int) -> np.ndarray:
+    """log n! for n = 0..nmax, read-only."""
+    out = np.array([_log_factorial(n) for n in range(nmax + 1)])
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +421,8 @@ def coherent_superposition_table(
     coefficient times its displacement phases. Every amplitude has modulus
     at most 1, so no amplitude needs a log-domain branch.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+    log_fact = _log_factorials(_table_size(nmax))
     a1, a2 = complex(alpha1), complex(alpha2)
-    log_fact = np.array([_log_factorial(n) for n in range(int(nmax) + 1)])
     amp = 0.0
     for coeff, d1, d2 in coherent_superposition_terms(state):
         c = coeff * _displacement_phase(a1, d1) * _displacement_phase(a2, d2)
@@ -570,22 +589,25 @@ def _s2_multipliers(rows, n: int) -> np.ndarray:
     rows = np.atleast_2d(rows)[:, : n + 1]
     z = np.zeros((len(rows), 2 * n + 1))
     z[:, n : n + rows.shape[1]] = rows
-    # windows[r, i, m] = z[r, i + m], and i + (n - j) indexes rows[r][i - j]
-    windows = np.lib.stride_tricks.sliding_window_view(z, n + 1, axis=1)
-    return np.ascontiguousarray(windows[:, :, ::-1].transpose(1, 0, 2))
+    # T[i, r, j] = z[r, n + i - j]: a strided view of z, copied once
+    step = z.itemsize
+    view = np.ndarray((n + 1, len(rows), n + 1), float, z, n * step, (step, z.strides[0], -step))
+    return view.copy()
 
 
-def _exp_series(e: np.ndarray) -> np.ndarray:
+def _exp_series(e: list) -> list:
     """Taylor coefficients of exp(e(s)) from those of e, as many as given.
 
     f' = e' f gives (k + 1) f[k + 1] = sum_j (j + 1) e[j + 1] f[k - j].
+    The series is short, so this runs on Python floats.
     """
-    n = len(e) - 1
-    de = e[1:] * np.arange(1, n + 1)
-    f = np.zeros(n + 1)
-    f[0] = math.exp(e[0])
-    for k in range(n):
-        f[k + 1] = de[: k + 1] @ f[k::-1] / (k + 1)
+    de = [e[j + 1] * (j + 1) for j in range(len(e) - 1)]
+    f = [math.exp(e[0])]
+    for k in range(len(de)):
+        acc = 0.0
+        for a, b in zip(de, reversed(f)):
+            acc += a * b
+        f.append(acc / (k + 1))
     return f
 
 
@@ -612,38 +634,44 @@ def gaussian_tomogram_table(
     Raises:
         NumericalNegativity: if an entry is not finite or lies below
             -1e-9. A spec that passes the det M >= 1/16 check without
-            being a physical state can have such a table.
+            being a physical state can have such a table, and so can a
+            strongly squeezed state at box-scale settings, where the
+            recurrence loses up to about 1e-6 to rounding.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    n = int(nmax)
+    n = _table_size(nmax)
     delta, A = g._generating_polynomials
     mu = gaussian_effective_mean(g, alpha1, alpha2)
     N = np.einsum("i,ijab,j->ab", mu, A, mu)
-    d_rows = _s2_multipliers(delta, n)
-    n_rows = _s2_multipliers(N, n)
 
-    # R = 1/Delta row by row in s1: Delta_0 R_k = -(Delta_1 R_(k-1) + Delta_2 R_(k-2))
-    d00, d01, d02 = delta[0]
-    r0 = np.zeros(n + 1)
-    r0[0] = 1.0 / d00
+    # R = 1/Delta row by row in s1: Delta_0 R_k = -(Delta_1 R_(k-1) + Delta_2 R_(k-2)),
+    # row 0 on Python floats. The other rows are written in place, with
+    # the bits of -(q1 @ R_(k-1)) - q2 @ R_(k-2); one product with [q1 | q2]
+    # would sum in another order and move the tables of non-states at
+    # box-scale settings by up to 1e-12
+    d00, d01, d02 = delta[0].tolist()
+    r0 = [1.0 / d00]
     for k in range(1, n + 1):
-        r0[k] = -(d01 * r0[k - 1] + (d02 * r0[k - 2] if k >= 2 else 0.0)) / d00
+        r0.append(-(d01 * r0[k - 1] + (d02 * r0[k - 2] if k >= 2 else 0.0)) / d00)
+    dn_rows = _s2_multipliers(np.concatenate((delta, N)), n)
+    d_rows, n_rows = dn_rows[:, :3], dn_rows[:, 3:]
     inv0 = _s2_multipliers(r0, n)[:, 0]
-    q1, q2 = inv0 @ d_rows[:, 1], inv0 @ d_rows[:, 2]
+    neg_q1, q2 = -(inv0 @ d_rows[:, 1]), inv0 @ d_rows[:, 2]
     R = np.zeros((n + 1, n + 1))
     R[0] = r0
+    q2_term = np.empty(n + 1)
     for k in range(1, n + 1):
-        R[k] = -(q1 @ R[k - 1])
+        row = R[k]
+        neg_q1.dot(R[k - 1], out=row)
         if k >= 2:
-            R[k] -= q2 @ R[k - 2]
+            row -= q2.dot(R[k - 2], out=q2_term)
 
     # log Delta: row 0 from d/ds2 log Delta_0 = Delta_0' R_0, the other
     # rows from d/ds1 log Delta = (Delta_1 + 2 s1 Delta_2) R
     L = np.zeros((n + 1, n + 1))
     L[0, 0] = math.log(d00)
-    s2_r0 = np.concatenate(([0.0], r0[:-1]))
-    L[0, 1:] = (d01 * r0 + 2.0 * d02 * s2_r0)[:-1] / np.arange(1, n + 1)
+    L[0, 1:] = [
+        (d01 * r0[k] + 2.0 * d02 * (r0[k - 1] if k else 0.0)) / (k + 1) for k in range(n)
+    ]
     dlog = R @ d_rows[:, 1].T
     dlog[1:] += 2.0 * R[:-1] @ d_rows[:, 2].T
     L[1:] = dlog[:-1] / np.arange(1, n + 1)[:, None]
@@ -655,17 +683,19 @@ def gaussian_tomogram_table(
     E = -0.5 * (NR + L)
 
     # P = exp(E): row 0 along s2, then P_(k+1) from P_k .. P_0 stored in
-    # reverse (P_m in row n - m) so that they lie contiguous in memory
+    # reverse (P_m in row n - m) so that they lie contiguous in memory.
+    # ``@`` reads the column slice of dE in place, where np.dot copies it
     dE = _s2_multipliers(E[1:] * np.arange(1, n + 1)[:, None], n).reshape(n + 1, -1)
     P = np.zeros((n + 1, n + 1))
-    P[n] = _exp_series(E[0])
+    P[n] = _exp_series(E[0].tolist())
     for k in range(n):
-        P[n - k - 1] = dE[:, : (k + 1) * (n + 1)] @ P[n - k:].ravel() / (k + 1)
+        P[n - k - 1] = dE[:, : (k + 1) * (n + 1)] @ P[n - k :].ravel() / (k + 1)
     w = P[::-1]
 
-    if not np.all(np.isfinite(w)):
+    # a NaN or an infinity shows in the minimum or the maximum
+    low, high = float(w.min()), float(w.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise NumericalNegativity("gaussian tomogram table is not finite")
-    low = float(w.min())
     if low < -NEGATIVITY_TOL_HERMITE:
         raise NumericalNegativity(f"gaussian tomogram table hit {low:.6e}")
     return np.clip(w, 0.0, None)
@@ -684,7 +714,7 @@ class TomogramSource:
 
     # sources that can fill a whole photon-number table cheaply override this
     def tomogram_table(self, alpha1, alpha2, nmax):
-        n = int(nmax) + 1
+        n = _table_size(nmax) + 1
         out = np.empty((n, n))
         for i in range(n):
             for j in range(n):

@@ -233,6 +233,45 @@ def test_two_mode_squeezed_vacuum_table():
             assert np.max(np.abs(table - want)) <= 1e-14
 
 
+def _displacement(alpha, dim):
+    # D(alpha) = exp(alpha a^dag - conj(alpha) a) in the Fock basis 0..dim-1
+    from scipy.linalg import expm
+
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    return expm(alpha * a.T - np.conj(alpha) * a)
+
+
+# At box-scale settings the table of a strongly squeezed TMSV loses more
+# than the bound: the exp recurrence grows it from a small vacuum
+# probability through sign-mixed terms (ROADMAP item 3). The marks keep
+# that measured loss in view; strict, so a fix shows as XPASS.
+_TABLE_LOSS = pytest.mark.xfail(
+    strict=True, reason="the exp recurrence loses 1e-10 to 2e-9 here (1e-6 at other draws)")
+
+
+@pytest.mark.parametrize("r, scale", [
+    (0.3, 0.35), (0.7, 0.35), (1.1, 0.35), (1.4, 0.35), (0.3, 2.0), (0.7, 2.0),
+    pytest.param(1.1, 2.0, marks=_TABLE_LOSS), pytest.param(1.4, 2.0, marks=_TABLE_LOSS),
+])
+def test_displaced_two_mode_squeezed_vacuum_matches_fock_oracle(r, scale):
+    # the TMSV spec above has the Fock amplitudes C = diag((-tanh r)^n / cosh r);
+    # displaced by (a1, a2) they are D(a1) C D(a2)^T, here in 100 Fock
+    # states per mode (200 moves no entry by more than 1e-16); 10
+    # settings with |Re|, |Im| <= scale
+    dim, nmax = 100, 30
+    local = np.random.default_rng(29)
+    k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+    tmsv = GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
+                                  [0, 0, k, s], [0, 0, s, k]]))
+    amps = np.diag((-math.tanh(r)) ** np.arange(dim) / math.cosh(r))
+    for _ in range(10):
+        a1, a2 = (complex(*local.uniform(-scale, scale, 2)) for _ in range(2))
+        c = _displacement(a1, dim) @ amps @ _displacement(a2, dim).T
+        want = np.abs(c[: nmax + 1, : nmax + 1]) ** 2
+        table = gaussian_tomogram_table(tmsv, a1, a2, nmax)
+        assert np.max(np.abs(table - want)) <= 1e-11, (a1, a2)
+
+
 def _hermite_table(g, a1, a2, nmax):
     # the paper's route: the (n1, n2, n1, n2) diagonal of a Hermite box
     ctx = HermiteParams(gaussian_R(g.M), gaussian_y(g.M, gaussian_shifted_mean(g, a1, a2)),
