@@ -100,7 +100,7 @@ def _log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _table_size(nmax) -> int:
+def _table_nmax(nmax) -> int:
     """nmax as an int, for the tables of 0 <= n1, n2 <= nmax.
 
     A bool or a non-integer is refused rather than truncated: int(2.5)
@@ -421,7 +421,7 @@ def coherent_superposition_table(
     coefficient times its displacement phases. Every amplitude has modulus
     at most 1, so no amplitude needs a log-domain branch.
     """
-    log_fact = _log_factorials(_table_size(nmax))
+    log_fact = _log_factorials(_table_nmax(nmax))
     a1, a2 = complex(alpha1), complex(alpha2)
     amp = 0.0
     for coeff, d1, d2 in coherent_superposition_terms(state):
@@ -638,7 +638,7 @@ def gaussian_tomogram_table(
             strongly squeezed state at box-scale settings, where the
             recurrence loses up to about 1e-6 to rounding.
     """
-    n = _table_size(nmax)
+    n = _table_nmax(nmax)
     delta, A = g._generating_polynomials
     mu = gaussian_effective_mean(g, alpha1, alpha2)
     N = np.einsum("i,ijab,j->ab", mu, A, mu)
@@ -689,7 +689,7 @@ def gaussian_tomogram_table(
     P = np.zeros((n + 1, n + 1))
     P[n] = _exp_series(E[0].tolist())
     for k in range(n):
-        P[n - k - 1] = dE[:, : (k + 1) * (n + 1)] @ P[n - k :].ravel() / (k + 1)
+        P[n - k - 1] = dE[:, : (k + 1) * (n + 1)] @ P[n - k:].ravel() / (k + 1)
     w = P[::-1]
 
     # a NaN or an infinity shows in the minimum or the maximum
@@ -714,7 +714,7 @@ class TomogramSource:
 
     # sources that can fill a whole photon-number table cheaply override this
     def tomogram_table(self, alpha1, alpha2, nmax):
-        n = _table_size(nmax) + 1
+        n = _table_nmax(nmax) + 1
         out = np.empty((n, n))
         for i in range(n):
             for j in range(n):

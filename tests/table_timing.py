@@ -4,8 +4,8 @@ Usage::
 
     PYTHONPATH=src python3 tests/table_timing.py [REPEATS]
 
-prints, at ``nmax`` 15 and 30, the minimum over REPEATS (default 7) runs
-of one call of:
+prints, at ``nmax`` 15 and 30, the minimum over REPEATS (default 25)
+runs of about 5 ms each of one call of:
 
 - ``gaussian_tomogram_table`` on the paper's squeezed example at the
   worked-example settings (-0.12i, 0.04i), and on a purity-family member
@@ -16,9 +16,10 @@ of one call of:
   (2, 2), which is the cat table plus its cell sums.
 
 These are the per-table figures that README and ROADMAP quote. Each line
-is a minimum, so it measures the code rather than the machine's load; the
-benchmark's ``truncated-tables`` workload measures whole samples. pytest
-does not collect this file.
+is a minimum over many short runs, so that a machine shared with other
+work still shows its quiet moments; where two runs of the script
+disagree, take the lower figure. The benchmark's ``truncated-tables``
+workload measures whole samples. pytest does not collect this file.
 """
 
 import math
@@ -49,12 +50,12 @@ AMPLITUDES = (0.7 + 0.3j, -0.5 + 0.2j)
 
 
 def _minimum_us(call, repeats):
-    # enough calls per run that one run takes about 20 ms
-    number = max(1, int(0.02 / max(timeit.timeit(call, number=1), 1e-7)))
+    # enough calls per run that one run takes about 5 ms
+    number = max(1, int(0.005 / max(timeit.timeit(call, number=1), 1e-7)))
     return min(timeit.repeat(call, number=number, repeat=repeats)) / number * 1e6
 
 
-def main(repeats=7):
+def main(repeats=25):
     a1, a2 = SETTINGS
     squeezed, family = GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.8, 0.02)
     cat, coherent = CatState(*AMPLITUDES), CoherentProduct(*AMPLITUDES)
