@@ -15,11 +15,12 @@ runs of about 5 ms each of one call of:
 - ``portrait_truncated`` of the cat state under the threshold partition
   (2, 2), which is the cat table plus its cell sums.
 
-These are the per-table figures that README and ROADMAP quote. Each line
-is a minimum over many short runs, so that a machine shared with other
-work still shows its quiet moments; where two runs of the script
-disagree, take the lower figure. The benchmark's ``truncated-tables``
-workload measures whole samples. pytest does not collect this file.
+It times one table at a time, in one process, what the traced runs of
+the benchmark's ``truncated-tables`` workload report per table
+(``states.table.ms.*``, medians within whole samples). Each line is a
+minimum over many short runs, so that a machine shared with other work
+still shows its quiet moments; where two runs of the script disagree,
+take the lower figure. pytest does not collect this file.
 """
 
 import math

@@ -155,6 +155,16 @@ def test_gaussian_table_matches_the_reference_expansion():
     assert refused > 0 and compared > 0
 
 
+def test_gaussian_table_refuses_a_non_finite_table():
+    # displacements this large overflow the series to inf and nan; the
+    # check reads them from the table's minimum and maximum
+    g = gaussian_purity_family(0.9, 0.0)
+    with np.errstate(all="ignore"):
+        for a1 in (1e200, 1e154, 1e170j):
+            with pytest.raises(NumericalNegativity, match="not finite"):
+                gaussian_tomogram_table(g, a1, 0j, 5)
+
+
 def test_table_caches_are_bounded_and_read_only():
     coherent_superposition_table(CatState(0.5, 0.3j), 0j, 0j, 7)
     portrait_truncated(make_source(CoherentProduct(0.5, 0.3j)), PartitionScheme(2, "even"),
