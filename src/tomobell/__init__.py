@@ -34,7 +34,7 @@ from .errors import (
     TomobellError,
     UnsupportedState,
 )
-from .hermite import HermiteParams, hermite_box, hermite_eval, hermite_oracle
+from .hermite import HermiteParams, gaussian_R, hermite_box, hermite_eval, hermite_oracle
 from .portrait import (
     PartitionScheme,
     PortraitVector,
@@ -54,7 +54,6 @@ from .states import (
     GaussianSpec,
     cat_tomogram,
     coherent_tomogram,
-    gaussian_R,
     gaussian_purity_family,
     gaussian_tomogram_table,
     load_state,

@@ -34,9 +34,8 @@ class UnsupportedState(TomobellError):
 
 
 class DegenerateGaussian(TomobellError):
-    """I - 2M is singular, so the Hermite-based Gaussian evaluation is
-    undefined. The state is coherent or vacuum-like; use the closed
-    coherent-state form instead."""
+    """I - 2M is singular, so the paper's Hermite argument y is undefined.
+    Only ``gaussian_y`` raises it; tables and tomograms take such states."""
 
 
 class NonPhysicalSpec(TomobellError):

@@ -1,7 +1,16 @@
-"""Four-dimensional Hermite polynomials H^R_k(x).
+"""The paper's route to a Gaussian tomogram: four-dimensional Hermite
+polynomials H^R_k(x), the tests' oracle for the photon tables.
 
 Definition: H^R_k(x) = (-1)^|k| exp(x.R.x / 2) d^k/dx^k exp(-x.R.x / 2)
 for a complex symmetric 4x4 matrix R, evaluated at a complex 4-vector x.
+The paper writes the tomogram of a Gaussian state with dispersion matrix
+M as
+
+    w(n1, n2) = exp(-mu (2M+I)^{-1} mu) / sqrt(det(M + I/2)) *
+                H^R_{n1,n2,n1,n2}(y) / (n1! n2!)
+
+with mu the kernel-order displaced mean (``states.gaussian_effective_mean``),
+R = ``gaussian_R(M)`` and y = ``gaussian_y(M, shifted_mean)``.
 
 ``hermite_box`` fills a whole index box from the recursion
 
@@ -12,17 +21,22 @@ a time with whole-slab numpy operations; ``hermite_eval`` reads one entry
 from the smallest box that holds it. ``hermite_oracle`` instead
 differentiates exp(-x.R.x/2) symbolically, carrying the exact
 multivariate polynomial coefficient table, and is the ground truth the
-recursion is tested against. Photon tables come from generating functions
-in ``states``; tests use the box as their oracle.
+recursion is tested against.
+
+No library function calls this module: photon tables, and the scalar
+Gaussian tomogram read from them, come from generating functions in
+``states``. It stays in the package only because ``perfbench/spans.py``
+patches ``hermite_box`` and ``hermite_eval`` by name in ``states``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import AsymmetricR, OrderOverflow
+from .errors import AsymmetricR, DegenerateGaussian, NonPhysicalSpec, OrderOverflow
 
 # largest |A - A^T| entry accepted for a matrix that must be symmetric
 # (R here, the dispersion matrix M in ``states``)
@@ -31,6 +45,24 @@ DEFAULT_MAX_ORDER = 128
 
 # only used by the symbolic oracle, which scales exponentially with order
 ORACLE_MAX_ORDER = 8
+
+R_SYMMETRY_TOL = 1e-10
+# I - 2M counts as singular when |det| <= this multiple of ||I - 2M||_F^4;
+# the fourth power keeps the test scale invariant, as det scales as c^4
+SINGULARITY_SCALE = 1e-12
+
+# the unitary that maps quadrature variables to the Hermite-form arguments
+U_MATRIX = np.array(
+    [
+        [-1j, 0, 1j, 0],
+        [0, -1j, 0, 1j],
+        [1, 0, 1, 0],
+        [0, 1, 0, 1],
+    ],
+    dtype=complex,
+) / math.sqrt(2)
+
+_I4 = np.eye(4)
 
 Index = Tuple[int, int, int, int]
 
@@ -116,6 +148,51 @@ def hermite_box(params: HermiteParams, shape) -> np.ndarray:
                 v = v - R[i, i] * (n - 1) * H[lead + (n - 2,) + tail]
             H[lead + (n,) + tail] = v
     return H
+
+
+# ---------------------------------------------------------------------------
+# the paper's Gaussian parameters
+# ---------------------------------------------------------------------------
+
+
+def _dispersion(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.shape != (4, 4) or not np.all(np.isfinite(M)):
+        raise ValueError(f"M must be a finite 4x4 matrix, got shape {M.shape}")
+    return M
+
+
+def gaussian_R(M) -> np.ndarray:
+    """Hermite parameter matrix R = U^dag (I - 2M) (I + 2M)^{-1} U^*."""
+    M = _dispersion(M)
+    core = (_I4 - 2.0 * M) @ np.linalg.inv(_I4 + 2.0 * M)
+    R = U_MATRIX.conj().T @ core @ U_MATRIX.conj()
+    asym = float(np.max(np.abs(R - R.T)))
+    if asym > R_SYMMETRY_TOL:
+        raise NonPhysicalSpec(
+            f"R came out asymmetric by {asym:.3e}; M is not a valid dispersion matrix"
+        )
+    return 0.5 * (R + R.T)
+
+
+def gaussian_y(M, shifted_mean) -> np.ndarray:
+    """Hermite argument y = 2 U^tr (I - 2M)^{-1} mu.
+
+    ``shifted_mean`` is the displaced mean in (p1, p2, q1, q2) order as
+    returned by ``states.gaussian_shifted_mean``; the kernel-order
+    exchange to (q1, q2, p1, p2) happens here.
+
+    Raises:
+        DegenerateGaussian: when I - 2M is singular (coherent or vacuum
+            noise), where y is undefined.
+    """
+    mu = np.asarray(shifted_mean, dtype=float)[[2, 3, 0, 1]]
+    a = _I4 - 2.0 * _dispersion(M)
+    if abs(np.linalg.det(a)) <= SINGULARITY_SCALE * float(np.linalg.norm(a)) ** 4:
+        raise DegenerateGaussian(
+            "I - 2M is singular; the state has coherent-state photon statistics"
+        )
+    return 2.0 * U_MATRIX.T @ (np.linalg.inv(a) @ mu)
 
 
 # ---------------------------------------------------------------------------

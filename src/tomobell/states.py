@@ -17,10 +17,11 @@ vectorized pass over the coherent superposition terms:
 |sum_b c_b phi_b1 (x) phi_b2|^2 with displaced Fock amplitude vectors
 phi. A Gaussian table is the array of Taylor coefficients of the
 closed-form generating function G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2,
-expanded in real arithmetic. The paper's formulas belong to the scalar
-functions only: ``cat_tomogram`` keeps a closed formula with a
-log-domain branch for large amplitudes, and ``gaussian_tomogram`` the
-four-dimensional Hermite polynomials of the paper.
+expanded in real arithmetic. ``gaussian_tomogram`` reads one entry of
+that table; the paper's four-dimensional Hermite polynomials live in
+``hermite`` as the tests' oracle. ``cat_tomogram`` keeps the paper's
+closed formula, with a log-domain branch for large amplitudes, because
+one entry of it costs far less than a table.
 
 Quadrature ordering is (p1, p2, q1, q2) everywhere a 4-vector or 4x4
 matrix appears, with p = -i(a - a^dag)/sqrt(2), q = (a + a^dag)/sqrt(2)
@@ -39,15 +40,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
-    DegenerateGaussian,
     InvalidParameter,
     NonPhysicalSpec,
     NumericalNegativity,
     UnsupportedState,
 )
-# no table here fills a Hermite box; ``hermite_box`` stays importable from
-# this module because ``perfbench/spans.py`` patches it here by name
-from .hermite import SYMMETRY_TOL, HermiteParams, hermite_box, hermite_eval  # noqa: F401
+# nothing here calls the Hermite route; ``hermite_box`` and ``hermite_eval``
+# stay importable from this module only because ``perfbench/spans.py``
+# patches them here by name
+from .hermite import SYMMETRY_TOL, hermite_box, hermite_eval  # noqa: F401
 
 # cat-state formulas switch to (sign, log magnitude) accumulation above this
 # value of |gamma1|^2 + |gamma2|^2; cosh of anything much larger overflows
@@ -58,30 +59,12 @@ LOG_DOMAIN_THRESHOLD = 30.0
 NEGATIVITY_TOL = 1e-12
 NEGATIVITY_TOL_HERMITE = 1e-9
 
-# |Im H| <= IMAG_RESIDUE_TOL * (1 + |Re H|) must hold before Re is taken
-IMAG_RESIDUE_TOL = 1e-8
-
-R_SYMMETRY_TOL = 1e-10
-# I - 2M counts as singular when |det| <= this multiple of ||I - 2M||_F^4;
-# the fourth power keeps the test scale invariant, as det scales as c^4
-SINGULARITY_SCALE = 1e-12
 DET_BOUND_SLACK = 1e-10
 
 # photon-number truncation defaults: counts up to 30 per mode, displacement
 # components confined to |Re alpha|, |Im alpha| <= 2
 DEFAULT_NMAX = 30
 DEFAULT_BOX = 2.0
-
-# the unitary that maps quadrature variables to the Hermite-form arguments
-U_MATRIX = np.array(
-    [
-        [-1j, 0, 1j, 0],
-        [0, -1j, 0, 1j],
-        [1, 0, 1, 0],
-        [0, 1, 0, 1],
-    ],
-    dtype=complex,
-) / math.sqrt(2)
 
 _I4 = np.eye(4)
 
@@ -100,17 +83,20 @@ def _log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _table_nmax(nmax) -> int:
-    """nmax as an int, for the tables of 0 <= n1, n2 <= nmax.
+def _photon_count(n, name: str = "nmax") -> int:
+    """A photon count n >= 0 (a table's nmax, or an n1, n2) as an int.
 
     A bool or a non-integer is refused rather than truncated: int(2.5)
     would silently give a 3 x 3 table and True a 2 x 2 one.
     """
-    if isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral):
-        raise ValueError(f"nmax must be an integer, got {nmax!r}")
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    return int(nmax)
+    # a plain int skips the slow ABC check below; a bool's type is not int
+    if type(n) is not int:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+        n = int(n)
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n!r}")
+    return n
 
 
 @lru_cache(maxsize=8)
@@ -270,8 +256,7 @@ def cat_tomogram(s: CatState, n1: int, n2: int, alpha1: complex, alpha2: complex
     with z = conj(a1) g1 + conj(a2) g2 and S = |g1|^2 + |g2|^2. Above the
     log-domain threshold each product is carried as a complex logarithm.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
     g1, g2 = complex(s.gamma1), complex(s.gamma2)
     a1, a2 = complex(alpha1), complex(alpha2)
     S = abs(g1) ** 2 + abs(g2) ** 2
@@ -332,8 +317,7 @@ def coherent_tomogram(
     s: CoherentProduct, n1: int, n2: int, alpha1: complex, alpha2: complex
 ) -> float:
     """Product of Poisson weights with means |alpha_i + gamma_i|^2."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
     lam1 = abs(complex(alpha1) + complex(s.gamma1)) ** 2
     lam2 = abs(complex(alpha2) + complex(s.gamma2)) ** 2
     return _poisson_pmf(n1, lam1) * _poisson_pmf(n2, lam2)
@@ -383,8 +367,7 @@ def fock_oracle_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: compl
     Slow and simple on purpose; this is the ground truth for the cat and
     coherent closed forms.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
     a1, a2 = complex(alpha1), complex(alpha2)
     terms = coherent_superposition_terms(state)
     amp = 0.0 + 0.0j
@@ -421,7 +404,7 @@ def coherent_superposition_table(
     coefficient times its displacement phases. Every amplitude has modulus
     at most 1, so no amplitude needs a log-domain branch.
     """
-    log_fact = _log_factorials(_table_nmax(nmax))
+    log_fact = _log_factorials(_photon_count(nmax))
     a1, a2 = complex(alpha1), complex(alpha2)
     amp = 0.0
     for coeff, d1, d2 in coherent_superposition_terms(state):
@@ -451,98 +434,12 @@ def gaussian_shifted_mean(g: GaussianSpec, alpha1: complex, alpha2: complex) -> 
 def gaussian_effective_mean(g: GaussianSpec, alpha1: complex, alpha2: complex) -> np.ndarray:
     """Displaced mean as consumed by the tomogram kernel.
 
-    The photon-count kernel below takes the displaced mean with the p and
+    The generating function below takes the displaced mean with the p and
     q pairs exchanged, i.e. in (q1, q2, p1, p2) order relative to
-    ``gaussian_shifted_mean``. Both the exponential prefactor and the
-    Hermite argument y must use this same vector; mixing the two orderings
-    breaks normalization.
+    ``gaussian_shifted_mean``; the other order breaks normalization.
     """
     m = gaussian_shifted_mean(g, alpha1, alpha2)
     return m[[2, 3, 0, 1]]
-
-
-def _dispersion(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4) or not np.all(np.isfinite(M)):
-        raise ValueError(f"M must be a finite 4x4 matrix, got shape {M.shape}")
-    return M
-
-
-def gaussian_R(M) -> np.ndarray:
-    """Hermite parameter matrix R = U^dag (I - 2M) (I + 2M)^{-1} U^*."""
-    M = _dispersion(M)
-    core = (_I4 - 2.0 * M) @ np.linalg.inv(_I4 + 2.0 * M)
-    R = U_MATRIX.conj().T @ core @ U_MATRIX.conj()
-    asym = float(np.max(np.abs(R - R.T)))
-    if asym > R_SYMMETRY_TOL:
-        raise NonPhysicalSpec(
-            f"R came out asymmetric by {asym:.3e}; M is not a valid dispersion matrix"
-        )
-    return 0.5 * (R + R.T)
-
-
-def gaussian_y(M, shifted_mean) -> np.ndarray:
-    """Hermite argument y = 2 U^tr (I - 2M)^{-1} mu.
-
-    ``shifted_mean`` is the displaced mean in (p1, p2, q1, q2) order as
-    returned by ``gaussian_shifted_mean``; the kernel-order exchange to
-    (q1, q2, p1, p2) happens here.
-
-    Raises:
-        DegenerateGaussian: when I - 2M is singular (coherent or vacuum
-            state); the Poisson closed form applies there instead.
-    """
-    mu = np.asarray(shifted_mean, dtype=float)[[2, 3, 0, 1]]
-    a = _I4 - 2.0 * _dispersion(M)
-    if abs(np.linalg.det(a)) <= SINGULARITY_SCALE * float(np.linalg.norm(a)) ** 4:
-        raise DegenerateGaussian(
-            "I - 2M is singular; the state has coherent-state photon statistics"
-        )
-    return 2.0 * U_MATRIX.T @ (np.linalg.inv(a) @ mu)
-
-
-def _gaussian_prefactor(g: GaussianSpec, alpha1: complex, alpha2: complex) -> float:
-    mu = gaussian_effective_mean(g, alpha1, alpha2)
-    quad = float(mu @ np.linalg.inv(2.0 * g.M + _I4) @ mu)
-    det = float(np.linalg.det(g.M + 0.5 * _I4))
-    return math.exp(-quad) / math.sqrt(det)
-
-
-def _take_real_checked(h: complex, what: str) -> float:
-    if abs(h.imag) > IMAG_RESIDUE_TOL * (1.0 + abs(h.real)):
-        raise NumericalNegativity(
-            f"{what}: imaginary residue {h.imag:.3e} too large for real part {h.real:.3e}"
-        )
-    return h.real
-
-
-def gaussian_tomogram(
-    g: GaussianSpec, n1: int, n2: int, alpha1: complex, alpha2: complex
-) -> float:
-    """Photon-number tomogram of a Gaussian state via Hermite polynomials.
-
-    w = exp(-mu (2M+I)^{-1} mu) / sqrt(det(M + I/2)) *
-        H^R_{n1,n2,n1,n2}(y) / (n1! n2!)
-
-    Raises:
-        DegenerateGaussian: if I - 2M is singular.
-        NumericalNegativity: if the Hermite value carries a non-negligible
-            imaginary part, or the final value is negative beyond 1e-9.
-    """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("photon numbers must be nonnegative")
-    R = gaussian_R(g.M)
-    y = gaussian_y(g.M, gaussian_shifted_mean(g, alpha1, alpha2))
-    order = 2 * (n1 + n2)
-    ctx = HermiteParams(R, y, max_order=max(order, 8))
-    h = hermite_eval(ctx, (n1, n2, n1, n2))
-    hr = _take_real_checked(h, "gaussian tomogram Hermite value")
-    w = (
-        _gaussian_prefactor(g, alpha1, alpha2)
-        * hr
-        * math.exp(-_log_factorial(n1) - _log_factorial(n2))
-    )
-    return _clamp_probability(w, NEGATIVITY_TOL_HERMITE, "gaussian tomogram")
 
 
 def _generating_polynomials(M):
@@ -628,8 +525,7 @@ def gaussian_tomogram_table(
     series in s2 truncated at nmax; exp(E) then follows from the
     recurrence (k + 1) P_{k+1} = sum_j (j + 1) E_{j+1} P_{k-j} along s1,
     with products along s2. There is no complex arithmetic and no
-    Hermite box; ``gaussian_tomogram`` keeps the paper's Hermite formula
-    for single values.
+    Hermite box.
 
     Raises:
         NumericalNegativity: if an entry is not finite or lies below
@@ -638,7 +534,7 @@ def gaussian_tomogram_table(
             strongly squeezed state at box-scale settings, where the
             recurrence loses up to about 1e-6 to rounding.
     """
-    n = _table_nmax(nmax)
+    n = _photon_count(nmax)
     delta, A = g._generating_polynomials
     mu = gaussian_effective_mean(g, alpha1, alpha2)
     N = np.einsum("i,ijab,j->ab", mu, A, mu)
@@ -701,6 +597,19 @@ def gaussian_tomogram_table(
     return np.clip(w, 0.0, None)
 
 
+def gaussian_tomogram(
+    g: GaussianSpec, n1: int, n2: int, alpha1: complex, alpha2: complex
+) -> float:
+    """Photon-number tomogram of a Gaussian state: entry (n1, n2) of
+    ``gaussian_tomogram_table`` at nmax = max(n1, n2).
+
+    Raises:
+        NumericalNegativity: where that table is refused.
+    """
+    n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
+    return float(gaussian_tomogram_table(g, alpha1, alpha2, max(n1, n2))[n1, n2])
+
+
 # ---------------------------------------------------------------------------
 # uniform source interface
 # ---------------------------------------------------------------------------
@@ -714,7 +623,7 @@ class TomogramSource:
 
     # sources that can fill a whole photon-number table cheaply override this
     def tomogram_table(self, alpha1, alpha2, nmax):
-        n = _table_nmax(nmax) + 1
+        n = _photon_count(nmax) + 1
         out = np.empty((n, n))
         for i in range(n):
             for j in range(n):

@@ -13,7 +13,9 @@ runs of about 5 ms each of one call of:
 - ``coherent_superposition_table`` on a cat state and on a coherent
   product (amplitudes 0.7 + 0.3i and -0.5 + 0.2i);
 - ``portrait_truncated`` of the cat state under the threshold partition
-  (2, 2), which is the cat table plus its cell sums.
+  (2, 2), which is the cat table plus its cell sums;
+- the scalar ``gaussian_tomogram`` of the family member at
+  (n1, n2) = (nmax, nmax), which is one table at that ``nmax``.
 
 It times one table at a time, in one process, what the traced runs of
 the benchmark's ``truncated-tables`` workload report per table
@@ -36,6 +38,7 @@ from tomobell.states import (
     GaussianSpec,
     coherent_superposition_table,
     gaussian_purity_family,
+    gaussian_tomogram,
     gaussian_tomogram_table,
     make_source,
 )
@@ -70,6 +73,8 @@ def main(repeats=25):
                 lambda: coherent_superposition_table(coherent, a1, a2, nmax),
             "portrait_truncated cat threshold-2":
                 lambda: portrait_truncated(cat_source, threshold, a1, a2, nmax),
+            "gaussian_tomogram family (nmax, nmax)":
+                lambda: gaussian_tomogram(family, nmax, nmax, a1, a2),
         }
         for name, call in calls.items():
             call()

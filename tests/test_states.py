@@ -13,7 +13,7 @@ from tomobell.errors import (
     NumericalNegativity,
     UnsupportedState,
 )
-from tomobell.hermite import HermiteParams, hermite_box
+from tomobell.hermite import HermiteParams, gaussian_R, gaussian_y, hermite_box
 from tomobell.states import (
     CatState,
     CoherentProduct,
@@ -21,13 +21,12 @@ from tomobell.states import (
     GaussianSpec,
     cat_tomogram,
     coherent_tomogram,
-    gaussian_R,
+    fock_oracle_tomogram,
     gaussian_effective_mean,
     gaussian_purity_family,
     gaussian_shifted_mean,
     gaussian_tomogram,
     gaussian_tomogram_table,
-    gaussian_y,
     load_state,
     make_source,
     parse_state,
@@ -155,12 +154,29 @@ def test_gaussian_y_worked_value():
 
 
 def test_degenerate_gaussian_refused():
-    # at the vacuum M = I/2, I - 2M vanishes and the Hermite route is undefined
+    # at the vacuum M = I/2, I - 2M vanishes and the Hermite route is
+    # undefined; the tomogram, read from the table, is the coherent
+    # product's Poisson weight e^(-|alpha|^2)
     vacuum = np.eye(4) / 2
     with pytest.raises(DegenerateGaussian):
         gaussian_y(vacuum, np.zeros(4))
-    with pytest.raises(DegenerateGaussian):
-        gaussian_tomogram(GaussianSpec(vacuum), 0, 0, 0.3j, 0j)
+    w = gaussian_tomogram(GaussianSpec(vacuum), 0, 0, 0.3j, 0j)
+    assert w == pytest.approx(math.exp(-0.09), rel=1e-15)
+
+
+@pytest.mark.parametrize("tomogram, state", [
+    (cat_tomogram, CatState(1, 1)),
+    (coherent_tomogram, CoherentProduct(1, 1)),
+    (fock_oracle_tomogram, CatState(1, 1)),
+    (gaussian_tomogram, gaussian_purity_family(0.9, 0.0)),
+])
+@pytest.mark.parametrize("bad", [2.5, True, -1])
+def test_scalar_tomograms_refuse_a_bad_photon_count(tomogram, state, bad):
+    # int(2.5) and True would otherwise be read as the counts 2 and 1
+    with pytest.raises(ValueError, match="n1"):
+        tomogram(state, bad, 0, 0.1j, 0j)
+    with pytest.raises(ValueError, match="n2"):
+        tomogram(state, 0, bad, 0.1j, 0j)
 
 
 def test_degenerate_gaussian_guard_is_scale_invariant():
@@ -219,16 +235,21 @@ def test_displaced_thermal_table_matches_laguerre_form():
         assert np.max(err / np.maximum(want, 1e-12)) <= ORACLE_TOL
 
 
+def _tmsv(r):
+    # two-mode squeezed vacuum with Fock amplitudes diag((-tanh r)^n / cosh r)
+    k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+    return GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
+                                  [0, 0, k, s], [0, 0, s, k]]))
+
+
 def test_two_mode_squeezed_vacuum_table():
     # P(n, n) = tanh^2n(r) / cosh^2(r) and nothing off the diagonal; the
     # purity family at l = 0 is its mirror p2 -> -p2, with the same counts
     # at zero displacement
     for r in (0.3, 0.7, 1.1):
-        k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
-        tmsv = GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
-                                      [0, 0, k, s], [0, 0, s, k]]))
+        k = math.cosh(2 * r) / 2
         want = np.diag(math.tanh(r) ** (2 * np.arange(31)) / math.cosh(r) ** 2)
-        for g in (tmsv, gaussian_purity_family(k, 0.0)):
+        for g in (_tmsv(r), gaussian_purity_family(k, 0.0)):
             table = gaussian_tomogram_table(g, 0j, 0j, 30)
             assert np.max(np.abs(table - want)) <= 1e-14
 
@@ -265,9 +286,7 @@ def test_displaced_two_mode_squeezed_vacuum_matches_fock_oracle(r, scale):
     # settings with |Re|, |Im| <= scale
     dim, nmax = 100, 30
     local = np.random.default_rng(29)
-    k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
-    tmsv = GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
-                                  [0, 0, k, s], [0, 0, s, k]]))
+    tmsv = _tmsv(r)
     amps = np.diag((-math.tanh(r)) ** np.arange(dim) / math.cosh(r))
     for _ in range(10):
         a1, a2 = (complex(*local.uniform(-scale, scale, 2)) for _ in range(2))
@@ -275,6 +294,39 @@ def test_displaced_two_mode_squeezed_vacuum_matches_fock_oracle(r, scale):
         want = np.abs(c[: nmax + 1, : nmax + 1]) ** 2
         table = gaussian_tomogram_table(tmsv, a1, a2, nmax)
         assert np.max(np.abs(table - want)) <= 1e-11, (a1, a2)
+
+
+# r = 0.3, n = (30, 30): the Hermite box's corner there carries an
+# imaginary residue of 7.6e35 on a real part of 3.5e39, from which the
+# paper's route cannot recover a value near 1e-30
+_TMSV_BOX_DRAW = (0.3, -1.994 + 1.894j, -0.806 - 0.744j)
+
+
+def test_gaussian_tomogram_is_the_table_entry():
+    r, a1, a2 = _TMSV_BOX_DRAW
+    tmsv = _tmsv(r)
+    specs = (GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.9, 0.02), _tmsv(0.7))
+    settings = ((-0.12j, 0.04j), (1.5 + 0.5j, -1 + 1j), (-1.8 + 1.2j, 0.7 - 1.9j))
+    counts = ((0, 0), (3, 1), (0, 15), (17, 4), (30, 30))
+    cases = [(g, a, b) for g in specs for a, b in settings] + [(tmsv, a1, a2)]
+    for g, a, b in cases:
+        for n1, n2 in counts:
+            try:
+                want = gaussian_tomogram_table(g, a, b, max(n1, n2))[n1, n2]
+            except NumericalNegativity:
+                with pytest.raises(NumericalNegativity):
+                    gaussian_tomogram(g, n1, n2, a, b)
+                continue
+            got = gaussian_tomogram(g, n1, n2, a, b)
+            assert type(got) is float
+            assert np.float64(got).view(np.int64) == want.view(np.int64), (g, a, b, n1, n2)
+    # the draw against the displaced-TMSV Fock amplitudes
+    dim = 100
+    amps = np.diag((-math.tanh(r)) ** np.arange(dim) / math.cosh(r))
+    c = _displacement(a1, dim) @ amps @ _displacement(a2, dim).T
+    w = gaussian_tomogram(tmsv, 30, 30, a1, a2)
+    assert 0.0 < w < 1e-29
+    assert abs(w - abs(c[30, 30]) ** 2) <= 1e-11
 
 
 def _hermite_table(g, a1, a2, nmax):
