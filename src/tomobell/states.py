@@ -66,6 +66,15 @@ DET_BOUND_SLACK = 1e-10
 DEFAULT_NMAX = 30
 DEFAULT_BOX = 2.0
 
+# the (R, L) series a Gaussian spec keeps, one pair per nmax: every nmax
+# from 0 to DEFAULT_NMAX, which the entry-by-entry default of
+# ``TomogramSource.tomogram_table`` cycles through, so that cycle never
+# recomputes one (0.17 MB for nmax 0..30)
+DELTA_SERIES_CACHE_SIZE = DEFAULT_NMAX + 1
+
+# below this magnitude a float is subnormal, and x86 arithmetic on it is slow
+_TINY = np.finfo(float).tiny
+
 _I4 = np.eye(4)
 
 # component order of mode 1 / mode 2 inside a (p1, p2, q1, q2) vector
@@ -183,6 +192,8 @@ class GaussianSpec:
         self.mean = mean.copy()
         self.M.setflags(write=False)
         self.mean.setflags(write=False)
+        # (R, L) of ``_delta_series`` by nmax, oldest first
+        self._series_cache = {}
 
     def __repr__(self):
         return f"GaussianSpec(M={self.M.tolist()}, mean={self.mean.tolist()})"
@@ -191,6 +202,17 @@ class GaussianSpec:
     def _generating_polynomials(self):
         # depends on M alone, so every table of this spec shares it
         return _generating_polynomials(self.M)
+
+    def _series(self, n: int):
+        """R = 1/Delta and L = log Delta to order n (``_delta_series``),
+        shared by every table of this spec at that nmax."""
+        cache = self._series_cache
+        series = cache.get(n)
+        if series is None:
+            if len(cache) >= DELTA_SERIES_CACHE_SIZE:
+                del cache[next(iter(cache))]
+            series = cache[n] = _delta_series(self._generating_polynomials[0], n)
+        return series
 
 
 def gaussian_purity_family(k: float, l: float) -> GaussianSpec:
@@ -472,6 +494,9 @@ def _generating_polynomials(M):
     A = adj.copy()
     A[:, 0::2, 1:, :] -= adj[:, 0::2, :-1, :]
     A[:, 1::2, :, 1:] -= adj[:, 1::2, :, :-1]
+    # every table of a spec shares them
+    delta.setflags(write=False)
+    A.setflags(write=False)
     return delta, A
 
 
@@ -508,38 +533,22 @@ def _exp_series(e: list) -> list:
     return f
 
 
-def gaussian_tomogram_table(
-    g: GaussianSpec, alpha1: complex, alpha2: complex, nmax: int = DEFAULT_NMAX
-) -> np.ndarray:
-    """All tomogram values for 0 <= n1, n2 <= nmax as an array.
+def _flush_subnormals(x: np.ndarray) -> None:
+    """Set the subnormal entries of x to zero in place, keeping their sign."""
+    np.multiply(x, 0.0, out=x, where=np.abs(x) < _TINY)
 
-    The table is the array of Taylor coefficients of the generating
-    function of the displaced state,
 
-        G(s1, s2) = exp(-mu' A mu / (2 Delta)) / sqrt(Delta),
+def _delta_series(delta: np.ndarray, n: int):
+    """R = 1/Delta and L = log Delta as read-only (n + 1) x (n + 1) arrays
+    of Taylor coefficients in (s1, s2), subnormal entries set to zero.
 
-    with mu the kernel-order displaced mean (``gaussian_effective_mean``)
-    and Delta, A the polynomials of ``_generating_polynomials``, computed
-    once per spec. Per call, E = log G = -(mu' A mu / Delta + log Delta)/2
-    is expanded as a real series in powers of s1 whose coefficients are
-    series in s2 truncated at nmax; exp(E) then follows from the
-    recurrence (k + 1) P_{k+1} = sum_j (j + 1) E_{j+1} P_{k-j} along s1,
-    with products along s2. There is no complex arithmetic and no
-    Hermite box.
-
-    Raises:
-        NumericalNegativity: if an entry is not finite or lies below
-            -1e-9. A spec that passes the det M >= 1/16 check without
-            being a physical state can have such a table, and so can a
-            strongly squeezed state at box-scale settings, where the
-            recurrence loses up to about 1e-6 to rounding.
+    They depend on M and n alone. Rounding noise in Delta (a coefficient
+    of -2.9e-16 where the exact one is 0, on the paper's squeezed
+    example) raised to high powers leaves subnormal entries, and every
+    product with one of them is slow; those entries are far below any
+    entry of the table.
     """
-    n = _photon_count(nmax)
-    delta, A = g._generating_polynomials
-    mu = gaussian_effective_mean(g, alpha1, alpha2)
-    N = np.einsum("i,ijab,j->ab", mu, A, mu)
-
-    # R = 1/Delta row by row in s1: Delta_0 R_k = -(Delta_1 R_(k-1) + Delta_2 R_(k-2)),
+    # R row by row in s1: Delta_0 R_k = -(Delta_1 R_(k-1) + Delta_2 R_(k-2)),
     # row 0 on Python floats. The other rows are written in place, with
     # the bits of -(q1 @ R_(k-1)) - q2 @ R_(k-2); one product with [q1 | q2]
     # would sum in another order and move the tables of non-states at
@@ -548,8 +557,7 @@ def gaussian_tomogram_table(
     r0 = [1.0 / d00]
     for k in range(1, n + 1):
         r0.append(-(d01 * r0[k - 1] + (d02 * r0[k - 2] if k >= 2 else 0.0)) / d00)
-    dn_rows = _s2_multipliers(np.concatenate((delta, N)), n)
-    d_rows, n_rows = dn_rows[:, :3], dn_rows[:, 3:]
+    d_rows = _s2_multipliers(delta, n)
     inv0 = _s2_multipliers(r0, n)[:, 0]
     neg_q1, q2 = -(inv0 @ d_rows[:, 1]), inv0 @ d_rows[:, 2]
     R = np.zeros((n + 1, n + 1))
@@ -571,12 +579,52 @@ def gaussian_tomogram_table(
     dlog = R @ d_rows[:, 1].T
     dlog[1:] += 2.0 * R[:-1] @ d_rows[:, 2].T
     L[1:] = dlog[:-1] / np.arange(1, n + 1)[:, None]
+    for x in (R, L):
+        _flush_subnormals(x)
+        x.setflags(write=False)
+    return R, L
 
-    # E = -(N R + L)/2, with N = mu' A mu of degree <= 2 in s1
+
+def gaussian_tomogram_table(
+    g: GaussianSpec, alpha1: complex, alpha2: complex, nmax: int = DEFAULT_NMAX
+) -> np.ndarray:
+    """All tomogram values for 0 <= n1, n2 <= nmax as an array.
+
+    The table is the array of Taylor coefficients of the generating
+    function of the displaced state,
+
+        G(s1, s2) = exp(-mu' A mu / (2 Delta)) / sqrt(Delta),
+
+    with mu the kernel-order displaced mean (``gaussian_effective_mean``)
+    and Delta, A the polynomials of ``_generating_polynomials``. The spec
+    keeps those, and per nmax the series R = 1/Delta and L = log Delta
+    (``_delta_series``), so a call does only the work that depends on the
+    displacement: E = log G = -(N R + L)/2 with N = mu' A mu, a real series
+    in powers of s1 whose coefficients are series in s2 truncated at
+    nmax, then exp(E) from the recurrence
+    (k + 1) P_{k+1} = sum_j (j + 1) E_{j+1} P_{k-j} along s1, with
+    products along s2. There is no complex arithmetic and no Hermite box.
+
+    Raises:
+        NumericalNegativity: if an entry is not finite or lies below
+            -1e-9. A spec that passes the det M >= 1/16 check without
+            being a physical state can have such a table, and so can a
+            strongly squeezed state at box-scale settings, where the
+            recurrence loses up to about 1e-6 to rounding.
+    """
+    n = _photon_count(nmax)
+    R, L = g._series(n)
+    mu = gaussian_effective_mean(g, alpha1, alpha2)
+    N = np.einsum("i,ijab,j->ab", mu, g._generating_polynomials[1], mu)
+
+    # E = -(N R + L)/2, with N of degree <= 2 in s1; its subnormal entries
+    # go for the reason given in ``_delta_series``
+    n_rows = _s2_multipliers(N, n)
     NR = R @ n_rows[:, 0].T
     NR[1:] += R[:-1] @ n_rows[:, 1].T
     NR[2:] += R[:-2] @ n_rows[:, 2].T
     E = -0.5 * (NR + L)
+    _flush_subnormals(E)
 
     # P = exp(E): row 0 along s2, then P_(k+1) from P_k .. P_0 stored in
     # reverse (P_m in row n - m) so that they lie contiguous in memory.

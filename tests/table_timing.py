@@ -9,7 +9,13 @@ runs of about 5 ms each of one call of:
 
 - ``gaussian_tomogram_table`` on the paper's squeezed example at the
   worked-example settings (-0.12i, 0.04i), and on a purity-family member
-  (k = 0.8, l = 0.02) at the same settings;
+  (k = 0.8, l = 0.02) at the same settings. These specs are warm: they
+  keep their polynomials and their series 1/Delta and log Delta between
+  calls, so the lines time only the work that depends on the settings;
+- the same family table on a cold spec, built afresh for every call,
+  which also pays for the spec's checks, its polynomials and its series
+  (the warm lines alone would hide that cost, which a caller that makes
+  one table per spec pays every time);
 - ``coherent_superposition_table`` on a cat state and on a coherent
   product (amplitudes 0.7 + 0.3i and -0.5 + 0.2i);
 - ``portrait_truncated`` of the cat state under the threshold partition
@@ -68,6 +74,8 @@ def main(repeats=25):
         calls = {
             "gaussian_tomogram_table squeezed": lambda: gaussian_tomogram_table(squeezed, a1, a2, nmax),
             "gaussian_tomogram_table family": lambda: gaussian_tomogram_table(family, a1, a2, nmax),
+            "gaussian_tomogram_table family, cold spec":
+                lambda: gaussian_tomogram_table(GaussianSpec(family.M), a1, a2, nmax),
             "coherent_superposition_table cat": lambda: coherent_superposition_table(cat, a1, a2, nmax),
             "coherent_superposition_table coherent":
                 lambda: coherent_superposition_table(coherent, a1, a2, nmax),

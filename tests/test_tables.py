@@ -1,7 +1,9 @@
 """Photon-number tables: the Gaussian series expansion against its earlier
-form, the caches behind the tables, and the checks on nmax."""
+forms, the caches behind the tables, and the checks on nmax."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from tomobell.portrait import PartitionScheme, portrait_truncated
 from tomobell.states import (
     CatState,
     CoherentProduct,
+    GaussianSource,
     GaussianSpec,
     TomogramSource,
     coherent_superposition_table,
@@ -111,6 +114,106 @@ def _physical_gaussian(rng):
     return GaussianSpec(0.5 * (m + m.T), rng.uniform(-1.0, 1.0, 4))
 
 
+def _displaced_tmsv(r, mean):
+    # a two-mode squeezed vacuum (physical for every r) with a mean
+    k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+    return GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
+                                  [0, 0, k, s], [0, 0, s, k]]), mean)
+
+
+# --- the table as it was written before the spec kept 1/Delta and
+# log Delta: the library's table must keep its bits -------------------------
+
+
+def _parent_table(g, alpha1, alpha2, nmax):
+    """``gaussian_tomogram_table`` recomputing every series per call."""
+    n = nmax
+    delta, A = g._generating_polynomials
+    mu = gaussian_effective_mean(g, alpha1, alpha2)
+    N = np.einsum("i,ijab,j->ab", mu, A, mu)
+    d00, d01, d02 = delta[0].tolist()
+    r0 = [1.0 / d00]
+    for k in range(1, n + 1):
+        r0.append(-(d01 * r0[k - 1] + (d02 * r0[k - 2] if k >= 2 else 0.0)) / d00)
+    dn_rows = states._s2_multipliers(np.concatenate((delta, N)), n)
+    d_rows, n_rows = dn_rows[:, :3], dn_rows[:, 3:]
+    inv0 = states._s2_multipliers(r0, n)[:, 0]
+    neg_q1, q2 = -(inv0 @ d_rows[:, 1]), inv0 @ d_rows[:, 2]
+    R = np.zeros((n + 1, n + 1))
+    R[0] = r0
+    q2_term = np.empty(n + 1)
+    for k in range(1, n + 1):
+        row = R[k]
+        neg_q1.dot(R[k - 1], out=row)
+        if k >= 2:
+            row -= q2.dot(R[k - 2], out=q2_term)
+    L = np.zeros((n + 1, n + 1))
+    L[0, 0] = math.log(d00)
+    L[0, 1:] = [
+        (d01 * r0[k] + 2.0 * d02 * (r0[k - 1] if k else 0.0)) / (k + 1) for k in range(n)
+    ]
+    dlog = R @ d_rows[:, 1].T
+    dlog[1:] += 2.0 * R[:-1] @ d_rows[:, 2].T
+    L[1:] = dlog[:-1] / np.arange(1, n + 1)[:, None]
+    NR = R @ n_rows[:, 0].T
+    NR[1:] += R[:-1] @ n_rows[:, 1].T
+    NR[2:] += R[:-2] @ n_rows[:, 2].T
+    E = -0.5 * (NR + L)
+    dE = states._s2_multipliers(E[1:] * np.arange(1, n + 1)[:, None], n).reshape(n + 1, -1)
+    P = np.zeros((n + 1, n + 1))
+    P[n] = states._exp_series(E[0].tolist())
+    for k in range(n):
+        P[n - k - 1] = dE[:, : (k + 1) * (n + 1)] @ P[n - k:].ravel() / (k + 1)
+    w = P[::-1]
+    low, high = float(w.min()), float(w.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise NumericalNegativity("gaussian tomogram table is not finite")
+    if low < -states.NEGATIVITY_TOL_HERMITE:
+        raise NumericalNegativity(f"gaussian tomogram table hit {low:.6e}")
+    return np.clip(w, 0.0, None)
+
+
+def _table_or_refusal(g, a1, a2, n, table=gaussian_tomogram_table):
+    """The table's int64 view, or None where it is refused."""
+    try:
+        return table(g, a1, a2, n).view(np.int64)
+    except NumericalNegativity:
+        return None
+
+
+def test_gaussian_table_keeps_the_parent_bits_cold_and_warm():
+    # per draw, one spec fills its series in rising nmax and another in
+    # falling nmax; on the first setting pair every series is new (cold),
+    # on the others the spec holds them all (warm)
+    rng = np.random.default_rng(171)
+    specs = [GaussianSpec(SQUEEZED_M)]
+    specs += [gaussian_purity_family(rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.05))
+              for _ in range(4)]
+    specs += [_physical_gaussian(rng) for _ in range(6)]
+    specs += [_displaced_tmsv(r, rng.uniform(-1.0, 1.0, 4)) for r in (0.3, 0.7, 1.1, 1.4)]
+    nmaxes = (0, 1, 2, 15, 30)
+    refused = compared = 0
+    for spec in specs:
+        rising, falling = (GaussianSpec(spec.M, spec.mean) for _ in range(2))
+        for scale in (0.35, 2.0):
+            for _ in range(3):
+                a1, a2 = (complex(*rng.uniform(-scale, scale, 2)) for _ in range(2))
+                want = {n: _table_or_refusal(spec, a1, a2, n, _parent_table) for n in nmaxes}
+                got = {n: _table_or_refusal(rising, a1, a2, n) for n in nmaxes}
+                got_falling = {n: _table_or_refusal(falling, a1, a2, n) for n in nmaxes[::-1]}
+                for n in nmaxes:
+                    for table in (got[n], got_falling[n]):
+                        if want[n] is None:
+                            assert table is None, (spec, a1, a2, n)
+                            refused += 1
+                        else:
+                            assert table is not None and np.array_equal(table, want[n]), (
+                                spec, a1, a2, n)
+                            compared += 1
+    # both outcomes are exercised
+    assert refused > 0 and compared > 0
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 15, 30])
 def test_s2_multipliers_are_the_sliding_window_ones_bit_for_bit(n):
     rng = np.random.default_rng(n)
@@ -181,6 +284,57 @@ def test_table_caches_are_bounded_and_read_only():
     assert not rows1.flags.writeable and not cols2.flags.writeable
     m1, m2 = PartitionScheme(2, "even").masks(7)
     assert np.array_equal(rows1, [m1, ~m1]) and np.array_equal(cols2, np.transpose([m2, ~m2]))
+
+
+def test_generating_polynomials_are_read_only():
+    # every table of a spec shares them, so a write would corrupt them all
+    g = GaussianSpec(SQUEEZED_M)
+    before = gaussian_tomogram_table(g, 0.1j, 0.2, 6)
+    for poly in g._generating_polynomials:
+        assert not poly.flags.writeable
+        with pytest.raises(ValueError):
+            poly[(0,) * poly.ndim] = 1.0
+    assert np.array_equal(gaussian_tomogram_table(g, 0.1j, 0.2, 6), before)
+
+
+class _EntryByEntry(GaussianSource):
+    """A Gaussian source whose table is filled from its scalar tomogram."""
+
+    def tomogram(self, n1, n2, alpha1, alpha2):
+        return super().tomogram(n1, n2, alpha1, alpha2)
+
+
+def test_series_cache_is_per_spec_bounded_read_only_and_keyed_by_nmax():
+    g = GaussianSpec(SQUEEZED_M)
+    cache = g._series_cache
+    # one entry per nmax, whatever the settings and the integer type
+    gaussian_tomogram_table(g, 0j, 0j, 7)
+    series = cache[7]
+    for a1, a2 in ((0.3j, -0.1), (1.5 - 2j, 0.7j)):
+        gaussian_tomogram_table(g, a1, a2, np.int64(7))
+    assert list(cache) == [7] and cache[7] is series
+    assert all(type(n) is int for n in cache)
+    # read-only, and no subnormal entry, even where the squeezed example's
+    # rounding noise in Delta would leave some at nmax 30
+    gaussian_tomogram_table(g, -0.12j, 0.04j, 30)
+    for x in (*cache[7], *cache[30]):
+        assert not x.flags.writeable
+        assert not np.any((x != 0.0) & (np.abs(x) < np.finfo(float).tiny))
+    # bounded, the oldest entry going first
+    h, size = GaussianSpec(SQUEEZED_M), states.DELTA_SERIES_CACHE_SIZE
+    for n in range(size + 5):
+        gaussian_tomogram_table(h, 0j, 0j, n)
+    assert list(h._series_cache) == list(range(5, size + 5))
+    # the entry-by-entry default cycles through every nmax up to its own,
+    # and the cache holds all of them at DEFAULT_NMAX
+    source = _EntryByEntry(GaussianSpec(SQUEEZED_M))
+    source.tomogram_table(0.1j, 0.05, states.DEFAULT_NMAX)
+    assert sorted(source.state._series_cache) == list(range(states.DEFAULT_NMAX + 1))
+    # the cache lives on the spec and goes with it
+    spec = weakref.ref(g)
+    del g, cache, series
+    gc.collect()
+    assert spec() is None
 
 
 class _Listed(TomogramSource):
