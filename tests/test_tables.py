@@ -125,9 +125,8 @@ def _displaced_tmsv(r, mean):
 # log Delta: the library's table must keep its bits -------------------------
 
 
-def _parent_table(g, alpha1, alpha2, nmax):
+def _parent_table(g, alpha1, alpha2, n):
     """``gaussian_tomogram_table`` recomputing every series per call."""
-    n = nmax
     delta, A = g._generating_polynomials
     mu = gaussian_effective_mean(g, alpha1, alpha2)
     N = np.einsum("i,ijab,j->ab", mu, A, mu)
