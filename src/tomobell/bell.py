@@ -137,7 +137,6 @@ class BellSettings:
         )
 
 
-@dataclass(frozen=True)
 class BellMatrix:
     """4x4 matrix whose columns are portraits at the four setting pairs.
 
@@ -145,28 +144,82 @@ class BellMatrix:
     truncated portraits; each column's tail deficit is kept alongside so
     the stochasticity check can balance the books instead of silently
     passing biased columns.
+
+    The matrix keeps its checked columns (w_pp, w_pm, w_mp, w_mm,
+    tail_deficit) as floats, which is all ``bell_number`` reads.
+    ``matrix`` and ``column_deficits`` are read-only arrays, built from
+    the columns on first read.
     """
 
-    matrix: np.ndarray
-    column_deficits: np.ndarray
+    __slots__ = ("_columns", "_arrays")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        d = np.asarray(self.column_deficits, dtype=float)
+    def __init__(self, matrix, column_deficits):
+        m = np.asarray(matrix, dtype=float)
+        d = np.asarray(column_deficits, dtype=float)
         if m.shape != (4, 4) or d.shape != (4,):
             raise InvalidStochasticMatrix(
                 f"Bell matrix must be 4x4 with 4 deficits, got {m.shape}, {d.shape}"
             )
-        if np.any(m < -ENTRY_TOL) or np.any(m > 1.0 + ENTRY_TOL):
-            raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
-        imbalance = np.abs(m.sum(axis=0) + d - 1.0)
-        if np.any(imbalance > COLUMN_TOL):
-            raise InvalidStochasticMatrix(
-                f"Bell matrix columns must sum to 1 minus their deficit "
-                f"(worst imbalance {float(imbalance.max()):.3e})"
-            )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "column_deficits", d)
+        self._columns = _checked_columns(tuple(zip(*m.tolist(), d.tolist())))
+        self._arrays = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The 4x4 matrix, one portrait per column; read-only."""
+        return self._read_only_arrays()[0]
+
+    @property
+    def column_deficits(self) -> np.ndarray:
+        """The tail deficit of each column; read-only."""
+        return self._read_only_arrays()[1]
+
+    def _read_only_arrays(self):
+        if self._arrays is None:
+            # one row per column: the four cells, then the tail deficit
+            rows = np.array(self._columns)
+            matrix = np.ascontiguousarray(rows[:, :4].T)
+            deficits = rows[:, 4].copy()
+            matrix.flags.writeable = deficits.flags.writeable = False
+            self._arrays = matrix, deficits
+        return self._arrays
+
+    def __repr__(self):
+        return f"BellMatrix(matrix={self.matrix!r}, column_deficits={self.column_deficits!r})"
+
+    def __reduce__(self):
+        # a copy or an unpickled matrix builds its own read-only arrays;
+        # copied arrays would come back writeable
+        return _unchecked_bell_matrix, (self._columns,)
+
+
+def _checked_columns(columns):
+    """Run the Bell-matrix checks on four columns (w_pp, w_pm, w_mp, w_mm,
+    tail_deficit) of floats; return the columns.
+
+    Every entry must lie in [0, 1] within ENTRY_TOL, and the entries of
+    each column plus its deficit must sum to 1 within COLUMN_TOL, added in
+    the order of numpy's column sums. A NaN fails both tests.
+    """
+    if not all(-ENTRY_TOL <= w <= 1.0 + ENTRY_TOL for column in columns for w in column[:4]):
+        raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
+    imbalance = [
+        abs(((((w_pp + w_pm) + w_mp) + w_mm) + deficit) - 1.0)
+        for w_pp, w_pm, w_mp, w_mm, deficit in columns
+    ]
+    if not all(x <= COLUMN_TOL for x in imbalance):
+        raise InvalidStochasticMatrix(
+            f"Bell matrix columns must sum to 1 minus their deficit "
+            f"(worst imbalance {float(np.max(imbalance)):.3e})"
+        )
+    return columns
+
+
+def _unchecked_bell_matrix(columns) -> BellMatrix:
+    """A BellMatrix holding ``columns`` as they are, not checked again."""
+    m = object.__new__(BellMatrix)
+    m._columns = columns
+    m._arrays = None
+    return m
 
 
 def bell_matrix(
@@ -178,25 +231,20 @@ def bell_matrix(
     with a ``bell_columns`` method (the closed forms of
     ``make_portrait_fn``) evaluates all four columns in one call and has
     already checked each column as a portrait, which puts every entry in
-    [0, 1 + ENTRY_TOL]; nothing is checked again. Any other callable is
-    called once per column. Portrait errors (truncation tail too large,
-    negative cells) propagate to the caller.
+    [0, 1 + ENTRY_TOL]; its columns are kept as they come, and nothing is
+    checked again. Any other callable is called once per column, and its
+    columns pass the checks of ``BellMatrix``. Portrait errors (truncation
+    tail too large, negative cells) propagate to the caller.
     """
     bell_columns = getattr(portrait_fn, "bell_columns", None)
-    if bell_columns is None:
-        cols = []
-        deficits = []
-        for (x, y) in s.pairs():
-            v = portrait_fn(x, y)
-            cols.append(v.as_array())
-            deficits.append(v.tail_deficit)
-        return BellMatrix(np.column_stack(cols), np.array(deficits))
-    columns = bell_columns(s)
-    # one row per column: the four cells, then the tail deficit
-    rows = np.array(columns)
-    m = object.__new__(BellMatrix)
-    vars(m).update(matrix=np.ascontiguousarray(rows[:, :4].T), column_deficits=rows[:, 4])
-    return m
+    if bell_columns is not None:
+        return _unchecked_bell_matrix(bell_columns(s))
+    columns = []
+    for (x, y) in s.pairs():
+        v = portrait_fn(x, y)
+        columns.append((float(v.w_pp), float(v.w_pm), float(v.w_mp), float(v.w_mm),
+                        float(v.tail_deficit)))
+    return _unchecked_bell_matrix(_checked_columns(tuple(columns)))
 
 
 def bell_number(m) -> float:
@@ -209,11 +257,34 @@ def bell_number(m) -> float:
     matrix is not symmetric, so the two conventions differ, and only the
     trace form reproduces the worked squeezed-state value near 2.26. A
     regression test pins that choice.
+
+    B is summed on floats in the order numpy's ``trace(M @ I_MATRIX)``
+    adds it, so it keeps those bits: row i of M against its sign column,
+    ((M[i,0] + M[i,1]) + M[i,2]) - M[i,3], with the signs (+, -, -, +) of
+    the cells' correlation, then the four from first to last. The fused
+    closed-form objective adds column by column instead, which differs in
+    the last bit; ``maximize_bell`` reports B from here.
+
+    Raises:
+        InvalidParameter: a plain matrix is not 4x4, or its B is not
+            finite (a NaN or infinite entry).
     """
-    mat = m.matrix if isinstance(m, BellMatrix) else np.asarray(m, dtype=float)
-    if mat.shape != (4, 4):
-        raise InvalidParameter(f"need a 4x4 Bell matrix, got shape {mat.shape}")
-    b = float(abs(np.trace(mat @ I_MATRIX)))
+    if isinstance(m, BellMatrix):
+        columns = m._columns
+    else:
+        mat = np.asarray(m, dtype=float)
+        if mat.shape != (4, 4):
+            raise InvalidParameter(f"need a 4x4 Bell matrix, got shape {mat.shape}")
+        # the columns of a plain matrix, with a 0 in place of a deficit
+        columns = tuple(zip(*mat.tolist(), (0.0,) * 4))
+    (a0, a1, a2, a3, _), (b0, b1, b2, b3, _), (c0, c1, c2, c3, _), (d0, d1, d2, d3, _) = columns
+    x0 = ((a0 + b0) + c0) - d0
+    x1 = ((a1 + b1) + c1) - d1
+    x2 = ((a2 + b2) + c2) - d2
+    x3 = ((a3 + b3) + c3) - d3
+    b = abs(((x0 - x1) - x2) + x3)
+    if not math.isfinite(b):
+        raise InvalidParameter(f"need a Bell matrix with finite entries, got B = {b}")
     _record_bell(b)
     return b
 

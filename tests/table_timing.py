@@ -1,4 +1,5 @@
-"""Per-table timings of the photon-number tables, as ``timeit`` minima.
+"""Per-table timings of the photon-number tables, and of Bell-number
+assembly on closed forms, as ``timeit`` minima.
 
 Usage::
 
@@ -23,6 +24,12 @@ runs of about 5 ms each of one call of:
 - the scalar ``gaussian_tomogram`` of the family member at
   (n1, n2) = (nmax, nmax), which is one table at that ``nmax``.
 
+Then, for the cat state, the coherent product, the squeezed example and
+the family member under each canonical partition, at the worked-example
+settings (-0.12i, 0.04i, 0.22i, -0.32i), it prints one closed-form
+``bell_columns(s)`` call next to one ``bell_number(bell_matrix(fn, s))``,
+so that the cost of assembling B shows beside the cost of its columns.
+
 It times one table at a time, in one process, what the traced runs of
 the benchmark's ``truncated-tables`` workload report per table
 (``states.table.ms.*``, medians within whole samples). Each line is a
@@ -37,7 +44,8 @@ import timeit
 
 import numpy as np
 
-from tomobell.portrait import PartitionScheme, portrait_truncated
+from tomobell.bell import BellSettings, bell_matrix, bell_number
+from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
 from tomobell.states import (
     CatState,
     CoherentProduct,
@@ -56,6 +64,7 @@ SQUEEZED_M = np.array([
     [0.0, 0.0, math.sqrt(3) / 2, 1.0],
 ])
 SETTINGS = (-0.12j, 0.04j)
+BELL_SETTINGS = BellSettings(-0.12j, 0.04j, 0.22j, -0.32j)
 AMPLITUDES = (0.7 + 0.3j, -0.5 + 0.2j)
 
 
@@ -87,6 +96,18 @@ def main(repeats=25):
         for name, call in calls.items():
             call()
             print(f"nmax {nmax:2d}  {name:40s} {_minimum_us(call, repeats):8.1f} us")
+    s = BELL_SETTINGS
+    for kind, state in (("cat", cat), ("coherent", coherent), ("squeezed", squeezed), ("family", family)):
+        for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
+            fn = make_portrait_fn(state, p)
+            calls = {
+                "bell_columns": lambda: fn.bell_columns(s),
+                "bell_number(bell_matrix)": lambda: bell_number(bell_matrix(fn, s)),
+            }
+            for name, call in calls.items():
+                call()
+                label = f"{kind} {p.kind}"
+                print(f"{label:23s} {name:26s} {_minimum_us(call, repeats):8.1f} us")
 
 
 if __name__ == "__main__":

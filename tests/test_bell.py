@@ -1,10 +1,14 @@
 """Bell matrix assembly, CHSH classification, and the multi-start maximizer."""
 
+import copy
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 
+from tomobell import bell
 from tomobell.bell import (
     ENTRY_TOL,
     BellMatrix,
@@ -15,6 +19,7 @@ from tomobell.bell import (
     bell_matrix,
     bell_number,
     chsh_check,
+    get_bell_high_water,
     maximize_bell,
 )
 from tomobell.errors import (
@@ -36,6 +41,7 @@ from tomobell.portrait import (
     make_portrait_fn,
 )
 from tomobell.states import (
+    DEFAULT_BOX,
     NEGATIVITY_TOL,
     NEGATIVITY_TOL_HERMITE,
     CatState,
@@ -45,6 +51,7 @@ from tomobell.states import (
     cat_tomogram,
     gaussian_purity_family,
 )
+from test_tables import _physical_gaussian
 
 CEILING = TSIRELSON_BOUND + 1e-6
 
@@ -206,6 +213,138 @@ def test_trace_convention_regression():
 def test_bell_number_shape_guard():
     with pytest.raises(InvalidParameter):
         bell_number(np.zeros((3, 3)))
+
+
+def test_bell_number_refuses_non_finite_entries(monkeypatch):
+    # a NaN Bell number passed every later comparison: the high-water mark
+    # never recorded it, and an infinite entry also made numpy warn
+    monkeypatch.setattr(bell, "_bell_high_water", 0.0)
+    finite = PRINTED_MG.copy()
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in ((0, 0), (3, 2)):
+            mat = finite.copy()
+            mat[where] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidParameter, match="finite"):
+                    bell_number(mat)
+    with pytest.raises(InvalidParameter, match="finite"):
+        bell_number(np.full((4, 4), math.nan))
+    assert get_bell_high_water() == 0.0
+    # a checked Bell matrix holds no NaN: its entry and balance tests refuse it
+    col = np.array([0.4, 0.3, 0.2, 0.1])
+    m = np.column_stack([col] * 4)
+    m[1, 2] = math.nan
+    with pytest.raises(InvalidStochasticMatrix, match="lie in"):
+        BellMatrix(m, np.zeros(4))
+    with pytest.raises(InvalidStochasticMatrix, match="worst imbalance nan"):
+        BellMatrix(np.column_stack([col] * 4), np.array([0.0, math.nan, 0.0, 0.0]))
+
+
+def _trace_oracle(mat):
+    """B as numpy's trace contraction gives it: the bits bell_number keeps."""
+    return float(abs(np.trace(mat @ I_MATRIX)))
+
+
+def test_bell_number_keeps_the_trace_bits_on_closed_form_columns():
+    # bell_number adds B on floats in the order of numpy's trace(M @ I).
+    # maximize_bell reports B from it, so its bits must not move; the
+    # fused objective adds column by column, which differs in the last
+    # bit on most matrices, and that order fails here
+    local = np.random.default_rng(1859)
+    states = [
+        CatState(1.0, 1.0), CatState(math.sqrt(50), math.sqrt(50)),
+        CatState(complex(*local.uniform(-2, 2, 2)), 0.7j),
+        CoherentProduct(0.5, 0.5j), CoherentProduct(-1.0 + 0.3j, 0.2),
+        gaussian_purity_family(0.9, 0.04), gaussian_purity_family(0.6, 0.0),
+        _physical_gaussian(local), _physical_gaussian(local),
+    ]
+    settings = 0
+    for state in states:
+        for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
+            fn = make_portrait_fn(state, p)
+            assert hasattr(fn, "bell_columns")
+            for _ in range(125):
+                s = BellSettings.from_vector(local.uniform(-DEFAULT_BOX, DEFAULT_BOX, 8))
+                m = bell_matrix(fn, s)
+                assert bell_number(m).hex() == _trace_oracle(m.matrix).hex()
+                settings += 1
+    assert settings >= 2_000
+
+
+def test_bell_number_keeps_the_trace_bits_column_by_column():
+    # the per-column route: a plain wrapper around a closed form, and
+    # truncated portraits, whose columns carry tail deficits
+    local = np.random.default_rng(1860)
+    states = [CatState(1.0, 1.0), CoherentProduct(0.5, 0.5j),
+              gaussian_purity_family(0.9, 0.04), _physical_gaussian(local)]
+    matrices, with_deficit = 0, 0
+    for state in states:
+        for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero(), PartitionScheme(2, 1)):
+            truncated = make_portrait_fn(state, p, nmax=15, tail_eps=1.0, prefer_closed_form=False)
+            default = make_portrait_fn(state, p, nmax=15, tail_eps=1.0)
+            for fn in (truncated, lambda a1, a2: default(a1, a2)):
+                for _ in range(8):
+                    s = BellSettings.from_vector(local.uniform(-DEFAULT_BOX, DEFAULT_BOX, 8) / 2)
+                    try:
+                        m = bell_matrix(fn, s)
+                    except NumericalNegativity:
+                        continue
+                    # the parent's layout: one portrait per column, C order
+                    vectors = [fn(x, y) for x, y in s.pairs()]
+                    assert np.array_equal(m.matrix, np.column_stack([v.as_array() for v in vectors]))
+                    assert m.matrix.flags.c_contiguous and m.matrix.dtype == np.float64
+                    assert m.column_deficits.tolist() == [v.tail_deficit for v in vectors]
+                    assert bell_number(m).hex() == _trace_oracle(m.matrix).hex()
+                    matrices += 1
+                    with_deficit += bool(m.column_deficits.any())
+    assert matrices >= 150 and with_deficit >= 30
+
+
+def test_bell_number_keeps_the_trace_bits_on_plain_matrices():
+    local = np.random.default_rng(1861)
+    mats = [PRINTED_MG, np.eye(4), np.zeros((4, 4)), -PRINTED_MG.T]
+    mats += [local.uniform(0.0, 1.0, (4, 4)) for _ in range(500)]
+    mats += [local.standard_normal((4, 4)) * 10.0 ** local.integers(-6, 6, (4, 4)) for _ in range(500)]
+    stochastic = [local.dirichlet(np.full(4, 0.5), 4).T for _ in range(500)]
+    for mat in mats + stochastic:
+        assert bell_number(mat).hex() == _trace_oracle(mat).hex()
+        assert bell_number(mat.tolist()).hex() == _trace_oracle(mat).hex()
+    for mat in stochastic:
+        deficits = np.zeros(4)
+        m = BellMatrix(mat, deficits)
+        assert np.array_equal(m.matrix, mat)
+        assert bell_number(m).hex() == _trace_oracle(mat).hex()
+
+
+def test_bell_matrix_arrays_are_read_only():
+    # a checked matrix whose entries could be overwritten would feed
+    # unchecked values to bell_number and to every later reader
+    cat = CatState(1.0, 0.5)
+    s = _random_settings()
+    closed = make_portrait_fn(cat, PartitionScheme.even_odd())
+    truncated = make_portrait_fn(cat, PartitionScheme(1, 1), nmax=15, tail_eps=1.0)
+    given = np.column_stack([np.array([0.4, 0.3, 0.2, 0.1])] * 4)
+    built = [bell_matrix(closed, s), bell_matrix(truncated, s), BellMatrix(given, np.zeros(4))]
+    built += [copy.deepcopy(built[0]), pickle.loads(pickle.dumps(built[1]))]
+    for m in built:
+        b = bell_number(m)
+        for array in (m.matrix, m.column_deficits):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        with pytest.raises(AttributeError):
+            m.matrix = np.zeros((4, 4))
+        with pytest.raises(AttributeError):
+            m.column_deficits = np.zeros(4)
+        assert m.matrix is m.matrix
+        assert bell_number(m) == b == _trace_oracle(m.matrix)
+    assert np.array_equal(built[3].matrix, built[0].matrix)
+    assert np.array_equal(built[4].column_deficits, built[1].column_deficits)
+    # the caller's array stays the caller's: still writeable, and not shared
+    assert given.flags.writeable
+    given[0, 0] = 0.0
+    assert built[2].matrix[0, 0] == 0.4
 
 
 def test_chsh_check_verdicts():
