@@ -219,10 +219,9 @@ def test_bell_number_refuses_non_finite_entries(monkeypatch):
     # a NaN Bell number passed every later comparison: the high-water mark
     # never recorded it, and an infinite entry also made numpy warn
     monkeypatch.setattr(bell, "_bell_high_water", 0.0)
-    finite = PRINTED_MG.copy()
     for bad in (math.nan, math.inf, -math.inf):
         for where in ((0, 0), (3, 2)):
-            mat = finite.copy()
+            mat = PRINTED_MG.copy()
             mat[where] = bad
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
