@@ -196,12 +196,16 @@ def _checked_columns(columns):
     """Run the Bell-matrix checks on four columns (w_pp, w_pm, w_mp, w_mm,
     tail_deficit) of floats; return the columns.
 
-    Every entry must lie in [0, 1] within ENTRY_TOL, and the entries of
-    each column plus its deficit must sum to 1 within COLUMN_TOL, added in
-    the order of numpy's column sums. A NaN fails both tests.
+    Every entry must lie in [0, 1] within ENTRY_TOL, no deficit may lie
+    below -ENTRY_TOL (a negative deficit would balance an overfull column),
+    and the entries of each column plus its deficit must sum to 1 within
+    COLUMN_TOL, added in the order of numpy's column sums. A NaN entry fails
+    the first test and a NaN deficit the last.
     """
     if not all(-ENTRY_TOL <= w <= 1.0 + ENTRY_TOL for column in columns for w in column[:4]):
         raise InvalidStochasticMatrix("Bell matrix entries must lie in [0, 1]")
+    if any(column[4] < -ENTRY_TOL for column in columns):
+        raise InvalidStochasticMatrix("Bell matrix column deficits must be >= 0")
     imbalance = [
         abs(((((w_pp + w_pm) + w_mp) + w_mm) + deficit) - 1.0)
         for w_pp, w_pm, w_mp, w_mm, deficit in columns

@@ -266,11 +266,7 @@ def _portrait_fn_for(args, src):
 def cmd_tomogram(args) -> int:
     src = make_source(load_state(args.state))
     a1, a2 = _parse_settings(args, ("alpha1", "alpha2"))
-    if args.n1 < 0 or args.n2 < 0:
-        raise InvalidParameter("photon counts must be >= 0")
-    nmax = max(args.n1, args.n2)
-    table = src.tomogram_table(a1, a2, nmax)
-    print(f"{table[args.n1, args.n2]:.12f}")
+    print(f"{src.tomogram(args.n1, args.n2, a1, a2):.12f}")
     return 0
 
 

@@ -16,6 +16,11 @@ mode's displacement, and a joint term; ``make_portrait_fn`` returns for
 these states a portrait function that also evaluates the four columns of
 a Bell matrix in one call, computing each per-mode term once per setting.
 Every other state or partition goes through a truncated table sum.
+
+``make_portrait_fn`` is the way to a closed form. The six per-state names
+(``cat_portrait_even_odd``, ``gaussian_portrait_zero_nonzero`` and so on)
+are aliases of two functions, one per canonical partition, and each takes
+any closed-form state.
 """
 
 from __future__ import annotations
@@ -433,7 +438,10 @@ class _CatG(_BranchG):
 class _CoherentG(_BranchG):
     """G of a coherent product: exp(-(1 - s1) lam1 - (1 - s2) lam2).
 
-    lam_j = |alpha_j + g_j|^2 is the Poisson mean of mode j.
+    lam_j = |alpha_j + g_j|^2 is the Poisson mean of mode j. At s = -1 a
+    mode's term is its parity: a Poisson count with mean lam is even with
+    probability (1 + exp(-2 lam)) / 2, and as the modes are independent the
+    even-odd portrait is the outer product of the per-mode parity pairs.
     """
 
     name = "coherent"
@@ -679,37 +687,22 @@ class ClosedFormPortrait:
 # ---------------------------------------------------------------------------
 
 
-def cat_portrait_zero_nonzero(
-    s: CatState, alpha1: complex, alpha2: complex
-) -> PortraitVector:
-    """Zero-nonzero portrait of the cat state in closed form."""
-    return ClosedFormPortrait(s, "zero-nonzero")(alpha1, alpha2)
+def _even_odd_portrait(state, alpha1: complex, alpha2: complex) -> PortraitVector:
+    """Even-odd portrait of a cat, coherent-product or Gaussian state in closed form."""
+    return ClosedFormPortrait(state, "even-odd")(alpha1, alpha2)
 
 
-def cat_portrait_even_odd(
-    s: CatState, alpha1: complex, alpha2: complex
-) -> PortraitVector:
-    """Even-odd portrait of the cat state in closed form."""
-    return ClosedFormPortrait(s, "even-odd")(alpha1, alpha2)
+def _zero_nonzero_portrait(state, alpha1: complex, alpha2: complex) -> PortraitVector:
+    """Zero-nonzero portrait of a cat, coherent-product or Gaussian state in closed form."""
+    return ClosedFormPortrait(state, "zero-nonzero")(alpha1, alpha2)
 
 
-def coherent_portrait_zero_nonzero(
-    s: CoherentProduct, alpha1: complex, alpha2: complex
-) -> PortraitVector:
-    """Zero-nonzero portrait of a coherent product: Poisson vacuum masses."""
-    return ClosedFormPortrait(s, "zero-nonzero")(alpha1, alpha2)
-
-
-def coherent_portrait_even_odd(
-    s: CoherentProduct, alpha1: complex, alpha2: complex
-) -> PortraitVector:
-    """Even-odd portrait of a coherent product.
-
-    A Poisson count with mean lam is even with probability
-    (1 + exp(-2 lam)) / 2; the two modes are independent so the portrait
-    is the outer product of the per-mode parity pairs.
-    """
-    return ClosedFormPortrait(s, "even-odd")(alpha1, alpha2)
+# the per-state public names; ``perfbench/spans.py`` wraps the cat and
+# coherent ones by name
+cat_portrait_even_odd = coherent_portrait_even_odd = _even_odd_portrait
+gaussian_portrait_even_odd = _even_odd_portrait
+cat_portrait_zero_nonzero = coherent_portrait_zero_nonzero = _zero_nonzero_portrait
+gaussian_portrait_zero_nonzero = _zero_nonzero_portrait
 
 
 class GaussianPortraitContext:
@@ -729,18 +722,6 @@ class GaussianPortraitContext:
 
     def zero_nonzero(self, alpha1: complex, alpha2: complex) -> PortraitVector:
         return self._zero_nonzero(alpha1, alpha2)
-
-
-def gaussian_portrait_even_odd(
-    g: GaussianSpec, alpha1: complex, alpha2: complex
-) -> PortraitVector:
-    return ClosedFormPortrait(g, "even-odd")(alpha1, alpha2)
-
-
-def gaussian_portrait_zero_nonzero(
-    g: GaussianSpec, alpha1: complex, alpha2: complex
-) -> PortraitVector:
-    return ClosedFormPortrait(g, "zero-nonzero")(alpha1, alpha2)
 
 
 # ---------------------------------------------------------------------------

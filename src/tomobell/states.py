@@ -20,8 +20,9 @@ closed-form generating function G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2,
 expanded in real arithmetic. ``gaussian_tomogram`` reads one entry of
 that table; the paper's four-dimensional Hermite polynomials live in
 ``hermite`` as the tests' oracle. ``cat_tomogram`` keeps the paper's
-closed formula, with a log-domain branch for large amplitudes, because
-one entry of it costs far less than a table.
+closed formula, with a log-domain branch for large amplitudes and for
+products outside the float range, because one entry of it costs far less
+than a table.
 
 Quadrature ordering is (p1, p2, q1, q2) everywhere a 4-vector or 4x4
 matrix appears, with p = -i(a - a^dag)/sqrt(2), q = (a + a^dag)/sqrt(2)
@@ -72,8 +73,9 @@ DEFAULT_BOX = 2.0
 # recomputes one (0.17 MB for nmax 0..30)
 DELTA_SERIES_CACHE_SIZE = DEFAULT_NMAX + 1
 
-# below this magnitude a float is subnormal, and x86 arithmetic on it is slow
-_TINY = np.finfo(float).tiny
+# below this magnitude a float is subnormal: x86 arithmetic on it is slow,
+# and it carries fewer significant bits
+_TINY = float(np.finfo(float).tiny)
 
 _I4 = np.eye(4)
 
@@ -263,12 +265,6 @@ def cat_normalization(gamma1: complex, gamma2: complex) -> float:
     return math.exp(cat_log_normalization(gamma1, gamma2))
 
 
-def _clamp_probability(w: float, tol: float, what: str) -> float:
-    if w < -tol:
-        raise NumericalNegativity(f"{what} evaluated to {w:.6e}")
-    return max(w, 0.0)
-
-
 def cat_tomogram(s: CatState, n1: int, n2: int, alpha1: complex, alpha2: complex) -> float:
     """Photon-number tomogram of the cat state.
 
@@ -276,7 +272,9 @@ def cat_tomogram(s: CatState, n1: int, n2: int, alpha1: complex, alpha2: complex
         | e^{-z} (a1+g1)^{n1} (a2+g2)^{n2} + e^{z} (a1-g1)^{n1} (a2-g2)^{n2} |^2
 
     with z = conj(a1) g1 + conj(a2) g2 and S = |g1|^2 + |g2|^2. Above the
-    log-domain threshold each product is carried as a complex logarithm.
+    log-domain threshold, and wherever the direct product leaves the float
+    range (it overflows, or its prefactor lies below the smallest normal
+    float), each product is carried as a complex logarithm.
     """
     n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
     g1, g2 = complex(s.gamma1), complex(s.gamma2)
@@ -293,10 +291,16 @@ def cat_tomogram(s: CatState, n1: int, n2: int, alpha1: complex, alpha2: complex
     )
 
     if S <= LOG_DOMAIN_THRESHOLD:
-        t_plus = cmath.exp(-z) * (a1 + g1) ** n1 * (a2 + g2) ** n2
-        t_minus = cmath.exp(z) * (a1 - g1) ** n1 * (a2 - g2) ** n2
-        w = math.exp(log_common) * abs(t_plus + t_minus) ** 2
-        return _clamp_probability(w, NEGATIVITY_TOL, "cat tomogram")
+        common = math.exp(log_common)
+        if common >= _TINY:
+            try:
+                t_plus = cmath.exp(-z) * (a1 + g1) ** n1 * (a2 + g2) ** n2
+                t_minus = cmath.exp(z) * (a1 - g1) ** n1 * (a2 - g2) ** n2
+                w = common * abs(t_plus + t_minus) ** 2
+                if math.isfinite(w):
+                    return w
+            except OverflowError:
+                pass  # out of the float range: the log-domain branch below
 
     # log-domain branch: term = exp(lt) with complex lt; a zero base with a
     # positive exponent kills the term outright
@@ -320,8 +324,7 @@ def cat_tomogram(s: CatState, n1: int, n2: int, alpha1: complex, alpha2: complex
     mag = abs(ssum)
     if mag == 0.0:
         return 0.0
-    w = math.exp(log_common + 2.0 * peak + 2.0 * math.log(mag))
-    return _clamp_probability(w, NEGATIVITY_TOL, "cat tomogram")
+    return math.exp(log_common + 2.0 * peak + 2.0 * math.log(mag))
 
 
 # ---------------------------------------------------------------------------

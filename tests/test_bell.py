@@ -110,6 +110,10 @@ def test_bell_matrix_validation():
         BellMatrix(m, np.full(4, 0.1))  # columns no longer balance
     short = np.column_stack([col * 0.999] * 4)
     BellMatrix(short, np.full(4, 0.001))  # deficit keeps the books straight
+    overfull = m.copy()
+    overfull[:, 0] = (1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(InvalidStochasticMatrix, match="deficits"):
+        BellMatrix(overfull, [-1.0, 0.0, 0.0, 0.0])  # a negative deficit balances it
 
 
 def test_bell_matrix_constant_portrait():

@@ -24,11 +24,23 @@ def _load_spans():
 
 def test_trace_install_finds_and_restores_every_name():
     spans = _load_spans()
-    original = tomobell.bell.minimize
     tracer = spans.Tracer()
     try:
         spans.install(tracer, tomobell)
-        assert tomobell.bell.minimize is not original
+        # (owner, attribute, original, owned) per wrapped name
+        patches = list(tracer._patches)
+        assert patches
+        for owner, attribute, original, _ in patches:
+            wrapper = getattr(owner, attribute)
+            assert wrapper is not original
+            assert wrapper.__wrapped__ is original, (owner, attribute)
     finally:
         tracer.uninstall()
-    assert tomobell.bell.minimize is original
+    # several names share one function (the per-state closed forms), so
+    # each must come back as that object, and an inherited one not at all
+    for owner, attribute, original, owned in patches:
+        assert getattr(owner, attribute) is original, (owner, attribute)
+        if owned:
+            assert vars(owner)[attribute] is original, (owner, attribute)
+        else:
+            assert attribute not in vars(owner), (owner, attribute)

@@ -98,6 +98,28 @@ def test_tomogram_missing_state_file_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error[")
 
 
+@pytest.mark.parametrize("n1, n2", [("-1", "0"), ("0", "-1")])
+def test_tomogram_negative_count_exits_2(cat_file, capsys, n1, n2):
+    rc = main(["tomogram", "--state", cat_file, "--n1", n1, "--n2", n2,
+               "--alpha1", "0", "--alpha2", "0"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[")
+    assert err.count("\n") == 1
+
+
+def test_tomogram_prints_the_library_scalar_past_the_float_range(tmp_path, capsys):
+    # (20 + 1)^60 (20 + 1)^60 overflows the direct product of cat_tomogram
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"type": "cat", "gamma1": 1, "gamma2": 1}))
+    rc = main(["tomogram", "--state", str(path), "--n1", "60", "--n2", "60",
+               "--alpha1", "20", "--alpha2", "20"])
+    assert rc == 0
+    want = tomobell.cat_tomogram(tomobell.CatState(1, 1), 60, 60, 20, 20)
+    assert capsys.readouterr().out == f"{want:.12f}\n"
+
+
 def test_tomogram_consistent_with_portrait_cell(squeezed_file, capsys):
     rc = main(["tomogram", "--state", squeezed_file, "--n1", "0", "--n2", "0",
                "--alpha1", "-0.12i", "--alpha2", "0.04i"])

@@ -414,6 +414,26 @@ def test_gaussian_closed_forms_never_negative_across_box():
 # --- dispatch -----------------------------------------------------------------
 
 
+def test_named_closed_forms_are_two_functions_of_any_closed_form_state():
+    even_odd = (cat_portrait_even_odd, coherent_portrait_even_odd, gaussian_portrait_even_odd)
+    zero_nonzero = (cat_portrait_zero_nonzero, coherent_portrait_zero_nonzero,
+                    gaussian_portrait_zero_nonzero)
+    assert len(set(even_odd)) == len(set(zero_nonzero)) == 1
+    assert even_odd[0] is not zero_nonzero[0]
+    states = (CatState(1.0 + 0.3j, -0.8), CoherentProduct(0.6, -0.4 + 0.2j),
+              GaussianSpec(SQUEEZED_M, np.zeros(4)), gaussian_purity_family(0.9, 0.04))
+    draws = np.random.default_rng(19).uniform(-2.0, 2.0, size=(6, 4))
+    for p, names in ((PartitionScheme.even_odd(), even_odd),
+                     (PartitionScheme.zero_nonzero(), zero_nonzero)):
+        for state in states:
+            fn = make_portrait_fn(state, p)
+            for x1, y1, x2, y2 in draws:
+                a1, a2 = complex(x1, y1), complex(x2, y2)
+                want = fn(a1, a2).as_array()
+                for named in names:
+                    assert np.array_equal(named(state, a1, a2).as_array(), want)
+
+
 def test_make_portrait_fn_prefers_closed_forms():
     fn = make_portrait_fn(CatState(1, 1), PartitionScheme.even_odd())
     v = fn(0.2 + 0.1j, -0.3j)

@@ -133,6 +133,51 @@ def test_vacuum_cat_tomogram_at_origin():
     assert cat_tomogram(s, 1, 0, 0j, 0j) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("state, n1, n2, a1, a2", [
+    # (a1 + g1)^60 (a2 + g2)^60 overflows a float
+    (CatState(1, 1), 60, 60, 20 + 0j, 20 + 0j),
+    # exp(-|a1|^2) / (4 n1! n2! cosh S) underflows to 0
+    (CatState(1 + 1j, 0.5), 40, 0, 30 + 0j, 0j),
+])
+def test_cat_tomogram_outside_the_float_range_of_the_direct_product(state, n1, n2, a1, a2):
+    # |g1|^2 + |g2|^2 <= 30 sends both to the direct product, which raised
+    # OverflowError on the first and returned 0.0 on the second
+    got = cat_tomogram(state, n1, n2, a1, a2)
+    want = FockOracleSource(state).tomogram(n1, n2, a1, a2)
+    entry = make_source(state).tomogram_table(a1, a2, max(n1, n2))[n1, n2]
+    assert 0.0 < want < 1e-170
+    # relative bounds: pytest.approx would also allow an absolute 1e-12
+    assert abs(got - want) <= 1e-10 * want
+    assert abs(got - entry) <= 1e-10 * want
+
+
+BOX_SETTINGS = ((0j, 0j), (1.7 - 1.2j, -1.9 + 0.6j), (-2 + 2j, 2 - 0.5j))
+# the squeezed example's tables are refused at the box corners
+WORKED_SETTINGS = ((-0.12j, 0.04j), (0.22j, -0.32j), (1j, 0j))
+
+
+@pytest.mark.parametrize("state, settings", [
+    (CatState(1.0 + 0.5j, -0.7), BOX_SETTINGS),
+    (CatState(math.sqrt(50), 0.5j), BOX_SETTINGS),
+    (CoherentProduct(1.2 - 0.4j, -0.3 + 0.9j), BOX_SETTINGS),
+    (gaussian_purity_family(0.9, 0.04), BOX_SETTINGS),
+    (GaussianSpec(SQUEEZED_M, np.zeros(4)), WORKED_SETTINGS),
+], ids=["cat", "cat-log-branch", "coherent", "family", "squeezed"])
+def test_library_source_scalar_is_its_table_entry(state, settings):
+    # the scalar route ``tomobell tomogram`` prints; a Gaussian scalar is
+    # read from the table, so it must be that entry bit for bit
+    src = make_source(state)
+    exact = isinstance(state, GaussianSpec)
+    for a1, a2 in settings:
+        for n1, n2 in ((0, 0), (3, 0), (0, 5), (7, 4), (15, 15), (30, 12)):
+            got = src.tomogram(n1, n2, a1, a2)
+            entry = float(src.tomogram_table(a1, a2, max(n1, n2))[n1, n2])
+            if exact:
+                assert got == entry
+            else:
+                assert abs(got - entry) <= 1e-14
+
+
 # --- Gaussian machinery -----------------------------------------------------
 
 
