@@ -22,28 +22,18 @@ from .bell import (
     maximize_bell,
 )
 from .errors import (
-    AsymmetricR,
-    DegenerateGaussian,
     InvalidBellNumber,
     InvalidParameter,
     InvalidStochasticMatrix,
     NonPhysicalSpec,
     NumericalNegativity,
-    OrderOverflow,
     TailTooLarge,
     TomobellError,
     UnsupportedState,
 )
-from .hermite import HermiteParams, gaussian_R, hermite_box, hermite_eval, hermite_oracle
 from .portrait import (
     PartitionScheme,
     PortraitVector,
-    cat_portrait_even_odd,
-    cat_portrait_zero_nonzero,
-    coherent_portrait_even_odd,
-    coherent_portrait_zero_nonzero,
-    gaussian_portrait_even_odd,
-    gaussian_portrait_zero_nonzero,
     make_portrait_fn,
     portrait_truncated,
 )
@@ -64,16 +54,13 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetricR",
     "BellMatrix",
     "BellSettings",
     "CatState",
     "ChshVerdict",
     "CoherentProduct",
-    "DegenerateGaussian",
     "FockOracleSource",
     "GaussianSpec",
-    "HermiteParams",
     "I_MATRIX",
     "InvalidBellNumber",
     "InvalidParameter",
@@ -82,7 +69,6 @@ __all__ = [
     "MaximizeResult",
     "NonPhysicalSpec",
     "NumericalNegativity",
-    "OrderOverflow",
     "PartitionScheme",
     "PortraitVector",
     "TSIRELSON_BOUND",
@@ -91,22 +77,12 @@ __all__ = [
     "UnsupportedState",
     "bell_matrix",
     "bell_number",
-    "cat_portrait_even_odd",
-    "cat_portrait_zero_nonzero",
     "cat_tomogram",
     "chsh_check",
-    "coherent_portrait_even_odd",
-    "coherent_portrait_zero_nonzero",
     "coherent_tomogram",
-    "gaussian_R",
-    "gaussian_portrait_even_odd",
-    "gaussian_portrait_zero_nonzero",
     "gaussian_purity_family",
     "gaussian_tomogram_table",
     "get_bell_high_water",
-    "hermite_box",
-    "hermite_eval",
-    "hermite_oracle",
     "load_state",
     "make_portrait_fn",
     "make_source",

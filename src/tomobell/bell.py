@@ -17,7 +17,6 @@ iteration, so each start explores the neighbourhood it was drawn for.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -38,10 +37,9 @@ from .portrait import (
     ClosedFormPortrait,
     PartitionScheme,
     PortraitVector,
-    _check_nmax,
     make_portrait_fn,
 )
-from .states import DEFAULT_BOX
+from .states import DEFAULT_BOX, _check_finite, _integer
 
 # fixed CHSH sign pattern: rows follow the portrait cell order
 # (++, +-, -+, --), columns follow the setting pairs of BellSettings.pairs()
@@ -100,9 +98,7 @@ class BellSettings:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise InvalidParameter(f"{name} must be finite, got {v}")
+            _check_finite(getattr(self, name), name)
 
     def pairs(self):
         """The four setting combinations, in Bell-matrix column order."""
@@ -850,17 +846,10 @@ class MaximizeConfig:
 
     def __post_init__(self):
         _check_box(self.box)
-        for name in ("starts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-        if self.starts < 1:
-            raise InvalidParameter(f"starts must be >= 1, got {self.starts}")
-        if self.max_iters < 1:
-            raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
-        _check_nmax(self.nmax)
+        _integer(self.starts, "starts", 1)
+        _integer(self.max_iters, "max_iters", 1)
+        _integer(self.seed, "seed")
+        _integer(self.nmax, "nmax", 1)
         if not self.tail_eps > 0.0:
             raise InvalidParameter(f"tail_eps must be positive, got {self.tail_eps}")
 

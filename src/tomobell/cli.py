@@ -5,9 +5,9 @@ and Bell matrices, run the Bell maximizer, and regenerate figure-style
 datasets as CSV scans over state-family grids.
 
 Exit codes: 0 success, 2 argument/configuration problems (including
-malformed complex literals and state files), 3 numerical failures during
-computation (truncation tail too large, negativity, a Bell number above
-the Tsirelson bound).
+malformed or non-finite complex literals and state files), 3 numerical
+failures during computation (truncation tail too large, negativity, a
+Bell number above the Tsirelson bound, a float overflow on huge inputs).
 Every error path prints a single line ``error[<Case>]: <message>`` to
 stderr.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import pickle
 import re
@@ -46,7 +45,14 @@ from .portrait import (
     PartitionScheme,
     make_portrait_fn,
 )
-from .states import DEFAULT_BOX, CatState, gaussian_purity_family, load_state, make_source
+from .states import (
+    CatState,
+    _check_finite,
+    _integer,
+    gaussian_purity_family,
+    load_state,
+    make_source,
+)
 
 # complex literal grammar: a, bi, a+bi, a-bi with decimal reals and no
 # spaces; the imaginary unit follows its coefficient ("2i", never "i2")
@@ -59,18 +65,19 @@ _RE_REAL = re.compile(rf"^([+-]?{_DECIMAL})$")
 def parse_complex(text: str) -> complex:
     """Parse a strict complex literal such as ``1.5``, ``-2i``, ``0.3-0.7i``."""
     s = text.strip()
-    m = _RE_FULL.match(s)
-    if m:
-        return complex(float(m.group(1)), float(m.group(2)))
-    m = _RE_IMAG.match(s)
-    if m:
-        return complex(0.0, float(m.group(1)))
-    m = _RE_REAL.match(s)
-    if m:
-        return complex(float(m.group(1)), 0.0)
-    raise InvalidParameter(
-        f"malformed complex literal {text!r} (expected forms: a, bi, a+bi, a-bi)"
-    )
+    if m := _RE_FULL.match(s):
+        z = complex(float(m.group(1)), float(m.group(2)))
+    elif m := _RE_IMAG.match(s):
+        z = complex(0.0, float(m.group(1)))
+    elif m := _RE_REAL.match(s):
+        z = complex(float(m.group(1)), 0.0)
+    else:
+        raise InvalidParameter(
+            f"malformed complex literal {text!r} (expected forms: a, bi, a+bi, a-bi)"
+        )
+    # a literal such as 1e400 reads as an infinity
+    _check_finite(z, f"complex literal {text!r}")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -166,6 +173,21 @@ def _add_box_arg(p):
                    help="reject supplied settings with |Re| or |Im| above B")
 
 
+# the MaximizeConfig fields that maximize and scan take as flags
+_SEARCH_FIELDS = ("box", "starts", "seed", "max_iters")
+
+
+def _add_search_args(p):
+    for field in _SEARCH_FIELDS:
+        default = getattr(MaximizeConfig, field)
+        p.add_argument("--" + field.replace("_", "-"), type=type(default), default=default,
+                       help=f"MaximizeConfig.{field} (default {default})")
+
+
+def _search_fields(args) -> dict:
+    return {field: getattr(args, field) for field in _SEARCH_FIELDS}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="tomobell",
                      description="Photon-number tomograms, qubit portraits, "
@@ -203,10 +225,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("maximize", help="maximize B over settings in the box")
     _add_state_arg(p)
     _add_partition_arg(p)
-    p.add_argument("--box", type=float, default=DEFAULT_BOX)
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=2000)
+    _add_search_args(p)
     p.set_defaults(func=cmd_maximize)
 
     p = sub.add_parser("scan", help="run a preset grid of maximizations to CSV")
@@ -224,10 +243,7 @@ def build_parser() -> _Parser:
                    help="concurrent grid points: this process and up to N - 1 forked "
                         "workers, each taking the next point when free (serial where "
                         "os.fork is missing)")
-    p.add_argument("--box", type=float, default=DEFAULT_BOX)
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=2000)
+    _add_search_args(p)
     p.set_defaults(func=cmd_scan)
 
     return parser
@@ -314,9 +330,7 @@ def _print_result(r: MaximizeResult) -> None:
 def cmd_maximize(args) -> int:
     src = make_source(load_state(args.state))
     p = PartitionScheme.from_config(args.partition)
-    cfg = MaximizeConfig(box=args.box, starts=args.starts, seed=args.seed,
-                         max_iters=args.max_iters)
-    r = maximize_bell(src, p, cfg)
+    r = maximize_bell(src, p, MaximizeConfig(**_search_fields(args)))
     _print_result(r)
     return 0
 
@@ -466,11 +480,9 @@ def cmd_scan(args) -> int:
                        _parse_grid_override(args.param2, "--param2"))
     if not grid:
         raise InvalidParameter("scan grid is empty")
-    if args.jobs < 1:
-        raise InvalidParameter(f"--jobs must be >= 1, got {args.jobs}")
+    _integer(args.jobs, "--jobs", 1)
 
-    cfg_fields = dict(box=args.box, starts=args.starts, seed=args.seed,
-                      max_iters=args.max_iters)
+    cfg_fields = _search_fields(args)
     # a bad setting is a usage error of the whole scan, not one per row
     MaximizeConfig(**cfg_fields)
     # each point gets its own seed so rows are independent of grid shape;
@@ -501,16 +513,10 @@ def cmd_scan(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-# bad inputs and state files exit 2; numerical failures during an
-# otherwise well-configured computation exit 3
-_CONFIG_ERRORS = (
-    InvalidParameter,
-    UnsupportedState,
-    NonPhysicalSpec,
-    OSError,
-    ValueError,
-    json.JSONDecodeError,
-)
+# bad inputs and state files exit 2 (ValueError covers InvalidParameter and
+# json.JSONDecodeError); numerical failures during an otherwise
+# well-configured computation exit 3
+_CONFIG_ERRORS = (UnsupportedState, NonPhysicalSpec, OSError, ValueError)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -525,7 +531,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    except TomobellError as exc:
+    except (TomobellError, OverflowError) as exc:
+        # an OverflowError is Python's float arithmetic leaving the float
+        # range on finite but huge inputs (|alpha|^2 of 1e200)
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
 

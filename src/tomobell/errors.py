@@ -29,8 +29,10 @@ class NumericalNegativity(TomobellError):
 
 
 class UnsupportedState(TomobellError):
-    """The Fock-basis oracle was handed a state it cannot represent as a
-    finite superposition of two-mode coherent states."""
+    """A state of a kind the requested route does not handle: ``make_source``
+    and ``ClosedFormPortrait`` know only the library's state types, and the
+    Fock-basis oracle only finite superpositions of two-mode coherent
+    states."""
 
 
 class DegenerateGaussian(TomobellError):
@@ -43,8 +45,12 @@ class NonPhysicalSpec(TomobellError):
     uncertainty bound det M >= 1/16."""
 
 
-class InvalidParameter(TomobellError):
-    """A parametric state family was requested outside its domain."""
+class InvalidParameter(TomobellError, ValueError):
+    """An argument outside its domain: a count that is no integer or lies
+    below its least value, an amplitude or setting that is not a finite
+    number, a state family parameter out of range, a bad partition or
+    search configuration. A ``ValueError`` too, so callers that catch
+    either class see it."""
 
 
 class TailTooLarge(TomobellError):

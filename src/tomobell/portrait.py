@@ -50,6 +50,7 @@ from .states import (
     CoherentProduct,
     GaussianSpec,
     TomogramSource,
+    _integer,
     make_source,
 )
 
@@ -96,17 +97,10 @@ class PartitionScheme:
     __slots__ = ("rule1", "rule2", "kind")
 
     def __init__(self, rule1, rule2):
-        rules = []
-        for which, rule in (("mode1", rule1), ("mode2", rule2)):
-            if rule != "even" and (
-                isinstance(rule, bool) or not isinstance(rule, numbers.Integral) or rule < 0
-            ):
-                raise InvalidParameter(
-                    f"{which} rule must be an integer t >= 0 or 'even', got {rule!r}"
-                )
-            rules.append(rule if rule == "even" else int(rule))
+        rules = tuple(rule if rule == "even" else _integer(rule, f"{which} rule")
+                      for which, rule in (("mode1", rule1), ("mode2", rule2)))
         self.rule1, self.rule2 = rules
-        self.kind = _CANONICAL_RULES.get(tuple(rules), "custom")
+        self.kind = _CANONICAL_RULES.get(rules, "custom")
 
     @staticmethod
     def zero_nonzero() -> "PartitionScheme":
@@ -254,12 +248,6 @@ def _vector(checked) -> PortraitVector:
 # ---------------------------------------------------------------------------
 
 
-def _check_nmax(nmax) -> None:
-    """Raise unless nmax is an integer >= 1 (a bool is no integer here)."""
-    if isinstance(nmax, bool) or not isinstance(nmax, numbers.Integral) or nmax < 1:
-        raise InvalidParameter(f"nmax must be an integer >= 1, got {nmax!r}")
-
-
 def portrait_truncated(
     src: TomogramSource,
     p: PartitionScheme,
@@ -278,7 +266,7 @@ def portrait_truncated(
         TailTooLarge: deficit > tail_eps (carries the deficit value).
         NumericalNegativity: propagated from the table evaluation.
     """
-    _check_nmax(nmax)
+    _integer(nmax, "nmax", 1)
     if not tail_eps > 0.0:
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
     table = src.tomogram_table(alpha1, alpha2, nmax)
@@ -746,7 +734,7 @@ def make_portrait_fn(
     and tail_eps, as does everything else. The returned callable is what
     the Bell-matrix assembly and the maximizer consume.
     """
-    _check_nmax(nmax)
+    _integer(nmax, "nmax", 1)
     state = src.state if type(src) in _LIBRARY_SOURCES else src
     if (
         prefer_closed_form

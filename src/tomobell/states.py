@@ -94,20 +94,31 @@ def _log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _photon_count(n, name: str = "nmax") -> int:
-    """A photon count n >= 0 (a table's nmax, or an n1, n2) as an int.
+def _integer(value, name: str, low: int = 0) -> int:
+    """An integer argument >= low as an int: a photon count, a table's nmax,
+    a partition rule, a search's starts, seed or iteration budget.
 
     A bool or a non-integer is refused rather than truncated: int(2.5)
     would silently give a 3 x 3 table and True a 2 x 2 one.
     """
     # a plain int skips the slow ABC check below; a bool's type is not int
-    if type(n) is not int:
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-        n = int(n)
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative, got {n!r}")
-    return n
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise InvalidParameter(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
+def _check_finite(value, name: str) -> None:
+    """Raise InvalidParameter unless value is a finite real or complex number."""
+    # a plain float or complex skips the slow ABC check; True == 1 would
+    # pass as the number 1
+    if (type(value) not in (float, complex) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Number)
+    )) or not cmath.isfinite(value):
+        raise InvalidParameter(f"{name} must be a finite number, got {value!r}")
 
 
 @lru_cache(maxsize=8)
@@ -124,14 +135,8 @@ def _log_factorials(nmax: int) -> np.ndarray:
 
 
 def _check_amplitudes(state) -> None:
-    """Raise InvalidParameter unless both amplitudes are finite numbers."""
-    for name in ("gamma1", "gamma2"):
-        value = getattr(state, name)
-        # True == 1 would pass as an amplitude of 1
-        if isinstance(value, bool) or not (
-            isinstance(value, numbers.Number) and cmath.isfinite(value)
-        ):
-            raise InvalidParameter(f"{name} must be a finite number, got {value!r}")
+    _check_finite(state.gamma1, "gamma1")
+    _check_finite(state.gamma2, "gamma2")
 
 
 @dataclass(frozen=True)
@@ -276,7 +281,7 @@ def cat_tomogram(s: CatState, n1: int, n2: int, alpha1: complex, alpha2: complex
     range (it overflows, or its prefactor lies below the smallest normal
     float), each product is carried as a complex logarithm.
     """
-    n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
+    n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
     g1, g2 = complex(s.gamma1), complex(s.gamma2)
     a1, a2 = complex(alpha1), complex(alpha2)
     S = abs(g1) ** 2 + abs(g2) ** 2
@@ -342,7 +347,7 @@ def coherent_tomogram(
     s: CoherentProduct, n1: int, n2: int, alpha1: complex, alpha2: complex
 ) -> float:
     """Product of Poisson weights with means |alpha_i + gamma_i|^2."""
-    n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
+    n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
     lam1 = abs(complex(alpha1) + complex(s.gamma1)) ** 2
     lam2 = abs(complex(alpha2) + complex(s.gamma2)) ** 2
     return _poisson_pmf(n1, lam1) * _poisson_pmf(n2, lam2)
@@ -392,7 +397,7 @@ def fock_oracle_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: compl
     Slow and simple on purpose; this is the ground truth for the cat and
     coherent closed forms.
     """
-    n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
+    n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
     a1, a2 = complex(alpha1), complex(alpha2)
     terms = coherent_superposition_terms(state)
     amp = 0.0 + 0.0j
@@ -429,7 +434,7 @@ def coherent_superposition_table(
     coefficient times its displacement phases. Every amplitude has modulus
     at most 1, so no amplitude needs a log-domain branch.
     """
-    log_fact = _log_factorials(_photon_count(nmax))
+    log_fact = _log_factorials(_integer(nmax, "nmax"))
     a1, a2 = complex(alpha1), complex(alpha2)
     amp = 0.0
     for coeff, d1, d2 in coherent_superposition_terms(state):
@@ -615,10 +620,14 @@ def gaussian_tomogram_table(
             strongly squeezed state at box-scale settings, where the
             recurrence loses up to about 1e-6 to rounding.
     """
-    n = _photon_count(nmax)
+    n = _integer(nmax, "nmax")
     R, L = g._series(n)
     mu = gaussian_effective_mean(g, alpha1, alpha2)
     N = np.einsum("i,ijab,j->ab", mu, g._generating_polynomials[1], mu)
+    # N overflows at displacements near 1e154; the products below would
+    # turn its infinities into NaNs, with a numpy warning for each
+    if not np.isfinite(N).all():
+        raise NumericalNegativity("gaussian tomogram table is not finite")
 
     # E = -(N R + L)/2, with N of degree <= 2 in s1; its subnormal entries
     # go for the reason given in ``_delta_series``
@@ -657,7 +666,7 @@ def gaussian_tomogram(
     Raises:
         NumericalNegativity: where that table is refused.
     """
-    n1, n2 = _photon_count(n1, "n1"), _photon_count(n2, "n2")
+    n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
     return float(gaussian_tomogram_table(g, alpha1, alpha2, max(n1, n2))[n1, n2])
 
 
@@ -674,7 +683,7 @@ class TomogramSource:
 
     # sources that can fill a whole photon-number table cheaply override this
     def tomogram_table(self, alpha1, alpha2, nmax):
-        n = _photon_count(nmax) + 1
+        n = _integer(nmax, "nmax") + 1
         out = np.empty((n, n))
         for i in range(n):
             for j in range(n):

@@ -19,27 +19,26 @@ from tomobell import (
     CoherentProduct,
     FockOracleSource,
     GaussianSpec,
-    HermiteParams,
     MaximizeConfig,
     NumericalNegativity,
     PartitionScheme,
     TSIRELSON_BOUND,
     bell_matrix,
     bell_number,
-    cat_portrait_even_odd,
-    cat_portrait_zero_nonzero,
     cat_tomogram,
     coherent_tomogram,
-    gaussian_R,
-    gaussian_portrait_even_odd,
     gaussian_purity_family,
     gaussian_tomogram_table,
     get_bell_high_water,
-    hermite_eval,
-    hermite_oracle,
     make_portrait_fn,
     make_source,
     maximize_bell,
+)
+from tomobell.hermite import HermiteParams, gaussian_R, hermite_eval, hermite_oracle
+from tomobell.portrait import (
+    cat_portrait_even_odd,
+    cat_portrait_zero_nonzero,
+    gaussian_portrait_even_odd,
 )
 
 R_TOL = 1e-10

@@ -100,6 +100,17 @@ def test_settings_validation_and_roundtrip():
         BellSettings.from_vector(np.zeros(7))
 
 
+@pytest.mark.parametrize("bad", [True, False, "0.5", None])
+def test_settings_are_finite_numbers_and_no_bool(bad):
+    # complex(True) == 1 once let BellSettings(True, 0, 0, 0) keep alpha1=True;
+    # settings share the amplitudes' finite-number check
+    for at in range(4):
+        values = [0j] * 4
+        values[at] = bad
+        with pytest.raises(InvalidParameter, match="must be a finite number"):
+            BellSettings(*values)
+
+
 def test_bell_matrix_validation():
     col = np.array([0.4, 0.3, 0.2, 0.1])
     m = np.column_stack([col] * 4)

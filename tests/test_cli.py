@@ -7,13 +7,15 @@ import select
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tomobell
-from tomobell.cli import format_complex, main, parse_complex
+from tomobell import MaximizeConfig
+from tomobell.cli import build_parser, format_complex, main, parse_complex
 from tomobell.errors import InvalidParameter
 
 SQUEEZED_DOC = {
@@ -65,6 +67,13 @@ def test_parse_complex_rejects_malformed():
     for bad in ("1+i2", "i", "1 + 2i", "2j", "abc", "1+2", "--1", "1++2i"):
         with pytest.raises(InvalidParameter):
             parse_complex(bad)
+
+
+def test_parse_complex_refuses_a_literal_that_overflows():
+    for bad in ("1e400", "-1e400i", "1+1e999i", "1e309-0.5i"):
+        with pytest.raises(InvalidParameter, match="must be a finite number"):
+            parse_complex(bad)
+    assert parse_complex("1e308-1e-320i") == complex(1e308, -1e-320)
 
 
 def test_format_complex_roundtrips():
@@ -260,6 +269,64 @@ def test_bell_coherent_separable(coherent_file, capsys):
     assert b <= 2.0 + 1e-9
 
 
+# --- non-finite and huge inputs --------------------------------------------------
+
+STATE_DOCS = {
+    "cat": {"type": "cat", "gamma1": [1.0, 0.0], "gamma2": [1.0, 0.0]},
+    "coherent": {"type": "coherent", "gamma1": 0.5, "gamma2": [0.0, 0.5]},
+    "gaussian": {"type": "gaussian_family", "k": 0.9, "l": 0.04},
+    "huge-cat": {"type": "cat", "gamma1": 1e200, "gamma2": [1.0, 0.0]},
+}
+
+SETTINGS_ARGS = {
+    "tomogram": ["--n1", "1", "--n2", "0", "--alpha2", "0"],
+    "portrait": ["--alpha2", "0"],
+    "bell": ["--alpha2", "0", "--beta1", "0", "--beta2", "0"],
+}
+
+
+def _run_on(tmp_path, kind, command, extra):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(STATE_DOCS[kind]))
+    # a numpy warning would print lines of its own before the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main([command, "--state", str(path)] + extra)
+
+
+@pytest.mark.parametrize("kind", ["cat", "coherent", "gaussian"])
+@pytest.mark.parametrize("command", ["tomogram", "portrait", "bell"])
+def test_non_finite_literal_exits_2(tmp_path, capsys, kind, command):
+    # 1e400 reads as an infinity: tomogram printed nan, and portrait the
+    # portrait of an infinite displacement, both with exit 0
+    rc = _run_on(tmp_path, kind, command, SETTINGS_ARGS[command] + ["--alpha1", "1e400"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error[InvalidParameter]: complex literal '1e400' "
+                                       "must be a finite number, got (inf+0j)\n")
+
+
+@pytest.mark.parametrize("kind, command, extra, case", [
+    *[(kind, command, SETTINGS_ARGS[command] + ["--alpha1", "1e200"], "OverflowError")
+      for kind in ("cat", "coherent") for command in ("tomogram", "portrait", "bell")],
+    ("huge-cat", "tomogram", SETTINGS_ARGS["tomogram"] + ["--alpha1", "0"], "OverflowError"),
+    ("huge-cat", "portrait", SETTINGS_ARGS["portrait"] + ["--alpha1", "0"], "OverflowError"),
+    ("cat", "maximize", ["--box", "1e200", "--starts", "2"], "OverflowError"),
+    ("gaussian", "tomogram", SETTINGS_ARGS["tomogram"] + ["--alpha1", "1e200"],
+     "NumericalNegativity"),
+    ("gaussian", "portrait", ["--nmax", "5", "--alpha2", "0", "--alpha1", "1e200"],
+     "NumericalNegativity"),
+])
+def test_huge_finite_inputs_exit_3_on_one_line(tmp_path, capsys, kind, command, extra, case):
+    # squares of 1e200 leave the float range: these printed a traceback
+    # and exited 1, or printed numpy warnings before the error line
+    rc = _run_on(tmp_path, kind, command, extra)
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error[{case}]: ")
+    assert err.count("\n") == 1
+
+
 # --- maximize --------------------------------------------------------------------
 
 
@@ -288,6 +355,14 @@ def test_maximize_prints_converged_starts(coherent_file, capsys):
                "--starts", "4", "--seed", "3", "--max-iters", "1"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[-1] == "converged 0"
+
+
+@pytest.mark.parametrize("argv", [["maximize", "--state", "x"], ["scan", "--preset", "cat-even-odd"]])
+def test_search_flags_default_to_the_config_fields(argv):
+    args, cfg = build_parser().parse_args(argv), MaximizeConfig()
+    for field in ("box", "starts", "seed", "max_iters"):
+        value, default = getattr(args, field), getattr(cfg, field)
+        assert value == default and type(value) is type(default), field
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--starts", "0"), ("--max-iters", "0")])
@@ -471,6 +546,19 @@ def test_scan_error_rows_continue(tmp_path):
     assert bad[2] == ""  # no f value for the failed point
     assert bad[-1] != "" and ":" in bad[-1]
     assert float(good[2]) > 2.0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["--param1", "a,b"], "--param1 must be a comma-separated list of reals, got 'a,b'"),
+])
+def test_scan_bad_jobs_or_grid_exits_2(monkeypatch, capsys, flags, message):
+    calls = []
+    monkeypatch.setattr("tomobell.cli._scan_point", lambda *task: calls.append(task))
+    rc = main(["scan", "--preset", "cat-even-odd", "--starts", "2"] + flags)
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error[InvalidParameter]: {message}\n")
+    assert calls == []
 
 
 def test_scan_empty_grid_exits_2(capsys):

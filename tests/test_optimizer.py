@@ -110,6 +110,19 @@ def test_minimize_respects_the_budget():
         assert np.all(np.abs(res.x) <= 2.0)
 
 
+def test_minimize_gives_up_when_no_step_descends():
+    # a gradient of the wrong sign points every step uphill: the line search
+    # fails from the start point with an empty curvature memory (status 2)
+    def fun(x):
+        return sum((v - 0.5) ** 2 for v in x), [-2.0 * (v - 0.5) for v in x]
+
+    res = minimize(fun, np.zeros(3), np.full(3, -1.0), np.full(3, 1.0),
+                   scale=1.0, xtol=1e-12, ftol=1e-15, maxfev=100)
+    assert res.status == 2 and not res.success
+    assert res.nfev == 21 and res.nit == 0
+    assert np.array_equal(res.x, np.zeros(3))
+
+
 def test_minimize_grows_its_steps_from_the_start_scale():
     # The first curvature pair of a quadratic gives the Newton step to its
     # minimum (0.9, -0.9) at once. The cap holds each step to STEP_GROWTH

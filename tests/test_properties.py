@@ -3,12 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tomobell import (
-    CatState,
-    CoherentProduct,
+from tomobell import CatState, CoherentProduct, cat_tomogram
+from tomobell.portrait import (
     cat_portrait_even_odd,
     cat_portrait_zero_nonzero,
-    cat_tomogram,
     coherent_portrait_even_odd,
     coherent_portrait_zero_nonzero,
 )

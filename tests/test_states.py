@@ -20,6 +20,7 @@ from tomobell.states import (
     FockOracleSource,
     GaussianSpec,
     cat_tomogram,
+    coherent_superposition_table,
     coherent_tomogram,
     fock_oracle_tomogram,
     gaussian_effective_mean,
@@ -125,6 +126,29 @@ def test_coherent_table_matches_scalar():
     want = np.array([[coherent_tomogram(s, n1, n2, 1.5 + 0.5j, -1 + 1j)
                       for n2 in range(31)] for n1 in range(31)])
     assert np.max(np.abs(table - want)) <= 1e-14
+
+
+def test_coherent_table_and_scalar_at_a_zero_amplitude():
+    # alpha1 = -gamma1 displaces mode 1 to the vacuum, where log|mu| and
+    # log(lambda) are undefined: both routes take their branch for it
+    s = CoherentProduct(0.3, 0)
+    want = np.zeros((4, 4))
+    want[0, 0] = 1.0
+    assert np.array_equal(coherent_superposition_table(s, -0.3, 0, 3), want)
+    assert coherent_tomogram(s, 0, 0, -0.3, 0) == 1.0
+    assert coherent_tomogram(s, 1, 0, -0.3, 0) == 0.0
+
+
+def test_huge_displacements_raise_overflow_error():
+    # float ** raises where a square leaves the float range; the library
+    # lets that OverflowError through, and the CLI reports it (exit 3)
+    cat, coherent = CatState(1, 1), CoherentProduct(0.5, 0.5j)
+    with pytest.raises(OverflowError):
+        cat_tomogram(cat, 1, 0, 1e200, 0)
+    with pytest.raises(OverflowError):
+        cat_tomogram(CatState(1e200, 1), 1, 0, 0, 0)
+    with pytest.raises(OverflowError):
+        coherent_tomogram(coherent, 1, 0, 1e200, 0)
 
 
 def test_vacuum_cat_tomogram_at_origin():
@@ -443,6 +467,13 @@ def test_gaussian_spec_validation():
         GaussianSpec(np.eye(4) * 0.5, mean=np.zeros(3))
 
 
+def test_gaussian_spec_refuses_a_matrix_that_is_not_positive_definite():
+    # two negative eigenvalues leave det M = 1 above the uncertainty bound,
+    # so only the eigenvalue check refuses this symmetric matrix
+    with pytest.raises(NonPhysicalSpec, match="positive definite"):
+        GaussianSpec(np.diag([1.0, 1.0, -1.0, -1.0]))
+
+
 def test_purity_family_parameters():
     with pytest.raises(InvalidParameter):
         gaussian_purity_family(0.4, 0.0)
@@ -532,6 +563,14 @@ def test_parse_state_family_and_errors():
     ):
         with pytest.raises(ValueError, match="must be a number"):
             parse_state(doc)
+
+
+def test_parse_state_refuses_a_gaussian_of_the_wrong_size():
+    m = SQUEEZED_M.ravel().tolist()
+    with pytest.raises(ValueError, match="16 numbers"):
+        parse_state({"type": "gaussian", "M": m[:15]})
+    with pytest.raises(ValueError, match="4 numbers"):
+        parse_state({"type": "gaussian", "M": m, "mean": [0, 0, 0]})
 
 
 def test_load_state_roundtrip(tmp_path):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from tomobell import portrait, states
-from tomobell.errors import NumericalNegativity
-from tomobell.portrait import PartitionScheme, portrait_truncated
+from tomobell.bell import MaximizeConfig
+from tomobell.errors import InvalidParameter, NumericalNegativity
+from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
 from tomobell.states import (
     CatState,
     CoherentProduct,
@@ -366,5 +367,26 @@ def test_tables_take_numpy_integers_and_refuse_negative_nmax():
     assert _Listed().tomogram_table(0j, 0j, np.int64(2)).shape == (3, 3)
     for table in (lambda: gaussian_tomogram_table(g, 0j, 0j, -1),
                   lambda: coherent_superposition_table(cat, 0j, 0j, -1)):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="nmax must be >= 0"):
             table()
+
+
+@pytest.mark.parametrize("bad", [2.5, True, -1])
+def test_a_bad_nmax_is_one_error_class_on_every_route(bad):
+    # one integer check guards every nmax: its refusal is an
+    # InvalidParameter, which is also a ValueError
+    cat, zn = CatState(0.5, 0.3j), PartitionScheme.zero_nonzero()
+    routes = [
+        lambda: gaussian_tomogram_table(GaussianSpec(SQUEEZED_M), 0j, 0j, bad),
+        lambda: coherent_superposition_table(cat, 0j, 0j, bad),
+        lambda: make_source(cat).tomogram_table(0j, 0j, bad),
+        lambda: make_source(GaussianSpec(SQUEEZED_M)).tomogram_table(0j, 0j, bad),
+        lambda: _Listed().tomogram_table(0j, 0j, bad),
+        lambda: portrait_truncated(make_source(cat), zn, 0j, 0j, bad),
+        lambda: make_portrait_fn(cat, zn, nmax=bad),
+        lambda: MaximizeConfig(nmax=bad),
+    ]
+    for route in routes:
+        with pytest.raises(InvalidParameter, match="nmax must be") as info:
+            route()
+        assert isinstance(info.value, ValueError)
