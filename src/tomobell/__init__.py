@@ -40,7 +40,6 @@ from .portrait import (
 from .states import (
     CatState,
     CoherentProduct,
-    FockOracleSource,
     GaussianSpec,
     cat_tomogram,
     coherent_tomogram,
@@ -59,7 +58,6 @@ __all__ = [
     "CatState",
     "ChshVerdict",
     "CoherentProduct",
-    "FockOracleSource",
     "GaussianSpec",
     "I_MATRIX",
     "InvalidBellNumber",

@@ -44,6 +44,7 @@ from .portrait import (
     DEFAULT_TAIL_EPS,
     PartitionScheme,
     make_portrait_fn,
+    portrait_truncated,
 )
 from .states import (
     CatState,
@@ -267,11 +268,11 @@ def _portrait_fn_for(args, src):
     """The portrait function: truncated when --nmax or --tail-eps is given,
     else a closed form wherever the state and partition have one."""
     p = PartitionScheme.from_config(args.partition)
-    truncated = args.nmax is not None or args.tail_eps is not None
+    if args.nmax is None and args.tail_eps is None:
+        return make_portrait_fn(src, p)
     nmax = DEFAULT_NMAX if args.nmax is None else args.nmax
     tail_eps = DEFAULT_TAIL_EPS if args.tail_eps is None else args.tail_eps
-    return make_portrait_fn(src, p, nmax=nmax, tail_eps=tail_eps,
-                            prefer_closed_form=not truncated)
+    return lambda a1, a2: portrait_truncated(src, p, a1, a2, nmax, tail_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +372,9 @@ def _scan_point(preset_name: str, partition: str, p1: float, p2: float,
         for z in coords:
             row.extend((repr(z.real), repr(z.imag)))
         row.extend((r.verdict.verdict, ""))
-    except TomobellError as exc:
+    except (TomobellError, OverflowError) as exc:
+        # a parameter so large that the float range overflows fails its own
+        # row, as an out-of-range family parameter does
         row.extend([""] * (len(CSV_FIELDS) - 3))
         row.append(f"{type(exc).__name__}: {exc}")
     return row

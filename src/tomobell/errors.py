@@ -30,14 +30,7 @@ class NumericalNegativity(TomobellError):
 
 class UnsupportedState(TomobellError):
     """A state of a kind the requested route does not handle: ``make_source``
-    and ``ClosedFormPortrait`` know only the library's state types, and the
-    Fock-basis oracle only finite superpositions of two-mode coherent
-    states."""
-
-
-class DegenerateGaussian(TomobellError):
-    """I - 2M is singular, so the paper's Hermite argument y is undefined.
-    Only ``gaussian_y`` raises it; tables and tomograms take such states."""
+    and ``ClosedFormPortrait`` know only the library's state types."""
 
 
 class NonPhysicalSpec(TomobellError):

@@ -1,16 +1,11 @@
-"""The paper's route to a Gaussian tomogram: four-dimensional Hermite
-polynomials H^R_k(x), the tests' oracle for the photon tables.
+"""Four-dimensional Hermite polynomials H^R_k(x), filled as a box.
 
 Definition: H^R_k(x) = (-1)^|k| exp(x.R.x / 2) d^k/dx^k exp(-x.R.x / 2)
 for a complex symmetric 4x4 matrix R, evaluated at a complex 4-vector x.
-The paper writes the tomogram of a Gaussian state with dispersion matrix
-M as
-
-    w(n1, n2) = exp(-mu (2M+I)^{-1} mu) / sqrt(det(M + I/2)) *
-                H^R_{n1,n2,n1,n2}(y) / (n1! n2!)
-
-with mu the kernel-order displaced mean (``states.gaussian_effective_mean``),
-R = ``gaussian_R(M)`` and y = ``gaussian_y(M, shifted_mean)``.
+The paper writes the tomogram of a Gaussian state through the diagonal
+H^R_{n1,n2,n1,n2} of such polynomials; the tests keep that route, with
+its parameters R and y, as an oracle for the photon tables
+(``tests/oracles.py``).
 
 ``hermite_box`` fills a whole index box from the recursion
 
@@ -18,10 +13,7 @@ R = ``gaussian_R(M)`` and y = ``gaussian_y(M, shifted_mean)``.
 
 obtained by differentiating the generating function, sweeping one axis at
 a time with whole-slab numpy operations; ``hermite_eval`` reads one entry
-from the smallest box that holds it. ``hermite_oracle`` instead
-differentiates exp(-x.R.x/2) symbolically, carrying the exact
-multivariate polynomial coefficient table, and is the ground truth the
-recursion is tested against.
+from the smallest box that holds it.
 
 No library function calls this module: photon tables, and the scalar
 Gaussian tomogram read from them, come from generating functions in
@@ -31,38 +23,16 @@ patches ``hermite_box`` and ``hermite_eval`` by name in ``states``.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import AsymmetricR, DegenerateGaussian, NonPhysicalSpec, OrderOverflow
+from .errors import AsymmetricR, OrderOverflow
 
 # largest |A - A^T| entry accepted for a matrix that must be symmetric
 # (R here, the dispersion matrix M in ``states``)
 SYMMETRY_TOL = 1e-12
 DEFAULT_MAX_ORDER = 128
-
-# only used by the symbolic oracle, which scales exponentially with order
-ORACLE_MAX_ORDER = 8
-
-R_SYMMETRY_TOL = 1e-10
-# I - 2M counts as singular when |det| <= this multiple of ||I - 2M||_F^4;
-# the fourth power keeps the test scale invariant, as det scales as c^4
-SINGULARITY_SCALE = 1e-12
-
-# the unitary that maps quadrature variables to the Hermite-form arguments
-U_MATRIX = np.array(
-    [
-        [-1j, 0, 1j, 0],
-        [0, -1j, 0, 1j],
-        [1, 0, 1, 0],
-        [0, 1, 0, 1],
-    ],
-    dtype=complex,
-) / math.sqrt(2)
-
-_I4 = np.eye(4)
 
 Index = Tuple[int, int, int, int]
 
@@ -148,114 +118,3 @@ def hermite_box(params: HermiteParams, shape) -> np.ndarray:
                 v = v - R[i, i] * (n - 1) * H[lead + (n - 2,) + tail]
             H[lead + (n,) + tail] = v
     return H
-
-
-# ---------------------------------------------------------------------------
-# the paper's Gaussian parameters
-# ---------------------------------------------------------------------------
-
-
-def _dispersion(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4) or not np.all(np.isfinite(M)):
-        raise ValueError(f"M must be a finite 4x4 matrix, got shape {M.shape}")
-    return M
-
-
-def gaussian_R(M) -> np.ndarray:
-    """Hermite parameter matrix R = U^dag (I - 2M) (I + 2M)^{-1} U^*."""
-    M = _dispersion(M)
-    core = (_I4 - 2.0 * M) @ np.linalg.inv(_I4 + 2.0 * M)
-    R = U_MATRIX.conj().T @ core @ U_MATRIX.conj()
-    asym = float(np.max(np.abs(R - R.T)))
-    if asym > R_SYMMETRY_TOL:
-        raise NonPhysicalSpec(
-            f"R came out asymmetric by {asym:.3e}; M is not a valid dispersion matrix"
-        )
-    return 0.5 * (R + R.T)
-
-
-def gaussian_y(M, shifted_mean) -> np.ndarray:
-    """Hermite argument y = 2 U^tr (I - 2M)^{-1} mu.
-
-    ``shifted_mean`` is the displaced mean in (p1, p2, q1, q2) order as
-    returned by ``states.gaussian_shifted_mean``; the kernel-order
-    exchange to (q1, q2, p1, p2) happens here.
-
-    Raises:
-        DegenerateGaussian: when I - 2M is singular (coherent or vacuum
-            noise), where y is undefined.
-    """
-    mu = np.asarray(shifted_mean, dtype=float)[[2, 3, 0, 1]]
-    a = _I4 - 2.0 * _dispersion(M)
-    if abs(np.linalg.det(a)) <= SINGULARITY_SCALE * float(np.linalg.norm(a)) ** 4:
-        raise DegenerateGaussian(
-            "I - 2M is singular; the state has coherent-state photon statistics"
-        )
-    return 2.0 * U_MATRIX.T @ (np.linalg.inv(a) @ mu)
-
-
-# ---------------------------------------------------------------------------
-# symbolic derivative oracle
-# ---------------------------------------------------------------------------
-
-Poly = Dict[Index, complex]  # monomial exponent tuple -> coefficient
-
-
-def _poly_derivative(p: Poly, axis: int) -> Poly:
-    out: Poly = {}
-    for exps, coeff in p.items():
-        e = exps[axis]
-        if e == 0:
-            continue
-        reduced = list(exps)
-        reduced[axis] -= 1
-        key: Index = tuple(reduced)  # type: ignore[assignment]
-        out[key] = out.get(key, 0.0 + 0.0j) + coeff * e
-    return out
-
-
-def _poly_times_linear(p: Poly, linear: np.ndarray) -> Poly:
-    # multiply by sum_j linear[j] * x_j
-    out: Poly = {}
-    for exps, coeff in p.items():
-        for j in range(4):
-            lj = linear[j]
-            if lj == 0:
-                continue
-            raised = list(exps)
-            raised[j] += 1
-            key: Index = tuple(raised)  # type: ignore[assignment]
-            out[key] = out.get(key, 0.0 + 0.0j) + coeff * lj
-    return out
-
-
-def _poly_sub(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for key, coeff in b.items():
-        out[key] = out.get(key, 0.0 + 0.0j) - coeff
-    return out
-
-
-def hermite_oracle(params: HermiteParams, k) -> complex:
-    """Literal derivative-definition evaluation of H^R_k(x).
-
-    Builds the polynomial P_k with d^k exp(-x.R.x/2) = P_k(x) exp(-x.R.x/2)
-    one derivative at a time via the product rule on exact monomial
-    tables, then returns (-1)^|k| P_k(x). Exponential in |k|, so capped
-    at |k| <= 8; meant as a test oracle, not a production path.
-    """
-    k = _check_index(k, ORACLE_MAX_ORDER)
-    poly: Poly = {(0, 0, 0, 0): 1.0 + 0.0j}
-    for axis in range(4):
-        for _ in range(k[axis]):
-            # d/dx_axis of P*F = (dP - (Rx)_axis * P) * F with F = exp(-x.R.x/2)
-            poly = _poly_sub(_poly_derivative(poly, axis), _poly_times_linear(poly, params.R[axis]))
-    value = 0.0 + 0.0j
-    for exps, coeff in poly.items():
-        term = coeff
-        for j in range(4):
-            if exps[j]:
-                term = term * params.x[j] ** exps[j]
-        value += term
-    return complex((-1) ** (k[0] + k[1] + k[2] + k[3]) * value)

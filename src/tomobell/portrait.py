@@ -17,8 +17,8 @@ these states a portrait function that also evaluates the four columns of
 a Bell matrix in one call, computing each per-mode term once per setting.
 Every other state or partition goes through a truncated table sum.
 
-``make_portrait_fn`` is the way to a closed form. The six per-state names
-(``cat_portrait_even_odd``, ``gaussian_portrait_zero_nonzero`` and so on)
+``make_portrait_fn`` is the way to a closed form. The four per-state names
+(``cat_portrait_even_odd``, ``coherent_portrait_zero_nonzero`` and so on)
 are aliases of two functions, one per canonical partition, and each takes
 any closed-form state.
 """
@@ -26,7 +26,6 @@ any closed-form state.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -135,12 +134,14 @@ class PartitionScheme:
             def rule(spec, which):
                 if spec in ("zero", "even"):
                     return 0 if spec == "zero" else spec
-                if isinstance(spec, dict) and isinstance(spec.get("threshold"), numbers.Integral):
-                    return spec["threshold"]
-                raise InvalidParameter(
-                    f"bad {which} rule {spec!r}; use 'zero', 'even', or "
-                    "{'threshold': t} with an integer t >= 0"
-                )
+                threshold = spec.get("threshold") if isinstance(spec, dict) else None
+                try:
+                    return _integer(threshold, f"{which} rule")
+                except InvalidParameter:
+                    raise InvalidParameter(
+                        f"bad {which} rule {spec!r}; use 'zero', 'even', or "
+                        "{'threshold': t} with an integer t >= 0"
+                    ) from None
 
             return PartitionScheme(rule(cfg.get("mode1"), "mode1"), rule(cfg.get("mode2"), "mode2"))
         raise InvalidParameter(f"cannot build a partition from {cfg!r}")
@@ -688,9 +689,7 @@ def _zero_nonzero_portrait(state, alpha1: complex, alpha2: complex) -> PortraitV
 # the per-state public names; ``perfbench/spans.py`` wraps the cat and
 # coherent ones by name
 cat_portrait_even_odd = coherent_portrait_even_odd = _even_odd_portrait
-gaussian_portrait_even_odd = _even_odd_portrait
 cat_portrait_zero_nonzero = coherent_portrait_zero_nonzero = _zero_nonzero_portrait
-gaussian_portrait_zero_nonzero = _zero_nonzero_portrait
 
 
 class GaussianPortraitContext:
@@ -722,7 +721,6 @@ def make_portrait_fn(
     p: PartitionScheme,
     nmax: int = DEFAULT_NMAX,
     tail_eps: float = DEFAULT_TAIL_EPS,
-    prefer_closed_form: bool = True,
 ) -> Callable[[complex, complex], PortraitVector]:
     """Bind a state or source and a partition into a settings -> portrait map.
 
@@ -736,11 +734,7 @@ def make_portrait_fn(
     """
     _integer(nmax, "nmax", 1)
     state = src.state if type(src) in _LIBRARY_SOURCES else src
-    if (
-        prefer_closed_form
-        and p.kind in _CANONICAL
-        and isinstance(state, _CLOSED_FORM_STATES)
-    ):
+    if p.kind in _CANONICAL and isinstance(state, _CLOSED_FORM_STATES):
         return ClosedFormPortrait(state, p.kind)
     source = src if isinstance(src, TomogramSource) else make_source(src)
     return lambda a1, a2: portrait_truncated(source, p, a1, a2, nmax, tail_eps)

@@ -2,14 +2,12 @@
 
 A photon-number tomogram w(n1, n2, alpha1, alpha2) is the probability of
 counting (n1, n2) photons in the two modes after displacing the state by
-(alpha1, alpha2). This module implements four sources:
+(alpha1, alpha2). This module implements three sources:
 
 * Schroedinger cat states (superpositions of opposite coherent states);
 * products of coherent states (Poisson statistics);
 * generic Gaussian states given by a 4x4 dispersion matrix and mean
-  vector;
-* a brute-force Fock-basis oracle for any finite superposition of
-  two-mode coherent states, used to cross-check the closed forms.
+  vector.
 
 Whole photon-number tables, which every truncated portrait uses, never
 go through the scalar formulas. A cat or coherent table is one
@@ -18,8 +16,8 @@ vectorized pass over the coherent superposition terms:
 phi. A Gaussian table is the array of Taylor coefficients of the
 closed-form generating function G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2,
 expanded in real arithmetic. ``gaussian_tomogram`` reads one entry of
-that table; the paper's four-dimensional Hermite polynomials live in
-``hermite`` as the tests' oracle. ``cat_tomogram`` keeps the paper's
+that table; the paper's route through four-dimensional Hermite
+polynomials is the tests' oracle. ``cat_tomogram`` keeps the paper's
 closed formula, with a log-domain branch for large amplitudes and for
 products outside the float range, because one entry of it costs far less
 than a table.
@@ -354,21 +352,13 @@ def coherent_tomogram(
 
 
 # ---------------------------------------------------------------------------
-# Fock-basis oracle
+# coherent superpositions
 # ---------------------------------------------------------------------------
 
 
 def _displacement_phase(alpha: complex, delta: complex) -> complex:
     # D(alpha)|delta> = exp((alpha conj(delta) - conj(alpha) delta)/2) |alpha+delta>
     return cmath.exp((alpha * delta.conjugate() - alpha.conjugate() * delta) / 2.0)
-
-
-def _fock_amplitude(n: int, mu: complex) -> complex:
-    # <n|mu> = exp(-|mu|^2/2) mu^n / sqrt(n!)
-    if mu == 0:
-        return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
-    log_mag = -abs(mu) ** 2 / 2.0 + n * math.log(abs(mu)) - 0.5 * _log_factorial(n)
-    return cmath.exp(complex(log_mag, n * cmath.phase(mu)))
 
 
 def coherent_superposition_terms(state):
@@ -390,28 +380,6 @@ def coherent_superposition_terms(state):
     )
 
 
-def fock_oracle_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: complex) -> float:
-    """Brute-force tomogram for finite coherent superpositions.
-
-    Sums the displaced Fock amplitudes term by term and squares the total.
-    Slow and simple on purpose; this is the ground truth for the cat and
-    coherent closed forms.
-    """
-    n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
-    a1, a2 = complex(alpha1), complex(alpha2)
-    terms = coherent_superposition_terms(state)
-    amp = 0.0 + 0.0j
-    for coeff, d1, d2 in terms:
-        amp += (
-            coeff
-            * _displacement_phase(a1, d1)
-            * _fock_amplitude(n1, a1 + d1)
-            * _displacement_phase(a2, d2)
-            * _fock_amplitude(n2, a2 + d2)
-        )
-    return abs(amp) ** 2
-
-
 def _fock_amplitudes(mu: complex, log_fact: np.ndarray) -> np.ndarray:
     # <n|mu> for n = 0..len(log_fact) - 1; each has modulus <= 1
     if mu == 0:
@@ -428,9 +396,10 @@ def coherent_superposition_table(
 ) -> np.ndarray:
     """All tomogram values for 0 <= n1, n2 <= nmax of a coherent superposition.
 
-    The same sum as ``fock_oracle_tomogram`` for every (n1, n2) at once:
-    |sum_b c_b phi_b1 (x) phi_b2|^2, where phi_bj holds the Fock amplitudes
-    <n|alpha_j + delta_bj> for n = 0..nmax and c_b is the term's
+    The state's displaced Fock amplitudes, summed over its terms and
+    squared, for every (n1, n2) at once: |sum_b c_b phi_b1 (x) phi_b2|^2,
+    where phi_bj holds the Fock amplitudes <n|alpha_j + delta_bj> for
+    n = 0..nmax and c_b is the term's
     coefficient times its displacement phases. Every amplitude has modulus
     at most 1, so no amplitude needs a log-domain branch.
     """
@@ -457,8 +426,10 @@ def gaussian_shifted_mean(g: GaussianSpec, alpha1: complex, alpha2: complex) -> 
     q_j by sqrt(2) Re alpha_j; the dispersion matrix M is unchanged.
     """
     a1, a2 = complex(alpha1), complex(alpha2)
-    shift = math.sqrt(2.0) * np.array([a1.imag, a2.imag, a1.real, a2.real])
-    return g.mean + shift
+    # on Python floats, which round as numpy's float64 does but leave an
+    # overflow to infinity without a warning
+    r = math.sqrt(2.0)
+    return g.mean + np.array([r * a1.imag, r * a2.imag, r * a1.real, r * a2.real])
 
 
 def gaussian_effective_mean(g: GaussianSpec, alpha1: complex, alpha2: complex) -> np.ndarray:
@@ -728,15 +699,6 @@ class GaussianSource(_LibrarySource):
 
 # sources whose tomograms are known to be those of their ``state``
 _LIBRARY_SOURCES = (CatSource, CoherentSource, GaussianSource)
-
-
-class FockOracleSource(TomogramSource):
-    def __init__(self, state):
-        coherent_superposition_terms(state)  # refuses a state it cannot expand
-        self.state = state
-
-    def tomogram(self, n1, n2, alpha1, alpha2):
-        return fock_oracle_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
 def make_source(state) -> TomogramSource:

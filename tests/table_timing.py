@@ -38,11 +38,8 @@ still shows its quiet moments; where two runs of the script disagree,
 take the lower figure. pytest does not collect this file.
 """
 
-import math
 import sys
 import timeit
-
-import numpy as np
 
 from tomobell.bell import BellSettings, bell_matrix, bell_number
 from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
@@ -57,12 +54,8 @@ from tomobell.states import (
     make_source,
 )
 
-SQUEEZED_M = np.array([
-    [3.0, math.sqrt(35) / 2, 0.0, 0.0],
-    [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, math.sqrt(3) / 2],
-    [0.0, 0.0, math.sqrt(3) / 2, 1.0],
-])
+from oracles import SQUEEZED_M
+
 SETTINGS = (-0.12j, 0.04j)
 BELL_SETTINGS = BellSettings(-0.12j, 0.04j, 0.22j, -0.32j)
 AMPLITUDES = (0.7 + 0.3j, -0.5 + 0.2j)

@@ -8,6 +8,7 @@ Criterion 10 must stay last in this file: it audits the ceiling tracker over
 every Bell number computed by the earlier criteria.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from tomobell import (
     BellSettings,
     CatState,
     CoherentProduct,
-    FockOracleSource,
     GaussianSpec,
     MaximizeConfig,
     NumericalNegativity,
@@ -33,13 +33,16 @@ from tomobell import (
     make_portrait_fn,
     make_source,
     maximize_bell,
+    portrait_truncated,
 )
-from tomobell.hermite import HermiteParams, gaussian_R, hermite_eval, hermite_oracle
+from tomobell.hermite import HermiteParams, hermite_eval
 from tomobell.portrait import (
+    _even_odd_portrait as gaussian_portrait_even_odd,
     cat_portrait_even_odd,
     cat_portrait_zero_nonzero,
-    gaussian_portrait_even_odd,
 )
+
+from oracles import PRINTED_MG, SQUEEZED_M, FockOracleSource, gaussian_R, hermite_oracle
 
 R_TOL = 1e-10
 ENTRY_TOL = 5e-3
@@ -49,22 +52,8 @@ MASS_TOL = 1e-4
 SEPARABLE_TOL = 1e-9
 CEILING_TOL = 1e-6
 
-SQUEEZED_M = np.array([
-    [3.0, math.sqrt(35) / 2, 0.0, 0.0],
-    [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, math.sqrt(3) / 2],
-    [0.0, 0.0, math.sqrt(3) / 2, 1.0],
-])
-
 WORKED_SETTINGS = BellSettings(alpha1=-0.12j, alpha2=0.04j,
                                beta1=0.22j, beta2=-0.32j)
-
-PRINTED_MG = np.array([
-    [0.6199, 0.5907, 0.6083, 0.4678],
-    [0.0222, 0.0515, 0.0291, 0.1696],
-    [0.0241, 0.0395, 0.0357, 0.1624],
-    [0.3335, 0.3181, 0.3266, 0.2000],
-])
 
 
 def _line(num: int, ok: bool, detail: str) -> bool:
@@ -88,8 +77,7 @@ def test_criterion_01_squeezed_hermite_matrix():
 
 def test_criterion_02_printed_bell_matrix_reproduction():
     src = make_source(GaussianSpec(SQUEEZED_M))
-    fn = make_portrait_fn(src, PartitionScheme.even_odd(), nmax=30,
-                          prefer_closed_form=False)
+    fn = functools.partial(portrait_truncated, src, PartitionScheme.even_odd(), nmax=30)
     m = bell_matrix(fn, WORKED_SETTINGS)
     entry_err = float(np.max(np.abs(m.matrix - PRINTED_MG)))
     b = bell_number(m)

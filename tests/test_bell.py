@@ -1,6 +1,7 @@
 """Bell matrix assembly, CHSH classification, and the multi-start maximizer."""
 
 import copy
+import functools
 import math
 import pickle
 import warnings
@@ -37,8 +38,8 @@ from tomobell.portrait import (
     cat_portrait_even_odd,
     cat_portrait_zero_nonzero,
     coherent_portrait_even_odd,
-    gaussian_portrait_even_odd,
     make_portrait_fn,
+    portrait_truncated,
 )
 from tomobell.states import (
     DEFAULT_BOX,
@@ -50,27 +51,15 @@ from tomobell.states import (
     TomogramSource,
     cat_tomogram,
     gaussian_purity_family,
+    make_source,
 )
+
+from oracles import PRINTED_MG, SQUEEZED_M
 from test_tables import _physical_gaussian
 
 CEILING = TSIRELSON_BOUND + 1e-6
 
-SQUEEZED_M = np.array([
-    [3.0, math.sqrt(35) / 2, 0.0, 0.0],
-    [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, math.sqrt(3) / 2],
-    [0.0, 0.0, math.sqrt(3) / 2, 1.0],
-])
-
 rng = np.random.default_rng(77)
-
-# the worked Bell matrix as printed, four decimals per entry
-PRINTED_MG = np.array([
-    [0.6199, 0.5907, 0.6083, 0.4678],
-    [0.0222, 0.0515, 0.0291, 0.1696],
-    [0.0241, 0.0395, 0.0357, 0.1624],
-    [0.3335, 0.3181, 0.3266, 0.2000],
-])
 
 
 def _random_settings(scale=1.5):
@@ -295,7 +284,8 @@ def test_bell_number_keeps_the_trace_bits_column_by_column():
     matrices, with_deficit = 0, 0
     for state in states:
         for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero(), PartitionScheme(2, 1)):
-            truncated = make_portrait_fn(state, p, nmax=15, tail_eps=1.0, prefer_closed_form=False)
+            truncated = functools.partial(portrait_truncated, make_source(state), p,
+                                          nmax=15, tail_eps=1.0)
             default = make_portrait_fn(state, p, nmax=15, tail_eps=1.0)
             for fn in (truncated, lambda a1, a2: default(a1, a2)):
                 for _ in range(8):
@@ -521,7 +511,8 @@ def test_cirelson_ceiling_500_random_valid_inputs():
             fn = lambda x, y: cat_portrait_zero_nonzero(CatState(g1, g2), x, y)
         else:
             spec = gaussian_purity_family(rng.uniform(0.5, 1.5), rng.uniform(0, 0.1))
-            fn = lambda x, y: gaussian_portrait_even_odd(spec, x, y)
+            even_odd = make_portrait_fn(spec, PartitionScheme.even_odd())
+            fn = lambda x, y: even_odd(x, y)
         assert bell_number(bell_matrix(fn, s)) <= CEILING
         count += 1
 

@@ -18,15 +18,9 @@ from tomobell import MaximizeConfig
 from tomobell.cli import build_parser, format_complex, main, parse_complex
 from tomobell.errors import InvalidParameter
 
-SQUEEZED_DOC = {
-    "type": "gaussian",
-    "M": [
-        [3.0, math.sqrt(35) / 2, 0.0, 0.0],
-        [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, math.sqrt(3) / 2],
-        [0.0, 0.0, math.sqrt(3) / 2, 1.0],
-    ],
-}
+from oracles import SQUEEZED_M
+
+SQUEEZED_DOC = {"type": "gaussian", "M": SQUEEZED_M.tolist()}
 
 
 @pytest.fixture
@@ -314,6 +308,8 @@ def test_non_finite_literal_exits_2(tmp_path, capsys, kind, command):
     ("gaussian", "tomogram", SETTINGS_ARGS["tomogram"] + ["--alpha1", "1e200"],
      "NumericalNegativity"),
     ("gaussian", "portrait", ["--nmax", "5", "--alpha2", "0", "--alpha1", "1e200"],
+     "NumericalNegativity"),    # sqrt(2) times the displacement overflows: numpy warned of it first
+    ("gaussian", "tomogram", SETTINGS_ARGS["tomogram"] + ["--alpha1", "1.5e308"],
      "NumericalNegativity"),
 ])
 def test_huge_finite_inputs_exit_3_on_one_line(tmp_path, capsys, kind, command, extra, case):
@@ -546,6 +542,29 @@ def test_scan_error_rows_continue(tmp_path):
     assert bad[2] == ""  # no f value for the failed point
     assert bad[-1] != "" and ":" in bad[-1]
     assert float(good[2]) > 2.0
+
+
+def test_scan_overflow_fails_only_its_own_row(tmp_path):
+    # gamma1 = 1e200 overflows |gamma|^2: this stopped the whole scan with
+    # exit 3 and no rows, at every --jobs
+    import csv
+
+    base = ["scan", "--preset", "cat-even-odd", "--param2", "0", "--starts", "2"]
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}.csv"
+        assert main(base + ["--param1", "0.5,1e200", "--jobs", jobs,
+                            "--out", str(outs[jobs])]) == 0
+    assert outs["1"].read_bytes() == outs["2"].read_bytes()
+    alone = tmp_path / "alone.csv"
+    assert main(base + ["--param1", "0.5", "--out", str(alone)]) == 0
+    with open(outs["1"], newline="") as fh:
+        header, good, bad = csv.reader(fh)
+    with open(alone, newline="") as fh:
+        assert list(csv.reader(fh)) == [header, good]
+    assert bad[:2] == ["1e+200", "0.0"]
+    assert bad[2:-1] == [""] * (len(header) - 3)
+    assert bad[-1].startswith("OverflowError: ")
 
 
 @pytest.mark.parametrize("flags, message", [

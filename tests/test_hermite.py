@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tomobell.errors import AsymmetricR, OrderOverflow
-from tomobell.hermite import HermiteParams, hermite_box, hermite_eval, hermite_oracle
+from tomobell.hermite import HermiteParams, hermite_box, hermite_eval
+
+from oracles import hermite_oracle
 
 ORACLE_RTOL = 1e-10
 

@@ -12,6 +12,7 @@ from scratch, and its model target against the route that always forms
 B = H^-1 and the generalized Cauchy point.
 """
 
+import functools
 import math
 
 import mpmath
@@ -38,20 +39,21 @@ from tomobell.bell import (
     minimize,
 )
 from tomobell.errors import InvalidParameter, NumericalNegativity
-from tomobell.portrait import PartitionScheme, make_portrait_fn
-from tomobell.states import CatState, CoherentProduct, GaussianSpec, gaussian_purity_family
+from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
+from tomobell.states import (
+    CatState,
+    CoherentProduct,
+    GaussianSpec,
+    gaussian_purity_family,
+    make_source,
+)
+
+from oracles import SQUEEZED_M
 
 EO = PartitionScheme.even_odd()
 ZN = PartitionScheme.zero_nonzero()
 CFG = MaximizeConfig()
 BOX = CFG.box
-
-SQUEEZED_M = np.array([
-    [3.0, math.sqrt(35) / 2, 0.0, 0.0],
-    [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, math.sqrt(3) / 2],
-    [0.0, 0.0, math.sqrt(3) / 2, 1.0],
-])
 
 # the members of the benchmark's maximize-closed mix: state, partition,
 # the number of starts the benchmark gives it, and the value its maximum
@@ -641,7 +643,8 @@ def test_difference_objective_matches_nine_bell_numbers():
     # portraits per call, and B and the gradient are those of nine
     # independent Bell numbers, bit for bit. On the edge of the box the
     # probe steps inward.
-    fn = make_portrait_fn(CatState(1.0, 1.0), ZN, nmax=15, tail_eps=1.0, prefer_closed_form=False)
+    fn = functools.partial(portrait_truncated, make_source(CatState(1.0, 1.0)), ZN,
+                           nmax=15, tail_eps=1.0)
     calls = []
 
     def counted(a1, a2):

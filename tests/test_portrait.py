@@ -18,8 +18,6 @@ from tomobell.portrait import (
     cat_portrait_zero_nonzero,
     coherent_portrait_even_odd,
     coherent_portrait_zero_nonzero,
-    gaussian_portrait_even_odd,
-    gaussian_portrait_zero_nonzero,
     GaussianPortraitContext,
     make_portrait_fn,
     portrait_truncated,
@@ -28,7 +26,6 @@ from tomobell.states import (
     CatSource,
     CatState,
     CoherentProduct,
-    FockOracleSource,
     GaussianSource,
     GaussianSpec,
     cat_tomogram,
@@ -38,18 +35,12 @@ from tomobell.states import (
     make_source,
 )
 
+from oracles import SQUEEZED_M, FockOracleSource
+
 CLOSED_VS_TRUNCATED_TOL = 1e-8
 FACTORIZATION_TOL = 1e-12
 
 rng = np.random.default_rng(55)
-
-SQUEEZED_M = np.array([
-    [3.0, math.sqrt(35) / 2, 0.0, 0.0],
-    [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, math.sqrt(3) / 2],
-    [0.0, 0.0, math.sqrt(3) / 2, 1.0],
-])
-
 
 def _random_amplitude(scale=1.0):
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
@@ -144,6 +135,20 @@ def test_partition_from_config_zero_threshold_is_zero_rule():
     assert PartitionScheme(np.int64(0), 0).kind == "zero-nonzero"
 
 
+def test_partition_threshold_has_one_check_and_one_message():
+    # True read "mode1 rule must be an integer" while 2.0 and "even" read
+    # "bad mode1 rule": every bad threshold now reads the same way
+    for spec in ({"threshold": True}, {"threshold": 2.0}, {"threshold": "even"},
+                 {"threshold": -1}, {"limit": 2}):
+        with pytest.raises(InvalidParameter) as err:
+            PartitionScheme.from_config({"mode1": spec, "mode2": "zero"})
+        assert str(err.value) == (f"bad mode1 rule {spec!r}; use 'zero', 'even', or "
+                                  "{'threshold': t} with an integer t >= 0")
+    p = PartitionScheme.from_config({"mode1": {"threshold": np.int64(2)}, "mode2": "even"})
+    assert (p.rule1, p.rule2, p.kind) == (2, "even", "custom")
+    assert type(p.rule1) is int
+
+
 def test_nonproduct_partitions_only_through_debug_helper():
     # the public constructors only build product partitions A1 x A2; a
     # diagonal (non-product) cell assignment exists solely as a debug
@@ -225,8 +230,11 @@ def test_nmax_accepts_numpy_integers():
     zn = PartitionScheme.zero_nonzero()
     v = portrait_truncated(make_source(state), zn, 0.1j, 0.2, nmax=np.int64(15))
     assert v == portrait_truncated(make_source(state), zn, 0.1j, 0.2, nmax=15)
-    fn = make_portrait_fn(state, zn, nmax=np.int64(15), prefer_closed_form=False)
-    assert fn(0.1j, 0.2) == v
+    # a threshold partition has no closed form, so make_portrait_fn takes
+    # the truncated route with the nmax it was given
+    t = PartitionScheme(1, 2)
+    fn = make_portrait_fn(state, t, nmax=np.int64(15))
+    assert fn(0.1j, 0.2) == portrait_truncated(make_source(state), t, 0.1j, 0.2, nmax=15)
 
 
 def test_truncated_equals_per_entry_cell_sums():
@@ -364,11 +372,11 @@ def test_gaussian_closed_forms_match_truncated_at_clean_settings():
                      (0.22j, -0.32j), (0j, 0j)]:
         t_eo = portrait_truncated(src, PartitionScheme.even_odd(), a1, a2,
                                   nmax=42, tail_eps=1.0)
-        c_eo = gaussian_portrait_even_odd(g, a1, a2)
+        c_eo = make_portrait_fn(g, PartitionScheme.even_odd())(a1, a2)
         assert np.max(np.abs(t_eo.as_array() - c_eo.as_array())) < 1e-6
         t_zn = portrait_truncated(src, PartitionScheme.zero_nonzero(), a1, a2,
                                   nmax=42, tail_eps=1.0)
-        c_zn = gaussian_portrait_zero_nonzero(g, a1, a2)
+        c_zn = make_portrait_fn(g, PartitionScheme.zero_nonzero())(a1, a2)
         assert np.max(np.abs(t_zn.as_array() - c_zn.as_array())) < 1e-6
 
 
@@ -393,9 +401,9 @@ def test_gaussian_context_matches_one_shot():
     for _ in range(10):
         a1, a2 = _random_amplitude(), _random_amplitude()
         assert np.array_equal(ctx.even_odd(a1, a2).as_array(),
-                              gaussian_portrait_even_odd(g, a1, a2).as_array())
+                              ClosedFormPortrait(g, "even-odd")(a1, a2).as_array())
         assert np.array_equal(ctx.zero_nonzero(a1, a2).as_array(),
-                              gaussian_portrait_zero_nonzero(g, a1, a2).as_array())
+                              ClosedFormPortrait(g, "zero-nonzero")(a1, a2).as_array())
 
 
 def test_gaussian_closed_forms_never_negative_across_box():
@@ -415,9 +423,8 @@ def test_gaussian_closed_forms_never_negative_across_box():
 
 
 def test_named_closed_forms_are_two_functions_of_any_closed_form_state():
-    even_odd = (cat_portrait_even_odd, coherent_portrait_even_odd, gaussian_portrait_even_odd)
-    zero_nonzero = (cat_portrait_zero_nonzero, coherent_portrait_zero_nonzero,
-                    gaussian_portrait_zero_nonzero)
+    even_odd = (cat_portrait_even_odd, coherent_portrait_even_odd)
+    zero_nonzero = (cat_portrait_zero_nonzero, coherent_portrait_zero_nonzero)
     assert len(set(even_odd)) == len(set(zero_nonzero)) == 1
     assert even_odd[0] is not zero_nonzero[0]
     states = (CatState(1.0 + 0.3j, -0.8), CoherentProduct(0.6, -0.4 + 0.2j),
@@ -481,8 +488,9 @@ def test_make_portrait_fn_closed_forms_only_for_library_sources():
 
 
 def test_make_portrait_fn_truncated_fallback():
-    fn = make_portrait_fn(CatState(1, 1), PartitionScheme.even_odd(),
-                          nmax=6, tail_eps=1e-2, prefer_closed_form=False)
+    # a source subclass takes the truncated route, here inside its fence
+    fn = make_portrait_fn(_FencedSource(CatState(1, 1)), PartitionScheme.even_odd(),
+                          nmax=6, tail_eps=1e-2)
     v = fn(0.2 + 0.1j, -0.3j)
     assert 0.0 < v.tail_deficit < 1e-2
     closed = cat_portrait_even_odd(CatState(1, 1), 0.2 + 0.1j, -0.3j)

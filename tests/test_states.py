@@ -7,22 +7,19 @@ import numpy as np
 import pytest
 
 from tomobell.errors import (
-    DegenerateGaussian,
     InvalidParameter,
     NonPhysicalSpec,
     NumericalNegativity,
     UnsupportedState,
 )
-from tomobell.hermite import HermiteParams, gaussian_R, gaussian_y, hermite_box
+from tomobell.hermite import HermiteParams, hermite_box
 from tomobell.states import (
     CatState,
     CoherentProduct,
-    FockOracleSource,
     GaussianSpec,
     cat_tomogram,
     coherent_superposition_table,
     coherent_tomogram,
-    fock_oracle_tomogram,
     gaussian_effective_mean,
     gaussian_purity_family,
     gaussian_shifted_mean,
@@ -33,17 +30,20 @@ from tomobell.states import (
     parse_state,
 )
 
+from oracles import (
+    SQUEEZED_M,
+    DegenerateGaussian,
+    FockOracleSource,
+    fock_oracle_tomogram,
+    gaussian_R,
+    gaussian_y,
+    two_mode_squeezed_vacuum,
+)
+
 ORACLE_TOL = 1e-10
 GEOMETRIC_TOL = 1e-10
 
 rng = np.random.default_rng(23)
-
-SQUEEZED_M = np.array([
-    [3.0, math.sqrt(35) / 2, 0.0, 0.0],
-    [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, math.sqrt(3) / 2],
-    [0.0, 0.0, math.sqrt(3) / 2, 1.0],
-])
 
 
 def _random_amplitude(scale=1.5):
@@ -304,13 +304,6 @@ def test_displaced_thermal_table_matches_laguerre_form():
         assert np.max(err / np.maximum(want, 1e-12)) <= ORACLE_TOL
 
 
-def _tmsv(r):
-    # two-mode squeezed vacuum with Fock amplitudes diag((-tanh r)^n / cosh r)
-    k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
-    return GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
-                                  [0, 0, k, s], [0, 0, s, k]]))
-
-
 def test_two_mode_squeezed_vacuum_table():
     # P(n, n) = tanh^2n(r) / cosh^2(r) and nothing off the diagonal; the
     # purity family at l = 0 is its mirror p2 -> -p2, with the same counts
@@ -318,7 +311,7 @@ def test_two_mode_squeezed_vacuum_table():
     for r in (0.3, 0.7, 1.1):
         k = math.cosh(2 * r) / 2
         want = np.diag(math.tanh(r) ** (2 * np.arange(31)) / math.cosh(r) ** 2)
-        for g in (_tmsv(r), gaussian_purity_family(k, 0.0)):
+        for g in (two_mode_squeezed_vacuum(r), gaussian_purity_family(k, 0.0)):
             table = gaussian_tomogram_table(g, 0j, 0j, 30)
             assert np.max(np.abs(table - want)) <= 1e-14
 
@@ -349,13 +342,13 @@ _TABLE_LOSS = pytest.mark.xfail(
     pytest.param(1.1, 2.0, marks=_TABLE_LOSS), pytest.param(1.4, 2.0, marks=_TABLE_LOSS),
 ])
 def test_displaced_two_mode_squeezed_vacuum_matches_fock_oracle(r, scale):
-    # the TMSV spec above has the Fock amplitudes C = diag((-tanh r)^n / cosh r);
+    # a TMSV spec has the Fock amplitudes C = diag((-tanh r)^n / cosh r);
     # displaced by (a1, a2) they are D(a1) C D(a2)^T, here in 100 Fock
     # states per mode (200 moves no entry by more than 1e-16); 10
     # settings with |Re|, |Im| <= scale
     dim, nmax = 100, 30
     local = np.random.default_rng(29)
-    tmsv = _tmsv(r)
+    tmsv = two_mode_squeezed_vacuum(r)
     amps = np.diag((-math.tanh(r)) ** np.arange(dim) / math.cosh(r))
     for _ in range(10):
         a1, a2 = (complex(*local.uniform(-scale, scale, 2)) for _ in range(2))
@@ -373,8 +366,9 @@ _TMSV_BOX_DRAW = (0.3, -1.994 + 1.894j, -0.806 - 0.744j)
 
 def test_gaussian_tomogram_is_the_table_entry():
     r, a1, a2 = _TMSV_BOX_DRAW
-    tmsv = _tmsv(r)
-    specs = (GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.9, 0.02), _tmsv(0.7))
+    tmsv = two_mode_squeezed_vacuum(r)
+    specs = (GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.9, 0.02),
+             two_mode_squeezed_vacuum(0.7))
     settings = ((-0.12j, 0.04j), (1.5 + 0.5j, -1 + 1j), (-1.8 + 1.2j, 0.7 - 1.9j))
     counts = ((0, 0), (3, 1), (0, 15), (17, 4), (30, 30))
     cases = [(g, a, b) for g in specs for a, b in settings] + [(tmsv, a1, a2)]

@@ -25,12 +25,7 @@ from tomobell.states import (
     make_source,
 )
 
-SQUEEZED_M = np.array([
-    [3.0, math.sqrt(35) / 2, 0.0, 0.0],
-    [math.sqrt(35) / 2, 3.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, math.sqrt(3) / 2],
-    [0.0, 0.0, math.sqrt(3) / 2, 1.0],
-])
+from oracles import SQUEEZED_M, two_mode_squeezed_vacuum
 
 
 # --- the series expansion as it was written before its per-call overhead
@@ -115,13 +110,6 @@ def _physical_gaussian(rng):
     return GaussianSpec(0.5 * (m + m.T), rng.uniform(-1.0, 1.0, 4))
 
 
-def _displaced_tmsv(r, mean):
-    # a two-mode squeezed vacuum (physical for every r) with a mean
-    k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
-    return GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
-                                  [0, 0, k, s], [0, 0, s, k]]), mean)
-
-
 # --- the table as it was written before the spec kept 1/Delta and
 # log Delta: the library's table must keep its bits -------------------------
 
@@ -190,7 +178,7 @@ def test_gaussian_table_keeps_the_parent_bits_cold_and_warm():
     specs += [gaussian_purity_family(rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.05))
               for _ in range(4)]
     specs += [_physical_gaussian(rng) for _ in range(6)]
-    specs += [_displaced_tmsv(r, rng.uniform(-1.0, 1.0, 4)) for r in (0.3, 0.7, 1.1, 1.4)]
+    specs += [two_mode_squeezed_vacuum(r, rng.uniform(-1.0, 1.0, 4)) for r in (0.3, 0.7, 1.1, 1.4)]
     nmaxes = (0, 1, 2, 15, 30)
     refused = compared = 0
     for spec in specs:
