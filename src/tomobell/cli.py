@@ -358,6 +358,14 @@ def _parse_grid_override(text: Optional[str], flag: str):
         raise InvalidParameter(f"{flag} must be a comma-separated list of reals, got {text!r}")
 
 
+def _error_text(exc: Exception) -> str:
+    """The message of an error line or a scan's error cell. An OverflowError's
+    own, such as ``(34, 'Numerical result out of range')``, names no input."""
+    if isinstance(exc, OverflowError):
+        return "a finite input is too large for float arithmetic"
+    return str(exc)
+
+
 def _scan_point(preset_name: str, partition: str, p1: float, p2: float,
                 cfg_fields: dict) -> List[str]:
     """Run one grid point and return its CSV row."""
@@ -376,7 +384,7 @@ def _scan_point(preset_name: str, partition: str, p1: float, p2: float,
         # a parameter so large that the float range overflows fails its own
         # row, as an out-of-range family parameter does
         row.extend([""] * (len(CSV_FIELDS) - 3))
-        row.append(f"{type(exc).__name__}: {exc}")
+        row.append(f"{type(exc).__name__}: {_error_text(exc)}")
     return row
 
 
@@ -537,7 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TomobellError, OverflowError) as exc:
         # an OverflowError is Python's float arithmetic leaving the float
         # range on finite but huge inputs (|alpha|^2 of 1e200)
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        print(f"error[{type(exc).__name__}]: {_error_text(exc)}", file=sys.stderr)
         return 3
 
 

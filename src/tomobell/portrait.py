@@ -40,6 +40,7 @@ from .errors import (
 )
 from .states import (
     _LIBRARY_SOURCES,
+    _KERNEL_POINTS,
     _MODE1_IDX,
     _MODE2_IDX,
     DEFAULT_NMAX,
@@ -183,18 +184,19 @@ def _checked_cells(cells, deficit: float, tol: float, what: str):
     plus the deficit must sum to 1 within SUM_TOL.
     """
     w_pp, w_pm, w_mp, w_mm = cells
-    if not math.isfinite(w_pp + w_pm + w_mp + w_mm + deficit):
+    total = w_pp + w_pm + w_mp + w_mm + deficit
+    if not math.isfinite(total):
         raise NumericalNegativity(f"{what}: components must be finite")
-    low = min(cells)
-    if low < 0.0:
+    # nothing to clamp on most calls, and then the sum above is the total
+    if w_pp < 0.0 or w_pm < 0.0 or w_mp < 0.0 or w_mm < 0.0 or deficit < 0.0:
+        low = min(cells)
         if low < -tol:
             raise NumericalNegativity(f"{what}: cell value {low:.6e} below {-tol:.0e}")
-        w_pp, w_pm, w_mp, w_mm = (max(c, 0.0) for c in cells)
-    if deficit < 0.0:
         if deficit < -tol:
             raise NumericalNegativity(f"{what}: tail deficit {deficit:.6e} negative")
-        deficit = 0.0
-    total = w_pp + w_pm + w_mp + w_mm + deficit
+        w_pp, w_pm, w_mp, w_mm = (max(c, 0.0) for c in cells)
+        deficit = max(deficit, 0.0)
+        total = w_pp + w_pm + w_mp + w_mm + deficit
     if abs(total - 1.0) > SUM_TOL:
         raise NumericalNegativity(
             f"{what}: components + deficit sum to {total:.12f}, not 1"
@@ -479,14 +481,13 @@ class _GaussianG:
 
     def __init__(self, spec: GaussianSpec, s: float):
         scale = 0.5 * (1.0 - s)
-        W = (1.0 - s) * spec.M + 0.5 * (1.0 + s) * np.eye(4)
-        K = (scale * np.linalg.inv(W)).tolist()
-        w = W.tolist()
+        at = _KERNEL_POINTS.index(s)
+        w, K, det_w = (kernel[at].tolist() for kernel in spec._kernels)
 
         def k(i, j):
             return 0.5 * (K[i][j] + K[j][i])
 
-        self._c12 = 1.0 / math.sqrt(float(np.linalg.det(W)))
+        self._c12 = 1.0 / math.sqrt(det_w)
         per_mode = []
         for i, j in (_MODE1_IDX, _MODE2_IDX):
             # the mode's 2x2 block of W, inverted by hand
@@ -665,10 +666,13 @@ class ClosedFormPortrait:
         Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2), as in
         ``bell_matrix``.
         """
-        a1, b1 = self.mode1(s.alpha1), self.mode1(s.beta1)
-        a2, b2 = self.mode2(s.alpha2), self.mode2(s.beta2)
-        column = self.column
-        return [column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2)]
+        (pa1, da1), (pb1, db1) = self.mode1(s.alpha1), self.mode1(s.beta1)
+        (pa2, da2), (pb2, db2) = self.mode2(s.alpha2), self.mode2(s.beta2)
+        joint, cells, tol, what = self._g.joint, self._cells, self._g.tol, self._what
+        return [_checked_cells(cells(pa1, pa2, joint(da1, da2)), 0.0, tol, what),
+                _checked_cells(cells(pa1, pb2, joint(da1, db2)), 0.0, tol, what),
+                _checked_cells(cells(pb1, pa2, joint(db1, da2)), 0.0, tol, what),
+                _checked_cells(cells(pb1, pb2, joint(db1, db2)), 0.0, tol, what)]
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ _TINY = float(np.finfo(float).tiny)
 
 _I4 = np.eye(4)
 
+# the points s of a Gaussian spec's kernels (parity, vacuum), and per point, as
+# (point, row, column) arrays: 1 - s, the identity times (1 + s)/2, (1 - s)/2
+_KERNEL_POINTS = (-1.0, 0.0)
+_KERNEL_S = np.array(_KERNEL_POINTS)[:, None, None]
+_KERNEL_TERMS = (1.0 - _KERNEL_S, 0.5 * (1.0 + _KERNEL_S) * _I4, 0.5 * (1.0 - _KERNEL_S))
+
 # component order of mode 1 / mode 2 inside a (p1, p2, q1, q2) vector
 _MODE1_IDX = (0, 2)
 _MODE2_IDX = (1, 3)
@@ -170,9 +176,10 @@ class GaussianSpec:
         M = np.asarray(M, dtype=float)
         if M.shape != (4, 4):
             raise NonPhysicalSpec(f"M must be 4x4, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
+        m = M.tolist()
+        if not all(map(math.isfinite, m[0] + m[1] + m[2] + m[3])):
             raise NonPhysicalSpec("M entries must be finite")
-        asym = float(np.max(np.abs(M - M.T)))
+        asym = max(abs(m[i][j] - m[j][i]) for i in range(4) for j in range(i))
         if asym > SYMMETRY_TOL:
             raise NonPhysicalSpec(
                 f"M deviates from symmetry by {asym:.3e} (> {SYMMETRY_TOL:.0e})"
@@ -188,13 +195,12 @@ class GaussianSpec:
             raise NonPhysicalSpec(
                 f"det M = {det:.12f} violates the uncertainty bound 1/16"
             )
-        if mean is None:
-            mean = np.zeros(4)
-        mean = np.asarray(mean, dtype=float)
-        if mean.shape != (4,) or not np.all(np.isfinite(mean)):
+        # a copy, so the caller's array can change without moving the spec
+        mean = np.zeros(4) if mean is None else np.array(mean, dtype=float)
+        if mean.shape != (4,) or not all(map(math.isfinite, mean.tolist())):
             raise NonPhysicalSpec("mean must be a finite 4-vector")
         self.M = M
-        self.mean = mean.copy()
+        self.mean = mean
         self.M.setflags(write=False)
         self.mean.setflags(write=False)
         # (R, L) of ``_delta_series`` by nmax, oldest first
@@ -202,6 +208,18 @@ class GaussianSpec:
 
     def __repr__(self):
         return f"GaussianSpec(M={self.M.tolist()}, mean={self.mean.tolist()})"
+
+    @cached_property
+    def _kernels(self):
+        """(W, K, det W) of G(s, s) at each of ``_KERNEL_POINTS``, read-only:
+        W = (1 - s) M + (1 + s)/2 and K = (1 - s)/2 W^-1. One stacked ``inv``
+        and ``det`` give the bits of one call per s."""
+        weights, identities, scales = _KERNEL_TERMS
+        W = weights * self.M + identities
+        kernels = W, scales * np.linalg.inv(W), np.linalg.det(W)
+        for a in kernels:
+            a.setflags(write=False)
+        return kernels
 
     @cached_property
     def _generating_polynomials(self):

@@ -18,6 +18,8 @@ library's fast routes are tested against, written once:
 - the Fock-basis oracle for finite superpositions of two-mode coherent
   states: ``fock_oracle_tomogram`` sums the displaced Fock amplitudes term
   by term, and ``FockOracleSource`` serves it as a tomogram source;
+- ``two_pass_checked_cells``, the portrait check as it was written before
+  it ran in one pass: the reference for ``tomobell.portrait._checked_cells``;
 - fixtures: the paper's squeezed example ``SQUEEZED_M``, its worked Bell
   matrix as printed (``PRINTED_MG``), and the two-mode squeezed vacuum
   ``two_mode_squeezed_vacuum(r, mean)``.
@@ -34,8 +36,9 @@ from typing import Dict
 
 import numpy as np
 
-from tomobell.errors import NonPhysicalSpec, TomobellError
+from tomobell.errors import NonPhysicalSpec, NumericalNegativity, TomobellError
 from tomobell.hermite import HermiteParams, Index, _check_index
+from tomobell.portrait import SUM_TOL
 from tomobell.states import (
     GaussianSpec,
     TomogramSource,
@@ -258,3 +261,33 @@ class FockOracleSource(TomogramSource):
 
     def tomogram(self, n1, n2, alpha1, alpha2):
         return fock_oracle_tomogram(self.state, n1, n2, alpha1, alpha2)
+
+
+# ---------------------------------------------------------------------------
+# the two-pass portrait check
+# ---------------------------------------------------------------------------
+
+
+def two_pass_checked_cells(cells, deficit: float, tol: float, what: str):
+    """The portrait check in two passes: the sum for the finiteness test,
+    ``min`` of the cells on every call, and the sum again after the clamp.
+    ``tomobell.portrait._checked_cells`` must give its outputs and its
+    messages bit for bit."""
+    w_pp, w_pm, w_mp, w_mm = cells
+    if not math.isfinite(w_pp + w_pm + w_mp + w_mm + deficit):
+        raise NumericalNegativity(f"{what}: components must be finite")
+    low = min(cells)
+    if low < 0.0:
+        if low < -tol:
+            raise NumericalNegativity(f"{what}: cell value {low:.6e} below {-tol:.0e}")
+        w_pp, w_pm, w_mp, w_mm = (max(c, 0.0) for c in cells)
+    if deficit < 0.0:
+        if deficit < -tol:
+            raise NumericalNegativity(f"{what}: tail deficit {deficit:.6e} negative")
+        deficit = 0.0
+    total = w_pp + w_pm + w_mp + w_mm + deficit
+    if abs(total - 1.0) > SUM_TOL:
+        raise NumericalNegativity(
+            f"{what}: components + deficit sum to {total:.12f}, not 1"
+        )
+    return w_pp, w_pm, w_mp, w_mm, deficit

@@ -30,6 +30,16 @@ settings (-0.12i, 0.04i, 0.22i, -0.32i), it prints one closed-form
 ``bell_columns(s)`` call next to one ``bell_number(bell_matrix(fn, s))``,
 so that the cost of assembling B shows beside the cost of its columns.
 
+Last, the set-up of a fresh state, per kind: the four above and a
+physical Gaussian with a mean (a two-mode squeezed vacuum, r = 0.4). It
+prints the state's construction (for the family, through
+``gaussian_purity_family``), ``make_portrait_fn`` under even-odd on a
+fresh state and then under zero-nonzero on the same state (a Gaussian
+spec keeps the kernels that the first call built, so the second reads
+them), and a whole fresh state with both portrait functions and 4 Bell
+numbers under each: the unit of work of the benchmark's ``bell-sweep``
+workload, which draws its settings at random instead.
+
 It times one table at a time, in one process, what the traced runs of
 the benchmark's ``truncated-tables`` workload report per table
 (``states.table.ms.*``, medians within whole samples). Each line is a
@@ -54,7 +64,7 @@ from tomobell.states import (
     make_source,
 )
 
-from oracles import SQUEEZED_M
+from oracles import SQUEEZED_M, two_mode_squeezed_vacuum
 
 SETTINGS = (-0.12j, 0.04j)
 BELL_SETTINGS = BellSettings(-0.12j, 0.04j, 0.22j, -0.32j)
@@ -65,6 +75,16 @@ def _minimum_us(call, repeats):
     # enough calls per run that one run takes about 5 ms
     number = max(1, int(0.005 / max(timeit.timeit(call, number=1), 1e-7)))
     return min(timeit.repeat(call, number=number, repeat=repeats)) / number * 1e6
+
+
+def _fresh_us(build, call, repeats, count=400):
+    """The minimum time of ``call(state)`` over REPEATS runs, each on COUNT
+    states that ``build`` made before the run started."""
+    best = float("inf")
+    for _ in range(repeats):
+        fresh = [build() for _ in range(count)]
+        best = min(best, timeit.timeit(lambda: [call(state) for state in fresh], number=1))
+    return best / count * 1e6
 
 
 def main(repeats=25):
@@ -101,6 +121,37 @@ def main(repeats=25):
                 call()
                 label = f"{kind} {p.kind}"
                 print(f"{label:23s} {name:26s} {_minimum_us(call, repeats):8.1f} us")
+    eo, zn = PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()
+    tmsv = two_mode_squeezed_vacuum(0.4, (0.3, -0.2, 0.1, 0.4))
+    builders = {
+        "cat": lambda: CatState(*AMPLITUDES),
+        "coherent": lambda: CoherentProduct(*AMPLITUDES),
+        "squeezed": lambda: GaussianSpec(SQUEEZED_M),
+        "family": lambda: gaussian_purity_family(0.8, 0.02),
+        "physical": lambda: GaussianSpec(tmsv.M, tmsv.mean),
+    }
+
+    def after_even_odd(build):
+        state = build()
+        make_portrait_fn(state, eo)
+        return state
+
+    def whole(state):
+        for p in (eo, zn):
+            fn = make_portrait_fn(state, p)
+            for _ in range(4):
+                bell_number(bell_matrix(fn, s))
+
+    for kind, build in builders.items():
+        lines = {
+            "state construction": _minimum_us(build, repeats),
+            "make_portrait_fn even-odd, fresh": _fresh_us(build, lambda st: make_portrait_fn(st, eo), repeats),
+            "make_portrait_fn zero-nonzero, next":
+                _fresh_us(lambda: after_even_odd(build), lambda st: make_portrait_fn(st, zn), repeats),
+            "whole state: 2 fns, 8 Bell numbers": _minimum_us(lambda: whole(build()), repeats),
+        }
+        for name, us in lines.items():
+            print(f"{kind:9s} set-up {name:36s} {us:8.1f} us")
 
 
 if __name__ == "__main__":

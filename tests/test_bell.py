@@ -54,7 +54,7 @@ from tomobell.states import (
     make_source,
 )
 
-from oracles import PRINTED_MG, SQUEEZED_M
+from oracles import PRINTED_MG, SQUEEZED_M, two_pass_checked_cells
 from test_tables import _physical_gaussian
 
 CEILING = TSIRELSON_BOUND + 1e-6
@@ -165,19 +165,20 @@ def test_bell_matrix_four_columns_keep_portrait_checks():
     spec = GaussianSpec(np.diag([0.1, 3.0, 0.1, 3.0]))
     fn = make_portrait_fn(spec, PartitionScheme.even_odd())
     s = BellSettings(0j, 0j, 0.1j, 0.1)
-    with pytest.raises(NumericalNegativity):
+    with pytest.raises(NumericalNegativity) as fast:
         bell_matrix(fn, s)
-    with pytest.raises(NumericalNegativity):
+    with pytest.raises(NumericalNegativity) as loop:
         bell_matrix(lambda a1, a2: fn(a1, a2), s)
+    # bell_columns checks its columns in the per-column route's order
+    assert str(fast.value) == str(loop.value)
+    assert str(fast.value).startswith("gaussian even-odd portrait: cell value ")
 
 
-def test_checked_columns_lie_in_the_entry_range():
-    # bell_matrix and the fused objective take closed-form columns as they
-    # come from _checked_cells, with no entry-range check of their own: the
-    # clamp at 0 and the sum bound must keep every entry in [0, 1 + ENTRY_TOL]
-    assert ENTRY_TOL >= SUM_TOL
+def _check_fuzz():
+    """(cells, deficit, tol) draws around every edge of ``_checked_cells``:
+    cells and deficits near their negativity floor, totals near both ends
+    of the sum bound."""
     fuzz = np.random.default_rng(11)
-    accepted, over_one = 0, 0
     for tol in (NEGATIVITY_TOL, NEGATIVITY_TOL_HERMITE):
         for i in range(20_000):
             # a deficit at 0, near its negativity floor, or a real tail
@@ -191,15 +192,58 @@ def test_checked_columns_lie_in_the_entry_range():
             cells += fuzz.uniform(-2.0, 2.0, 4) * tol
             # the total near both ends of its bound
             cells[fuzz.integers(4)] += fuzz.uniform(-2.0, 2.0) * SUM_TOL
-            try:
-                out = _checked_cells(tuple(cells.tolist()), float(deficit), tol, "fuzz")
-            except NumericalNegativity:
-                continue
-            accepted += 1
-            over_one += max(out) > 1.0
-            assert all(0.0 <= v <= 1.0 + ENTRY_TOL for v in out)
+            yield tuple(cells.tolist()), float(deficit), tol
+
+
+def test_checked_columns_lie_in_the_entry_range():
+    # bell_matrix and the fused objective take closed-form columns as they
+    # come from _checked_cells, with no entry-range check of their own: the
+    # clamp at 0 and the sum bound must keep every entry in [0, 1 + ENTRY_TOL]
+    assert ENTRY_TOL >= SUM_TOL
+    accepted, over_one = 0, 0
+    for cells, deficit, tol in _check_fuzz():
+        try:
+            out = _checked_cells(cells, deficit, tol, "fuzz")
+        except NumericalNegativity:
+            continue
+        accepted += 1
+        over_one += max(out) > 1.0
+        assert all(0.0 <= v <= 1.0 + ENTRY_TOL for v in out)
     # the draws reach the accepted edge above 1, where a looser sum bound shows
     assert accepted > 5_000 and over_one > 100
+
+
+def _check_outcome(check, cells, deficit, tol):
+    """The bits of a check's output, or its refusal's message."""
+    try:
+        return [v.hex() for v in check(cells, deficit, tol, "fuzz")]
+    except NumericalNegativity as exc:
+        return str(exc)
+
+
+# the refusals of the portrait check, by a phrase of their message
+_REFUSALS = (("finite", "must be finite"), ("cell", "cell value"),
+             ("deficit", "tail deficit"), ("sum", "sum to"))
+
+
+def test_one_pass_check_keeps_the_two_pass_bits():
+    # _checked_cells adds the terms once and takes min() only when a cell
+    # or the deficit is negative; the two-pass oracle always does both
+    edges = [((math.nan, 0.5, 0.5, 0.0), 0.0), ((0.5, math.inf, 0.0, 0.0), 0.0),
+              ((0.5, 0.5, -math.inf, 0.0), 0.0), ((0.5, 0.5, 0.0, 0.0), math.nan),
+              ((0.5, 0.5, 0.0, -0.0), -0.0), ((1e308, 1e308, -1e308, 0.0), 0.0)]
+    branches = dict.fromkeys(("plain", "cell clamped", "deficit clamped", "finite",
+                              "cell", "deficit", "sum"), 0)
+    draws = [(c, d, NEGATIVITY_TOL) for c, d in edges] + list(_check_fuzz())
+    for cells, deficit, tol in draws:
+        got = _check_outcome(_checked_cells, cells, deficit, tol)
+        assert got == _check_outcome(two_pass_checked_cells, cells, deficit, tol)
+        if isinstance(got, str):
+            branches[next(key for key, text in _REFUSALS if text in got)] += 1
+        else:
+            branches["cell clamped" if min(cells) < 0.0 else
+                     "deficit clamped" if deficit < 0.0 else "plain"] += 1
+    assert all(n > 0 for n in branches.values()), branches
 
 
 def test_trace_convention_regression():

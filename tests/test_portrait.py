@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tomobell.bell import BellSettings
 from tomobell.errors import (
     InvalidParameter,
     NumericalNegativity,
@@ -36,6 +37,7 @@ from tomobell.states import (
 )
 
 from oracles import SQUEEZED_M, FockOracleSource
+from test_tables import _physical_gaussian
 
 CLOSED_VS_TRUNCATED_TOL = 1e-8
 FACTORIZATION_TOL = 1e-12
@@ -404,6 +406,52 @@ def test_gaussian_context_matches_one_shot():
                               ClosedFormPortrait(g, "even-odd")(a1, a2).as_array())
         assert np.array_equal(ctx.zero_nonzero(a1, a2).as_array(),
                               ClosedFormPortrait(g, "zero-nonzero")(a1, a2).as_array())
+
+
+def _kernel_specs():
+    """The squeezed example, family members, and random physical Gaussians."""
+    local = np.random.default_rng(404)
+    return ([GaussianSpec(SQUEEZED_M)]
+            + [gaussian_purity_family(k, l) for k in (0.5, 0.6, 0.9, 1.2, 2.5) for l in (0.0, 0.04)]
+            + [_physical_gaussian(local) for _ in range(200)])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_gaussian_kernels_keep_the_bits_of_one_call_per_point():
+    # one stacked inv and det per spec stand in for the inv and det that
+    # each canonical portrait function called on its own W
+    for g in _kernel_specs():
+        W, K, det = g._kernels
+        assert g._kernels is g._kernels  # built once
+        for at, s in enumerate((-1.0, 0.0)):
+            w = (1.0 - s) * g.M + 0.5 * (1.0 + s) * np.eye(4)
+            assert _bits(W[at]) == _bits(w)
+            assert _bits(K[at]) == _bits(0.5 * (1.0 - s) * np.linalg.inv(w))
+            assert _bits(det[at]) == _bits(np.linalg.det(w))
+        for a in (W, K, det):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+
+def test_gaussian_portraits_do_not_depend_on_which_fills_the_kernels():
+    # a portrait function made on a fresh spec, and one made after the
+    # other canonical partition filled the spec's kernels
+    local = np.random.default_rng(405)
+    settings = [BellSettings.from_vector(local.uniform(-2, 2, 8)) for _ in range(10)]
+    eo, zn = PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()
+    for g in _kernel_specs()[::5]:
+        for first, second in ((eo, zn), (zn, eo)):
+            fresh = make_portrait_fn(GaussianSpec(g.M, g.mean), second)
+            spec = GaussianSpec(g.M, g.mean)
+            make_portrait_fn(spec, first)
+            assert "_kernels" in vars(spec)
+            warm = make_portrait_fn(spec, second)
+            for s in settings:
+                assert _bits(fresh.bell_columns(s)) == _bits(warm.bell_columns(s))
 
 
 def test_gaussian_closed_forms_never_negative_across_box():

@@ -446,26 +446,72 @@ def test_gaussian_table_negativity_guard():
         gaussian_tomogram_table(g, 1.5 + 0.5j, -1 + 1j, 30)
 
 
-def test_gaussian_spec_validation():
-    with pytest.raises(NonPhysicalSpec):
-        GaussianSpec(np.eye(3))
-    with pytest.raises(NonPhysicalSpec):
-        GaussianSpec(np.full((4, 4), np.nan))
-    asym = np.eye(4) * 0.5
-    asym[0, 1] = 0.3
-    with pytest.raises(NonPhysicalSpec):
-        GaussianSpec(asym)
-    with pytest.raises(NonPhysicalSpec):
-        GaussianSpec(np.eye(4) * 0.2)  # det < 1/16
-    with pytest.raises(NonPhysicalSpec):
-        GaussianSpec(np.eye(4) * 0.5, mean=np.zeros(3))
+def _with(entries, base=np.eye(4) * 0.5):
+    m = base.copy()
+    for (i, j), v in entries.items():
+        m[i, j] = v
+    return m
 
 
-def test_gaussian_spec_refuses_a_matrix_that_is_not_positive_definite():
+# every refusal of GaussianSpec, with its message as the two-pass numpy
+# checks wrote it
+SPEC_REFUSALS = {
+    "shape-3x3": ((np.eye(3),), "M must be 4x4, got shape (3, 3)"),
+    "shape-4x4x1": ((np.zeros((4, 4, 1)),), "M must be 4x4, got shape (4, 4, 1)"),
+    "shape-4": (([1.0] * 4,), "M must be 4x4, got shape (4,)"),
+    "nan-everywhere": ((np.full((4, 4), np.nan),), "M entries must be finite"),
+    "nan-off-diagonal": ((_with({(2, 1): np.nan, (1, 2): np.nan}),), "M entries must be finite"),
+    "inf": ((_with({(3, 3): np.inf}),), "M entries must be finite"),
+    "minus-inf": ((_with({(0, 0): -np.inf}),), "M entries must be finite"),
+    "asymmetric-0.3": ((_with({(0, 1): 0.3}),), "M deviates from symmetry by 3.000e-01 (> 1e-12)"),
+    "asymmetric-2e-9": ((_with({(2, 3): 2e-9}),), "M deviates from symmetry by 2.000e-09 (> 1e-12)"),
+    "asymmetric-3e-12": ((_with({(3, 1): -3e-12}),),
+                         "M deviates from symmetry by 3.000e-12 (> 1e-12)"),
     # two negative eigenvalues leave det M = 1 above the uncertainty bound,
     # so only the eigenvalue check refuses this symmetric matrix
-    with pytest.raises(NonPhysicalSpec, match="positive definite"):
-        GaussianSpec(np.diag([1.0, 1.0, -1.0, -1.0]))
+    "not-positive-definite": ((np.diag([1.0, 1.0, -1.0, -1.0]),),
+                              "M must be positive definite, min eigenvalue -1.000e+00"),
+    "singular": ((np.diag([0.5, 0.5, 0.5, 0.0]),),
+                 "M must be positive definite, min eigenvalue 0.000e+00"),
+    "det-0.0016": ((np.eye(4) * 0.2,), "det M = 0.001600000000 violates the uncertainty bound 1/16"),
+    "det-0.0576": ((np.eye(4) * 0.49,), "det M = 0.057648010000 violates the uncertainty bound 1/16"),
+    "mean-shape-3": ((np.eye(4) * 0.5, np.zeros(3)), "mean must be a finite 4-vector"),
+    "mean-shape-4x1": ((np.eye(4) * 0.5, np.zeros((4, 1))), "mean must be a finite 4-vector"),
+    "mean-scalar": ((np.eye(4) * 0.5, 5.0), "mean must be a finite 4-vector"),
+    "mean-nan": ((np.eye(4) * 0.5, [0, 0, np.nan, 0]), "mean must be a finite 4-vector"),
+    "mean-inf": ((np.eye(4) * 0.5, [np.inf, 0, 0, 0]), "mean must be a finite 4-vector"),
+    "mean-tuple-minus-inf": ((np.eye(4) * 0.5, (0.0, 0.0, 0.0, -np.inf)),
+                             "mean must be a finite 4-vector"),
+}
+
+
+@pytest.mark.parametrize("args, message", SPEC_REFUSALS.values(), ids=SPEC_REFUSALS.keys())
+def test_gaussian_spec_refusals_keep_their_class_and_message(args, message):
+    with pytest.raises(NonPhysicalSpec) as refused:
+        GaussianSpec(*args)
+    assert type(refused.value) is NonPhysicalSpec
+    assert str(refused.value) == message
+
+
+def test_gaussian_spec_takes_lists_ints_and_tuples_as_numpy_did():
+    m = [[3, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    near = np.array(m, dtype=float)
+    near[0, 1] += 1e-13  # inside the symmetry tolerance: M is symmetrized
+    for M, mean in ((m, None), (m, (1, -2, 0.5, 0)), (near, [0.1, 0.2, 0.3, 0.4]),
+                    (SQUEEZED_M, np.arange(4.0))):
+        g = GaussianSpec(M, mean)
+        a = np.asarray(M, dtype=float)
+        assert g.M.tobytes() == (0.5 * (a + a.T)).tobytes()
+        expected_mean = np.zeros(4) if mean is None else np.asarray(mean, dtype=float)
+        assert g.mean.tobytes() == expected_mean.tobytes()
+        assert g.M.dtype == g.mean.dtype == np.float64
+        assert not g.M.flags.writeable and not g.mean.flags.writeable
+    # changing the caller's arrays afterwards leaves the spec as it was
+    M, mean = np.array(SQUEEZED_M), np.arange(4.0)
+    g = GaussianSpec(M, mean)
+    M_bits, mean_bits = g.M.tobytes(), g.mean.tobytes()
+    M[0, 0], mean[1] = 9.0, 9.0
+    assert (g.M.tobytes(), g.mean.tobytes()) == (M_bits, mean_bits)
 
 
 def test_purity_family_parameters():
