@@ -230,8 +230,8 @@ def test_one_pass_check_keeps_the_two_pass_bits():
     # _checked_cells adds the terms once and takes min() only when a cell
     # or the deficit is negative; the two-pass oracle always does both
     edges = [((math.nan, 0.5, 0.5, 0.0), 0.0), ((0.5, math.inf, 0.0, 0.0), 0.0),
-              ((0.5, 0.5, -math.inf, 0.0), 0.0), ((0.5, 0.5, 0.0, 0.0), math.nan),
-              ((0.5, 0.5, 0.0, -0.0), -0.0), ((1e308, 1e308, -1e308, 0.0), 0.0)]
+             ((0.5, 0.5, -math.inf, 0.0), 0.0), ((0.5, 0.5, 0.0, 0.0), math.nan),
+             ((0.5, 0.5, 0.0, -0.0), -0.0), ((1e308, 1e308, -1e308, 0.0), 0.0)]
     branches = dict.fromkeys(("plain", "cell clamped", "deficit clamped", "finite",
                               "cell", "deficit", "sum"), 0)
     draws = [(c, d, NEGATIVITY_TOL) for c, d in edges] + list(_check_fuzz())

@@ -453,8 +453,7 @@ def _with(entries, base=np.eye(4) * 0.5):
     return m
 
 
-# every refusal of GaussianSpec, with its message as the two-pass numpy
-# checks wrote it
+# every refusal of GaussianSpec, with its exact message
 SPEC_REFUSALS = {
     "shape-3x3": ((np.eye(3),), "M must be 4x4, got shape (3, 3)"),
     "shape-4x4x1": ((np.zeros((4, 4, 1)),), "M must be 4x4, got shape (4, 4, 1)"),
@@ -493,7 +492,7 @@ def test_gaussian_spec_refusals_keep_their_class_and_message(args, message):
     assert str(refused.value) == message
 
 
-def test_gaussian_spec_takes_lists_ints_and_tuples_as_numpy_did():
+def test_gaussian_spec_reads_lists_ints_and_tuples_as_float_arrays():
     m = [[3, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     near = np.array(m, dtype=float)
     near[0, 1] += 1e-13  # inside the symmetry tolerance: M is symmetrized
