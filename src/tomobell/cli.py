@@ -127,10 +127,6 @@ def _build_cat(g1: float, g2: float) -> CatState:
     return CatState(complex(g1), complex(g2))
 
 
-def _build_family(k: float, l: float):
-    return gaussian_purity_family(k, l)
-
-
 PRESETS = {
     "cat-zero-nonzero": ScanPreset(
         "cat-zero-nonzero", "zero-nonzero",
@@ -142,7 +138,7 @@ PRESETS = {
     ),
     "gaussian-family": ScanPreset(
         "gaussian-family", "even-odd",
-        (0.6, 0.8, 1.0), (0.0, 0.01, 0.04, 0.07), _build_family,
+        (0.6, 0.8, 1.0), (0.0, 0.01, 0.04, 0.07), gaussian_purity_family,
     ),
 }
 

@@ -49,7 +49,6 @@ from .states import (
     CatState,
     CoherentProduct,
     GaussianSpec,
-    TomogramSource,
     _integer,
     make_source,
 )
@@ -252,23 +251,26 @@ def _vector(checked) -> PortraitVector:
 
 
 def portrait_truncated(
-    src: TomogramSource,
+    src,
     p: PartitionScheme,
     alpha1: complex,
     alpha2: complex,
     nmax: int = DEFAULT_NMAX,
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> PortraitVector:
-    """Portrait by direct cell sums over the table n1, n2 <= nmax.
+    """Portrait by direct cell sums over the table n1, n2 <= nmax of a
+    state or a tomogram source (``make_source``).
 
     The mass beyond the truncation is reported as ``tail_deficit`` and the
     components are left un-renormalized. A deficit above ``tail_eps`` fails:
     the caller can raise nmax or move the displacement closer to origin.
 
     Raises:
+        UnsupportedState: src is neither a library state nor a source.
         TailTooLarge: deficit > tail_eps (carries the deficit value).
         NumericalNegativity: propagated from the table evaluation.
     """
+    src = make_source(src)
     _integer(nmax, "nmax", 1)
     if not tail_eps > 0.0:
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
@@ -740,5 +742,5 @@ def make_portrait_fn(
     state = src.state if type(src) in _LIBRARY_SOURCES else src
     if p.kind in _CANONICAL and isinstance(state, _CLOSED_FORM_STATES):
         return ClosedFormPortrait(state, p.kind)
-    source = src if isinstance(src, TomogramSource) else make_source(src)
+    source = make_source(src)
     return lambda a1, a2: portrait_truncated(source, p, a1, a2, nmax, tail_eps)

@@ -9,18 +9,17 @@ counting (n1, n2) photons in the two modes after displacing the state by
 * generic Gaussian states given by a 4x4 dispersion matrix and mean
   vector.
 
-Whole photon-number tables, which every truncated portrait uses, never
-go through the scalar formulas. A cat or coherent table is one
-vectorized pass over the coherent superposition terms:
-|sum_b c_b phi_b1 (x) phi_b2|^2 with displaced Fock amplitude vectors
-phi. A Gaussian table is the array of Taylor coefficients of the
-closed-form generating function G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2,
-expanded in real arithmetic. ``gaussian_tomogram`` reads one entry of
-that table; the paper's route through four-dimensional Hermite
-polynomials is the tests' oracle. ``cat_tomogram`` keeps the paper's
-closed formula, with a log-domain branch for large amplitudes and for
-products outside the float range, because one entry of it costs far less
-than a table.
+Cat and coherent tomograms have one formula over the coherent
+superposition terms (c_b, delta_b1, delta_b2):
+|sum_b c_b <n1|D(alpha1)|delta_b1> <n2|D(alpha2)|delta_b2>|^2, whose
+displaced Fock amplitudes have modulus at most 1. A table is one
+vectorized pass of it; the scalar ``cat_tomogram`` (also named
+``coherent_tomogram``) sums the same terms for one entry. A Gaussian
+table is the array of Taylor coefficients of the closed-form generating
+function G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2, expanded in real
+arithmetic, and ``gaussian_tomogram`` reads one entry of it. The paper's
+closed products (cats, coherent products) and its four-dimensional
+Hermite polynomials (Gaussians) are the tests' oracles.
 
 Quadrature ordering is (p1, p2, q1, q2) everywhere a 4-vector or 4x4
 matrix appears, with p = -i(a - a^dag)/sqrt(2), q = (a + a^dag)/sqrt(2)
@@ -48,10 +47,6 @@ from .errors import (
 # stay importable from this module only because ``perfbench/spans.py``
 # patches them here by name
 from .hermite import SYMMETRY_TOL, hermite_box, hermite_eval  # noqa: F401
-
-# cat-state formulas switch to (sign, log magnitude) accumulation above this
-# value of |gamma1|^2 + |gamma2|^2; cosh of anything much larger overflows
-LOG_DOMAIN_THRESHOLD = 30.0
 
 # tolerated rounding negativity of a probability: for cat and coherent
 # closed forms, and for Gaussian values and sums over truncated tables
@@ -267,110 +262,7 @@ def gaussian_purity_family(k: float, l: float) -> GaussianSpec:
 
 
 # ---------------------------------------------------------------------------
-# cat state
-# ---------------------------------------------------------------------------
-
-
-def cat_log_normalization(gamma1: complex, gamma2: complex) -> float:
-    """log N for the cat state, stable for any amplitude."""
-    S = abs(gamma1) ** 2 + abs(gamma2) ** 2
-    return 0.5 * S - math.log(2.0) - 0.5 * _log_cosh(S)
-
-
-def cat_normalization(gamma1: complex, gamma2: complex) -> float:
-    """Normalization factor N = exp(S/2) / (2 sqrt(cosh S)), S = |g1|^2+|g2|^2.
-
-    Always computed through the log domain; N itself lies in (1/2, 1/sqrt(2)]
-    so the returned value is finite for every input.
-    """
-    return math.exp(cat_log_normalization(gamma1, gamma2))
-
-
-def cat_tomogram(s: CatState, n1: int, n2: int, alpha1: complex, alpha2: complex) -> float:
-    """Photon-number tomogram of the cat state.
-
-    w = exp(-|a1|^2-|a2|^2) / (4 n1! n2! cosh S) *
-        | e^{-z} (a1+g1)^{n1} (a2+g2)^{n2} + e^{z} (a1-g1)^{n1} (a2-g2)^{n2} |^2
-
-    with z = conj(a1) g1 + conj(a2) g2 and S = |g1|^2 + |g2|^2. Above the
-    log-domain threshold, and wherever the direct product leaves the float
-    range (it overflows, or its prefactor lies below the smallest normal
-    float), each product is carried as a complex logarithm.
-    """
-    n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
-    g1, g2 = complex(s.gamma1), complex(s.gamma2)
-    a1, a2 = complex(alpha1), complex(alpha2)
-    S = abs(g1) ** 2 + abs(g2) ** 2
-    z = a1.conjugate() * g1 + a2.conjugate() * g2
-    log_common = (
-        -abs(a1) ** 2
-        - abs(a2) ** 2
-        - math.log(4.0)
-        - _log_factorial(n1)
-        - _log_factorial(n2)
-        - _log_cosh(S)
-    )
-
-    if S <= LOG_DOMAIN_THRESHOLD:
-        common = math.exp(log_common)
-        if common >= _TINY:
-            try:
-                t_plus = cmath.exp(-z) * (a1 + g1) ** n1 * (a2 + g2) ** n2
-                t_minus = cmath.exp(z) * (a1 - g1) ** n1 * (a2 - g2) ** n2
-                w = common * abs(t_plus + t_minus) ** 2
-                if math.isfinite(w):
-                    return w
-            except OverflowError:
-                pass  # out of the float range: the log-domain branch below
-
-    # log-domain branch: term = exp(lt) with complex lt; a zero base with a
-    # positive exponent kills the term outright
-    terms = []
-    for sign in (+1, -1):
-        lt = -sign * z
-        dead = False
-        for base, n in (((a1 + sign * g1), n1), ((a2 + sign * g2), n2)):
-            if n == 0:
-                continue
-            if base == 0:
-                dead = True
-                break
-            lt = lt + n * cmath.log(base)
-        if not dead:
-            terms.append(lt)
-    if not terms:
-        return 0.0
-    peak = max(t.real for t in terms)
-    ssum = sum(cmath.exp(t - peak) for t in terms)
-    mag = abs(ssum)
-    if mag == 0.0:
-        return 0.0
-    return math.exp(log_common + 2.0 * peak + 2.0 * math.log(mag))
-
-
-# ---------------------------------------------------------------------------
-# coherent product
-# ---------------------------------------------------------------------------
-
-
-def _poisson_pmf(n: int, lam: float) -> float:
-    if lam == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(-lam + n * math.log(lam) - _log_factorial(n))
-
-
-def coherent_tomogram(
-    s: CoherentProduct, n1: int, n2: int, alpha1: complex, alpha2: complex
-) -> float:
-    """Product of Poisson weights with means |alpha_i + gamma_i|^2."""
-    n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
-    lam1 = abs(complex(alpha1) + complex(s.gamma1)) ** 2
-    lam2 = abs(complex(alpha2) + complex(s.gamma2)) ** 2
-    return _poisson_pmf(n1, lam1) * _poisson_pmf(n2, lam2)
-
-
-# ---------------------------------------------------------------------------
-# coherent superpositions
+# coherent superpositions: cat states and coherent products
 # ---------------------------------------------------------------------------
 
 
@@ -382,20 +274,62 @@ def _displacement_phase(alpha: complex, delta: complex) -> complex:
 def coherent_superposition_terms(state):
     """Expand a CatState or CoherentProduct into [(coeff, delta1, delta2), ...].
 
+    A cat's coefficient is N = e^(S/2) / (2 sqrt(cosh S)), S = |g1|^2 + |g2|^2,
+    computed through log N, which is finite for every amplitude.
+
     Raises:
         UnsupportedState: for anything else (mixed Gaussian specs included).
     """
     if isinstance(state, CatState):
-        norm = cat_normalization(state.gamma1, state.gamma2)
-        return [
-            (norm, complex(state.gamma1), complex(state.gamma2)),
-            (norm, -complex(state.gamma1), -complex(state.gamma2)),
-        ]
+        g1, g2 = complex(state.gamma1), complex(state.gamma2)
+        S = abs(g1) ** 2 + abs(g2) ** 2
+        norm = math.exp(0.5 * S - math.log(2.0) - 0.5 * _log_cosh(S))
+        return [(norm, g1, g2), (norm, -g1, -g2)]
     if isinstance(state, CoherentProduct):
         return [(1.0 + 0.0j, complex(state.gamma1), complex(state.gamma2))]
     raise UnsupportedState(
         f"no coherent-superposition expansion for {type(state).__name__}"
     )
+
+
+def _log_fock_amplitude(n: int, alpha: complex, delta: complex) -> complex:
+    """log <n|D(alpha)|delta>, whose real part is <= 0.
+
+    With mu = alpha + delta, that amplitude is
+    exp(-|mu|^2/2 + i Im(alpha conj(delta))) mu^n / sqrt(n!), and 0, with
+    log -inf, where mu = 0 and n > 0.
+    """
+    mu = alpha + delta
+    if mu == 0:
+        return -math.inf if n else 0.0
+    return n * cmath.log(mu) + complex(
+        -abs(mu) ** 2 / 2.0 - 0.5 * _log_factorial(n), (alpha * delta.conjugate()).imag
+    )
+
+
+def _superposition_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: complex) -> float:
+    """Photon-number tomogram of a cat state or a coherent product: entry
+    (n1, n2) of ``coherent_superposition_table``, summed for it alone.
+
+    Each term is c_b exp(log <n1|D(alpha1)|delta_b1> + log <n2|...>), whose
+    modulus is at most |c_b|, so no term overflows at any amplitude or count.
+
+    Raises:
+        OverflowError: where |alpha + delta|^2 or a cat's |gamma|^2 leaves
+            the float range.
+        UnsupportedState: for a state that is neither.
+    """
+    n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
+    a1, a2 = complex(alpha1), complex(alpha2)
+    amp = 0.0
+    for coeff, d1, d2 in coherent_superposition_terms(state):
+        log_amp = _log_fock_amplitude(n1, a1, d1) + _log_fock_amplitude(n2, a2, d2)
+        amp += coeff * cmath.exp(log_amp)
+    return amp.real ** 2 + amp.imag ** 2
+
+
+# the public names of the one scalar; each takes either state
+cat_tomogram = coherent_tomogram = _superposition_tomogram
 
 
 def _fock_amplitudes(mu: complex, log_fact: np.ndarray) -> np.ndarray:
@@ -694,18 +628,21 @@ class _LibrarySource(TomogramSource):
         return self._table(self.state, alpha1, alpha2, nmax)
 
 
-class CatSource(_LibrarySource):
+class _SuperpositionSource(_LibrarySource):
+    """A cat state's or a coherent product's source: one scalar, one table."""
+
     _table = staticmethod(coherent_superposition_table)
 
     def tomogram(self, n1, n2, alpha1, alpha2):
-        return cat_tomogram(self.state, n1, n2, alpha1, alpha2)
+        return _superposition_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
-class CoherentSource(_LibrarySource):
-    _table = staticmethod(coherent_superposition_table)
+class CatSource(_SuperpositionSource):
+    """Tomograms of a ``CatState``."""
 
-    def tomogram(self, n1, n2, alpha1, alpha2):
-        return coherent_tomogram(self.state, n1, n2, alpha1, alpha2)
+
+class CoherentSource(_SuperpositionSource):
+    """Tomograms of a ``CoherentProduct``."""
 
 
 class GaussianSource(_LibrarySource):

@@ -18,6 +18,9 @@ library's fast routes are tested against, written once:
 - the Fock-basis oracle for finite superpositions of two-mode coherent
   states: ``fock_oracle_tomogram`` sums the displaced Fock amplitudes term
   by term, and ``FockOracleSource`` serves it as a tomogram source;
+- ``mp_superposition_tomogram``, the paper's closed products for the cat
+  and coherent tomograms in 60-digit ``mpmath``: the reference that does
+  not share the Fock formula with ``tomobell.cat_tomogram``;
 - ``two_pass_checked_cells``, the portrait check as it was written before
   it ran in one pass: the reference for ``tomobell.portrait._checked_cells``;
 - fixtures: the paper's squeezed example ``SQUEEZED_M``, its worked Bell
@@ -34,12 +37,15 @@ import cmath
 import math
 from typing import Dict
 
+import mpmath
 import numpy as np
 
 from tomobell.errors import NonPhysicalSpec, NumericalNegativity, TomobellError
 from tomobell.hermite import HermiteParams, Index, _check_index
 from tomobell.portrait import SUM_TOL
 from tomobell.states import (
+    CatState,
+    CoherentProduct,
     GaussianSpec,
     TomogramSource,
     _displacement_phase,
@@ -234,8 +240,9 @@ def fock_oracle_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: compl
     """Brute-force tomogram for finite coherent superpositions.
 
     Sums the displaced Fock amplitudes term by term and squares the total.
-    Slow and simple on purpose; this is the ground truth for the cat and
-    coherent closed forms and for ``coherent_superposition_table``.
+    Slow and simple on purpose; this is the ground truth for
+    ``coherent_superposition_table``. ``tomobell.cat_tomogram`` sums the
+    same formula, so ``mp_superposition_tomogram`` checks that one.
     """
     n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
     a1, a2 = complex(alpha1), complex(alpha2)
@@ -249,6 +256,39 @@ def fock_oracle_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: compl
             * _fock_amplitude(n2, a2 + d2)
         )
     return abs(amp) ** 2
+
+
+def mp_superposition_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: complex,
+                              dps: int = 60) -> float:
+    """The cat or coherent tomogram from the paper's closed product, in
+    ``dps``-digit arithmetic, rounded to the nearest float.
+
+    A cat state's is
+
+        exp(-|a1|^2 - |a2|^2) / (4 n1! n2! cosh S) *
+        | e^(-z) (a1 + g1)^n1 (a2 + g2)^n2 + e^z (a1 - g1)^n1 (a2 - g2)^n2 |^2
+
+    with z = conj(a1) g1 + conj(a2) g2 and S = |g1|^2 + |g2|^2; a coherent
+    product's is the product of Poisson weights with means |a_j + g_j|^2.
+    mpmath's exponent range has no overflow, so this needs no branch.
+    """
+    with mpmath.workdps(dps):
+        a1, a2 = mpmath.mpc(complex(alpha1)), mpmath.mpc(complex(alpha2))
+        g1, g2 = mpmath.mpc(complex(state.gamma1)), mpmath.mpc(complex(state.gamma2))
+        factorials = mpmath.factorial(n1) * mpmath.factorial(n2)
+        if isinstance(state, CoherentProduct):
+            lam1, lam2 = abs(a1 + g1) ** 2, abs(a2 + g2) ** 2
+            w = mpmath.exp(-lam1 - lam2) * lam1 ** n1 * lam2 ** n2 / factorials
+        elif isinstance(state, CatState):
+            S = abs(g1) ** 2 + abs(g2) ** 2
+            z = mpmath.conj(a1) * g1 + mpmath.conj(a2) * g2
+            t = (mpmath.exp(-z) * (a1 + g1) ** n1 * (a2 + g2) ** n2
+                 + mpmath.exp(z) * (a1 - g1) ** n1 * (a2 - g2) ** n2)
+            w = (mpmath.exp(-abs(a1) ** 2 - abs(a2) ** 2) / (4 * factorials * mpmath.cosh(S))
+                 * abs(t) ** 2)
+        else:
+            raise TypeError(f"no closed product for {type(state).__name__}")
+        return float(w)
 
 
 class FockOracleSource(TomogramSource):

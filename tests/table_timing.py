@@ -22,7 +22,10 @@ runs of about 5 ms each of one call of:
 - ``portrait_truncated`` of the cat state under the threshold partition
   (2, 2), which is the cat table plus its cell sums;
 - the scalar ``gaussian_tomogram`` of the family member at
-  (n1, n2) = (nmax, nmax), which is one table at that ``nmax``.
+  (n1, n2) = (nmax, nmax), which is one table at that ``nmax``;
+- the scalars ``cat_tomogram`` and ``coherent_tomogram`` of the cat state
+  and the coherent product at (nmax, nmax), which sum that one entry's
+  terms and cost about the same at every ``nmax``.
 
 Then, for the cat state, the coherent product, the squeezed example and
 the family member under each canonical partition, at the worked-example
@@ -57,7 +60,9 @@ from tomobell.states import (
     CatState,
     CoherentProduct,
     GaussianSpec,
+    cat_tomogram,
     coherent_superposition_table,
+    coherent_tomogram,
     gaussian_purity_family,
     gaussian_tomogram,
     gaussian_tomogram_table,
@@ -105,6 +110,9 @@ def main(repeats=25):
                 lambda: portrait_truncated(cat_source, threshold, a1, a2, nmax),
             "gaussian_tomogram family (nmax, nmax)":
                 lambda: gaussian_tomogram(family, nmax, nmax, a1, a2),
+            "cat_tomogram cat (nmax, nmax)": lambda: cat_tomogram(cat, nmax, nmax, a1, a2),
+            "coherent_tomogram coherent (nmax, nmax)":
+                lambda: coherent_tomogram(coherent, nmax, nmax, a1, a2),
         }
         for name, call in calls.items():
             call()

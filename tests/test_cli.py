@@ -113,7 +113,8 @@ def test_tomogram_negative_count_exits_2(cat_file, capsys, n1, n2):
 
 
 def test_tomogram_prints_the_library_scalar_past_the_float_range(tmp_path, capsys):
-    # (20 + 1)^60 (20 + 1)^60 overflows the direct product of cat_tomogram
+    # (20 + 1)^60 (20 + 1)^60 overflows a float: the paper's closed product,
+    # evaluated directly, leaves the float range here
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"type": "cat", "gamma1": 1, "gamma2": 1}))
     rc = main(["tomogram", "--state", str(path), "--n1", "60", "--n2", "60",

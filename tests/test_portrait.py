@@ -10,6 +10,7 @@ from tomobell.errors import (
     InvalidParameter,
     NumericalNegativity,
     TailTooLarge,
+    UnsupportedState,
 )
 from tomobell.portrait import (
     ClosedFormPortrait,
@@ -272,6 +273,19 @@ def test_cat_closed_forms_match_truncated_sums():
                                   nmax=45, tail_eps=1.0)
         c_eo = cat_portrait_even_odd(s, a1, a2)
         assert np.max(np.abs(t_eo.as_array() - c_eo.as_array())) < CLOSED_VS_TRUNCATED_TOL
+
+
+def test_portrait_truncated_takes_a_state_or_a_source():
+    # src goes through make_source, as in make_portrait_fn: a library state
+    # gets its own source, a source passes through, anything else is refused
+    p, state = PartitionScheme.even_odd(), CatState(1, 1)
+    want = portrait_truncated(make_source(state), p, 0.1, 0.2, nmax=15).as_array()
+    got = portrait_truncated(state, p, 0.1, 0.2, nmax=15).as_array()
+    assert np.array_equal(got, want)
+    oracle = portrait_truncated(FockOracleSource(state), p, 0.1, 0.2, nmax=15).as_array()
+    assert np.max(np.abs(oracle - want)) <= 1e-14
+    with pytest.raises(UnsupportedState):
+        portrait_truncated(object(), p, 0.1, 0.2)
 
 
 def test_cat_log_branch_continuity():

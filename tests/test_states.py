@@ -1,5 +1,6 @@
 """State definitions, tomogram evaluators, and their oracles."""
 
+import cmath
 import json
 import math
 
@@ -37,6 +38,7 @@ from oracles import (
     fock_oracle_tomogram,
     gaussian_R,
     gaussian_y,
+    mp_superposition_tomogram,
     two_mode_squeezed_vacuum,
 )
 
@@ -108,8 +110,8 @@ def test_cat_table_normalizes():
 
 
 def test_cat_table_matches_scalar_log_branch():
-    # |gamma|^2 = 50 puts the scalar formula on its log-domain branch; the
-    # table sums amplitudes of modulus <= 1 and needs no such branch
+    # at large amplitudes (|gamma|^2 = 50) as at small ones: the scalar and
+    # the table sum the same amplitudes of modulus <= 1, one entry or all
     for s in (CatState(math.sqrt(50), math.sqrt(50)), CatState(5.0, 5.0j),
               CatState(1.0 + 0.5j, -0.7)):
         src = make_source(s)
@@ -129,8 +131,8 @@ def test_coherent_table_matches_scalar():
 
 
 def test_coherent_table_and_scalar_at_a_zero_amplitude():
-    # alpha1 = -gamma1 displaces mode 1 to the vacuum, where log|mu| and
-    # log(lambda) are undefined: both routes take their branch for it
+    # alpha1 = -gamma1 displaces mode 1 to the vacuum, where log|mu| is
+    # undefined: the table and the scalar take their branch for it
     s = CoherentProduct(0.3, 0)
     want = np.zeros((4, 4))
     want[0, 0] = 1.0
@@ -164,8 +166,9 @@ def test_vacuum_cat_tomogram_at_origin():
     (CatState(1 + 1j, 0.5), 40, 0, 30 + 0j, 0j),
 ])
 def test_cat_tomogram_outside_the_float_range_of_the_direct_product(state, n1, n2, a1, a2):
-    # |g1|^2 + |g2|^2 <= 30 sends both to the direct product, which raised
-    # OverflowError on the first and returned 0.0 on the second
+    # the paper's closed product, evaluated directly in floats, overflows on
+    # the first and underflows to 0.0 on the second; the scalar multiplies
+    # amplitudes of modulus <= 1 and leaves the float range on neither
     got = cat_tomogram(state, n1, n2, a1, a2)
     want = FockOracleSource(state).tomogram(n1, n2, a1, a2)
     entry = make_source(state).tomogram_table(a1, a2, max(n1, n2))[n1, n2]
@@ -173,6 +176,49 @@ def test_cat_tomogram_outside_the_float_range_of_the_direct_product(state, n1, n
     # relative bounds: pytest.approx would also allow an absolute 1e-12
     assert abs(got - want) <= 1e-10 * want
     assert abs(got - entry) <= 1e-10 * want
+
+
+# 60-digit mpmath holds the closed product exactly enough; the scalar is
+# held to this relative error wherever the value is above MP_FLOOR
+MP_RTOL = 1e-10
+MP_FLOOR = 1e-290
+
+
+def _mp_draws(count=300, seed=29):
+    """(state, n1, n2, alpha1, alpha2): cats and coherent products with
+    |gamma_j| components up to 6, so that |g1|^2 + |g2|^2 > 30 on about one
+    draw in six, counts up to 80 and |alpha| up to 25; then the two
+    float-range cases of the closed product, and two exact zeros."""
+    draws = np.random.default_rng(seed)
+    for _ in range(count):
+        kind = CatState if draws.random() < 0.5 else CoherentProduct
+        scale = draws.uniform(0.0, 6.0)
+        g1, g2 = (complex(*draws.uniform(-scale, scale, 2)) for _ in range(2))
+        # |alpha| = 25 u^2 keeps most draws where the value is a normal float
+        a1, a2 = (25 * draws.random() ** 2 * cmath.exp(2j * math.pi * draws.random())
+                  for _ in range(2))
+        yield kind(g1, g2), int(draws.integers(0, 81)), int(draws.integers(0, 81)), a1, a2
+    yield CatState(1, 1), 60, 60, 20 + 0j, 20 + 0j
+    yield CatState(1 + 1j, 0.5), 40, 0, 30 + 0j, 0j
+    # mode 1 in the vacuum at alpha1 = 0 has no photon to count
+    yield CatState(0, 6), 1, 3, 0j, 0.5 - 1j
+    # alpha1 = -gamma1 kills the term of +gamma1; the other one remains
+    yield CatState(1.5 - 0.5j, 2), 2, 1, -1.5 + 0.5j, 0.3j
+
+
+def test_superposition_scalar_matches_60_digit_mpmath():
+    # the Fock oracle computes the scalar's own formula; mpmath's closed
+    # product does not, and it has no float range to leave
+    checked = large = 0
+    for state, n1, n2, a1, a2 in _mp_draws():
+        scalar = cat_tomogram if isinstance(state, CatState) else coherent_tomogram
+        got = scalar(state, n1, n2, a1, a2)
+        want = mp_superposition_tomogram(state, n1, n2, a1, a2)
+        assert abs(got - want) <= MP_RTOL * max(want, MP_FLOOR), (state, n1, n2, a1, a2)
+        checked += want > MP_FLOOR
+        large += abs(state.gamma1) ** 2 + abs(state.gamma2) ** 2 > 30
+    assert checked >= 250 and large >= 30
+    assert cat_tomogram(CatState(0, 6), 1, 3, 0j, 0.5 - 1j) == 0.0
 
 
 BOX_SETTINGS = ((0j, 0j), (1.7 - 1.2j, -1.9 + 0.6j), (-2 + 2j, 2 - 0.5j))
@@ -233,12 +279,15 @@ def test_degenerate_gaussian_refused():
     assert w == pytest.approx(math.exp(-0.09), rel=1e-15)
 
 
+# ids by public name: cat_tomogram and coherent_tomogram are one function,
+# whose __name__ would give both cases the same id
 @pytest.mark.parametrize("tomogram, state", [
     (cat_tomogram, CatState(1, 1)),
     (coherent_tomogram, CoherentProduct(1, 1)),
     (fock_oracle_tomogram, CatState(1, 1)),
     (gaussian_tomogram, gaussian_purity_family(0.9, 0.0)),
-])
+], ids=["cat_tomogram-state0", "coherent_tomogram-state1",
+        "fock_oracle_tomogram-state2", "gaussian_tomogram-state3"])
 @pytest.mark.parametrize("bad", [2.5, True, -1])
 def test_scalar_tomograms_refuse_a_bad_photon_count(tomogram, state, bad):
     # int(2.5) and True would otherwise be read as the counts 2 and 1
