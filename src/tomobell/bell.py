@@ -623,12 +623,14 @@ def _cauchy_point(x, g, t, B, lower, upper):
 
 
 def _model_target(x, g, H, lower, upper, bounds=None):
-    """The point an iteration searches toward, for inverse Hessian H.
+    """The point an iteration searches toward, for inverse Hessian H, with
+    the step p = target - x and its slope p'g; None when the projected
+    gradient vanishes.
 
-    The model's minimizer over the coordinates that the generalized Cauchy
-    point leaves free, projected onto the box, or, when the projection is
-    no descent direction, the longest feasible fraction of the step from
-    the Cauchy point. None when the projected gradient vanishes.
+    The target is the model's minimizer over the coordinates that the
+    generalized Cauchy point leaves free, projected onto the box, or, when
+    the projection is no descent direction, the longest feasible fraction
+    of the step from the Cauchy point.
 
     B = H^-1 is formed, and the Cauchy point found, only when a bound
     cannot rule out that the Cauchy point pins a coordinate. Along -g the
@@ -648,8 +650,10 @@ def _model_target(x, g, H, lower, upper, bounds=None):
     # false when a coordinate starts pinned (t_min <= 0) or g vanishes
     if 0.0 < ghg < t_min * gg * _PIN_BOUND_MARGIN:
         projected = np.minimum(np.maximum(x - hg, lower), upper)
-        if float((projected - x).dot(g)) <= 0.0:
-            return projected
+        p = projected - x
+        slope = float(p.dot(g))
+        if slope <= 0.0:
+            return projected, p, slope
     B = np.linalg.inv(H)
     xc, pinned = _cauchy_point(x, g, t, B, lo, up)
     if xc is None:
@@ -663,10 +667,14 @@ def _model_target(x, g, H, lower, upper, bounds=None):
     else:
         target = xc
     projected = np.minimum(np.maximum(target, lower), upper)
-    if float((projected - x).dot(g)) <= 0.0:
-        return projected
+    p = projected - x
+    slope = float(p.dot(g))
+    if slope <= 0.0:
+        return projected, p, slope
     du = target - xc
-    return xc + min(1.0, _max_step(xc, du, lo, up)) * du
+    target = xc + min(1.0, _max_step(xc, du, lo, up)) * du
+    p = target - x
+    return target, p, float(p.dot(g))
 
 
 def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResult:
@@ -740,15 +748,14 @@ def minimize(fun, x0, lower, upper, *, scale, xtol, ftol, maxfev) -> SearchResul
         # after a failed line search
         try:
             H = _inverse_hessian(memory) if memory.k else H0
-            target = _model_target(x, g, H, lower, upper, bounds)
+            step = _model_target(x, g, H, lower, upper, bounds)
         except np.linalg.LinAlgError:
-            target = x
-        if target is None:
+            step = x, None, 0.0  # a zero slope takes no step
+        if step is None:
             status = 0
             break
-        p = target - x
         # a target that is not finite gives no finite slope, and no step
-        slope = float(p.dot(g))
+        target, p, slope = step
 
         def phi(t):
             z = target if t == 1.0 else np.minimum(np.maximum(x + t * p, lower), upper)
@@ -962,22 +969,27 @@ def _start_point(seed: int, index: int, box: float) -> tuple:
 
 
 def _clipped(x, box: float) -> list:
-    """The coordinates clipped into the box; NaN raises InvalidParameter."""
+    """The coordinates clipped into the box (``x`` itself where it lies
+    inside); NaN raises InvalidParameter."""
     lo_box = -box
-    # in-box values pass the comparison untouched, which costs a quarter
-    # of min/max on all 8; NaN fails it and stays NaN under min/max, as
-    # under np.clip
-    c = [v if lo_box <= v <= box else min(max(v, lo_box), box) for v in x]
+    # the search's own points lie in the box and pass as they are; else
+    # in-box values pass the comparison untouched, which costs a quarter of
+    # min/max on all 8. NaN fails it and stays NaN under min/max, as under
+    # np.clip, and min and max skip it unless it comes first
+    if lo_box <= min(x) and max(x) <= box:
+        c = x
+    else:
+        c = [v if lo_box <= v <= box else min(max(v, lo_box), box) for v in x]
     if math.isnan(math.fsum(c)):
         BellSettings.from_vector(c)  # raises InvalidParameter naming the setting
     return c
 
 
 def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
-    """The Bell number and its gradient at 8 setting coordinates, fused for
-    a closed form.
+    """-B and its gradient at 8 setting coordinates, for a closed form: the
+    function ``minimize`` descends.
 
-    Takes the coordinates in ``BellSettings.as_vector`` order. The value is
+    Takes the coordinates in ``BellSettings.as_vector`` order. B is
     bell_number(bell_matrix(portrait_fn, BellSettings.from_vector(
     np.clip(x, -box, box)))) up to the order of the last sums, with the
     same checks and errors: the coordinates are clipped into the box, every
@@ -985,30 +997,24 @@ def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
     column correlations E = w++ - w+- - w-+ + w--, and B is recorded in the
     high-water mark.
     The gradient is the exact derivative of the closed form at the clipped
-    point, from the derivatives of its per-mode terms; on the box edge it
-    is the derivative from inside. No settings object or array is built.
+    point (``ClosedFormPortrait.bell_columns_grad``); on the box edge it is
+    the derivative from inside. No settings object or array is built.
     """
-    mode1, mode2, column = portrait_fn.mode1_grad, portrait_fn.mode2_grad, portrait_fn.column_grad
+    columns_grad = portrait_fn.bell_columns_grad
 
-    def bell_value_grad(x):
-        c = _clipped(x, box)
-        a1, b1 = mode1(complex(c[0], c[1])), mode1(complex(c[2], c[3]))
-        a2, b2 = mode2(complex(c[4], c[5])), mode2(complex(c[6], c[7]))
-        (k0, g0), (k1, g1), (k2, g2), (k3, g3) = (
-            column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2))
-        e = [w_pp - w_pm - w_mp + w_mm for w_pp, w_pm, w_mp, w_mm, _ in (k0, k1, k2, k3)]
-        chsh = e[0] + e[1] + e[2] - e[3]
+    def negative_b(x):
+        columns, grads = columns_grad(_clipped(x, box))
+        (a0, a1, a2, a3, _), (b0, b1, b2, b3, _), (c0, c1, c2, c3, _), (d0, d1, d2, d3, _) = columns
+        chsh = (a0 - a1 - a2 + a3) + (b0 - b1 - b2 + b3) + (c0 - c1 - c2 + c3) - (d0 - d1 - d2 + d3)
         b = abs(chsh)
         _record_bell(b)
-        sign = 1.0 if chsh >= 0.0 else -1.0
-        return b, [
-            sign * (g0[0] + g1[0]), sign * (g0[1] + g1[1]),
-            sign * (g2[0] - g3[0]), sign * (g2[1] - g3[1]),
-            sign * (g0[2] + g2[2]), sign * (g0[3] + g2[3]),
-            sign * (g1[2] - g3[2]), sign * (g1[3] - g3[3]),
-        ]
+        # -B = -|chsh|, so its gradient is chsh's times -1 where chsh >= 0
+        sign = -1.0 if chsh >= 0.0 else 1.0
+        (g0, g1, g2, g3), (h0, h1, h2, h3), (i0, i1, i2, i3), (j0, j1, j2, j3) = grads
+        return -b, [sign * (g0 + h0), sign * (g1 + h1), sign * (i0 - j0), sign * (i1 - j1),
+                    sign * (g2 + i2), sign * (g3 + i3), sign * (h2 - j2), sign * (h3 - j3)]
 
-    return bell_value_grad
+    return negative_b
 
 
 # forward-difference step, relative to max(1, |coordinate|)
@@ -1016,7 +1022,7 @@ FD_STEP = math.sqrt(_EPS)
 
 
 def _difference_objective(portrait_fn, box: float):
-    """The Bell number through ``bell_matrix`` and ``bell_number``, with a
+    """-B through ``bell_matrix`` and ``bell_number``, with a
     forward-difference gradient: 9 Bell numbers per call.
 
     Each coordinate steps by FD_STEP * max(1, |x_i|) toward the inside of
@@ -1025,7 +1031,7 @@ def _difference_objective(portrait_fn, box: float):
     portraits, kept for the call, so a call computes 20 portraits, not 36.
     """
 
-    def bell_value_grad(x):
+    def negative_b(x):
         c = _clipped(x, box)
         portraits = {}
 
@@ -1044,10 +1050,10 @@ def _difference_objective(portrait_fn, box: float):
             h = FD_STEP * max(1.0, abs(ci))
             probe = list(c)
             probe[i] = ci + h if ci + h <= box else ci - h
-            grad.append((value(probe) - b) / (probe[i] - ci))
-        return b, grad
+            grad.append(-(value(probe) - b) / (probe[i] - ci))
+        return -b, grad
 
-    return bell_value_grad
+    return negative_b
 
 
 def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig()) -> MaximizeResult:
@@ -1068,16 +1074,15 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
     portrait_fn = make_portrait_fn(src, p, nmax=cfg.nmax, tail_eps=cfg.tail_eps)
     box = float(cfg.box)
     if isinstance(portrait_fn, ClosedFormPortrait):
-        bell_value_grad = _closed_form_objective(portrait_fn, box)
+        negative_b = _closed_form_objective(portrait_fn, box)
     else:
-        bell_value_grad = _difference_objective(portrait_fn, box)
+        negative_b = _difference_objective(portrait_fn, box)
     eval_count = 0
 
-    def negative_b(x):
+    def counted(x):
         nonlocal eval_count
         eval_count += 1
-        b, grad = bell_value_grad(x)
-        return -b, [-v for v in grad]
+        return negative_b(x)
 
     lower, upper = np.full(8, -box), np.full(8, box)
     best_f = -1.0
@@ -1091,7 +1096,7 @@ def maximize_bell(src, p: PartitionScheme, cfg: MaximizeConfig = MaximizeConfig(
     for i in range(cfg.starts):
         x0, scale = _start_point(cfg.seed, i, box)
         try:
-            res = minimize(negative_b, x0, lower, upper, scale=scale / 2.0,
+            res = minimize(counted, x0, lower, upper, scale=scale / 2.0,
                            xtol=XTOL, ftol=FTOL, maxfev=cfg.max_iters)
         except (InvalidParameter, UnsupportedState):
             raise

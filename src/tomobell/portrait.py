@@ -14,8 +14,10 @@ states have G in closed form, so their canonical portraits are exact with
 zero tail deficit. Each G splits into per-mode terms, which depend on one
 mode's displacement, and a joint term; ``make_portrait_fn`` returns for
 these states a portrait function that also evaluates the four columns of
-a Bell matrix in one call, computing each per-mode term once per setting.
-Every other state or partition goes through a truncated table sum.
+a Bell matrix in one call, computing each per-mode term once per setting,
+and in another call those columns with the gradient of their
+correlations, for the maximizer. Every other state or partition goes
+through a truncated table sum.
 
 ``make_portrait_fn`` is the way to a closed form. The four per-state names
 (``cat_portrait_even_odd``, ``coherent_portrait_zero_nonzero`` and so on)
@@ -49,6 +51,7 @@ from .states import (
     CatState,
     CoherentProduct,
     GaussianSpec,
+    _check_finite,
     _integer,
     make_source,
 )
@@ -290,45 +293,105 @@ def portrait_truncated(
 
 
 # ---------------------------------------------------------------------------
-# generating functions
+# closed forms
 # ---------------------------------------------------------------------------
-#
-# Each class below evaluates G of one state family with every measured mode
-# at the same point s (-1 for parity, 0 for vacuum). ``mode1(alpha)`` and
-# ``mode2(alpha)`` return the marginal G(s, 1) or G(1, s) at that mode's
-# displacement together with the per-mode terms of the joint G(s, s), which
-# ``joint`` combines. ``mode1_grad``, ``mode2_grad`` and ``joint_grad`` add
-# the derivatives along (Re alpha, Im alpha): the marginal's, the per-mode
-# terms', and the joint's along both modes' displacements.
 
 
-class _BranchG:
-    """Shared per-mode plumbing of the coherent-branch states.
+def _even_odd_cells(p1, p2, p12):
+    """Cells from the parities G(-1, 1), G(1, -1) and G(-1, -1)."""
+    return (
+        0.25 * (1.0 + p1 + p2 + p12),
+        0.25 * (1.0 + p1 - p2 - p12),
+        0.25 * (1.0 - p1 + p2 - p12),
+        0.25 * (1.0 - p1 - p2 + p12),
+    )
 
-    ``_one1``/``_one2`` are the per-mode terms of an unmeasured mode
-    (s = 1), so a marginal is the joint G with the other mode unmeasured;
-    ``_marginal_grad`` is ``joint_grad`` so restricted, with the
-    derivatives of the measured mode only.
+
+def _zero_nonzero_cells(v1, v2, v12):
+    """Cells from the vacuum probabilities G(0, 1), G(1, 0) and G(0, 0)."""
+    return (v12, v1 - v12, v2 - v12, 1.0 - v1 - v2 + v12)
+
+
+# partition kind -> (the point s of each measured mode, cells from G, the
+# weights (c1, c2, c12) of the correlation E = c0 + c1 G1 + c2 G2 + c12 G12
+# in the marginals and the joint term)
+_CANONICAL = {
+    "even-odd": (-1.0, _even_odd_cells, (0.0, 0.0, 1.0)),
+    "zero-nonzero": (0.0, _zero_nonzero_cells, (-2.0, -2.0, 4.0)),
+}
+
+
+class ClosedFormPortrait:
+    """Closed-form portrait function of one state under a canonical partition.
+
+    ``ClosedFormPortrait(state, kind)`` is an instance of the subclass for
+    the state's family (``_CatG``, ``_CoherentG`` or ``_GaussianG``), which
+    evaluates that family's G with every measured mode at the same point s
+    (-1 for parity, 0 for vacuum). Calling it with (alpha1, alpha2) gives
+    one PortraitVector with zero tail deficit.
+
+    Each family has one route for values and one for gradients. Values:
+    ``mode1(alpha)`` and ``mode2(alpha)`` return the marginal G(s, 1) or
+    G(1, s) at that mode's displacement with the per-mode terms of the
+    joint G(s, s), which ``joint`` combines; ``column`` turns a mode-1 and
+    a mode-2 term into a checked column, and ``bell_columns(s)`` gives the
+    four Bell-matrix columns of settings ``s``, each per-mode term computed
+    once. Gradients: ``bell_columns_grad(c)`` takes the 8 setting
+    coordinates in ``BellSettings.as_vector`` order and returns the four
+    checked columns with the derivatives of each column's correlation
+    E = w_pp - w_pm - w_mp + w_mm along (Re alpha1, Im alpha1, Re alpha2,
+    Im alpha2), all in one call. E is linear in the two marginals and the
+    joint term, so its derivatives are theirs, weighted; they are those of
+    the closed form before the cells are clamped at 0, which moves a cell
+    by at most the negativity tolerance.
     """
 
-    def mode1(self, alpha):
-        d = self._mode(alpha, self._g1)
-        return self.joint(d, self._one2), d
+    def __new__(cls, state, kind: str):
+        for state_cls, family in _GENERATING_FUNCTIONS:
+            if isinstance(state, state_cls):
+                return object.__new__(family)
+        raise UnsupportedState(f"no closed-form portrait for {type(state).__name__}")
 
-    def mode2(self, alpha):
-        d = self._mode(alpha, self._g2)
-        return self.joint(self._one1, d), d
+    def __init__(self, state, kind: str):
+        s, self._cells, self._weights = _CANONICAL[kind]
+        self._what = f"{self.name} {kind} portrait"
+        self._setup(state, s)
 
-    def mode1_grad(self, alpha):
-        d, t = self._mode_grad(alpha, self._g1)
-        return self._marginal_grad(d, t, self._one2), d, t
+    def column(self, m1, m2):
+        """Checked (w_pp, w_pm, w_mp, w_mm, tail_deficit) from per-mode terms."""
+        (p1, d1), (p2, d2) = m1, m2
+        cells = self._cells(p1, p2, self.joint(d1, d2))
+        return _checked_cells(cells, 0.0, self.tol, self._what)
 
-    def mode2_grad(self, alpha):
-        d, t = self._mode_grad(alpha, self._g2)
-        return self._marginal_grad(d, t, self._one1), d, t
+    def __call__(self, alpha1, alpha2) -> PortraitVector:
+        _check_finite(alpha1, "alpha1")
+        _check_finite(alpha2, "alpha2")
+        return _vector(self.column(self.mode1(alpha1), self.mode2(alpha2)))
+
+    def bell_columns(self, s):
+        """Checked columns (w_pp, w_pm, w_mp, w_mm, tail_deficit) of settings ``s``.
+
+        Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2), as in
+        ``bell_matrix``.
+        """
+        (pa1, da1), (pb1, db1) = self.mode1(s.alpha1), self.mode1(s.beta1)
+        (pa2, da2), (pb2, db2) = self.mode2(s.alpha2), self.mode2(s.beta2)
+        joint, cells, tol, what = self.joint, self._cells, self.tol, self._what
+        return [_checked_cells(cells(pa1, pa2, joint(da1, da2)), 0.0, tol, what),
+                _checked_cells(cells(pa1, pb2, joint(da1, db2)), 0.0, tol, what),
+                _checked_cells(cells(pb1, pa2, joint(db1, da2)), 0.0, tol, what),
+                _checked_cells(cells(pb1, pb2, joint(db1, db2)), 0.0, tol, what)]
 
 
-class _CatG(_BranchG):
+# The gradient routes below hold each setting's terms in locals. Each
+# expression keeps its operations and their order, which the maximizer's
+# iterates and the per-column oracle of the tests pin to the bit, and
+# squares stay ``** 2``, which raises OverflowError where ``x * x`` would
+# give inf. Settings are taken in the order a1, b1, a2, b2 and columns are
+# checked in Bell-matrix order, so the first failing column raises.
+
+
+class _CatG(ClosedFormPortrait):
     """G of the displaced cat state N(|g1, g2> + |-g1, -g2>).
 
     The two coherent branches and their interference give three
@@ -343,12 +406,14 @@ class _CatG(_BranchG):
     summed over the modes before exp. Every real part is <= 0 for
     |s_j| <= 1, so no term overflows at any amplitude. Each exponent is a
     quadratic in (Re alpha_j, Im alpha_j), so its derivatives are linear.
+    A marginal is the joint G with the other mode unmeasured (s = 1),
+    whose per-mode terms ``_one1``/``_one2`` are constants.
     """
 
     name = "cat"
     tol = NEGATIVITY_TOL
 
-    def __init__(self, state: CatState, s: float):
+    def _setup(self, state: CatState, s: float):
         g1, g2 = complex(state.gamma1), complex(state.gamma2)
         c1, c2 = abs(g1) ** 2, abs(g2) ** 2
         self._g1, self._g2 = (g1.real, g1.imag, c1), (g2.real, g2.imag, c2)
@@ -369,15 +434,13 @@ class _CatG(_BranchG):
             -2.0 * k * (ar * gi - ai * gr),
         )
 
-    def _mode_grad(self, alpha, g):
-        """The per-mode terms and their derivatives along Re and Im alpha."""
-        ar, ai = alpha.real, alpha.imag
-        gr, gi, _ = g
-        k2 = -2.0 * self._k
-        return self._mode(alpha, g), (
-            (k2 * (ar + gr), k2 * (ar - gr), k2 * ar, k2 * gi),
-            (k2 * (ai + gi), k2 * (ai - gi), k2 * ai, -k2 * gr),
-        )
+    def mode1(self, alpha):
+        d = self._mode(alpha, self._g1)
+        return self.joint(d, self._one2), d
+
+    def mode2(self, alpha):
+        d = self._mode(alpha, self._g2)
+        return self.joint(self._one1, d), d
 
     def joint(self, d1, d2):
         return self._norm2 * (
@@ -386,49 +449,52 @@ class _CatG(_BranchG):
             + 2.0 * math.exp(d1[2] + d2[2]) * math.cos(d1[3] + d2[3])
         )
 
-    def joint_grad(self, d1, t1, d2, t2):
-        """``joint`` and its derivatives along (Re, Im) of mode 1, then of mode 2.
+    def bell_columns_grad(self, c):
+        exp, cos, sin = math.exp, math.cos, math.sin
+        n, s, k = self._norm2, self._s, self._k
+        n_neg, k_neg, k2 = -n, -k, -2.0 * k
+        k2_neg = -k2
+        one1, one2 = self._one1[2], self._one2[2]
+        settings = []
+        for ar, ai, (gr, gi, cg), one in ((c[0], c[1], self._g1, one2), (c[2], c[3], self._g1, one2),
+                                          (c[4], c[5], self._g2, one1), (c[6], c[7], self._g2, one1)):
+            pr, pi, mr, mi = ar + gr, ai + gi, ar - gr, ai - gi
+            a = ar * ar + ai * ai
+            d0, d1 = k_neg * (pr ** 2 + pi ** 2), k_neg * (mr ** 2 + mi ** 2)
+            d2, d3 = s * (a - cg) - (a + cg), k2 * (ar * gi - ai * gr)
+            # the derivatives of the per-mode terms along Re and Im alpha
+            r0, r1, r2, r3 = k2 * pr, k2 * mr, k2 * ar, k2 * gi
+            i0, i1, i2, i3 = k2 * pi, k2 * mi, k2 * ai, k2_neg * gr
+            # the marginal, from the derivatives of G along each of its terms
+            e_plus, e_minus, x = exp(d0), exp(d1), 2.0 * exp(d2 + one)
+            # the unmeasured mode's phase term is +0.0, which turns a -0.0
+            # phase into +0.0 and so sets the sign of a zero sin
+            phase = d3 + 0.0
+            x_cos = x * cos(phase)
+            w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, n_neg * (x * sin(phase))
+            settings.append((n * (e_plus + e_minus + x_cos),
+                             w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3, w0 * i0 + w1 * i1 + w2 * i2 + w3 * i3,
+                             d0, d1, d2, d3, r0, r1, r2, r3, i0, i1, i2, i3))
+        a1, b1, a2, b2 = settings
+        cells, tol, what = self._cells, self.tol, self._what
+        c1, c2, c12 = self._weights
+        columns, grads = [], []
+        for ((p1, p1_re, p1_im, u0, u1, u2, u3, ur0, ur1, ur2, ur3, ui0, ui1, ui2, ui3),
+             (p2, p2_re, p2_im, v0, v1, v2, v3, vr0, vr1, vr2, vr3, vi0, vi1, vi2, vi3)) in (
+                (a1, a2), (a1, b2), (b1, a2), (b1, b2)):
+            e_plus, e_minus, x = exp(u0 + v0), exp(u1 + v1), 2.0 * exp(u2 + v2)
+            phase = u3 + v3
+            x_cos = x * cos(phase)
+            w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, n_neg * (x * sin(phase))
+            columns.append(_checked_cells(cells(p1, p2, n * (e_plus + e_minus + x_cos)), 0.0, tol, what))
+            grads.append((c1 * p1_re + c12 * (w0 * ur0 + w1 * ur1 + w2 * ur2 + w3 * ur3),
+                          c1 * p1_im + c12 * (w0 * ui0 + w1 * ui1 + w2 * ui2 + w3 * ui3),
+                          c2 * p2_re + c12 * (w0 * vr0 + w1 * vr1 + w2 * vr2 + w3 * vr3),
+                          c2 * p2_im + c12 * (w0 * vi0 + w1 * vi1 + w2 * vi2 + w3 * vi3)))
+        return columns, grads
 
-        ``t1`` and ``t2`` are the derivatives of the per-mode terms that
-        ``_mode_grad`` returns.
-        """
-        n = self._norm2
-        e_plus = math.exp(d1[0] + d2[0])
-        e_minus = math.exp(d1[1] + d2[1])
-        x = 2.0 * math.exp(d1[2] + d2[2])
-        phase = d1[3] + d2[3]
-        x_cos, x_sin = x * math.cos(phase), x * math.sin(phase)
-        # the derivative of G along each per-mode term
-        w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, -n * x_sin
-        (r1, i1), (r2, i2) = t1, t2
-        return (
-            n * (e_plus + e_minus + x_cos),
-            w0 * r1[0] + w1 * r1[1] + w2 * r1[2] + w3 * r1[3],
-            w0 * i1[0] + w1 * i1[1] + w2 * i1[2] + w3 * i1[3],
-            w0 * r2[0] + w1 * r2[1] + w2 * r2[2] + w3 * r2[3],
-            w0 * i2[0] + w1 * i2[1] + w2 * i2[2] + w3 * i2[3],
-        )
 
-    def _marginal_grad(self, d, t, one):
-        """The marginal and its derivatives along (Re, Im) of the measured
-        mode: ``joint_grad`` with the other mode unmeasured (terms ``one``),
-        by the same operations, so with the same bits."""
-        n = self._norm2
-        e_plus = math.exp(d[0] + one[0])
-        e_minus = math.exp(d[1] + one[1])
-        x = 2.0 * math.exp(d[2] + one[2])
-        phase = d[3] + one[3]
-        x_cos, x_sin = x * math.cos(phase), x * math.sin(phase)
-        w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, -n * x_sin
-        r, i = t
-        return (
-            n * (e_plus + e_minus + x_cos),
-            w0 * r[0] + w1 * r[1] + w2 * r[2] + w3 * r[3],
-            w0 * i[0] + w1 * i[1] + w2 * i[2] + w3 * i[3],
-        )
-
-
-class _CoherentG(_BranchG):
+class _CoherentG(ClosedFormPortrait):
     """G of a coherent product: exp(-(1 - s1) lam1 - (1 - s2) lam2).
 
     lam_j = |alpha_j + g_j|^2 is the Poisson mean of mode j. At s = -1 a
@@ -439,32 +505,50 @@ class _CoherentG(_BranchG):
 
     name = "coherent"
     tol = NEGATIVITY_TOL
-    _one1 = _one2 = 0.0
 
-    def __init__(self, state: CoherentProduct, s: float):
+    def _setup(self, state: CoherentProduct, s: float):
         self._g1, self._g2 = complex(state.gamma1), complex(state.gamma2)
         self._k = 1.0 - s
 
     def _mode(self, alpha, g):
         return -self._k * ((alpha.real + g.real) ** 2 + (alpha.imag + g.imag) ** 2)
 
-    def _mode_grad(self, alpha, g):
-        k2 = -2.0 * self._k
-        return self._mode(alpha, g), (k2 * (alpha.real + g.real), k2 * (alpha.imag + g.imag))
+    def mode1(self, alpha):
+        e = self._mode(alpha, self._g1)
+        return math.exp(e), e
+
+    def mode2(self, alpha):
+        e = self._mode(alpha, self._g2)
+        return math.exp(e), e
 
     def joint(self, e1, e2):
         return math.exp(e1 + e2)
 
-    def joint_grad(self, e1, t1, e2, t2):
-        v = math.exp(e1 + e2)
-        return v, v * t1[0], v * t1[1], v * t2[0], v * t2[1]
+    def bell_columns_grad(self, c):
+        exp = math.exp
+        k_neg, k2 = -self._k, -2.0 * self._k
+        g1, g2 = self._g1, self._g2
+        settings = []
+        for ar, ai, g in ((c[0], c[1], g1), (c[2], c[3], g1), (c[4], c[5], g2), (c[6], c[7], g2)):
+            pr, pi = ar + g.real, ai + g.imag
+            e = k_neg * (pr ** 2 + pi ** 2)
+            tr, ti = k2 * pr, k2 * pi
+            v = exp(e)
+            settings.append((v, v * tr, v * ti, e, tr, ti))
+        a1, b1, a2, b2 = settings
+        cells, tol, what = self._cells, self.tol, self._what
+        c1, c2, c12 = self._weights
+        columns, grads = [], []
+        for (p1, p1_re, p1_im, e1, r1, i1), (p2, p2_re, p2_im, e2, r2, i2) in (
+                (a1, a2), (a1, b2), (b1, a2), (b1, b2)):
+            v = exp(e1 + e2)
+            columns.append(_checked_cells(cells(p1, p2, v), 0.0, tol, what))
+            grads.append((c1 * p1_re + c12 * (v * r1), c1 * p1_im + c12 * (v * i1),
+                          c2 * p2_re + c12 * (v * r2), c2 * p2_im + c12 * (v * i2)))
+        return columns, grads
 
-    def _marginal_grad(self, e, t, one):
-        v = math.exp(e + one)
-        return v, v * t[0], v * t[1]
 
-
-class _GaussianG:
+class _GaussianG(ClosedFormPortrait):
     """G of a Gaussian state from its parity and vacuum quadratic forms.
 
     With W = (1 - s) M + (1 + s)/2 and K = (1 - s)/2 W^-1,
@@ -475,13 +559,15 @@ class _GaussianG:
     s = -1 gives the parity form K = M^-1 / 2, s = 0 the vacuum form
     K = (2M + 1)^-1. A marginal uses the mode's 2x2 blocks of W in the
     same way. The joint form splits into one quadratic form per mode and
-    the cross term 2 mu1' K12 mu2.
+    the cross term 2 mu1' K12 mu2. Its gradient differentiates the
+    exponents through x = mean + sqrt(2) Re alpha and
+    y = mean + sqrt(2) Im alpha.
     """
 
     name = "gaussian"
     tol = NEGATIVITY_TOL_HERMITE
 
-    def __init__(self, spec: GaussianSpec, s: float):
+    def _setup(self, spec: GaussianSpec, s: float):
         scale = 0.5 * (1.0 - s)
         at = _KERNEL_POINTS.index(s)
         w, K, det_w = (kernel[at].tolist() for kernel in spec._kernels)
@@ -511,10 +597,6 @@ class _GaussianG:
     def _form(k, x, y):
         return k[0] * x * x + k[1] * x * y + k[2] * y * y
 
-    @staticmethod
-    def _form_grad(k, x, y):
-        return 2.0 * k[0] * x + k[1] * y, k[1] * x + 2.0 * k[2] * y
-
     def mode1(self, alpha):
         x = self._m1[0] + SQRT2 * alpha.real
         y = self._m1[1] + SQRT2 * alpha.imag
@@ -537,144 +619,47 @@ class _GaussianG:
         (own1, (h0, h1)), (own2, (x, y)) = d1, d2
         return self._c12 * math.exp(-(own1 + own2 + h0 * x + h1 * y))
 
-    # The gradient forms below differentiate the exponents above through
-    # x = mean + sqrt(2) Re alpha and y = mean + sqrt(2) Im alpha.
-
-    def _marginal_grad(self, c, k, x, y):
-        p = c * math.exp(-self._form(k, x, y))
-        kx, ky = self._form_grad(k, x, y)
-        return p, -SQRT2 * p * kx, -SQRT2 * p * ky
-
-    def mode1_grad(self, alpha):
-        x = self._m1[0] + SQRT2 * alpha.real
-        y = self._m1[1] + SQRT2 * alpha.imag
+    def bell_columns_grad(self, c):
+        exp, root2, root2_neg = math.exp, SQRT2, -SQRT2
         x00, x01, x10, x11 = self._x
-        d = (self._form(self._j1, x, y), (x00 * x + x10 * y, x01 * x + x11 * y))
-        return self._marginal_grad(self._c1, self._k1, x, y), d, self._form_grad(self._j1, x, y)
-
-    def mode2_grad(self, alpha):
-        x = self._m2[0] + SQRT2 * alpha.real
-        y = self._m2[1] + SQRT2 * alpha.imag
-        d = (self._form(self._j2, x, y), (x, y))
-        return self._marginal_grad(self._c2, self._k2, x, y), d, self._form_grad(self._j2, x, y)
-
-    def joint_grad(self, d1, t1, d2, t2):
-        (_, (h0, h1)), (_, (x, y)) = d1, d2
-        v = self.joint(d1, d2)
-        x00, x01, x10, x11 = self._x
-        f = -SQRT2 * v
-        return (
-            v,
-            f * (t1[0] + x00 * x + x01 * y),
-            f * (t1[1] + x10 * x + x11 * y),
-            f * (t2[0] + h0),
-            f * (t2[1] + h1),
-        )
-
-
-def _even_odd_cells(p1, p2, p12):
-    """Cells from the parities G(-1, 1), G(1, -1) and G(-1, -1)."""
-    return (
-        0.25 * (1.0 + p1 + p2 + p12),
-        0.25 * (1.0 + p1 - p2 - p12),
-        0.25 * (1.0 - p1 + p2 - p12),
-        0.25 * (1.0 - p1 - p2 + p12),
-    )
-
-
-def _zero_nonzero_cells(v1, v2, v12):
-    """Cells from the vacuum probabilities G(0, 1), G(1, 0) and G(0, 0)."""
-    return (v12, v1 - v12, v2 - v12, 1.0 - v1 - v2 + v12)
+        settings = []
+        for (ar, ai), (mx, my), cm, (k0, k1, k2), (j0, j1, j2), first in (
+                ((c[0], c[1]), self._m1, self._c1, self._k1, self._j1, True),
+                ((c[2], c[3]), self._m1, self._c1, self._k1, self._j1, True),
+                ((c[4], c[5]), self._m2, self._c2, self._k2, self._j2, False),
+                ((c[6], c[7]), self._m2, self._c2, self._k2, self._j2, False)):
+            x = mx + root2 * ar
+            y = my + root2 * ai
+            # mode 1 enters the cross term through these, mode 2 through (x, y)
+            h0, h1 = (x00 * x + x10 * y, x01 * x + x11 * y) if first else (x, y)
+            p = cm * exp(-(k0 * x * x + k1 * x * y + k2 * y * y))
+            q = root2_neg * p
+            settings.append((p, q * (2.0 * k0 * x + k1 * y), q * (k1 * x + 2.0 * k2 * y),
+                             j0 * x * x + j1 * x * y + j2 * y * y, h0, h1,
+                             2.0 * j0 * x + j1 * y, j1 * x + 2.0 * j2 * y))
+        a1, b1, a2, b2 = settings
+        c12 = self._c12
+        cells, tol, what = self._cells, self.tol, self._what
+        w1, w2, w12 = self._weights
+        columns, grads = [], []
+        for (p1, p1_re, p1_im, own1, h0, h1, t1x, t1y), (p2, p2_re, p2_im, own2, x, y, t2x, t2y) in (
+                (a1, a2), (a1, b2), (b1, a2), (b1, b2)):
+            v = c12 * exp(-(own1 + own2 + h0 * x + h1 * y))
+            f = root2_neg * v
+            columns.append(_checked_cells(cells(p1, p2, v), 0.0, tol, what))
+            grads.append((w1 * p1_re + w12 * (f * (t1x + x00 * x + x01 * y)),
+                          w1 * p1_im + w12 * (f * (t1y + x10 * x + x11 * y)),
+                          w2 * p2_re + w12 * (f * (t2x + h0)),
+                          w2 * p2_im + w12 * (f * (t2y + h1))))
+        return columns, grads
 
 
-# partition kind -> (the point s of each measured mode, cells from G, the
-# weights (c1, c2, c12) of the correlation E = c0 + c1 G1 + c2 G2 + c12 G12
-# in the marginals and the joint term)
-_CANONICAL = {
-    "even-odd": (-1.0, _even_odd_cells, (0.0, 0.0, 1.0)),
-    "zero-nonzero": (0.0, _zero_nonzero_cells, (-2.0, -2.0, 4.0)),
-}
 _GENERATING_FUNCTIONS = (
     (CatState, _CatG),
     (CoherentProduct, _CoherentG),
     (GaussianSpec, _GaussianG),
 )
 _CLOSED_FORM_STATES = tuple(cls for cls, _ in _GENERATING_FUNCTIONS)
-
-
-class ClosedFormPortrait:
-    """Closed-form portrait function of one state under a canonical partition.
-
-    Calling it with (alpha1, alpha2) gives one PortraitVector with zero
-    tail deficit. ``bell_columns(s)`` evaluates the four Bell-matrix
-    columns of the settings ``s`` in one call, computing each per-mode term
-    once per setting, and runs the same checks once per column. The pieces
-    are public for callers that fuse more work around them: ``mode1`` and
-    ``mode2`` give the per-mode terms of one displacement, and ``column``
-    turns a mode-1 and a mode-2 term into a checked column. ``mode1_grad``,
-    ``mode2_grad`` and ``column_grad`` do the same and also carry the
-    derivatives along the real and imaginary parts of each displacement,
-    so a column comes with the gradient of its correlation.
-    """
-
-    __slots__ = ("mode1", "mode2", "mode1_grad", "mode2_grad", "_g", "_cells", "_weights", "_what")
-
-    def __init__(self, state, kind: str):
-        s, self._cells, self._weights = _CANONICAL[kind]
-        for cls, family in _GENERATING_FUNCTIONS:
-            if isinstance(state, cls):
-                break
-        else:
-            raise UnsupportedState(f"no closed-form portrait for {type(state).__name__}")
-        self._g = family(state, s)
-        self.mode1, self.mode2 = self._g.mode1, self._g.mode2
-        self.mode1_grad, self.mode2_grad = self._g.mode1_grad, self._g.mode2_grad
-        self._what = f"{family.name} {kind} portrait"
-
-    def column(self, m1, m2):
-        """Checked (w_pp, w_pm, w_mp, w_mm, tail_deficit) from per-mode terms."""
-        (p1, d1), (p2, d2) = m1, m2
-        cells = self._cells(p1, p2, self._g.joint(d1, d2))
-        return _checked_cells(cells, 0.0, self._g.tol, self._what)
-
-    def column_grad(self, m1, m2):
-        """``column`` from the terms of ``mode1_grad`` and ``mode2_grad``,
-        and the derivatives of the column's correlation
-        E = w_pp - w_pm - w_mp + w_mm along (Re alpha1, Im alpha1, Re alpha2,
-        Im alpha2).
-
-        E is linear in the two marginals and the joint term, so its
-        derivatives are theirs, weighted. They are those of the closed form
-        before the cells are clamped at 0, which moves a cell by at most
-        the negativity tolerance.
-        """
-        ((p1, p1_re, p1_im), d1, t1), ((p2, p2_re, p2_im), d2, t2) = m1, m2
-        v, v1_re, v1_im, v2_re, v2_im = self._g.joint_grad(d1, t1, d2, t2)
-        c1, c2, c12 = self._weights
-        checked = _checked_cells(self._cells(p1, p2, v), 0.0, self._g.tol, self._what)
-        return checked, (
-            c1 * p1_re + c12 * v1_re,
-            c1 * p1_im + c12 * v1_im,
-            c2 * p2_re + c12 * v2_re,
-            c2 * p2_im + c12 * v2_im,
-        )
-
-    def __call__(self, alpha1, alpha2) -> PortraitVector:
-        return _vector(self.column(self.mode1(alpha1), self.mode2(alpha2)))
-
-    def bell_columns(self, s):
-        """Checked columns (w_pp, w_pm, w_mp, w_mm, tail_deficit) of settings ``s``.
-
-        Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2), as in
-        ``bell_matrix``.
-        """
-        (pa1, da1), (pb1, db1) = self.mode1(s.alpha1), self.mode1(s.beta1)
-        (pa2, da2), (pb2, db2) = self.mode2(s.alpha2), self.mode2(s.beta2)
-        joint, cells, tol, what = self._g.joint, self._cells, self._g.tol, self._what
-        return [_checked_cells(cells(pa1, pa2, joint(da1, da2)), 0.0, tol, what),
-                _checked_cells(cells(pa1, pb2, joint(da1, db2)), 0.0, tol, what),
-                _checked_cells(cells(pb1, pa2, joint(db1, da2)), 0.0, tol, what),
-                _checked_cells(cells(pb1, pb2, joint(db1, db2)), 0.0, tol, what)]
 
 
 # ---------------------------------------------------------------------------

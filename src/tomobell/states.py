@@ -315,11 +315,15 @@ def _superposition_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: co
     modulus is at most |c_b|, so no term overflows at any amplitude or count.
 
     Raises:
+        InvalidParameter: a count is not an integer >= 0, or a setting is
+            not a finite number.
         OverflowError: where |alpha + delta|^2 or a cat's |gamma|^2 leaves
             the float range.
         UnsupportedState: for a state that is neither.
     """
     n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
+    _check_finite(alpha1, "alpha1")
+    _check_finite(alpha2, "alpha2")
     a1, a2 = complex(alpha1), complex(alpha2)
     amp = 0.0
     for coeff, d1, d2 in coherent_superposition_terms(state):
@@ -587,9 +591,13 @@ def gaussian_tomogram(
     ``gaussian_tomogram_table`` at nmax = max(n1, n2).
 
     Raises:
+        InvalidParameter: a count is not an integer >= 0, or a setting is
+            not a finite number.
         NumericalNegativity: where that table is refused.
     """
     n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
+    _check_finite(alpha1, "alpha1")
+    _check_finite(alpha2, "alpha2")
     return float(gaussian_tomogram_table(g, alpha1, alpha2, max(n1, n2))[n1, n2])
 
 

@@ -23,6 +23,11 @@ library's fast routes are tested against, written once:
   not share the Fock formula with ``tomobell.cat_tomogram``;
 - ``two_pass_checked_cells``, the portrait check as it was written before
   it ran in one pass: the reference for ``tomobell.portrait._checked_cells``;
+- ``PerColumnPortrait`` and ``per_column_objective``, the closed-form
+  portraits and the maximizer's objective as they were computed column by
+  column, before each family evaluated B's four columns and gradient in
+  one call: the reference for ``tomobell.portrait.ClosedFormPortrait`` and
+  ``tomobell.bell._closed_form_objective``;
 - fixtures: the paper's squeezed example ``SQUEEZED_M``, its worked Bell
   matrix as printed (``PRINTED_MG``), and the two-mode squeezed vacuum
   ``two_mode_squeezed_vacuum(r, mean)``.
@@ -40,10 +45,16 @@ from typing import Dict
 import mpmath
 import numpy as np
 
+from tomobell.bell import _clipped
 from tomobell.errors import NonPhysicalSpec, NumericalNegativity, TomobellError
 from tomobell.hermite import HermiteParams, Index, _check_index
-from tomobell.portrait import SUM_TOL
+from tomobell.portrait import _CANONICAL, SQRT2, SUM_TOL, _checked_cells
 from tomobell.states import (
+    _KERNEL_POINTS,
+    _MODE1_IDX,
+    _MODE2_IDX,
+    NEGATIVITY_TOL,
+    NEGATIVITY_TOL_HERMITE,
     CatState,
     CoherentProduct,
     GaussianSpec,
@@ -331,3 +342,306 @@ def two_pass_checked_cells(cells, deficit: float, tol: float, what: str):
             f"{what}: components + deficit sum to {total:.12f}, not 1"
         )
     return w_pp, w_pm, w_mp, w_mm, deficit
+
+
+# ---------------------------------------------------------------------------
+# the per-column closed-form route
+# ---------------------------------------------------------------------------
+#
+# The closed-form portraits and the maximizer's objective as they were
+# computed before each family evaluated B's columns and gradient in one
+# call: per-mode terms and their derivatives from ``mode1_grad`` and
+# ``mode2_grad``, one ``column_grad`` per Bell-matrix column, and the
+# objective that combines them into +B and its gradient. The values route
+# (``mode1``, ``mode2``, ``joint``, ``bell_columns``) is kept as it was
+# too. ``tomobell.portrait.ClosedFormPortrait`` and
+# ``tomobell.bell._closed_form_objective`` must give their columns, values,
+# gradients and errors bit for bit (the objective with the sign of -B).
+
+
+class _PerColumnBranch:
+    """Per-mode plumbing of the coherent-branch states: a marginal is the
+    joint G with the other mode unmeasured (per-mode terms ``_one1``/``_one2``)."""
+
+    def mode1(self, alpha):
+        d = self._mode(alpha, self._g1)
+        return self.joint(d, self._one2), d
+
+    def mode2(self, alpha):
+        d = self._mode(alpha, self._g2)
+        return self.joint(self._one1, d), d
+
+    def mode1_grad(self, alpha):
+        d, t = self._mode_grad(alpha, self._g1)
+        return self._marginal_grad(d, t, self._one2), d, t
+
+    def mode2_grad(self, alpha):
+        d, t = self._mode_grad(alpha, self._g2)
+        return self._marginal_grad(d, t, self._one1), d, t
+
+
+class _PerColumnCat(_PerColumnBranch):
+    tol = NEGATIVITY_TOL
+
+    def __init__(self, state: CatState, s: float):
+        g1, g2 = complex(state.gamma1), complex(state.gamma2)
+        c1, c2 = abs(g1) ** 2, abs(g2) ** 2
+        self._g1, self._g2 = (g1.real, g1.imag, c1), (g2.real, g2.imag, c2)
+        self._s, self._k = s, 1.0 - s
+        self._norm2 = 0.5 / (1.0 + math.exp(-2.0 * (c1 + c2)))
+        self._one1 = (0.0, 0.0, -2.0 * c1, 0.0)
+        self._one2 = (0.0, 0.0, -2.0 * c2, 0.0)
+
+    def _mode(self, alpha, g):
+        ar, ai = alpha.real, alpha.imag
+        gr, gi, c = g
+        a = ar * ar + ai * ai
+        k = self._k
+        return (
+            -k * ((ar + gr) ** 2 + (ai + gi) ** 2),
+            -k * ((ar - gr) ** 2 + (ai - gi) ** 2),
+            self._s * (a - c) - (a + c),
+            -2.0 * k * (ar * gi - ai * gr),
+        )
+
+    def _mode_grad(self, alpha, g):
+        ar, ai = alpha.real, alpha.imag
+        gr, gi, _ = g
+        k2 = -2.0 * self._k
+        return self._mode(alpha, g), (
+            (k2 * (ar + gr), k2 * (ar - gr), k2 * ar, k2 * gi),
+            (k2 * (ai + gi), k2 * (ai - gi), k2 * ai, -k2 * gr),
+        )
+
+    def joint(self, d1, d2):
+        return self._norm2 * (
+            math.exp(d1[0] + d2[0])
+            + math.exp(d1[1] + d2[1])
+            + 2.0 * math.exp(d1[2] + d2[2]) * math.cos(d1[3] + d2[3])
+        )
+
+    def joint_grad(self, d1, t1, d2, t2):
+        n = self._norm2
+        e_plus = math.exp(d1[0] + d2[0])
+        e_minus = math.exp(d1[1] + d2[1])
+        x = 2.0 * math.exp(d1[2] + d2[2])
+        phase = d1[3] + d2[3]
+        x_cos, x_sin = x * math.cos(phase), x * math.sin(phase)
+        w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, -n * x_sin
+        (r1, i1), (r2, i2) = t1, t2
+        return (
+            n * (e_plus + e_minus + x_cos),
+            w0 * r1[0] + w1 * r1[1] + w2 * r1[2] + w3 * r1[3],
+            w0 * i1[0] + w1 * i1[1] + w2 * i1[2] + w3 * i1[3],
+            w0 * r2[0] + w1 * r2[1] + w2 * r2[2] + w3 * r2[3],
+            w0 * i2[0] + w1 * i2[1] + w2 * i2[2] + w3 * i2[3],
+        )
+
+    def _marginal_grad(self, d, t, one):
+        n = self._norm2
+        e_plus = math.exp(d[0] + one[0])
+        e_minus = math.exp(d[1] + one[1])
+        x = 2.0 * math.exp(d[2] + one[2])
+        phase = d[3] + one[3]
+        x_cos, x_sin = x * math.cos(phase), x * math.sin(phase)
+        w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, -n * x_sin
+        r, i = t
+        return (
+            n * (e_plus + e_minus + x_cos),
+            w0 * r[0] + w1 * r[1] + w2 * r[2] + w3 * r[3],
+            w0 * i[0] + w1 * i[1] + w2 * i[2] + w3 * i[3],
+        )
+
+
+class _PerColumnCoherent(_PerColumnBranch):
+    tol = NEGATIVITY_TOL
+    _one1 = _one2 = 0.0
+
+    def __init__(self, state: CoherentProduct, s: float):
+        self._g1, self._g2 = complex(state.gamma1), complex(state.gamma2)
+        self._k = 1.0 - s
+
+    def _mode(self, alpha, g):
+        return -self._k * ((alpha.real + g.real) ** 2 + (alpha.imag + g.imag) ** 2)
+
+    def _mode_grad(self, alpha, g):
+        k2 = -2.0 * self._k
+        return self._mode(alpha, g), (k2 * (alpha.real + g.real), k2 * (alpha.imag + g.imag))
+
+    def joint(self, e1, e2):
+        return math.exp(e1 + e2)
+
+    def joint_grad(self, e1, t1, e2, t2):
+        v = math.exp(e1 + e2)
+        return v, v * t1[0], v * t1[1], v * t2[0], v * t2[1]
+
+    def _marginal_grad(self, e, t, one):
+        v = math.exp(e + one)
+        return v, v * t[0], v * t[1]
+
+
+class _PerColumnGaussian:
+    tol = NEGATIVITY_TOL_HERMITE
+
+    def __init__(self, spec: GaussianSpec, s: float):
+        scale = 0.5 * (1.0 - s)
+        at = _KERNEL_POINTS.index(s)
+        w, K, det_w = (kernel[at].tolist() for kernel in spec._kernels)
+
+        def k(i, j):
+            return 0.5 * (K[i][j] + K[j][i])
+
+        self._c12 = 1.0 / math.sqrt(det_w)
+        per_mode = []
+        for i, j in (_MODE1_IDX, _MODE2_IDX):
+            det = w[i][i] * w[j][j] - w[i][j] * w[j][i]
+            f = scale / det
+            per_mode.append((
+                1.0 / math.sqrt(det),
+                (f * w[j][j], -2.0 * f * w[i][j], f * w[i][i]),
+                (k(i, i), 2.0 * k(i, j), k(j, j)),
+            ))
+        (self._c1, self._k1, self._j1), (self._c2, self._k2, self._j2) = per_mode
+        (i1, j1), (i2, j2) = _MODE1_IDX, _MODE2_IDX
+        self._x = (2.0 * k(i1, i2), 2.0 * k(i1, j2), 2.0 * k(j1, i2), 2.0 * k(j1, j2))
+        self._m1 = (float(spec.mean[2]), float(spec.mean[0]))
+        self._m2 = (float(spec.mean[3]), float(spec.mean[1]))
+
+    @staticmethod
+    def _form(k, x, y):
+        return k[0] * x * x + k[1] * x * y + k[2] * y * y
+
+    @staticmethod
+    def _form_grad(k, x, y):
+        return 2.0 * k[0] * x + k[1] * y, k[1] * x + 2.0 * k[2] * y
+
+    def mode1(self, alpha):
+        x = self._m1[0] + SQRT2 * alpha.real
+        y = self._m1[1] + SQRT2 * alpha.imag
+        x00, x01, x10, x11 = self._x
+        cross = (x00 * x + x10 * y, x01 * x + x11 * y)
+        return (
+            self._c1 * math.exp(-self._form(self._k1, x, y)),
+            (self._form(self._j1, x, y), cross),
+        )
+
+    def mode2(self, alpha):
+        x = self._m2[0] + SQRT2 * alpha.real
+        y = self._m2[1] + SQRT2 * alpha.imag
+        return (
+            self._c2 * math.exp(-self._form(self._k2, x, y)),
+            (self._form(self._j2, x, y), (x, y)),
+        )
+
+    def joint(self, d1, d2):
+        (own1, (h0, h1)), (own2, (x, y)) = d1, d2
+        return self._c12 * math.exp(-(own1 + own2 + h0 * x + h1 * y))
+
+    def _marginal_grad(self, c, k, x, y):
+        p = c * math.exp(-self._form(k, x, y))
+        kx, ky = self._form_grad(k, x, y)
+        return p, -SQRT2 * p * kx, -SQRT2 * p * ky
+
+    def mode1_grad(self, alpha):
+        x = self._m1[0] + SQRT2 * alpha.real
+        y = self._m1[1] + SQRT2 * alpha.imag
+        x00, x01, x10, x11 = self._x
+        d = (self._form(self._j1, x, y), (x00 * x + x10 * y, x01 * x + x11 * y))
+        return self._marginal_grad(self._c1, self._k1, x, y), d, self._form_grad(self._j1, x, y)
+
+    def mode2_grad(self, alpha):
+        x = self._m2[0] + SQRT2 * alpha.real
+        y = self._m2[1] + SQRT2 * alpha.imag
+        d = (self._form(self._j2, x, y), (x, y))
+        return self._marginal_grad(self._c2, self._k2, x, y), d, self._form_grad(self._j2, x, y)
+
+    def joint_grad(self, d1, t1, d2, t2):
+        (_, (h0, h1)), (_, (x, y)) = d1, d2
+        v = self.joint(d1, d2)
+        x00, x01, x10, x11 = self._x
+        f = -SQRT2 * v
+        return (
+            v,
+            f * (t1[0] + x00 * x + x01 * y),
+            f * (t1[1] + x10 * x + x11 * y),
+            f * (t2[0] + h0),
+            f * (t2[1] + h1),
+        )
+
+
+_PER_COLUMN_FAMILIES = (
+    (CatState, _PerColumnCat, "cat"),
+    (CoherentProduct, _PerColumnCoherent, "coherent"),
+    (GaussianSpec, _PerColumnGaussian, "gaussian"),
+)
+
+
+class PerColumnPortrait:
+    """A closed-form portrait function on the per-column route: per-mode
+    terms from ``mode1``/``mode2`` (values) and ``mode1_grad``/``mode2_grad``
+    (values and derivatives), one checked column per ``column`` or
+    ``column_grad`` call."""
+
+    def __init__(self, state, kind: str):
+        s, self._cells, self._weights = _CANONICAL[kind]
+        family, name = next((f, n) for cls, f, n in _PER_COLUMN_FAMILIES if isinstance(state, cls))
+        self._g = family(state, s)
+        self.mode1, self.mode2 = self._g.mode1, self._g.mode2
+        self.mode1_grad, self.mode2_grad = self._g.mode1_grad, self._g.mode2_grad
+        self._what = f"{name} {kind} portrait"
+
+    def column(self, m1, m2):
+        (p1, d1), (p2, d2) = m1, m2
+        cells = self._cells(p1, p2, self._g.joint(d1, d2))
+        return _checked_cells(cells, 0.0, self._g.tol, self._what)
+
+    def column_grad(self, m1, m2):
+        """``column`` and the derivatives of the column's correlation along
+        (Re alpha1, Im alpha1, Re alpha2, Im alpha2)."""
+        ((p1, p1_re, p1_im), d1, t1), ((p2, p2_re, p2_im), d2, t2) = m1, m2
+        v, v1_re, v1_im, v2_re, v2_im = self._g.joint_grad(d1, t1, d2, t2)
+        c1, c2, c12 = self._weights
+        checked = _checked_cells(self._cells(p1, p2, v), 0.0, self._g.tol, self._what)
+        return checked, (
+            c1 * p1_re + c12 * v1_re,
+            c1 * p1_im + c12 * v1_im,
+            c2 * p2_re + c12 * v2_re,
+            c2 * p2_im + c12 * v2_im,
+        )
+
+    def __call__(self, alpha1, alpha2):
+        return self.column(self.mode1(alpha1), self.mode2(alpha2))
+
+    def bell_columns(self, s):
+        (pa1, da1), (pb1, db1) = self.mode1(s.alpha1), self.mode1(s.beta1)
+        (pa2, da2), (pb2, db2) = self.mode2(s.alpha2), self.mode2(s.beta2)
+        joint, cells, tol, what = self._g.joint, self._cells, self._g.tol, self._what
+        return [_checked_cells(cells(pa1, pa2, joint(da1, da2)), 0.0, tol, what),
+                _checked_cells(cells(pa1, pb2, joint(da1, db2)), 0.0, tol, what),
+                _checked_cells(cells(pb1, pa2, joint(db1, da2)), 0.0, tol, what),
+                _checked_cells(cells(pb1, pb2, joint(db1, db2)), 0.0, tol, what)]
+
+
+def per_column_objective(portrait: PerColumnPortrait, box: float):
+    """+B and its gradient at 8 setting coordinates (``BellSettings.as_vector``
+    order), clipped into the box, from four ``column_grad`` calls."""
+    mode1, mode2, column = portrait.mode1_grad, portrait.mode2_grad, portrait.column_grad
+
+    def bell_value_grad(x):
+        c = _clipped(x, box)
+        a1, b1 = mode1(complex(c[0], c[1])), mode1(complex(c[2], c[3]))
+        a2, b2 = mode2(complex(c[4], c[5])), mode2(complex(c[6], c[7]))
+        (k0, g0), (k1, g1), (k2, g2), (k3, g3) = (
+            column(a1, a2), column(a1, b2), column(b1, a2), column(b1, b2))
+        e = [w_pp - w_pm - w_mp + w_mm for w_pp, w_pm, w_mp, w_mm, _ in (k0, k1, k2, k3)]
+        chsh = e[0] + e[1] + e[2] - e[3]
+        b = abs(chsh)
+        sign = 1.0 if chsh >= 0.0 else -1.0
+        return b, [
+            sign * (g0[0] + g1[0]), sign * (g0[1] + g1[1]),
+            sign * (g2[0] - g3[0]), sign * (g2[1] - g3[1]),
+            sign * (g0[2] + g2[2]), sign * (g0[3] + g2[3]),
+            sign * (g1[2] - g3[2]), sign * (g1[3] - g3[3]),
+        ]
+
+    return bell_value_grad

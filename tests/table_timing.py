@@ -32,6 +32,10 @@ the family member under each canonical partition, at the worked-example
 settings (-0.12i, 0.04i, 0.22i, -0.32i), it prints one closed-form
 ``bell_columns(s)`` call next to one ``bell_number(bell_matrix(fn, s))``,
 so that the cost of assembling B shows beside the cost of its columns.
+After them, for each member of the benchmark's ``maximize-closed`` mix
+(the ``MIX`` of ``tests/test_optimizer.py``), it prints one call of the
+maximizer's fused closed-form objective (-B and its gradient, the
+function the search descends) at the same settings.
 
 Last, the set-up of a fresh state, per kind: the four above and a
 physical Gaussian with a mean (a two-mode squeezed vacuum, r = 0.4). It
@@ -54,7 +58,7 @@ take the lower figure. pytest does not collect this file.
 import sys
 import timeit
 
-from tomobell.bell import BellSettings, bell_matrix, bell_number
+from tomobell.bell import BellSettings, _closed_form_objective, bell_matrix, bell_number
 from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
 from tomobell.states import (
     CatState,
@@ -66,10 +70,12 @@ from tomobell.states import (
     gaussian_purity_family,
     gaussian_tomogram,
     gaussian_tomogram_table,
+    DEFAULT_BOX,
     make_source,
 )
 
 from oracles import SQUEEZED_M, two_mode_squeezed_vacuum
+from test_optimizer import MIX
 
 SETTINGS = (-0.12j, 0.04j)
 BELL_SETTINGS = BellSettings(-0.12j, 0.04j, 0.22j, -0.32j)
@@ -129,6 +135,12 @@ def main(repeats=25):
                 call()
                 label = f"{kind} {p.kind}"
                 print(f"{label:23s} {name:26s} {_minimum_us(call, repeats):8.1f} us")
+    x = s.as_vector().tolist()
+    for label, (state, p, _, _) in MIX.items():
+        negative_b = _closed_form_objective(make_portrait_fn(state, p), DEFAULT_BOX)
+        negative_b(x)
+        us = _minimum_us(lambda: negative_b(x), repeats)
+        print(f"{label:23s} {'fused value and gradient':26s} {us:8.1f} us")
     eo, zn = PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()
     tmsv = two_mode_squeezed_vacuum(0.4, (0.3, -0.2, 0.1, 0.4))
     builders = {

@@ -48,7 +48,7 @@ from tomobell.states import (
     make_source,
 )
 
-from oracles import SQUEEZED_M
+from oracles import SQUEEZED_M, PerColumnPortrait, per_column_objective, two_mode_squeezed_vacuum
 
 EO = PartitionScheme.even_odd()
 ZN = PartitionScheme.zero_nonzero()
@@ -451,11 +451,48 @@ def test_model_target_skips_the_cauchy_point_only_where_it_pins_nothing(monkeypa
         got = bell._model_target(x, g, H, lower, upper)
         assert (got is None) == (ref is None), case
         if ref is not None:
-            assert got.tobytes() == ref.tobytes(), case
+            assert got[0].tobytes() == ref.tobytes(), case
         if where == 0 and not near_bound:
             interior += 1
             skipped += not calls
     assert skipped > 0.75 * interior, (skipped, interior)
+
+
+def test_model_target_returns_the_step_and_slope_of_its_target(monkeypatch):
+    # minimize takes the step p = target - x and its slope p'g from
+    # _model_target as they are: they must be the bits it would form from
+    # the target, on every route: the pin bound's skip, the projected
+    # subspace step, and the fraction of the step from the Cauchy point
+    # (the one route that calls _max_step)
+    calls = []
+    for name in ("_cauchy_point", "_max_step"):
+        def counted(*args, name=name, original=getattr(bell, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(bell, name, counted)
+    rng = np.random.default_rng(11)
+    n = 8
+    routes = set()
+    for case in range(1500):
+        H = _inverse_hessian(_random_curvature_memory(rng, n, spread=1 if case % 2 else 8))
+        lower, upper = np.full(n, -1.0), np.full(n, 1.0)
+        x = rng.uniform(-0.9, 0.9, n)
+        if case % 3:
+            x[rng.integers(n)] = rng.choice([-1.0, 1.0])
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 1) / np.linalg.eigvalsh(H)[-1]
+        calls.clear()
+        try:
+            got = bell._model_target(x, g, H, lower, upper)
+        except np.linalg.LinAlgError:
+            continue
+        if got is None:
+            continue
+        target, p, slope = got
+        assert p.tobytes() == (target - x).tobytes(), case
+        assert slope.hex() == float(p.dot(g)).hex(), case
+        routes.add(tuple(calls))
+    assert routes == {(), ("_cauchy_point",), ("_cauchy_point", "_max_step")}
 
 
 def test_maximize_reproduces_the_readme_maxima():
@@ -494,17 +531,29 @@ def test_start_point_is_numpys_default_generator_bit_for_bit():
     assert pairs == 20000
 
 
+def _bell_value_grad(fn, box):
+    """B and its gradient from the fused objective, which returns -B and
+    the gradient of -B; negation is exact, so the bits are the objective's."""
+    negative_b = _closed_form_objective(fn, box)
+
+    def value(x):
+        f, grad = negative_b(x)
+        return -f, [-v for v in grad]
+
+    return value
+
+
 def _scipy_start(label, index, seed=0):
     """-B maximized by scipy's L-BFGS-B from one start of ``maximize_bell``,
     in the coordinates y with x = x0 + (scale / 2) y that the search uses."""
     state, p = MIX[label][:2]
-    value = _closed_form_objective(make_portrait_fn(state, p), BOX)
+    negative_b = _closed_form_objective(make_portrait_fn(state, p), BOX)
     x0, scale = _start_point(seed, index, BOX)
     h = scale / 2.0
 
     def fun(y):
-        b, grad = value((x0 + h * y).tolist())
-        return -b, -h * np.asarray(grad)
+        f, grad = negative_b((x0 + h * y).tolist())
+        return f, h * np.asarray(grad)
 
     return sp.minimize(fun, np.zeros(8), jac=True, method="L-BFGS-B",
                        bounds=list(zip((-BOX - x0) / h, (BOX - x0) / h)),
@@ -592,7 +641,7 @@ def test_fused_objective_matches_bell_matrix_route():
     for state in FUSED_STATES:
         for p in (EO, ZN):
             fn = make_portrait_fn(state, p)
-            value = _closed_form_objective(fn, BOX)
+            value = _bell_value_grad(fn, BOX)
             # a few coordinates fall outside the box and get clipped
             points = [rng.uniform(-1.25 * BOX, 1.25 * BOX, 8) for _ in range(40)]
             for x in points + _edge_points(edge_rng, 10):
@@ -604,7 +653,7 @@ def test_fused_objective_matches_bell_matrix_route():
 
 def test_fused_objective_raises_the_same_errors():
     fn = make_portrait_fn(CatState(1.0, 1.0), EO)
-    value = _closed_form_objective(fn, BOX)
+    value = _bell_value_grad(fn, BOX)
     x = [0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]
     for bad in (math.nan, -math.nan):
         y = list(x)
@@ -622,14 +671,90 @@ def test_fused_objective_raises_the_same_errors():
     # negative and the portrait check refuses them on both routes
     fake = make_portrait_fn(GaussianSpec(np.diag([0.1, 5.0, 0.1, 5.0])), EO)
     with pytest.raises(NumericalNegativity):
-        _closed_form_objective(fake, BOX)(x)
+        _bell_value_grad(fake, BOX)(x)
     with pytest.raises(NumericalNegativity):
         bell_matrix(fake, BellSettings.from_vector(x))
 
 
+ORACLE_STATES = {
+    "cat1": CatState(1.0, 1.0),
+    "cat-sqrt50": CatState(math.sqrt(50), math.sqrt(50)),
+    "cat-vacuum-mode2": CatState(0.3j, 0.0),
+    "coherent": CoherentProduct(0.5, 0.5j),
+    "coherent-vacuum-mode2": CoherentProduct(-1.0 + 0.3j, 0.0),
+    "squeezed": GaussianSpec(SQUEEZED_M),
+    "family": gaussian_purity_family(1.2, 0.04),
+    "correlated": CORRELATED,
+    "tmsv-mean": two_mode_squeezed_vacuum(0.8, (0.3, -0.2, 0.1, 0.4)),
+}
+
+
+def _oracle_points(rng):
+    """Settings inside the box, on its edges, beyond it (clipped), at zero
+    displacement (with zeros of either sign) and near it."""
+    points = [rng.uniform(-BOX, BOX, 8) for _ in range(30)] + _edge_points(rng, 10)
+    points += [rng.uniform(-1.5 * BOX, 1.5 * BOX, 8) for _ in range(10)]
+    points += [np.zeros(8), -np.zeros(8), rng.choice([0.0, -0.0, 0.5], 8)]
+    points += [rng.uniform(-1.0, 1.0, 8) * 10.0 ** rng.uniform(-12, 0) for _ in range(10)]
+    return [x.tolist() for x in points]
+
+
+@pytest.mark.parametrize("p", [EO, ZN], ids=["even-odd", "zero-nonzero"])
+@pytest.mark.parametrize("label", list(ORACLE_STATES))
+def test_fused_route_matches_the_per_column_route_bit_for_bit(label, p):
+    # The fused objective, its columns and gradients, and the values route
+    # (bell_columns and the portrait call) against the per-column route
+    # they replaced (tests/oracles.py), as float hex: the objective gives
+    # -B and the gradient of -B, the route +B and the gradient of +B.
+    state = ORACLE_STATES[label]
+    fn, ref = make_portrait_fn(state, p), PerColumnPortrait(state, p.kind)
+    negative_b = _closed_form_objective(fn, BOX)
+    ref_value = per_column_objective(ref, BOX)
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    rng = np.random.default_rng(sorted(ORACLE_STATES).index(label))
+    for x in _oracle_points(rng):
+        f, grad = negative_b(x)
+        b, ref_grad = ref_value(x)
+        assert bits([-f] + [-v for v in grad]) == bits([b] + ref_grad), x
+        c = bell._clipped(x, BOX)
+        columns, grads = fn.bell_columns_grad(c)
+        a1, b1, a2, b2 = (complex(c[i], c[i + 1]) for i in range(0, 8, 2))
+        pairs = ((a1, a2), (a1, b2), (b1, a2), (b1, b2))
+        expected = [ref.column_grad(ref.mode1_grad(u), ref.mode2_grad(v)) for u, v in pairs]
+        for got, want, column in zip(columns, expected, fn.bell_columns(BellSettings.from_vector(c))):
+            assert bits(got) == bits(want[0]) == bits(column)
+        assert [bits(g) for g in grads] == [bits(want[1]) for want in expected]
+        s = BellSettings.from_vector(c)
+        assert [bits(k) for k in fn.bell_columns(s)] == [bits(k) for k in ref.bell_columns(s)]
+        assert bits(vars(fn(a1, b2)).values()) == bits(ref(a1, b2))
+
+
+def test_fused_route_raises_what_the_per_column_route_raised():
+    # the same error classes and messages for a NaN setting and for cells
+    # that the portrait check refuses
+    x = [0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]
+    nan = list(x)
+    nan[3] = math.nan
+    fake = GaussianSpec(np.diag([0.1, 5.0, 0.1, 5.0]))
+    cases = [(state, p, nan) for state in ORACLE_STATES.values() for p in (EO, ZN)]
+    cases += [(fake, p, x) for p in (EO, ZN)]
+    for state, p, point in cases:
+        errors = []
+        for value in (_closed_form_objective(make_portrait_fn(state, p), BOX),
+                      per_column_objective(PerColumnPortrait(state, p.kind), BOX)):
+            with pytest.raises((InvalidParameter, NumericalNegativity)) as err:
+                value(point)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1], (state, p.kind)
+    assert errors[0][0] is NumericalNegativity
+
+
 def test_fused_objective_updates_the_high_water_mark(monkeypatch):
     monkeypatch.setattr(bell, "_bell_high_water", 0.0)
-    value = _closed_form_objective(make_portrait_fn(CatState(1.0, 1.0), EO), BOX)
+    value = _bell_value_grad(make_portrait_fn(CatState(1.0, 1.0), EO), BOX)
     b, _ = value([0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8])
     assert b > 0.0
     assert get_bell_high_water() == b
@@ -661,7 +786,7 @@ def test_difference_objective_matches_nine_bell_numbers():
     for x in points:
         c = x.tolist()
         calls.clear()
-        b, grad = value(c)
+        f, grad = value(c)
         assert len(calls) == 20
         ref = bell_at(c)
         ref_grad = []
@@ -672,8 +797,8 @@ def test_difference_objective_matches_nine_bell_numbers():
             if abs(ci) == BOX:
                 assert abs(probe[i]) < BOX
             ref_grad.append((bell_at(probe) - ref) / (probe[i] - ci))
-        assert b == ref
-        assert grad == ref_grad
+        assert f == -ref
+        assert grad == [-v for v in ref_grad]
 
 
 # --- the fused objective: gradient ----------------------------------------------
@@ -696,8 +821,8 @@ def test_gradient_matches_central_differences():
     for state in FUSED_STATES:
         for p in (EO, ZN):
             fn = make_portrait_fn(state, p)
-            value = _closed_form_objective(fn, BOX)
-            wide = _closed_form_objective(fn, BOX + 1.0)
+            value = _bell_value_grad(fn, BOX)
+            wide = _bell_value_grad(fn, BOX + 1.0)
             points = [rng.uniform(-BOX, BOX, 8) for _ in range(6)] + _edge_points(rng, 4)
             for x in points:
                 b, grad = value(x.tolist())
@@ -780,7 +905,7 @@ def _bell_mp(state, p, x):
 @pytest.mark.parametrize("p", [EO, ZN], ids=["even-odd", "zero-nonzero"])
 def test_gradient_matches_mpmath(state, p):
     rng = np.random.default_rng(5)
-    value = _closed_form_objective(make_portrait_fn(state, p), BOX)
+    value = _bell_value_grad(make_portrait_fn(state, p), BOX)
     points = [rng.uniform(-BOX, BOX, 8)] + _edge_points(rng, 1)
     with mpmath.workdps(30):
         for x in points:

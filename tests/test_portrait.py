@@ -37,7 +37,7 @@ from tomobell.states import (
     make_source,
 )
 
-from oracles import SQUEEZED_M, FockOracleSource
+from oracles import SQUEEZED_M, FockOracleSource, PerColumnPortrait
 from test_tables import _physical_gaussian
 
 CLOSED_VS_TRUNCATED_TOL = 1e-8
@@ -340,27 +340,40 @@ def test_vacuum_cat_zero_nonzero_at_origin():
 ], ids=["cat1", "cat50", "cat-vacuum-mode2", "coherent", "coherent-vacuum-mode2"])
 def test_marginal_gradients_are_the_joint_gradient_bit_for_bit(state, kind):
     # a marginal gradient is the joint gradient with the other mode
-    # unmeasured; it must keep the joint gradient's bits, including the
-    # sign of a zero, on settings near 0 as well as in the box
-    g = ClosedFormPortrait(state, kind)._g
+    # unmeasured; the fused gradient route must keep the bits of the
+    # per-column route's joint gradient so restricted, including the sign
+    # of a zero, on settings near 0 as well as in the box. Each draw is
+    # mode 1's and mode 2's first setting, and turned by a quarter (exactly)
+    # their second.
+    fused, ref = ClosedFormPortrait(state, kind), PerColumnPortrait(state, kind)
+    g = ref._g
     if isinstance(state, CatState):
         still = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
     else:
         still = (0.0, 0.0)
 
     def bits(values):
-        return [float(v).hex() for v in values]
+        return [float(v).hex() for column in values for v in column]
+
+    def mode1(alpha):
+        _, d, t = g.mode1_grad(alpha)
+        return g.joint_grad(d, t, g._one2, still)[:3], d, t
+
+    def mode2(alpha):
+        _, d, t = g.mode2_grad(alpha)
+        joint = g.joint_grad(g._one1, still, d, t)
+        return (joint[0],) + joint[3:], d, t
 
     local = np.random.default_rng(77)
     for case in range(300):
         scale = 10.0 ** local.uniform(-12, 0.5) if case % 3 else 3.0
         alpha = complex(*(local.uniform(-scale, scale, 2) * (case % 7 != 0)))
-        p1, d1, t1 = g.mode1_grad(alpha)
-        joint = g.joint_grad(d1, t1, g._one2, still)
-        assert bits(p1) == bits(joint[:3]), (case, alpha)
-        p2, d2, t2 = g.mode2_grad(alpha)
-        joint = g.joint_grad(g._one1, still, d2, t2)
-        assert bits(p2) == bits((joint[0],) + joint[3:]), (case, alpha)
+        beta = complex(-alpha.imag, alpha.real)
+        expected = [ref.column_grad(mode1(u), mode2(v))
+                    for u, v in ((alpha, alpha), (alpha, beta), (beta, alpha), (beta, beta))]
+        columns, grads = fused.bell_columns_grad([alpha.real, alpha.imag, beta.real, beta.imag] * 2)
+        assert bits(columns) == bits(e[0] for e in expected), (case, alpha)
+        assert bits(grads) == bits(e[1] for e in expected), (case, alpha)
 
 
 def test_coherent_closed_forms_factorize_and_match_truncation():

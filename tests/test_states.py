@@ -14,6 +14,7 @@ from tomobell.errors import (
     UnsupportedState,
 )
 from tomobell.hermite import HermiteParams, hermite_box
+from tomobell.portrait import PartitionScheme, make_portrait_fn
 from tomobell.states import (
     CatState,
     CoherentProduct,
@@ -616,6 +617,28 @@ def test_amplitudes_must_be_finite(cls, bad):
                      % ("cat" if cls is CatState else "coherent"))
     with pytest.raises(InvalidParameter, match="gamma2"):
         parse_state(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, -math.inf),
+                                 complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_tomograms_and_closed_portraits_refuse_a_setting_that_is_not_finite(bad):
+    # the cat and coherent scalars returned nan here, and the Gaussian one
+    # and the closed-form portraits raised NumericalNegativity for values
+    # that were not finite
+    states = (CatState(1.0, 1.0), CoherentProduct(1.0, 1.0), gaussian_purity_family(0.8, 0.02))
+    scalars = [(cat_tomogram, states[0]), (coherent_tomogram, states[1]), (gaussian_tomogram, states[2])]
+    for scalar, state in scalars:
+        with pytest.raises(InvalidParameter, match="alpha1 must be a finite number"):
+            scalar(state, 0, 0, bad, 0.3j)
+        with pytest.raises(InvalidParameter, match="alpha2 must be a finite number"):
+            scalar(state, 1, 2, -0.2, bad)
+    for state in states:
+        for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
+            fn = make_portrait_fn(state, p)
+            with pytest.raises(InvalidParameter, match="alpha1 must be a finite number"):
+                fn(bad, 0.3j)
+            with pytest.raises(InvalidParameter, match="alpha2 must be a finite number"):
+                fn(-0.2, bad)
 
 
 def test_parse_state_gaussian_nested_and_flat():
