@@ -346,7 +346,11 @@ class ClosedFormPortrait:
     by at most the negativity tolerance.
     """
 
-    def __new__(cls, state, kind: str):
+    def __new__(cls, state=None, kind=None):
+        # a family class makes its own instances (pickle and copy call it
+        # with no arguments); the base class picks the state's family
+        if cls is not ClosedFormPortrait:
+            return object.__new__(cls)
         for state_cls, family in _GENERATING_FUNCTIONS:
             if isinstance(state, state_cls):
                 return object.__new__(family)

@@ -1,6 +1,8 @@
 """Partition schemes, portrait vectors, and the closed-form evaluators."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -374,6 +376,17 @@ def test_marginal_gradients_are_the_joint_gradient_bit_for_bit(state, kind):
         columns, grads = fused.bell_columns_grad([alpha.real, alpha.imag, beta.real, beta.imag] * 2)
         assert bits(columns) == bits(e[0] for e in expected), (case, alpha)
         assert bits(grads) == bits(e[1] for e in expected), (case, alpha)
+
+
+def test_closed_form_portraits_survive_pickle_and_deepcopy():
+    settings = BellSettings(-0.12j, 0.04j, 0.22j, -0.32j)
+    for state in (CatState(1.0, 1.0), CoherentProduct(0.5, 0.5j), GaussianSpec(SQUEEZED_M)):
+        for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
+            fn = make_portrait_fn(state, p)
+            for copied in (pickle.loads(pickle.dumps(fn)), copy.deepcopy(fn)):
+                assert type(copied) is type(fn)
+                assert copied.bell_columns(settings) == fn.bell_columns(settings)
+                assert copied(0.3, -0.2j) == fn(0.3, -0.2j)
 
 
 def test_coherent_closed_forms_factorize_and_match_truncation():
