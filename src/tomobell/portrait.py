@@ -12,12 +12,14 @@ G(-1, 1), G(1, -1) and G(-1, -1), zero-nonzero cells need G(0, 1),
 G(1, 0) and G(0, 0), and G(1, 1) = 1. Cat, coherent-product and Gaussian
 states have G in closed form, so their canonical portraits are exact with
 zero tail deficit. Each G splits into per-mode terms, which depend on one
-mode's displacement, and a joint term; ``make_portrait_fn`` returns for
-these states a portrait function that also evaluates the four columns of
-a Bell matrix in one call, computing each per-mode term once per setting,
-and in another call those columns with the gradient of their
-correlations, for the maximizer. Every other state or partition goes
-through a truncated table sum.
+mode's displacement, and a joint term. ``make_portrait_fn`` returns for
+these states a portrait function whose family has one values function and
+one gradient function. The values function computes each setting's
+per-mode terms once and gives the checked column of every pair of a
+mode-1 and a mode-2 setting: one for a portrait call, the four columns of
+a Bell matrix for ``bell_columns``. The gradient function gives those four
+columns with the gradient of their correlations, for the maximizer. Every
+other state or partition goes through a truncated table sum.
 
 ``make_portrait_fn`` is the way to a closed form. The four per-state names
 (``cat_portrait_even_odd``, ``coherent_portrait_zero_nonzero`` and so on)
@@ -270,6 +272,8 @@ def portrait_truncated(
 
     Raises:
         UnsupportedState: src is neither a library state nor a source.
+        InvalidParameter: nmax is not an integer >= 1, tail_eps is not
+            above 0, or a setting is not a finite number.
         TailTooLarge: deficit > tail_eps (carries the deficit value).
         NumericalNegativity: propagated from the table evaluation.
     """
@@ -277,6 +281,8 @@ def portrait_truncated(
     _integer(nmax, "nmax", 1)
     if not tail_eps > 0.0:
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
+    _check_finite(alpha1, "alpha1")
+    _check_finite(alpha2, "alpha2")
     table = src.tomogram_table(alpha1, alpha2, nmax)
     rows1, cols2 = _cell_masks(p.rule1, p.rule2, nmax)
     cells = (rows1 @ table @ cols2).ravel().tolist()
@@ -330,15 +336,15 @@ class ClosedFormPortrait:
     (-1 for parity, 0 for vacuum). Calling it with (alpha1, alpha2) gives
     one PortraitVector with zero tail deficit.
 
-    Each family has one route for values and one for gradients. Values:
-    ``mode1(alpha)`` and ``mode2(alpha)`` return the marginal G(s, 1) or
-    G(1, s) at that mode's displacement with the per-mode terms of the
-    joint G(s, s), which ``joint`` combines; ``column`` turns a mode-1 and
-    a mode-2 term into a checked column, and ``bell_columns(s)`` gives the
-    four Bell-matrix columns of settings ``s``, each per-mode term computed
-    once. Gradients: ``bell_columns_grad(c)`` takes the 8 setting
-    coordinates in ``BellSettings.as_vector`` order and returns the four
-    checked columns with the derivatives of each column's correlation
+    Each family has one values function and one gradient function, which
+    hold each setting's per-mode terms in locals. The values function
+    ``_columns(settings1, settings2)`` takes one or two settings per mode
+    and returns the checked column (w_pp, w_pm, w_mp, w_mm, tail_deficit)
+    of every (mode-1, mode-2) pair, mode-1 major: the portrait call asks
+    it for one pair, ``bell_columns(s)`` for the four Bell-matrix columns.
+    ``bell_columns_grad(c)`` takes the 8 setting coordinates in
+    ``BellSettings.as_vector`` order and returns the four checked columns
+    with the derivatives of each column's correlation
     E = w_pp - w_pm - w_mp + w_mm along (Re alpha1, Im alpha1, Re alpha2,
     Im alpha2), all in one call. E is linear in the two marginals and the
     joint term, so its derivatives are theirs, weighted; they are those of
@@ -361,16 +367,10 @@ class ClosedFormPortrait:
         self._what = f"{self.name} {kind} portrait"
         self._setup(state, s)
 
-    def column(self, m1, m2):
-        """Checked (w_pp, w_pm, w_mp, w_mm, tail_deficit) from per-mode terms."""
-        (p1, d1), (p2, d2) = m1, m2
-        cells = self._cells(p1, p2, self.joint(d1, d2))
-        return _checked_cells(cells, 0.0, self.tol, self._what)
-
     def __call__(self, alpha1, alpha2) -> PortraitVector:
         _check_finite(alpha1, "alpha1")
         _check_finite(alpha2, "alpha2")
-        return _vector(self.column(self.mode1(alpha1), self.mode2(alpha2)))
+        return _vector(self._columns((alpha1,), (alpha2,))[0])
 
     def bell_columns(self, s):
         """Checked columns (w_pp, w_pm, w_mp, w_mm, tail_deficit) of settings ``s``.
@@ -378,21 +378,16 @@ class ClosedFormPortrait:
         Column order is (a1,a2), (a1,b2), (b1,a2), (b1,b2), as in
         ``bell_matrix``.
         """
-        (pa1, da1), (pb1, db1) = self.mode1(s.alpha1), self.mode1(s.beta1)
-        (pa2, da2), (pb2, db2) = self.mode2(s.alpha2), self.mode2(s.beta2)
-        joint, cells, tol, what = self.joint, self._cells, self.tol, self._what
-        return [_checked_cells(cells(pa1, pa2, joint(da1, da2)), 0.0, tol, what),
-                _checked_cells(cells(pa1, pb2, joint(da1, db2)), 0.0, tol, what),
-                _checked_cells(cells(pb1, pa2, joint(db1, da2)), 0.0, tol, what),
-                _checked_cells(cells(pb1, pb2, joint(db1, db2)), 0.0, tol, what)]
+        return self._columns((s.alpha1, s.beta1), (s.alpha2, s.beta2))
 
 
-# The gradient routes below hold each setting's terms in locals. Each
-# expression keeps its operations and their order, which the maximizer's
-# iterates and the per-column oracle of the tests pin to the bit, and
-# squares stay ``** 2``, which raises OverflowError where ``x * x`` would
-# give inf. Settings are taken in the order a1, b1, a2, b2 and columns are
-# checked in Bell-matrix order, so the first failing column raises.
+# Both routes below hold each setting's terms in locals. Each expression
+# keeps its operations and their order, which the maximizer's iterates and
+# the per-column oracle of the tests pin to the bit, and squares stay
+# ``** 2``, which raises OverflowError where ``x * x`` would give inf.
+# Mode 1's settings are taken first, and columns are checked mode-1 major
+# (Bell-matrix order for two settings per mode), so the first failing
+# column raises.
 
 
 class _CatG(ClosedFormPortrait):
@@ -411,7 +406,8 @@ class _CatG(ClosedFormPortrait):
     |s_j| <= 1, so no term overflows at any amplitude. Each exponent is a
     quadratic in (Re alpha_j, Im alpha_j), so its derivatives are linear.
     A marginal is the joint G with the other mode unmeasured (s = 1),
-    whose per-mode terms ``_one1``/``_one2`` are constants.
+    whose per-mode terms are 0 but for the interference exponent
+    ``_one1``/``_one2``.
     """
 
     name = "cat"
@@ -423,42 +419,39 @@ class _CatG(ClosedFormPortrait):
         self._g1, self._g2 = (g1.real, g1.imag, c1), (g2.real, g2.imag, c2)
         self._s, self._k = s, 1.0 - s
         self._norm2 = 0.5 / (1.0 + math.exp(-2.0 * (c1 + c2)))
-        self._one1 = (0.0, 0.0, -2.0 * c1, 0.0)
-        self._one2 = (0.0, 0.0, -2.0 * c2, 0.0)
+        self._one1, self._one2 = -2.0 * c1, -2.0 * c2
 
-    def _mode(self, alpha, g):
-        ar, ai = alpha.real, alpha.imag
-        gr, gi, c = g
-        a = ar * ar + ai * ai
-        k = self._k
-        return (
-            -k * ((ar + gr) ** 2 + (ai + gi) ** 2),
-            -k * ((ar - gr) ** 2 + (ai - gi) ** 2),
-            self._s * (a - c) - (a + c),
-            -2.0 * k * (ar * gi - ai * gr),
-        )
-
-    def mode1(self, alpha):
-        d = self._mode(alpha, self._g1)
-        return self.joint(d, self._one2), d
-
-    def mode2(self, alpha):
-        d = self._mode(alpha, self._g2)
-        return self.joint(self._one1, d), d
-
-    def joint(self, d1, d2):
-        return self._norm2 * (
-            math.exp(d1[0] + d2[0])
-            + math.exp(d1[1] + d2[1])
-            + 2.0 * math.exp(d1[2] + d2[2]) * math.cos(d1[3] + d2[3])
-        )
+    def _columns(self, settings1, settings2):
+        exp, cos = math.exp, math.cos
+        n, s = self._norm2, self._s
+        k_neg, k2 = -self._k, -2.0 * self._k
+        modes = ([], [])
+        for terms, settings, (gr, gi, cg), one in ((modes[0], settings1, self._g1, self._one2),
+                                                   (modes[1], settings2, self._g2, self._one1)):
+            for alpha in settings:
+                ar, ai = alpha.real, alpha.imag
+                a = ar * ar + ai * ai
+                d0, d1 = k_neg * ((ar + gr) ** 2 + (ai + gi) ** 2), k_neg * ((ar - gr) ** 2 + (ai - gi) ** 2)
+                d2, d3 = s * (a - cg) - (a + cg), k2 * (ar * gi - ai * gr)
+                # the marginal: the joint G with the unmeasured mode's terms
+                # (0.0, 0.0, one, 0.0)
+                terms.append((n * (exp(d0 + 0.0) + exp(d1 + 0.0) + 2.0 * exp(d2 + one) * cos(d3 + 0.0)),
+                              d0, d1, d2, d3))
+        cells, tol, what = self._cells, self.tol, self._what
+        columns = []
+        for p1, u0, u1, u2, u3 in modes[0]:
+            for p2, v0, v1, v2, v3 in modes[1]:
+                columns.append(_checked_cells(
+                    cells(p1, p2, n * (exp(u0 + v0) + exp(u1 + v1) + 2.0 * exp(u2 + v2) * cos(u3 + v3))),
+                    0.0, tol, what))
+        return columns
 
     def bell_columns_grad(self, c):
         exp, cos, sin = math.exp, math.cos, math.sin
         n, s, k = self._norm2, self._s, self._k
         n_neg, k_neg, k2 = -n, -k, -2.0 * k
         k2_neg = -k2
-        one1, one2 = self._one1[2], self._one2[2]
+        one1, one2 = self._one1, self._one2
         settings = []
         for ar, ai, (gr, gi, cg), one in ((c[0], c[1], self._g1, one2), (c[2], c[3], self._g1, one2),
                                           (c[4], c[5], self._g2, one1), (c[6], c[7], self._g2, one1)):
@@ -514,19 +507,19 @@ class _CoherentG(ClosedFormPortrait):
         self._g1, self._g2 = complex(state.gamma1), complex(state.gamma2)
         self._k = 1.0 - s
 
-    def _mode(self, alpha, g):
-        return -self._k * ((alpha.real + g.real) ** 2 + (alpha.imag + g.imag) ** 2)
-
-    def mode1(self, alpha):
-        e = self._mode(alpha, self._g1)
-        return math.exp(e), e
-
-    def mode2(self, alpha):
-        e = self._mode(alpha, self._g2)
-        return math.exp(e), e
-
-    def joint(self, e1, e2):
-        return math.exp(e1 + e2)
+    def _columns(self, settings1, settings2):
+        exp, k_neg = math.exp, -self._k
+        modes = ([], [])
+        for terms, settings, g in ((modes[0], settings1, self._g1), (modes[1], settings2, self._g2)):
+            for alpha in settings:
+                e = k_neg * ((alpha.real + g.real) ** 2 + (alpha.imag + g.imag) ** 2)
+                terms.append((exp(e), e))
+        cells, tol, what = self._cells, self.tol, self._what
+        columns = []
+        for p1, e1 in modes[0]:
+            for p2, e2 in modes[1]:
+                columns.append(_checked_cells(cells(p1, p2, exp(e1 + e2)), 0.0, tol, what))
+        return columns
 
     def bell_columns_grad(self, c):
         exp = math.exp
@@ -597,31 +590,27 @@ class _GaussianG(ClosedFormPortrait):
         self._m1 = (float(spec.mean[2]), float(spec.mean[0]))
         self._m2 = (float(spec.mean[3]), float(spec.mean[1]))
 
-    @staticmethod
-    def _form(k, x, y):
-        return k[0] * x * x + k[1] * x * y + k[2] * y * y
-
-    def mode1(self, alpha):
-        x = self._m1[0] + SQRT2 * alpha.real
-        y = self._m1[1] + SQRT2 * alpha.imag
+    def _columns(self, settings1, settings2):
+        exp, root2 = math.exp, SQRT2
         x00, x01, x10, x11 = self._x
-        cross = (x00 * x + x10 * y, x01 * x + x11 * y)
-        return (
-            self._c1 * math.exp(-self._form(self._k1, x, y)),
-            (self._form(self._j1, x, y), cross),
-        )
-
-    def mode2(self, alpha):
-        x = self._m2[0] + SQRT2 * alpha.real
-        y = self._m2[1] + SQRT2 * alpha.imag
-        return (
-            self._c2 * math.exp(-self._form(self._k2, x, y)),
-            (self._form(self._j2, x, y), (x, y)),
-        )
-
-    def joint(self, d1, d2):
-        (own1, (h0, h1)), (own2, (x, y)) = d1, d2
-        return self._c12 * math.exp(-(own1 + own2 + h0 * x + h1 * y))
+        modes = ([], [])
+        for terms, settings, (mx, my), cm, (k0, k1, k2), (j0, j1, j2), first in (
+                (modes[0], settings1, self._m1, self._c1, self._k1, self._j1, True),
+                (modes[1], settings2, self._m2, self._c2, self._k2, self._j2, False)):
+            for alpha in settings:
+                x = mx + root2 * alpha.real
+                y = my + root2 * alpha.imag
+                # mode 1 enters the cross term through these, mode 2 through (x, y)
+                h0, h1 = (x00 * x + x10 * y, x01 * x + x11 * y) if first else (x, y)
+                terms.append((cm * exp(-(k0 * x * x + k1 * x * y + k2 * y * y)),
+                              j0 * x * x + j1 * x * y + j2 * y * y, h0, h1))
+        c12, cells, tol, what = self._c12, self._cells, self.tol, self._what
+        columns = []
+        for p1, own1, h0, h1 in modes[0]:
+            for p2, own2, x, y in modes[1]:
+                columns.append(_checked_cells(cells(p1, p2, c12 * exp(-(own1 + own2 + h0 * x + h1 * y))),
+                                              0.0, tol, what))
+        return columns
 
     def bell_columns_grad(self, c):
         exp, root2, root2_neg = math.exp, SQRT2, -SQRT2

@@ -358,8 +358,14 @@ def coherent_superposition_table(
     n = 0..nmax and c_b is the term's
     coefficient times its displacement phases. Every amplitude has modulus
     at most 1, so no amplitude needs a log-domain branch.
+
+    Raises:
+        InvalidParameter: nmax is not an integer >= 0, or a setting is not
+            a finite number.
     """
     log_fact = _log_factorials(_integer(nmax, "nmax"))
+    _check_finite(alpha1, "alpha1")
+    _check_finite(alpha2, "alpha2")
     a1, a2 = complex(alpha1), complex(alpha2)
     amp = 0.0
     for coeff, d1, d2 in coherent_superposition_terms(state):
@@ -541,6 +547,8 @@ def gaussian_tomogram_table(
     products along s2. There is no complex arithmetic and no Hermite box.
 
     Raises:
+        InvalidParameter: nmax is not an integer >= 0, or a setting is not
+            a finite number.
         NumericalNegativity: if an entry is not finite or lies below
             -1e-9. A spec that passes the det M >= 1/16 check without
             being a physical state can have such a table, and so can a
@@ -548,6 +556,8 @@ def gaussian_tomogram_table(
             recurrence loses up to about 1e-6 to rounding.
     """
     n = _integer(nmax, "nmax")
+    _check_finite(alpha1, "alpha1")
+    _check_finite(alpha2, "alpha2")
     R, L = g._series(n)
     mu = gaussian_effective_mean(g, alpha1, alpha2)
     N = np.einsum("i,ijab,j->ab", mu, g._generating_polynomials[1], mu)
@@ -596,8 +606,6 @@ def gaussian_tomogram(
         NumericalNegativity: where that table is refused.
     """
     n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
-    _check_finite(alpha1, "alpha1")
-    _check_finite(alpha2, "alpha2")
     return float(gaussian_tomogram_table(g, alpha1, alpha2, max(n1, n2))[n1, n2])
 
 

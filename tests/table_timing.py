@@ -31,7 +31,9 @@ Then, for the cat state, the coherent product, the squeezed example and
 the family member under each canonical partition, at the worked-example
 settings (-0.12i, 0.04i, 0.22i, -0.32i), it prints one closed-form
 ``bell_columns(s)`` call next to one ``bell_number(bell_matrix(fn, s))``,
-so that the cost of assembling B shows beside the cost of its columns.
+so that the cost of assembling B shows beside the cost of its columns,
+and one portrait call ``fn(a1, a2)`` at (-0.12i, 0.04i), which evaluates
+one column through the same values function.
 After them, for each member of the benchmark's ``maximize-closed`` mix
 (the ``MIX`` of ``tests/test_optimizer.py``), it prints one call of the
 maximizer's fused closed-form objective (-B and its gradient, the
@@ -130,6 +132,7 @@ def main(repeats=25):
             calls = {
                 "bell_columns": lambda: fn.bell_columns(s),
                 "bell_number(bell_matrix)": lambda: bell_number(bell_matrix(fn, s)),
+                "portrait call fn(a1, a2)": lambda: fn(a1, a2),
             }
             for name, call in calls.items():
                 call()

@@ -734,7 +734,9 @@ def test_fused_route_matches_the_per_column_route_bit_for_bit(label, p):
 
 def test_fused_route_raises_what_the_per_column_route_raised():
     # the same error classes and messages for a NaN setting and for cells
-    # that the portrait check refuses
+    # that the portrait check refuses; on the values route (bell_columns
+    # and the portrait call) for those cells and for a setting whose square
+    # leaves the float range, which a cat or coherent state refuses
     x = [0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]
     nan = list(x)
     nan[3] = math.nan
@@ -750,6 +752,18 @@ def test_fused_route_raises_what_the_per_column_route_raised():
             errors.append((type(err.value), str(err.value)))
         assert errors[0] == errors[1], (state, p.kind)
     assert errors[0][0] is NumericalNegativity
+    huge = BellSettings(1e200, 0.3j, 0.1, -0.2)
+    cases = [(fake, p, BellSettings.from_vector(x)) for p in (EO, ZN)]
+    cases += [(state, p, huge) for state in ORACLE_STATES.values() for p in (EO, ZN)
+              if not isinstance(state, GaussianSpec)]
+    for state, p, s in cases:
+        errors = []
+        for route in (make_portrait_fn(state, p), PerColumnPortrait(state, p.kind)):
+            for call in (lambda: route.bell_columns(s), lambda: route(s.alpha1, s.beta2)):
+                with pytest.raises((NumericalNegativity, OverflowError)) as err:
+                    call()
+                errors.append((type(err.value), str(err.value)))
+        assert errors[:2] == errors[2:], (state, p.kind)
 
 
 def test_fused_objective_updates_the_high_water_mark(monkeypatch):

@@ -14,11 +14,12 @@ from tomobell.errors import (
     UnsupportedState,
 )
 from tomobell.hermite import HermiteParams, hermite_box
-from tomobell.portrait import PartitionScheme, make_portrait_fn
+from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
 from tomobell.states import (
     CatState,
     CoherentProduct,
     GaussianSpec,
+    TomogramSource,
     cat_tomogram,
     coherent_superposition_table,
     coherent_tomogram,
@@ -639,6 +640,51 @@ def test_tomograms_and_closed_portraits_refuse_a_setting_that_is_not_finite(bad)
                 fn(bad, 0.3j)
             with pytest.raises(InvalidParameter, match="alpha2 must be a finite number"):
                 fn(-0.2, bad)
+
+
+class _PoissonSource(TomogramSource):
+    """A user source: the coherent product of amplitudes (0.5, 0.3i),
+    by hand, with no check of its own on the settings."""
+
+    def tomogram(self, n1, n2, alpha1, alpha2):
+        w = 1.0
+        for n, lam in ((n1, abs(alpha1 + 0.5) ** 2), (n2, abs(alpha2 + 0.3j) ** 2)):
+            w *= math.exp(-lam) * lam ** n / math.factorial(n)
+        return w
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, -math.inf),
+                                 complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_truncated_portraits_and_tables_refuse_a_setting_that_is_not_finite(bad):
+    # these raised NumericalNegativity, after a numpy warning for an
+    # infinity, or returned a table of NaN
+    family = gaussian_purity_family(0.8, 0.02)
+    tables = [(CatState(1.0, 1.0), coherent_superposition_table),
+              (CoherentProduct(1.0, 1.0), coherent_superposition_table),
+              (family, gaussian_tomogram_table),
+              (_PoissonSource(), None)]
+    for state, table in tables:
+        routes = [lambda a1, a2: portrait_truncated(state, PartitionScheme(2, 2), a1, a2),
+                  make_portrait_fn(state, PartitionScheme(1, 1))]
+        if table is not None:
+            routes.append(lambda a1, a2: table(state, a1, a2, 8))
+        for route in routes:
+            with pytest.raises(InvalidParameter, match="alpha1 must be a finite number"):
+                route(bad, 0.3j)
+            with pytest.raises(InvalidParameter, match="alpha2 must be a finite number"):
+                route(-0.2, bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_table_at_a_huge_setting_raises_without_a_numpy_warning():
+    # the displaced mean is formed on Python floats, so its overflow to
+    # infinity warns nowhere, and the table refuses the mean's quadratic form
+    family = gaussian_purity_family(0.8, 0.02)
+    with pytest.raises(NumericalNegativity, match="gaussian tomogram table is not finite"):
+        gaussian_tomogram_table(family, 1.3e308, 0.0, 8)
+    with pytest.raises(NumericalNegativity, match="gaussian tomogram table is not finite"):
+        portrait_truncated(family, PartitionScheme(1, 1), 1.3e308, 0.0)
 
 
 def test_parse_state_gaussian_nested_and_flat():
