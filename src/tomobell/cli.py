@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import pickle
 import re
@@ -499,14 +500,18 @@ def cmd_scan(args) -> int:
         for idx, (p1, p2) in enumerate(grid)
     ]
 
-    # opened before the grid runs, so an unwritable path costs no compute
+    # opened before the grid runs, so an unwritable path costs no compute,
+    # but emptied only once the rows are ready: a scan that fails or is
+    # interrupted leaves an existing file as it was
+    if args.out:
+        open(args.out, "a").close()
+    jobs = min(args.jobs, len(tasks))
+    if jobs == 1 or not hasattr(os, "fork"):
+        rows = [_scan_point(*t) for t in tasks]
+    else:
+        rows = _scan_forked(tasks, jobs)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        jobs = min(args.jobs, len(tasks))
-        if jobs == 1 or not hasattr(os, "fork"):
-            rows = [_scan_point(*t) for t in tasks]
-        else:
-            rows = _scan_forked(tasks, jobs)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         writer.writerows(rows)
@@ -545,5 +550,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+def run() -> int:
+    """The process entry of ``python -m tomobell.cli`` and the installed
+    ``tomobell`` script: ``main`` on the process's arguments.
+
+    It then freezes the garbage collector's objects, so the collections
+    the interpreter runs at exit skip everything numpy and the package
+    made (about 25 ms); the process hands its memory back anyway. Output
+    is still flushed, ``atexit`` handlers run and the exit code stands.
+    In-process callers use ``main``, which freezes nothing.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -281,8 +281,11 @@ def portrait_truncated(
     _integer(nmax, "nmax", 1)
     if not tail_eps > 0.0:
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
-    _check_finite(alpha1, "alpha1")
-    _check_finite(alpha2, "alpha2")
+    # a library source's table checks the settings itself; another
+    # source's table may not
+    if type(src) not in _LIBRARY_SOURCES:
+        _check_finite(alpha1, "alpha1")
+        _check_finite(alpha2, "alpha2")
     table = src.tomogram_table(alpha1, alpha2, nmax)
     rows1, cols2 = _cell_masks(p.rule1, p.rule2, nmax)
     cells = (rows1 @ table @ cols2).ravel().tolist()

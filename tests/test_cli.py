@@ -533,6 +533,31 @@ def test_scan_unwritable_out_fails_before_the_grid_runs(tmp_path, monkeypatch, c
     assert calls == []
 
 
+@pytest.mark.parametrize("jobs, error", [("1", ValueError), ("2", ValueError),
+                                         ("1", KeyboardInterrupt)])
+def test_scan_that_fails_leaves_an_existing_out_file(tmp_path, monkeypatch, capsys, jobs, error):
+    # the file was opened with "w" before the grid ran, so a failed or
+    # interrupted scan left it empty
+    def point(preset_name, partition, p1, p2, cfg_fields):
+        if p1 == 1:
+            raise error("bad point 1")
+        return [repr(float(p1)), repr(float(p2))] + [""] * 11
+
+    monkeypatch.setattr("tomobell.cli._scan_point", point)
+    out = tmp_path / "scan.csv"
+    out.write_bytes(b"param1,param2\n0.5,0.5\n")
+    argv = ["scan", "--preset", "cat-even-odd", "--param1", "0,1,2", "--param2", "1",
+            "--jobs", jobs, "--out", str(out)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error[ValueError]: bad point 1\n"
+    assert out.read_bytes() == b"param1,param2\n0.5,0.5\n"
+    _no_child_left()
+
+
 def test_scan_error_rows_continue(tmp_path):
     import csv
 
@@ -648,33 +673,35 @@ def test_usage_error_single_line(capsys):
 
 # --- import cost ---------------------------------------------------------------
 
+SRC = Path(tomobell.__file__).resolve().parent.parent
+
+
+def _process_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
 
 def test_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; the package and its CLI run without it
-    src = str(Path(tomobell.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys, tomobell, tomobell.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_process_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
 def test_maximize_loads_neither_scipy_nor_mpmath(coherent_file):
     # both are test oracles; a whole maximize run must not import them
-    src = str(Path(tomobell.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys, contextlib, io, tomobell.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = tomobell.cli.main(['maximize', '--state', {coherent_file!r}, '--starts', '2'])\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_process_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 []"
 
@@ -682,11 +709,8 @@ def test_maximize_loads_neither_scipy_nor_mpmath(coherent_file):
 def test_cli_import_leaves_the_process_pool_unloaded():
     # the CLI forks its scan workers itself; no command, nor the benchmark
     # that imports the CLI, loads the process pool's modules
-    src = str(Path(tomobell.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = "import sys, tomobell.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_process_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
@@ -699,9 +723,6 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 def test_runs_load_neither_numpy_random_nor_a_process_pool(coherent_file, command, unloaded):
     # start points come from the package's own generator, and scan
     # workers are forked directly: neither pays for those imports
-    src = str(Path(tomobell.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     if command[0] == "maximize":
         command = command + ["--state", coherent_file]
     code = (
@@ -710,6 +731,84 @@ def test_runs_load_neither_numpy_random_nor_a_process_pool(coherent_file, comman
         f"    rc = tomobell.cli.main({command!r})\n"
         f"print(rc, [m for m in {unloaded!r} if m in sys.modules])"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_process_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 []"
+
+
+# the benchmark's scan-cli command line: the 4 corners of the preset's grid
+SCAN_CORNERS = ["scan", "--preset", "gaussian-family", "--param1", "0.6,1.0",
+                "--param2", "0.0,0.07", "--starts", "3", "--seed", "5"]
+
+
+def _cli_process(argv):
+    return subprocess.run([sys.executable, "-m", "tomobell.cli"] + argv, env=_process_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_process_writes_the_bytes_of_main(capsys, jobs):
+    # a process ends through run(), which freezes the collector before the
+    # interpreter exits: its output is flushed all the same
+    argv = SCAN_CORNERS + ["--jobs", jobs]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    got = _cli_process(argv)
+    assert (got.returncode, got.stdout, got.stderr) == (0, want, "")
+    assert len(want.splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["scan", "--preset", "cat-even-odd", "--jobs", "0"], 2,
+     "error[InvalidParameter]: --jobs must be >= 1, got 0\n"),
+    (["tomogram", "--state", "STATE", "--n1", "1", "--n2", "0", "--alpha1", "1e200",
+      "--alpha2", "0"], 3, f"error[OverflowError]: {OVERFLOW_TEXT}\n"),
+], ids=["exit-2", "exit-3"])
+def test_cli_process_keeps_exit_codes_and_error_lines(tmp_path, capsys, argv, code, line):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(STATE_DOCS["cat"]))
+    argv = [str(path) if a == "STATE" else a for a in argv]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", line)
+    got = _cli_process(argv)
+    assert (got.returncode, got.stdout, got.stderr) == (code, "", line)
+
+
+def test_only_the_process_entry_freezes_the_collector(cat_file):
+    # a freeze in main() would keep this test process's cyclic garbage
+    # alive for the rest of its life
+    import gc
+
+    frozen = gc.get_freeze_count()
+    argv = ["tomogram", "--state", cat_file, "--n1", "0", "--n2", "0", "--alpha1", "0",
+            "--alpha2", "0"]
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    code = (
+        "import gc, sys, tomobell.cli\n"
+        f"sys.argv = ['tomobell'] + {argv!r}\n"
+        "rc = tomobell.cli.run()\n"
+        "print(rc, gc.get_freeze_count() > 0)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_process_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 True"
+
+
+def test_installed_script_and_module_run_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")
+    import ast
+
+    import tomobell.cli
+
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["tomobell"]
+    module, name = target.split(":")
+    assert module == "tomobell.cli"
+    tree = ast.parse(Path(tomobell.cli.__file__).read_text())
+    block = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(block) == 1
+    called = {node.func.id for node in ast.walk(block[0])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {name}

@@ -18,6 +18,7 @@ from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_trunca
 from tomobell.states import (
     CatState,
     CoherentProduct,
+    CoherentSource,
     GaussianSpec,
     TomogramSource,
     cat_tomogram,
@@ -674,6 +675,45 @@ def test_truncated_portraits_and_tables_refuse_a_setting_that_is_not_finite(bad)
                 route(bad, 0.3j)
             with pytest.raises(InvalidParameter, match="alpha2 must be a finite number"):
                 route(-0.2, bad)
+
+
+class _PoissonCoherentSource(CoherentSource):
+    """A subclass of a library source whose tomograms, by hand, check nothing."""
+
+    tomogram = _PoissonSource.tomogram
+
+
+def test_truncated_portrait_checks_each_setting_once(monkeypatch):
+    # a library source's table checked both settings after portrait_truncated
+    # had; nmax and tail_eps are still refused first, and a source whose
+    # table may not check still has its settings checked
+    import tomobell.portrait
+    import tomobell.states
+
+    real = tomobell.states._check_finite
+    names = []
+
+    def counting(value, name):
+        names.append(name)
+        real(value, name)
+
+    sources = [CatState(1.0, 1.0), CoherentProduct(1.0, 1.0), gaussian_purity_family(0.8, 0.02),
+               _PoissonSource(), _PoissonCoherentSource(CoherentProduct(0.5, 0.3j))]
+    monkeypatch.setattr(tomobell.states, "_check_finite", counting)
+    monkeypatch.setattr(tomobell.portrait, "_check_finite", counting)
+    p = PartitionScheme(2, 2)
+    for src in sources:
+        names.clear()
+        portrait_truncated(src, p, -0.2, 0.3j, 8)
+        assert names == ["alpha1", "alpha2"]
+        with pytest.raises(InvalidParameter, match="nmax must be >= 1"):
+            portrait_truncated(src, p, math.nan, math.nan, 0, 0.0)
+        with pytest.raises(InvalidParameter, match="tail_eps must be > 0"):
+            portrait_truncated(src, p, math.nan, math.nan, 8, 0.0)
+        with pytest.raises(InvalidParameter, match="alpha1 must be a finite number"):
+            portrait_truncated(src, p, math.nan, math.nan, 8)
+        with pytest.raises(InvalidParameter, match="alpha2 must be a finite number"):
+            portrait_truncated(src, p, -0.2, math.inf, 8)
 
 
 @pytest.mark.filterwarnings("error")
