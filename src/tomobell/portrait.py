@@ -306,27 +306,41 @@ def portrait_truncated(
 # ---------------------------------------------------------------------------
 
 
-def _even_odd_cells(p1, p2, p12):
-    """Cells from the parities G(-1, 1), G(1, -1) and G(-1, -1)."""
-    return (
-        0.25 * (1.0 + p1 + p2 + p12),
-        0.25 * (1.0 + p1 - p2 - p12),
-        0.25 * (1.0 - p1 + p2 - p12),
-        0.25 * (1.0 - p1 - p2 + p12),
-    )
+# Each canonical partition has one column function: it forms the cells
+# from (G1, G2, G12), the two marginals and the joint term, and returns the
+# checked column (w_pp, w_pm, w_mp, w_mm, 0.0). A column whose cells are
+# all >= 0 and sum to 1 within SUM_TOL is returned as formed, which is what
+# ``_checked_cells`` returns for it; any other goes to ``_checked_cells``,
+# which alone clamps, refuses and words the refusal.
 
 
-def _zero_nonzero_cells(v1, v2, v12):
-    """Cells from the vacuum probabilities G(0, 1), G(1, 0) and G(0, 0)."""
-    return (v12, v1 - v12, v2 - v12, 1.0 - v1 - v2 + v12)
+def _even_odd_column(p1, p2, p12, tol: float, what: str):
+    """The checked column of the parities G(-1, 1), G(1, -1) and G(-1, -1)."""
+    w_pp = 0.25 * (1.0 + p1 + p2 + p12)
+    w_pm = 0.25 * (1.0 + p1 - p2 - p12)
+    w_mp = 0.25 * (1.0 - p1 + p2 - p12)
+    w_mm = 0.25 * (1.0 - p1 - p2 + p12)
+    if (w_pp >= 0.0 and w_pm >= 0.0 and w_mp >= 0.0 and w_mm >= 0.0
+            and abs(w_pp + w_pm + w_mp + w_mm - 1.0) <= SUM_TOL):
+        return w_pp, w_pm, w_mp, w_mm, 0.0
+    return _checked_cells((w_pp, w_pm, w_mp, w_mm), 0.0, tol, what)
 
 
-# partition kind -> (the point s of each measured mode, cells from G, the
-# weights (c1, c2, c12) of the correlation E = c0 + c1 G1 + c2 G2 + c12 G12
+def _zero_nonzero_column(v1, v2, v12, tol: float, what: str):
+    """The checked column of the vacuum probabilities G(0, 1), G(1, 0) and G(0, 0)."""
+    w_pm, w_mp, w_mm = v1 - v12, v2 - v12, 1.0 - v1 - v2 + v12
+    if (v12 >= 0.0 and w_pm >= 0.0 and w_mp >= 0.0 and w_mm >= 0.0
+            and abs(v12 + w_pm + w_mp + w_mm - 1.0) <= SUM_TOL):
+        return v12, w_pm, w_mp, w_mm, 0.0
+    return _checked_cells((v12, w_pm, w_mp, w_mm), 0.0, tol, what)
+
+
+# partition kind -> (the point s of each measured mode, its column function,
+# the weights (c1, c2, c12) of the correlation E = c0 + c1 G1 + c2 G2 + c12 G12
 # in the marginals and the joint term)
 _CANONICAL = {
-    "even-odd": (-1.0, _even_odd_cells, (0.0, 0.0, 1.0)),
-    "zero-nonzero": (0.0, _zero_nonzero_cells, (-2.0, -2.0, 4.0)),
+    "even-odd": (-1.0, _even_odd_column, (0.0, 0.0, 1.0)),
+    "zero-nonzero": (0.0, _zero_nonzero_column, (-2.0, -2.0, 4.0)),
 }
 
 
@@ -366,7 +380,7 @@ class ClosedFormPortrait:
         raise UnsupportedState(f"no closed-form portrait for {type(state).__name__}")
 
     def __init__(self, state, kind: str):
-        s, self._cells, self._weights = _CANONICAL[kind]
+        s, self._column, self._weights = _CANONICAL[kind]
         self._what = f"{self.name} {kind} portrait"
         self._setup(state, s)
 
@@ -386,11 +400,12 @@ class ClosedFormPortrait:
 
 # Both routes below hold each setting's terms in locals. Each expression
 # keeps its operations and their order, which the maximizer's iterates and
-# the per-column oracle of the tests pin to the bit, and squares stay
-# ``** 2``, which raises OverflowError where ``x * x`` would give inf.
-# Mode 1's settings are taken first, and columns are checked mode-1 major
-# (Bell-matrix order for two settings per mode), so the first failing
-# column raises.
+# the per-column oracle of the tests pin to the bit. A cat's or coherent
+# product's squares stay ``** 2``, which raises OverflowError where
+# ``x * x`` would give inf; a Gaussian raises it where a setting's
+# quadratic forms leave the float range. Mode 1's settings are taken
+# first, and columns are checked mode-1 major (Bell-matrix order for two
+# settings per mode), so the first failing column raises.
 
 
 class _CatG(ClosedFormPortrait):
@@ -440,13 +455,13 @@ class _CatG(ClosedFormPortrait):
                 # (0.0, 0.0, one, 0.0)
                 terms.append((n * (exp(d0 + 0.0) + exp(d1 + 0.0) + 2.0 * exp(d2 + one) * cos(d3 + 0.0)),
                               d0, d1, d2, d3))
-        cells, tol, what = self._cells, self.tol, self._what
+        column, tol, what = self._column, self.tol, self._what
         columns = []
         for p1, u0, u1, u2, u3 in modes[0]:
             for p2, v0, v1, v2, v3 in modes[1]:
-                columns.append(_checked_cells(
-                    cells(p1, p2, n * (exp(u0 + v0) + exp(u1 + v1) + 2.0 * exp(u2 + v2) * cos(u3 + v3))),
-                    0.0, tol, what))
+                columns.append(column(
+                    p1, p2, n * (exp(u0 + v0) + exp(u1 + v1) + 2.0 * exp(u2 + v2) * cos(u3 + v3)),
+                    tol, what))
         return columns
 
     def bell_columns_grad(self, c):
@@ -476,7 +491,7 @@ class _CatG(ClosedFormPortrait):
                              w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3, w0 * i0 + w1 * i1 + w2 * i2 + w3 * i3,
                              d0, d1, d2, d3, r0, r1, r2, r3, i0, i1, i2, i3))
         a1, b1, a2, b2 = settings
-        cells, tol, what = self._cells, self.tol, self._what
+        column, tol, what = self._column, self.tol, self._what
         c1, c2, c12 = self._weights
         columns, grads = [], []
         for ((p1, p1_re, p1_im, u0, u1, u2, u3, ur0, ur1, ur2, ur3, ui0, ui1, ui2, ui3),
@@ -486,7 +501,7 @@ class _CatG(ClosedFormPortrait):
             phase = u3 + v3
             x_cos = x * cos(phase)
             w0, w1, w2, w3 = n * e_plus, n * e_minus, n * x_cos, n_neg * (x * sin(phase))
-            columns.append(_checked_cells(cells(p1, p2, n * (e_plus + e_minus + x_cos)), 0.0, tol, what))
+            columns.append(column(p1, p2, n * (e_plus + e_minus + x_cos), tol, what))
             grads.append((c1 * p1_re + c12 * (w0 * ur0 + w1 * ur1 + w2 * ur2 + w3 * ur3),
                           c1 * p1_im + c12 * (w0 * ui0 + w1 * ui1 + w2 * ui2 + w3 * ui3),
                           c2 * p2_re + c12 * (w0 * vr0 + w1 * vr1 + w2 * vr2 + w3 * vr3),
@@ -517,11 +532,11 @@ class _CoherentG(ClosedFormPortrait):
             for alpha in settings:
                 e = k_neg * ((alpha.real + g.real) ** 2 + (alpha.imag + g.imag) ** 2)
                 terms.append((exp(e), e))
-        cells, tol, what = self._cells, self.tol, self._what
+        column, tol, what = self._column, self.tol, self._what
         columns = []
         for p1, e1 in modes[0]:
             for p2, e2 in modes[1]:
-                columns.append(_checked_cells(cells(p1, p2, exp(e1 + e2)), 0.0, tol, what))
+                columns.append(column(p1, p2, exp(e1 + e2), tol, what))
         return columns
 
     def bell_columns_grad(self, c):
@@ -536,13 +551,13 @@ class _CoherentG(ClosedFormPortrait):
             v = exp(e)
             settings.append((v, v * tr, v * ti, e, tr, ti))
         a1, b1, a2, b2 = settings
-        cells, tol, what = self._cells, self.tol, self._what
+        column, tol, what = self._column, self.tol, self._what
         c1, c2, c12 = self._weights
         columns, grads = [], []
         for (p1, p1_re, p1_im, e1, r1, i1), (p2, p2_re, p2_im, e2, r2, i2) in (
                 (a1, a2), (a1, b2), (b1, a2), (b1, b2)):
             v = exp(e1 + e2)
-            columns.append(_checked_cells(cells(p1, p2, v), 0.0, tol, what))
+            columns.append(column(p1, p2, v, tol, what))
             grads.append((c1 * p1_re + c12 * (v * r1), c1 * p1_im + c12 * (v * i1),
                           c2 * p2_re + c12 * (v * r2), c2 * p2_im + c12 * (v * i2)))
         return columns, grads
@@ -569,32 +584,32 @@ class _GaussianG(ClosedFormPortrait):
 
     def _setup(self, spec: GaussianSpec, s: float):
         scale = 0.5 * (1.0 - s)
-        at = _KERNEL_POINTS.index(s)
-        w, K, det_w = (kernel[at].tolist() for kernel in spec._kernels)
-
-        def k(i, j):
-            return 0.5 * (K[i][j] + K[j][i])
-
+        w, K, det_w = spec._kernels[_KERNEL_POINTS.index(s)]
         self._c12 = 1.0 / math.sqrt(det_w)
         per_mode = []
         for i, j in (_MODE1_IDX, _MODE2_IDX):
-            # the mode's 2x2 block of W, inverted by hand
+            # the mode's 2x2 block of W, inverted by hand, and of K symmetrized
             det = w[i][i] * w[j][j] - w[i][j] * w[j][i]
             f = scale / det
             per_mode.append((
                 1.0 / math.sqrt(det),
                 (f * w[j][j], -2.0 * f * w[i][j], f * w[i][i]),
-                (k(i, i), 2.0 * k(i, j), k(j, j)),
+                (0.5 * (K[i][i] + K[i][i]), 2.0 * (0.5 * (K[i][j] + K[j][i])), 0.5 * (K[j][j] + K[j][j])),
             ))
         (self._c1, self._k1, self._j1), (self._c2, self._k2, self._j2) = per_mode
+        # the cross term: K's symmetrized entries between the modes, doubled
         (i1, j1), (i2, j2) = _MODE1_IDX, _MODE2_IDX
-        self._x = (2.0 * k(i1, i2), 2.0 * k(i1, j2), 2.0 * k(j1, i2), 2.0 * k(j1, j2))
+        self._x = (2.0 * (0.5 * (K[i1][i2] + K[i2][i1])), 2.0 * (0.5 * (K[i1][j2] + K[j2][i1])),
+                   2.0 * (0.5 * (K[j1][i2] + K[i2][j1])), 2.0 * (0.5 * (K[j1][j2] + K[j2][j1])))
         # kernel-order mean pairs (mu[0], mu[2]) and (mu[1], mu[3])
-        self._m1 = (float(spec.mean[2]), float(spec.mean[0]))
-        self._m2 = (float(spec.mean[3]), float(spec.mean[1]))
+        mean = spec.mean.tolist()
+        self._m1, self._m2 = (mean[2], mean[0]), (mean[3], mean[1])
+
+    def _overflow(self):
+        return OverflowError(f"{self._what}: a setting's quadratic form leaves the float range")
 
     def _columns(self, settings1, settings2):
-        exp, root2 = math.exp, SQRT2
+        exp, isfinite, root2 = math.exp, math.isfinite, SQRT2
         x00, x01, x10, x11 = self._x
         modes = ([], [])
         for terms, settings, (mx, my), cm, (k0, k1, k2), (j0, j1, j2), first in (
@@ -605,18 +620,19 @@ class _GaussianG(ClosedFormPortrait):
                 y = my + root2 * alpha.imag
                 # mode 1 enters the cross term through these, mode 2 through (x, y)
                 h0, h1 = (x00 * x + x10 * y, x01 * x + x11 * y) if first else (x, y)
-                terms.append((cm * exp(-(k0 * x * x + k1 * x * y + k2 * y * y)),
-                              j0 * x * x + j1 * x * y + j2 * y * y, h0, h1))
-        c12, cells, tol, what = self._c12, self._cells, self.tol, self._what
+                form, own = k0 * x * x + k1 * x * y + k2 * y * y, j0 * x * x + j1 * x * y + j2 * y * y
+                if not isfinite(form + own):
+                    raise self._overflow()
+                terms.append((cm * exp(-form), own, h0, h1))
+        c12, column, tol, what = self._c12, self._column, self.tol, self._what
         columns = []
         for p1, own1, h0, h1 in modes[0]:
             for p2, own2, x, y in modes[1]:
-                columns.append(_checked_cells(cells(p1, p2, c12 * exp(-(own1 + own2 + h0 * x + h1 * y))),
-                                              0.0, tol, what))
+                columns.append(column(p1, p2, c12 * exp(-(own1 + own2 + h0 * x + h1 * y)), tol, what))
         return columns
 
     def bell_columns_grad(self, c):
-        exp, root2, root2_neg = math.exp, SQRT2, -SQRT2
+        exp, isfinite, root2, root2_neg = math.exp, math.isfinite, SQRT2, -SQRT2
         x00, x01, x10, x11 = self._x
         settings = []
         for (ar, ai), (mx, my), cm, (k0, k1, k2), (j0, j1, j2), first in (
@@ -628,21 +644,23 @@ class _GaussianG(ClosedFormPortrait):
             y = my + root2 * ai
             # mode 1 enters the cross term through these, mode 2 through (x, y)
             h0, h1 = (x00 * x + x10 * y, x01 * x + x11 * y) if first else (x, y)
-            p = cm * exp(-(k0 * x * x + k1 * x * y + k2 * y * y))
+            form, own = k0 * x * x + k1 * x * y + k2 * y * y, j0 * x * x + j1 * x * y + j2 * y * y
+            if not isfinite(form + own):
+                raise self._overflow()
+            p = cm * exp(-form)
             q = root2_neg * p
-            settings.append((p, q * (2.0 * k0 * x + k1 * y), q * (k1 * x + 2.0 * k2 * y),
-                             j0 * x * x + j1 * x * y + j2 * y * y, h0, h1,
+            settings.append((p, q * (2.0 * k0 * x + k1 * y), q * (k1 * x + 2.0 * k2 * y), own, h0, h1,
                              2.0 * j0 * x + j1 * y, j1 * x + 2.0 * j2 * y))
         a1, b1, a2, b2 = settings
         c12 = self._c12
-        cells, tol, what = self._cells, self.tol, self._what
+        column, tol, what = self._column, self.tol, self._what
         w1, w2, w12 = self._weights
         columns, grads = [], []
         for (p1, p1_re, p1_im, own1, h0, h1, t1x, t1y), (p2, p2_re, p2_im, own2, x, y, t2x, t2y) in (
                 (a1, a2), (a1, b2), (b1, a2), (b1, b2)):
             v = c12 * exp(-(own1 + own2 + h0 * x + h1 * y))
             f = root2_neg * v
-            columns.append(_checked_cells(cells(p1, p2, v), 0.0, tol, what))
+            columns.append(column(p1, p2, v, tol, what))
             grads.append((w1 * p1_re + w12 * (f * (t1x + x00 * x + x01 * y)),
                           w1 * p1_im + w12 * (f * (t1y + x10 * x + x11 * y)),
                           w2 * p2_re + w12 * (f * (t2x + h0)),

@@ -158,13 +158,44 @@ class CoherentProduct:
     __post_init__ = _check_amplitudes
 
 
+def _ldlt_pivots(m) -> list:
+    """The pivots d of M = L diag(d) L^T, for a symmetric 4x4 M given as
+    nested lists, without pivoting and up to the first that is not > 0.
+
+    M is positive definite exactly when all four pivots are > 0, and then
+    det M is their product. Each step takes the Schur complement of the
+    leading pivot on the lower triangle.
+    """
+    (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = m
+    if not a00 > 0.0:
+        return [a00]
+    f1, f2, f3 = a10 / a00, a20 / a00, a30 / a00
+    a11 -= f1 * a10
+    a21 -= f2 * a10
+    a22 -= f2 * a20
+    a31 -= f3 * a10
+    a32 -= f3 * a20
+    a33 -= f3 * a30
+    if not a11 > 0.0:
+        return [a00, a11]
+    f2, f3 = a21 / a11, a31 / a11
+    a22 -= f2 * a21
+    a32 -= f3 * a21
+    a33 -= f3 * a31
+    if not a22 > 0.0:
+        return [a00, a11, a22]
+    a33 -= a32 / a22 * a32
+    return [a00, a11, a22, a33]
+
+
 class GaussianSpec:
     """A two-mode Gaussian state: dispersion matrix M and mean vector.
 
     M is the 4x4 real symmetric matrix of quadrature (co)variances in
     (p1, p2, q1, q2) order; mean is the quadrature average vector in the
     same order. Construction validates symmetry, positive definiteness,
-    and the uncertainty bound det M >= 1/16.
+    and the uncertainty bound det M >= 1/16: one LDL^T factorization of
+    the symmetrized M gives both, as its pivots and their product.
     """
 
     def __init__(self, M, mean=None):
@@ -174,18 +205,23 @@ class GaussianSpec:
         m = M.tolist()
         if not all(map(math.isfinite, m[0] + m[1] + m[2] + m[3])):
             raise NonPhysicalSpec("M entries must be finite")
-        asym = max(abs(m[i][j] - m[j][i]) for i in range(4) for j in range(i))
+        (_, a01, a02, a03), (a10, _, a12, a13), (a20, a21, _, a23), (a30, a31, a32, _) = m
+        asym = max(abs(a10 - a01), abs(a20 - a02), abs(a21 - a12),
+                   abs(a30 - a03), abs(a31 - a13), abs(a32 - a23))
         if asym > SYMMETRY_TOL:
             raise NonPhysicalSpec(
                 f"M deviates from symmetry by {asym:.3e} (> {SYMMETRY_TOL:.0e})"
             )
         M = 0.5 * (M + M.T)
-        eigs = np.linalg.eigvalsh(M)
-        if eigs[0] <= 0:
+        pivots = _ldlt_pivots(M.tolist())
+        if not pivots[-1] > 0.0:
+            # the eigenvalues only word the refusal
+            low = np.linalg.eigvalsh(M)[0]
             raise NonPhysicalSpec(
-                f"M must be positive definite, min eigenvalue {eigs[0]:.3e}"
+                f"M must be positive definite, min eigenvalue {low:.3e}"
             )
-        det = float(np.linalg.det(M))
+        d0, d1, d2, d3 = pivots
+        det = d0 * d1 * d2 * d3
         if det < 1.0 / 16.0 - DET_BOUND_SLACK:
             raise NonPhysicalSpec(
                 f"det M = {det:.12f} violates the uncertainty bound 1/16"
@@ -206,15 +242,15 @@ class GaussianSpec:
 
     @cached_property
     def _kernels(self):
-        """(W, K, det W) of G(s, s) at each of ``_KERNEL_POINTS``, read-only:
-        W = (1 - s) M + (1 + s)/2 and K = (1 - s)/2 W^-1. One stacked ``inv``
-        and ``det`` give the bits of one call per s."""
+        """(W, K, det W) of G(s, s) at each of ``_KERNEL_POINTS``, as floats
+        (W and K as nested lists): W = (1 - s) M + (1 + s)/2 and
+        K = (1 - s)/2 W^-1. One stacked ``inv`` and ``det`` give the bits of
+        one call per s. Not to be changed: every portrait function of the
+        spec reads them."""
         weights, identities, scales = _KERNEL_TERMS
         W = weights * self.M + identities
-        kernels = W, scales * np.linalg.inv(W), np.linalg.det(W)
-        for a in kernels:
-            a.setflags(write=False)
-        return kernels
+        return tuple(zip(W.tolist(), (scales * np.linalg.inv(W)).tolist(),
+                         np.linalg.det(W).tolist()))
 
     @cached_property
     def _generating_polynomials(self):
@@ -549,6 +585,9 @@ def gaussian_tomogram_table(
     Raises:
         InvalidParameter: nmax is not an integer >= 0, or a setting is not
             a finite number.
+        OverflowError: where the setting's quadratic form N leaves the
+            float range (displacements near 1e154 and above), as on the
+            closed forms.
         NumericalNegativity: if an entry is not finite or lies below
             -1e-9. A spec that passes the det M >= 1/16 check without
             being a physical state can have such a table, and so can a
@@ -564,7 +603,9 @@ def gaussian_tomogram_table(
     # N overflows at displacements near 1e154; the products below would
     # turn its infinities into NaNs, with a numpy warning for each
     if not np.isfinite(N).all():
-        raise NumericalNegativity("gaussian tomogram table is not finite")
+        raise OverflowError(
+            "gaussian tomogram table: the setting's quadratic form leaves the float range"
+        )
 
     # E = -(N R + L)/2, with N of degree <= 2 in s1; its subnormal entries
     # go for the reason given in ``_delta_series``
@@ -603,7 +644,7 @@ def gaussian_tomogram(
     Raises:
         InvalidParameter: a count is not an integer >= 0, or a setting is
             not a finite number.
-        NumericalNegativity: where that table is refused.
+        OverflowError, NumericalNegativity: where that table raises them.
     """
     n1, n2 = _integer(n1, "n1"), _integer(n2, "n2")
     return float(gaussian_tomogram_table(g, alpha1, alpha2, max(n1, n2))[n1, n2])

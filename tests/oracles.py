@@ -23,14 +23,23 @@ library's fast routes are tested against, written once:
   not share the Fock formula with ``tomobell.cat_tomogram``;
 - ``two_pass_checked_cells``, the portrait check as it was written before
   it ran in one pass: the reference for ``tomobell.portrait._checked_cells``;
+  and ``CANONICAL_CELLS``, each canonical partition's cells from G, which
+  that check took before one column function per partition formed and
+  checked them: with it, the reference for the column functions;
 - ``PerColumnPortrait`` and ``per_column_objective``, the closed-form
   portraits and the maximizer's objective as they were computed column by
   column, before each family evaluated B's four columns and gradient in
   one call: the reference for ``tomobell.portrait.ClosedFormPortrait`` and
   ``tomobell.bell._closed_form_objective``;
+- ``eigvalsh_det_refusal``, the spec's positive-definiteness and
+  uncertainty checks as ``eigvalsh`` and ``det`` made them: the reference
+  for the LDL^T checks of ``tomobell.states.GaussianSpec``;
 - fixtures: the paper's squeezed example ``SQUEEZED_M``, its worked Bell
-  matrix as printed (``PRINTED_MG``), and the two-mode squeezed vacuum
-  ``two_mode_squeezed_vacuum(r, mean)``.
+  matrix as printed (``PRINTED_MG``), the two-mode squeezed vacuum
+  ``two_mode_squeezed_vacuum(r, mean)``, and random physical two-mode
+  Gaussians (``physical_gaussian_m``, drawn by ``random_physical_gaussian``
+  from a numpy generator and by the hypothesis strategy
+  ``physical_gaussians``).
 
 Test files import it by its bare name, as pytest puts ``tests/`` on
 ``sys.path``; the scripts in ``tests/`` find it next to them.
@@ -44,13 +53,14 @@ from typing import Dict
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
 
 from tomobell.bell import _clipped
 from tomobell.errors import NonPhysicalSpec, NumericalNegativity, TomobellError
 from tomobell.hermite import HermiteParams, Index, _check_index
 from tomobell.portrait import _CANONICAL, SQRT2, SUM_TOL, _checked_cells
 from tomobell.states import (
-    _KERNEL_POINTS,
+    DET_BOUND_SLACK,
     _MODE1_IDX,
     _MODE2_IDX,
     NEGATIVITY_TOL,
@@ -94,6 +104,86 @@ def two_mode_squeezed_vacuum(r, mean=None) -> GaussianSpec:
     k, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
     return GaussianSpec(np.array([[k, -s, 0, 0], [-s, k, 0, 0],
                                   [0, 0, k, s], [0, 0, s, k]]), mean)
+
+
+# (q1, q2, p1, p2) -> the library's (p1, p2, q1, q2)
+_QP_TO_PQ = [2, 3, 0, 1]
+
+
+def physical_gaussian_m(r, nu, u1, u2) -> np.ndarray:
+    """The dispersion matrix of a physical two-mode Gaussian state, in the
+    library's (p1, p2, q1, q2) order: M = S diag(nu1, nu2, nu1, nu2) S^T in
+    (q1, q2, p1, p2) order, with S = O1 Z O2 (Bloch-Messiah).
+
+    Each passive part O is a 2x2 unitary U acting on the mode operators,
+    [[Re U, -Im U], [Im U, Re U]]; Z = diag(e^-r1, e^-r2, e^r1, e^r2)
+    squeezes. The vacuum is I/2, as for ``two_mode_squeezed_vacuum``, so
+    every nu >= 1/2 gives a state (nu = 1/2: a pure one).
+    """
+    def passive(u):
+        u = np.asarray(u, dtype=complex)
+        return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+    z = np.diag(np.exp([-r[0], -r[1], r[0], r[1]]))
+    s = passive(u1) @ z @ passive(u2)
+    m = (s @ np.diag([nu[0], nu[1], nu[0], nu[1]]) @ s.T)[np.ix_(_QP_TO_PQ, _QP_TO_PQ)]
+    return 0.5 * (m + m.T)
+
+
+def haar_unitary(rng) -> np.ndarray:
+    """A 2x2 unitary drawn from the Haar measure (QR of a complex Gaussian
+    matrix, with the phases of R's diagonal moved into Q)."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    d = np.diag(r)
+    return q * (d / abs(d))
+
+
+def random_physical_gaussian(rng, max_r=1.4, max_nu=1.5, mean=True):
+    """(M, mean) of a random physical two-mode Gaussian: Haar passive
+    parts, squeezings r in [0, max_r], nu in [1/2, max_nu], and a mean in
+    [-1, 1]^4 (zero for ``mean=False``)."""
+    m = physical_gaussian_m(rng.uniform(0.0, max_r, 2), rng.uniform(0.5, max_nu, 2),
+                            haar_unitary(rng), haar_unitary(rng))
+    return m, rng.uniform(-1.0, 1.0, 4) if mean else np.zeros(4)
+
+
+def _unitary(theta, alpha, beta, phi):
+    # every 2x2 unitary has this form
+    c, s = math.cos(theta), math.sin(theta)
+    return cmath.exp(1j * phi) * np.array([
+        [cmath.exp(1j * alpha) * c, cmath.exp(1j * beta) * s],
+        [-cmath.exp(-1j * beta) * s, cmath.exp(-1j * alpha) * c],
+    ])
+
+
+_angle = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
+
+
+@st.composite
+def physical_gaussians(draw, max_r=1.4, max_nu=1.5):
+    """A hypothesis strategy of (M, mean) pairs of physical two-mode
+    Gaussians: ``physical_gaussian_m`` over squeezings r in [0, max_r],
+    nu in [1/2, max_nu], two unitaries and a mean in [-1, 1]^4 or none."""
+    r = draw(st.tuples(*[st.floats(min_value=0.0, max_value=max_r)] * 2))
+    nu = draw(st.tuples(*[st.floats(min_value=0.5, max_value=max_nu)] * 2))
+    u1, u2 = (_unitary(*draw(st.tuples(*[_angle] * 4))) for _ in range(2))
+    mean = draw(st.one_of(st.none(), st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4)))
+    return physical_gaussian_m(r, nu, u1, u2), np.zeros(4) if mean is None else np.array(mean)
+
+
+def eigvalsh_det_refusal(M):
+    """The positive-definiteness and uncertainty checks of ``GaussianSpec``
+    as they were written before one LDL^T factorization made them: the
+    smallest ``eigvalsh`` eigenvalue, then ``det``. Returns the refusal's
+    message, or None where both pass. M must be symmetric and finite."""
+    M = 0.5 * (M + M.T)
+    eigs = np.linalg.eigvalsh(M)
+    if eigs[0] <= 0:
+        return f"M must be positive definite, min eigenvalue {eigs[0]:.3e}"
+    det = float(np.linalg.det(M))
+    if det < 1.0 / 16.0 - DET_BOUND_SLACK:
+        return f"det M = {det:.12f} violates the uncertainty bound 1/16"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +405,30 @@ class FockOracleSource(TomogramSource):
 
 
 # ---------------------------------------------------------------------------
-# the two-pass portrait check
+# the two-pass portrait check, and the cells it checked
 # ---------------------------------------------------------------------------
+
+
+def even_odd_cells(p1, p2, p12):
+    """Cells from the parities G(-1, 1), G(1, -1) and G(-1, -1)."""
+    return (
+        0.25 * (1.0 + p1 + p2 + p12),
+        0.25 * (1.0 + p1 - p2 - p12),
+        0.25 * (1.0 - p1 + p2 - p12),
+        0.25 * (1.0 - p1 - p2 + p12),
+    )
+
+
+def zero_nonzero_cells(v1, v2, v12):
+    """Cells from the vacuum probabilities G(0, 1), G(1, 0) and G(0, 0)."""
+    return (v12, v1 - v12, v2 - v12, 1.0 - v1 - v2 + v12)
+
+
+# the cells of each canonical partition as the portraits formed them before
+# one column function per partition formed and checked them in one call:
+# ``_checked_cells(cells(g1, g2, g12), 0.0, tol, what)`` is the reference
+# for the column functions of ``tomobell.portrait._CANONICAL``
+CANONICAL_CELLS = {"even-odd": even_odd_cells, "zero-nonzero": zero_nonzero_cells}
 
 
 def two_pass_checked_cells(cells, deficit: float, tol: float, what: str):
@@ -485,8 +597,9 @@ class _PerColumnGaussian:
 
     def __init__(self, spec: GaussianSpec, s: float):
         scale = 0.5 * (1.0 - s)
-        at = _KERNEL_POINTS.index(s)
-        w, K, det_w = (kernel[at].tolist() for kernel in spec._kernels)
+        # the kernel of this s alone, with its own inv and det
+        w = (1.0 - s) * spec.M + 0.5 * (1.0 + s) * np.eye(4)
+        w, K, det_w = w.tolist(), (scale * np.linalg.inv(w)).tolist(), float(np.linalg.det(w))
 
         def k(i, j):
             return 0.5 * (K[i][j] + K[j][i])
@@ -583,7 +696,8 @@ class PerColumnPortrait:
     ``column_grad`` call."""
 
     def __init__(self, state, kind: str):
-        s, self._cells, self._weights = _CANONICAL[kind]
+        s, _, self._weights = _CANONICAL[kind]
+        self._cells = CANONICAL_CELLS[kind]
         family, name = next((f, n) for cls, f, n in _PER_COLUMN_FAMILIES if isinstance(state, cls))
         self._g = family(state, s)
         self.mode1, self.mode2 = self._g.mode1, self._g.mode2

@@ -5,7 +5,7 @@ Usage::
 
     PYTHONPATH=src python3 tests/table_timing.py [REPEATS]
 
-prints, at ``nmax`` 15 and 30, the minimum over REPEATS (default 25)
+prints, at ``nmax`` 15 and 30 (``tables``), the minimum over REPEATS (default 25)
 runs of about 5 ms each of one call of:
 
 - ``gaussian_tomogram_table`` on the paper's squeezed example at the
@@ -27,7 +27,7 @@ runs of about 5 ms each of one call of:
   and the coherent product at (nmax, nmax), which sum that one entry's
   terms and cost about the same at every ``nmax``.
 
-Then, for the cat state, the coherent product, the squeezed example and
+Then (``closed_forms``), for the cat state, the coherent product, the squeezed example and
 the family member under each canonical partition, at the worked-example
 settings (-0.12i, 0.04i, 0.22i, -0.32i), it prints one closed-form
 ``bell_columns(s)`` call next to one ``bell_number(bell_matrix(fn, s))``,
@@ -39,15 +39,26 @@ After them, for each member of the benchmark's ``maximize-closed`` mix
 maximizer's fused closed-form objective (-B and its gradient, the
 function the search descends) at the same settings.
 
-Last, the set-up of a fresh state, per kind: the four above and a
-physical Gaussian with a mean (a two-mode squeezed vacuum, r = 0.4). It
-prints the state's construction (for the family, through
-``gaussian_purity_family``), ``make_portrait_fn`` under even-odd on a
-fresh state and then under zero-nonzero on the same state (a Gaussian
-spec keeps the kernels that the first call built, so the second reads
-them), and a whole fresh state with both portrait functions and 4 Bell
-numbers under each: the unit of work of the benchmark's ``bell-sweep``
-workload, which draws its settings at random instead.
+Last (``bell_sweep``), the layers of the benchmark's ``bell-sweep`` workload for a fresh
+state, per kind: the four above and a physical Gaussian with a mean (a
+two-mode squeezed vacuum, r = 0.4). It prints:
+
+- ``spec``: the state's construction (for the family, through
+  ``gaussian_purity_family``), which for a Gaussian runs the spec's checks;
+- ``kernels``: for a Gaussian, the spec's two kernels (W, K, det W) on a
+  fresh spec, which the first portrait function would otherwise build;
+- ``first portrait function``: ``make_portrait_fn`` under even-odd on a
+  fresh state, kernels included;
+- ``second portrait function``: ``make_portrait_fn`` under zero-nonzero
+  on the same state, which reads the kernels the first one built;
+- ``one Bell number``: ``bell_number(bell_matrix(fn, s))`` under each
+  canonical partition at the worked-example settings;
+- ``whole state``: a fresh state with both portrait functions and 4 Bell
+  numbers under each, the unit of work of ``bell-sweep``, which draws its
+  settings at random instead.
+
+The whole state costs about the spec, the two portrait functions and 8
+Bell numbers, so a change to one layer can be split from the rest.
 
 It times one table at a time, in one process, what the traced runs of
 the benchmark's ``truncated-tables`` workload report per table
@@ -101,6 +112,12 @@ def _fresh_us(build, call, repeats, count=400):
 
 
 def main(repeats=25):
+    tables(repeats)
+    closed_forms(repeats)
+    bell_sweep(repeats)
+
+
+def tables(repeats):
     a1, a2 = SETTINGS
     squeezed, family = GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.8, 0.02)
     cat, coherent = CatState(*AMPLITUDES), CoherentProduct(*AMPLITUDES)
@@ -125,6 +142,12 @@ def main(repeats=25):
         for name, call in calls.items():
             call()
             print(f"nmax {nmax:2d}  {name:40s} {_minimum_us(call, repeats):8.1f} us")
+
+
+def closed_forms(repeats):
+    a1, a2 = SETTINGS
+    squeezed, family = GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.8, 0.02)
+    cat, coherent = CatState(*AMPLITUDES), CoherentProduct(*AMPLITUDES)
     s = BELL_SETTINGS
     for kind, state in (("cat", cat), ("coherent", coherent), ("squeezed", squeezed), ("family", family)):
         for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
@@ -144,6 +167,10 @@ def main(repeats=25):
         negative_b(x)
         us = _minimum_us(lambda: negative_b(x), repeats)
         print(f"{label:23s} {'fused value and gradient':26s} {us:8.1f} us")
+
+
+def bell_sweep(repeats):
+    s = BELL_SETTINGS
     eo, zn = PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()
     tmsv = two_mode_squeezed_vacuum(0.4, (0.3, -0.2, 0.1, 0.4))
     builders = {
@@ -166,15 +193,20 @@ def main(repeats=25):
                 bell_number(bell_matrix(fn, s))
 
     for kind, build in builders.items():
-        lines = {
-            "state construction": _minimum_us(build, repeats),
-            "make_portrait_fn even-odd, fresh": _fresh_us(build, lambda st: make_portrait_fn(st, eo), repeats),
-            "make_portrait_fn zero-nonzero, next":
-                _fresh_us(lambda: after_even_odd(build), lambda st: make_portrait_fn(st, zn), repeats),
-            "whole state: 2 fns, 8 Bell numbers": _minimum_us(lambda: whole(build()), repeats),
-        }
+        lines = {"spec": _minimum_us(build, repeats)}
+        if isinstance(build(), GaussianSpec):
+            lines["kernels"] = _fresh_us(build, lambda st: st._kernels, repeats)
+        lines["first portrait function (even-odd)"] = _fresh_us(
+            build, lambda st: make_portrait_fn(st, eo), repeats)
+        lines["second portrait function (zero-nonzero)"] = _fresh_us(
+            lambda: after_even_odd(build), lambda st: make_portrait_fn(st, zn), repeats)
+        for p in (eo, zn):
+            fn = make_portrait_fn(build(), p)
+            lines[f"one Bell number ({p.kind})"] = _minimum_us(
+                lambda: bell_number(bell_matrix(fn, s)), repeats)
+        lines["whole state: 2 fns, 8 Bell numbers"] = _minimum_us(lambda: whole(build()), repeats)
         for name, us in lines.items():
-            print(f"{kind:9s} set-up {name:36s} {us:8.1f} us")
+            print(f"{kind:9s} bell-sweep {name:40s} {us:8.1f} us")
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from tomobell.errors import (
     TailTooLarge,
 )
 from tomobell.portrait import (
+    _CANONICAL,
     SUM_TOL,
     PartitionScheme,
     PortraitVector,
@@ -54,7 +55,7 @@ from tomobell.states import (
     make_source,
 )
 
-from oracles import PRINTED_MG, SQUEEZED_M, two_pass_checked_cells
+from oracles import CANONICAL_CELLS, PRINTED_MG, SQUEEZED_M, two_pass_checked_cells
 from test_tables import _physical_gaussian
 
 CEILING = TSIRELSON_BOUND + 1e-6
@@ -213,10 +214,10 @@ def test_checked_columns_lie_in_the_entry_range():
     assert accepted > 5_000 and over_one > 100
 
 
-def _check_outcome(check, cells, deficit, tol):
-    """The bits of a check's output, or its refusal's message."""
+def _check_outcome(check, *args):
+    """The bits of ``check(*args, "fuzz")``, or its refusal's message."""
     try:
-        return [v.hex() for v in check(cells, deficit, tol, "fuzz")]
+        return [v.hex() for v in check(*args, "fuzz")]
     except NumericalNegativity as exc:
         return str(exc)
 
@@ -243,6 +244,47 @@ def test_one_pass_check_keeps_the_two_pass_bits():
         else:
             branches["cell clamped" if min(cells) < 0.0 else
                      "deficit clamped" if deficit < 0.0 else "plain"] += 1
+    assert all(n > 0 for n in branches.values()), branches
+
+
+# (G1, G2, G12) from the four cells, the inverse of each partition's cells
+_G_OF_CELLS = {
+    "even-odd": lambda pp, pm, mp, mm: (pp + pm - mp - mm, pp - pm + mp - mm, pp - pm - mp + mm),
+    "zero-nonzero": lambda pp, pm, mp, mm: (pp + pm, pp + mp, pp),
+}
+
+
+def _column_draws(kind):
+    """(g1, g2, g12, tol) for a column function: the check's fuzz draws
+    through the partition's inverse, and each non-finite, signed-zero and
+    huge value in each place of the triple."""
+    to_g = _G_OF_CELLS[kind]
+    for cells, _, tol in _check_fuzz():
+        yield (*to_g(*cells), tol)
+    for value in (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308):
+        for at in range(3):
+            for base in ((0.5, 0.5, 0.25), (1.0, 1.0, 1.0), (-0.0, -0.0, -0.0)):
+                g = list(base)
+                g[at] = value
+                for tol in (NEGATIVITY_TOL, NEGATIVITY_TOL_HERMITE):
+                    yield (*g, tol)
+
+
+@pytest.mark.parametrize("kind", ["even-odd", "zero-nonzero"])
+def test_column_function_keeps_the_bits_of_cells_then_check(kind):
+    # one call forms and checks a column; it hands every column it does not
+    # return as formed to _checked_cells, so its bits and its refusals are
+    # those of the cells function followed by the check
+    column, cells = _CANONICAL[kind][1], CANONICAL_CELLS[kind]
+    branches = dict.fromkeys(("plain", "clamped", "finite", "cell", "sum"), 0)
+    for g1, g2, g12, tol in _column_draws(kind):
+        got = _check_outcome(column, g1, g2, g12, tol)
+        want = _check_outcome(_checked_cells, cells(g1, g2, g12), 0.0, tol)
+        assert got == want, (g1, g2, g12, tol)
+        if isinstance(got, str):
+            branches[next(key for key, text in _REFUSALS if text in got)] += 1
+        else:
+            branches["clamped" if min(cells(g1, g2, g12)) < 0.0 else "plain"] += 1
     assert all(n > 0 for n in branches.values()), branches
 
 

@@ -309,12 +309,16 @@ OVERFLOW_TEXT = "a finite input is too large for float arithmetic"
     ("huge-cat", "tomogram", SETTINGS_ARGS["tomogram"] + ["--alpha1", "0"], "OverflowError"),
     ("huge-cat", "portrait", SETTINGS_ARGS["portrait"] + ["--alpha1", "0"], "OverflowError"),
     ("cat", "maximize", ["--box", "1e200", "--starts", "2"], "OverflowError"),
-    ("gaussian", "tomogram", SETTINGS_ARGS["tomogram"] + ["--alpha1", "1e200"],
-     "NumericalNegativity"),
+    # a Gaussian setting's quadratic form leaves the float range; these
+    # exited with error[NumericalNegativity]
+    ("gaussian", "tomogram", SETTINGS_ARGS["tomogram"] + ["--alpha1", "1e200"], "OverflowError"),
     ("gaussian", "portrait", ["--nmax", "5", "--alpha2", "0", "--alpha1", "1e200"],
-     "NumericalNegativity"),    # sqrt(2) times the displacement overflows: numpy warned of it first
+     "OverflowError"),    # sqrt(2) times the displacement overflows: numpy warned of it first
     ("gaussian", "tomogram", SETTINGS_ARGS["tomogram"] + ["--alpha1", "1.5e308"],
-     "NumericalNegativity"),
+     "OverflowError"),
+    *[("gaussian", command, SETTINGS_ARGS[command] + ["--alpha1", "1e200"], "OverflowError")
+      for command in ("portrait", "bell")],
+    ("gaussian", "maximize", ["--box", "1e200", "--starts", "2"], "OverflowError"),
 ])
 def test_huge_finite_inputs_exit_3_on_one_line(tmp_path, capsys, kind, command, extra, case):
     # squares of 1e200 leave the float range: these printed a traceback

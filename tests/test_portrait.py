@@ -33,13 +33,20 @@ from tomobell.states import (
     GaussianSource,
     GaussianSpec,
     cat_tomogram,
+    coherent_superposition_table,
     gaussian_purity_family,
     gaussian_tomogram,
     gaussian_tomogram_table,
     make_source,
 )
 
-from oracles import SQUEEZED_M, FockOracleSource, PerColumnPortrait
+from oracles import (
+    SQUEEZED_M,
+    FockOracleSource,
+    PerColumnPortrait,
+    random_physical_gaussian,
+    two_mode_squeezed_vacuum,
+)
 from test_tables import _physical_gaussian
 
 CLOSED_VS_TRUNCATED_TOL = 1e-8
@@ -462,19 +469,18 @@ def _bits(a):
 
 def test_gaussian_kernels_keep_the_bits_of_one_call_per_point():
     # one stacked inv and det per spec stand in for the inv and det that
-    # each canonical portrait function called on its own W
+    # each canonical portrait function called on its own W; the spec keeps
+    # them as Python floats, which the portrait functions read as they are
     for g in _kernel_specs():
-        W, K, det = g._kernels
-        assert g._kernels is g._kernels  # built once
-        for at, s in enumerate((-1.0, 0.0)):
+        kernels = g._kernels
+        assert g._kernels is kernels  # built once
+        assert len(kernels) == 2
+        for (W, K, det), s in zip(kernels, (-1.0, 0.0)):
             w = (1.0 - s) * g.M + 0.5 * (1.0 + s) * np.eye(4)
-            assert _bits(W[at]) == _bits(w)
-            assert _bits(K[at]) == _bits(0.5 * (1.0 - s) * np.linalg.inv(w))
-            assert _bits(det[at]) == _bits(np.linalg.det(w))
-        for a in (W, K, det):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1.0
+            assert _bits(W) == _bits(w)
+            assert _bits(K) == _bits(0.5 * (1.0 - s) * np.linalg.inv(w))
+            assert _bits(det) == _bits(np.linalg.det(w))
+            assert {type(v) for row in W + K for v in row} == {type(det)} == {float}
 
 
 def test_gaussian_portraits_do_not_depend_on_which_fills_the_kernels():
@@ -492,6 +498,52 @@ def test_gaussian_portraits_do_not_depend_on_which_fills_the_kernels():
             warm = make_portrait_fn(spec, second)
             for s in settings:
                 assert _bits(fresh.bell_columns(s)) == _bits(warm.bell_columns(s))
+
+
+def _overflow_states():
+    rng = np.random.default_rng(406)
+    return {
+        "cat": CatState(1.0, 0.5j),
+        "coherent": CoherentProduct(0.5, -0.3j),
+        "family": gaussian_purity_family(0.8, 0.02),
+        "squeezed": GaussianSpec(SQUEEZED_M),
+        "tmsv": two_mode_squeezed_vacuum(1.4, (0.3, -0.2, 0.1, 0.4)),
+        "physical": GaussianSpec(*random_physical_gaussian(rng)),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["even-odd", "zero-nonzero"])
+@pytest.mark.parametrize("name", list(_overflow_states()))
+def test_every_route_raises_overflow_error_at_a_huge_setting(name, kind):
+    # a setting whose squares leave the float range: every closed-form
+    # route, the truncated route, the table and the scalar raise
+    # OverflowError, wherever the huge setting sits. A Gaussian's closed
+    # forms returned a portrait here, and its table raised
+    # NumericalNegativity
+    state = _overflow_states()[name]
+    p = getattr(PartitionScheme, kind.replace("-", "_"))()
+    fn = make_portrait_fn(state, p)
+    table = gaussian_tomogram_table if isinstance(state, GaussianSpec) else coherent_superposition_table
+    scalar = gaussian_tomogram if isinstance(state, GaussianSpec) else cat_tomogram
+    for huge in (1e200, -1e200j, 1.5e308):
+        for at in range(4):
+            x = [0.3 - 0.1j, -0.2j, 0.4, 0.1 + 0.2j]
+            x[at] = huge
+            s = BellSettings(*x)
+            a1, a2 = (huge, 0.1j) if at in (0, 2) else (0.1j, huge)
+            routes = {
+                "portrait call": lambda: fn(a1, a2),
+                "bell_columns": lambda: fn.bell_columns(s),
+                "bell_columns_grad": lambda: fn.bell_columns_grad(s.as_vector().tolist()),
+                "truncated portrait": lambda: portrait_truncated(state, p, a1, a2, nmax=8),
+                "table": lambda: table(state, a1, a2, 8),
+                "scalar": lambda: scalar(state, 2, 1, a1, a2),
+            }
+            for route, call in routes.items():
+                with pytest.raises(OverflowError):
+                    call()
+                    pytest.fail(f"{route} at {x} returned")
 
 
 def test_gaussian_closed_forms_never_negative_across_box():

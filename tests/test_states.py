@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tomobell.errors import (
     InvalidParameter,
@@ -16,6 +17,7 @@ from tomobell.errors import (
 from tomobell.hermite import HermiteParams, hermite_box
 from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
 from tomobell.states import (
+    DET_BOUND_SLACK,
     CatState,
     CoherentProduct,
     CoherentSource,
@@ -38,10 +40,13 @@ from oracles import (
     SQUEEZED_M,
     DegenerateGaussian,
     FockOracleSource,
+    eigvalsh_det_refusal,
     fock_oracle_tomogram,
     gaussian_R,
     gaussian_y,
     mp_superposition_tomogram,
+    physical_gaussians,
+    random_physical_gaussian,
     two_mode_squeezed_vacuum,
 )
 
@@ -544,6 +549,98 @@ def test_gaussian_spec_refusals_keep_their_class_and_message(args, message):
     assert str(refused.value) == message
 
 
+# The rounding band of the LDL^T checks: a matrix whose det M lies within
+# DET_BAND (relative) of the bound 1/16 - DET_BOUND_SLACK, or whose smallest
+# eigenvalue lies within EIG_BAND of the largest one from 0, may be decided
+# either way by rounding. On 9,000 physical draws scaled across each bound
+# (seed 1), the two routes disagreed only within 2.0e-14 of the det bound
+# and 2.5e-16 of 0.
+DET_BAND = 1e-13
+EIG_BAND = 1e-15
+DET_BOUND = 1.0 / 16.0 - DET_BOUND_SLACK
+
+
+def _spec_refusal(m):
+    """The message of GaussianSpec's refusal of m, or None."""
+    try:
+        GaussianSpec(m)
+    except NonPhysicalSpec as exc:
+        return str(exc)
+    return None
+
+
+def _ldlt_decision(m):
+    """Which check decides on m, on the LDL^T route and on the eigvalsh and
+    det route: (accepted | positive definite | det, the same), or None for a
+    matrix inside the rounding band."""
+    eigs = np.linalg.eigvalsh(m)
+    if abs(eigs[0]) <= EIG_BAND * eigs[-1] or abs(np.linalg.det(m) - DET_BOUND) <= DET_BAND * DET_BOUND:
+        return None
+    got, want = _spec_refusal(m), eigvalsh_det_refusal(m)
+    if want is not None and want.startswith("M must be positive definite"):
+        # the eigenvalues word this refusal on both routes
+        assert got == want
+    return tuple("accepted" if r is None else "positive definite" if "definite" in r else "det"
+                 for r in (got, want))
+
+
+def _straddles(m, sign, exponent):
+    """m scaled to det = DET_BOUND (1 + 4 sign 10^exponent) or so, and m
+    shifted to the smallest eigenvalue -sign 10^exponent lambda_min."""
+    eigs = np.linalg.eigvalsh(m)
+    scale = (DET_BOUND / np.linalg.det(m)) ** 0.25 * (1.0 + sign * 10.0 ** exponent)
+    return scale * m, m - eigs[0] * (1.0 + sign * 10.0 ** exponent) * np.eye(4)
+
+
+def test_ldlt_checks_decide_as_eigvalsh_and_det_do():
+    # physical draws are accepted; scaled across det = 1/16 - 1e-10 and
+    # shifted across lambda_min = 0 they are refused by the same check as
+    # eigvalsh and det refuse them, outside the rounding band
+    local = np.random.default_rng(2027)
+    decisions, in_band = {}, 0
+    for i in range(1500):
+        m, _ = random_physical_gaussian(local)
+        assert _ldlt_decision(m) == ("accepted", "accepted")
+        for drawn in _straddles(m, (-1.0) ** i, local.uniform(-15.0, -8.0)):
+            decision = _ldlt_decision(drawn)
+            if decision is None:
+                in_band += 1
+                continue
+            assert decision[0] == decision[1], drawn.tolist()
+            decisions[decision[0]] = decisions.get(decision[0], 0) + 1
+    # every decision on both sides of both bounds, few draws in the band
+    assert min(decisions.values()) > 500 and len(decisions) == 3, decisions
+    assert in_band < 750, in_band  # a quarter of the 3,000 straddling draws
+
+
+def test_ldlt_checks_refuse_a_zero_pivot_at_every_step():
+    # a pivot of 0 or below, as given or made by elimination, is refused
+    # before anything is divided by it, in the words of eigvalsh
+    for at in range(4):
+        for value in (0.0, -0.0, -1e-300, -2.0):
+            given_pivot, made_pivot = np.eye(4), np.eye(4)
+            given_pivot[at, at] = value
+            if at:
+                # rows at - 1 and at equal: elimination leaves pivot `at` at 0
+                made_pivot[at - 1, at] = made_pivot[at, at - 1] = 1.0
+            for m in (given_pivot, made_pivot):
+                refusal = _spec_refusal(m)
+                assert refusal == eigvalsh_det_refusal(m)
+                assert refusal is None or refusal.startswith("M must be positive definite")
+
+
+@given(physical_gaussians(), st.sampled_from([-1.0, 1.0]), st.floats(min_value=-16.0, max_value=-8.0))
+@settings(deadline=None, max_examples=200)
+def test_physical_gaussian_strategy_is_decided_as_eigvalsh_and_det_decide(draw, sign, exponent):
+    m, mean = draw
+    g = GaussianSpec(m, mean)
+    assert g.M.tobytes() == m.tobytes() and g.mean.tobytes() == mean.tobytes()
+    assert _ldlt_decision(m) == ("accepted", "accepted")
+    for drawn in _straddles(m, sign, exponent):
+        decision = _ldlt_decision(drawn)
+        assert decision is None or decision[0] == decision[1]
+
+
 def test_gaussian_spec_reads_lists_ints_and_tuples_as_float_arrays():
     m = [[3, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     near = np.array(m, dtype=float)
@@ -720,10 +817,11 @@ def test_truncated_portrait_checks_each_setting_once(monkeypatch):
 def test_gaussian_table_at_a_huge_setting_raises_without_a_numpy_warning():
     # the displaced mean is formed on Python floats, so its overflow to
     # infinity warns nowhere, and the table refuses the mean's quadratic form
+    # as the overflow it is
     family = gaussian_purity_family(0.8, 0.02)
-    with pytest.raises(NumericalNegativity, match="gaussian tomogram table is not finite"):
+    with pytest.raises(OverflowError, match="quadratic form leaves the float range"):
         gaussian_tomogram_table(family, 1.3e308, 0.0, 8)
-    with pytest.raises(NumericalNegativity, match="gaussian tomogram table is not finite"):
+    with pytest.raises(OverflowError, match="quadratic form leaves the float range"):
         portrait_truncated(family, PartitionScheme(1, 1), 1.3e308, 0.0)
 
 

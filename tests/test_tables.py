@@ -246,14 +246,15 @@ def test_gaussian_table_matches_the_reference_expansion():
     assert refused > 0 and compared > 0
 
 
+@pytest.mark.filterwarnings("error")
 def test_gaussian_table_refuses_a_non_finite_table():
-    # displacements this large overflow the series to inf and nan; the
-    # check reads them from the table's minimum and maximum
+    # at displacements this large the setting's quadratic form N leaves the
+    # float range, and the series would turn it into inf and nan: the table
+    # raises OverflowError, as the closed forms do, before any numpy warning
     g = gaussian_purity_family(0.9, 0.0)
-    with np.errstate(all="ignore"):
-        for a1 in (1e200, 1e154, 1e170j):
-            with pytest.raises(NumericalNegativity, match="not finite"):
-                gaussian_tomogram_table(g, a1, 0j, 5)
+    for a1 in (1e200, 1e154, 1e170j):
+        with pytest.raises(OverflowError, match="quadratic form leaves the float range"):
+            gaussian_tomogram_table(g, a1, 0j, 5)
 
 
 def test_table_caches_are_bounded_and_read_only():
