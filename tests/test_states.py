@@ -570,9 +570,9 @@ def _spec_refusal(m):
 
 
 def _ldlt_decision(m):
-    """Which check decides on m, on the LDL^T route and on the eigvalsh and
-    det route: (accepted | positive definite | det, the same), or None for a
-    matrix inside the rounding band."""
+    """The decisions on m of the LDL^T route and of the eigvalsh and det
+    route, each "accepted" or the check that refused ("positive definite"
+    or "det"), or None for a matrix inside the rounding band."""
     eigs = np.linalg.eigvalsh(m)
     if abs(eigs[0]) <= EIG_BAND * eigs[-1] or abs(np.linalg.det(m) - DET_BOUND) <= DET_BAND * DET_BOUND:
         return None
@@ -616,17 +616,21 @@ def test_ldlt_checks_decide_as_eigvalsh_and_det_do():
 def test_ldlt_checks_refuse_a_zero_pivot_at_every_step():
     # a pivot of 0 or below, as given or made by elimination, is refused
     # before anything is divided by it, in the words of eigvalsh
+    refused = []
     for at in range(4):
         for value in (0.0, -0.0, -1e-300, -2.0):
-            given_pivot, made_pivot = np.eye(4), np.eye(4)
-            given_pivot[at, at] = value
-            if at:
-                # rows at - 1 and at equal: elimination leaves pivot `at` at 0
-                made_pivot[at - 1, at] = made_pivot[at, at - 1] = 1.0
-            for m in (given_pivot, made_pivot):
-                refusal = _spec_refusal(m)
-                assert refusal == eigvalsh_det_refusal(m)
-                assert refusal is None or refusal.startswith("M must be positive definite")
+            m = np.eye(4)
+            m[at, at] = value
+            refused.append(m)
+        if at:
+            # rows at - 1 and at equal: elimination leaves pivot `at` at 0
+            m = np.eye(4)
+            m[at - 1, at] = m[at, at - 1] = 1.0
+            refused.append(m)
+    for m in refused:
+        refusal = _spec_refusal(m)
+        assert refusal.startswith("M must be positive definite")
+        assert refusal == eigvalsh_det_refusal(m)
 
 
 @given(physical_gaussians(), st.sampled_from([-1.0, 1.0]), st.floats(min_value=-16.0, max_value=-8.0))
