@@ -220,8 +220,7 @@ class GaussianSpec:
             raise NonPhysicalSpec(
                 f"M must be positive definite, min eigenvalue {low:.3e}"
             )
-        d0, d1, d2, d3 = pivots
-        det = d0 * d1 * d2 * d3
+        det = math.prod(pivots)
         if det < 1.0 / 16.0 - DET_BOUND_SLACK:
             raise NonPhysicalSpec(
                 f"det M = {det:.12f} violates the uncertainty bound 1/16"
