@@ -81,12 +81,6 @@ def get_bell_high_water() -> float:
     return _bell_high_water
 
 
-def _record_bell(b: float) -> None:
-    global _bell_high_water
-    if b > _bell_high_water:
-        _bell_high_water = b
-
-
 @dataclass(frozen=True)
 class BellSettings:
     """Two displacement settings per mode."""
@@ -269,6 +263,7 @@ def bell_number(m) -> float:
         InvalidParameter: a plain matrix is not 4x4, or its B is not
             finite (a NaN or infinite entry).
     """
+    global _bell_high_water
     if isinstance(m, BellMatrix):
         columns = m._columns
     else:
@@ -285,7 +280,8 @@ def bell_number(m) -> float:
     b = abs(((x0 - x1) - x2) + x3)
     if not math.isfinite(b):
         raise InvalidParameter(f"need a Bell matrix with finite entries, got B = {b}")
-    _record_bell(b)
+    if b > _bell_high_water:
+        _bell_high_water = b
     return b
 
 
@@ -1003,11 +999,13 @@ def _closed_form_objective(portrait_fn: ClosedFormPortrait, box: float):
     columns_grad = portrait_fn.bell_columns_grad
 
     def negative_b(x):
+        global _bell_high_water
         columns, grads = columns_grad(_clipped(x, box))
         (a0, a1, a2, a3, _), (b0, b1, b2, b3, _), (c0, c1, c2, c3, _), (d0, d1, d2, d3, _) = columns
         chsh = (a0 - a1 - a2 + a3) + (b0 - b1 - b2 + b3) + (c0 - c1 - c2 + c3) - (d0 - d1 - d2 + d3)
         b = abs(chsh)
-        _record_bell(b)
+        if b > _bell_high_water:
+            _bell_high_water = b
         # -B = -|chsh|, so its gradient is chsh's times -1 where chsh >= 0
         sign = -1.0 if chsh >= 0.0 else 1.0
         (g0, g1, g2, g3), (h0, h1, h2, h3), (i0, i1, i2, i3), (j0, j1, j2, j3) = grads

@@ -307,11 +307,15 @@ def portrait_truncated(
 
 
 # Each canonical partition has one column function: it forms the cells
-# from (G1, G2, G12), the two marginals and the joint term, and returns the
-# checked column (w_pp, w_pm, w_mp, w_mm, 0.0). A column whose cells are
-# all >= 0 and sum to 1 within SUM_TOL is returned as formed, which is what
-# ``_checked_cells`` returns for it; any other goes to ``_checked_cells``,
-# which alone clamps, refuses and words the refusal.
+# from (G1, G2, G12), the two marginals and the joint term, and returns
+# the checked column (w_pp, w_pm, w_mp, w_mm, 0.0). A column whose cells
+# are all >= 0 is returned as formed, which is what ``_checked_cells``
+# returns for it: the exact cells sum to 1, and cells >= 0 bound the
+# inputs (max(1, |p1|, |p2|, |p12|) <= 1 + O(u) for even-odd,
+# 0 <= v12 <= v1, v2 <= 1 + O(u) for zero-nonzero), so they sum to 1
+# within about 20 ulp, far inside SUM_TOL; a NaN fails a sign test, and an
+# infinite input makes some cell -inf or NaN. Any other column goes to
+# ``_checked_cells``, which alone clamps, refuses and words the refusal.
 
 
 def _even_odd_column(p1, p2, p12, tol: float, what: str):
@@ -320,8 +324,7 @@ def _even_odd_column(p1, p2, p12, tol: float, what: str):
     w_pm = 0.25 * (1.0 + p1 - p2 - p12)
     w_mp = 0.25 * (1.0 - p1 + p2 - p12)
     w_mm = 0.25 * (1.0 - p1 - p2 + p12)
-    if (w_pp >= 0.0 and w_pm >= 0.0 and w_mp >= 0.0 and w_mm >= 0.0
-            and abs(w_pp + w_pm + w_mp + w_mm - 1.0) <= SUM_TOL):
+    if w_pp >= 0.0 and w_pm >= 0.0 and w_mp >= 0.0 and w_mm >= 0.0:
         return w_pp, w_pm, w_mp, w_mm, 0.0
     return _checked_cells((w_pp, w_pm, w_mp, w_mm), 0.0, tol, what)
 
@@ -329,8 +332,7 @@ def _even_odd_column(p1, p2, p12, tol: float, what: str):
 def _zero_nonzero_column(v1, v2, v12, tol: float, what: str):
     """The checked column of the vacuum probabilities G(0, 1), G(1, 0) and G(0, 0)."""
     w_pm, w_mp, w_mm = v1 - v12, v2 - v12, 1.0 - v1 - v2 + v12
-    if (v12 >= 0.0 and w_pm >= 0.0 and w_mp >= 0.0 and w_mm >= 0.0
-            and abs(v12 + w_pm + w_mp + w_mm - 1.0) <= SUM_TOL):
+    if v12 >= 0.0 and w_pm >= 0.0 and w_mp >= 0.0 and w_mm >= 0.0:
         return v12, w_pm, w_mp, w_mm, 0.0
     return _checked_cells((v12, w_pm, w_mp, w_mm), 0.0, tol, what)
 
@@ -452,8 +454,8 @@ class _CatG(ClosedFormPortrait):
                 d0, d1 = k_neg * ((ar + gr) ** 2 + (ai + gi) ** 2), k_neg * ((ar - gr) ** 2 + (ai - gi) ** 2)
                 d2, d3 = s * (a - cg) - (a + cg), k2 * (ar * gi - ai * gr)
                 # the marginal: the joint G with the unmeasured mode's terms
-                # (0.0, 0.0, one, 0.0)
-                terms.append((n * (exp(d0 + 0.0) + exp(d1 + 0.0) + 2.0 * exp(d2 + one) * cos(d3 + 0.0)),
+                # (0.0, 0.0, one, 0.0); exp and cos take -0.0 as 0.0
+                terms.append((n * (exp(d0) + exp(d1) + 2.0 * exp(d2 + one) * cos(d3)),
                               d0, d1, d2, d3))
         column, tol, what = self._column, self.tol, self._what
         columns = []

@@ -3,10 +3,13 @@ assembly on closed forms, as ``timeit`` minima.
 
 Usage::
 
-    PYTHONPATH=src python3 tests/table_timing.py [REPEATS]
+    PYTHONPATH=src python3 tests/table_timing.py [REPEATS [SECTION ...]]
 
-prints, at ``nmax`` 15 and 30 (``tables``), the minimum over REPEATS (default 25)
-runs of about 5 ms each of one call of:
+runs the named sections (``tables``, ``closed_forms``, ``bell_sweep``), or
+all three in that order when none is named. Each line is the minimum over
+REPEATS (default 25) runs of about 5 ms each.
+
+At ``nmax`` 15 and 30 (``tables``), it prints one call of:
 
 - ``gaussian_tomogram_table`` on the paper's squeezed example at the
   worked-example settings (-0.12i, 0.04i), and on a purity-family member
@@ -111,10 +114,12 @@ def _fresh_us(build, call, repeats, count=400):
     return best / count * 1e6
 
 
-def main(repeats=25):
-    tables(repeats)
-    closed_forms(repeats)
-    bell_sweep(repeats)
+def main(repeats=25, *sections):
+    unknown = [name for name in sections if name not in SECTIONS]
+    if unknown:
+        raise SystemExit(f"unknown section {', '.join(unknown)}; choose from {', '.join(SECTIONS)}")
+    for section in sections or SECTIONS:
+        SECTIONS[section](repeats)
 
 
 def tables(repeats):
@@ -209,5 +214,8 @@ def bell_sweep(repeats):
             print(f"{kind:9s} bell-sweep {name:40s} {us:8.1f} us")
 
 
+SECTIONS = {"tables": tables, "closed_forms": closed_forms, "bell_sweep": bell_sweep}
+
+
 if __name__ == "__main__":
-    main(*(int(a) for a in sys.argv[1:2]))
+    main(*(int(a) for a in sys.argv[1:2]), *sys.argv[2:])

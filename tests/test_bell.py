@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tomobell import bell
 from tomobell.bell import (
@@ -288,6 +289,56 @@ def test_column_function_keeps_the_bits_of_cells_then_check(kind):
     assert all(n > 0 for n in branches.values()), branches
 
 
+def _sum_within_bound_where_signs_pass(kind, g1, g2, g12):
+    """Whether the formed cells of (g1, g2, g12) are all >= 0; where they
+    are, assert they sum to 1 within SUM_TOL and that the column function
+    returns them as formed."""
+    cells = CANONICAL_CELLS[kind](g1, g2, g12)
+    if not all(c >= 0.0 for c in cells):
+        return False
+    w_pp, w_pm, w_mp, w_mm = cells
+    assert abs(w_pp + w_pm + w_mp + w_mm - 1.0) <= SUM_TOL, (g1, g2, g12)
+    column = _CANONICAL[kind][1](g1, g2, g12, NEGATIVITY_TOL, "fuzz")
+    assert [v.hex() for v in column] == [v.hex() for v in (*cells, 0.0)]
+    return True
+
+
+# any float (NaN, +-inf, subnormals, +-1e308), values near +-1 and 0, and
+# the steps next to them
+_G_VALUE = st.one_of(
+    st.floats(),
+    st.sampled_from((1.0, -1.0, 0.0, 0.5)).flatmap(lambda v: st.floats(v - 1e-9, v + 1e-9)),
+    st.sampled_from((math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0), 5e-324, -5e-324,
+                     1e308, -1e308)),
+)
+
+
+@st.composite
+def _edge_triples(draw, kind):
+    """(G1, G2, G12) of cells that sum to 1, one of them at its edge 0."""
+    low, a, b = draw(st.floats(-1e-15, 1e-15)), draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    cells = draw(st.permutations((low, a, b, 1.0 - low - a - b)))
+    return _G_OF_CELLS[kind](*cells)
+
+
+@pytest.mark.parametrize("kind", ["even-odd", "zero-nonzero"])
+@settings(deadline=None, max_examples=600)
+@given(data=st.data())
+def test_sign_tests_bound_the_column_sum(kind, data):
+    # the column functions return a column once its four cells are >= 0:
+    # cells formed by these formulas that pass the sign tests sum to 1
+    # within SUM_TOL, so the sum test of _checked_cells cannot refuse them
+    g = data.draw(st.one_of(st.tuples(_G_VALUE, _G_VALUE, _G_VALUE), _edge_triples(kind)))
+    _sum_within_bound_where_signs_pass(kind, *g)
+
+
+@pytest.mark.parametrize("kind", ["even-odd", "zero-nonzero"])
+def test_sign_tests_bound_the_column_sum_on_the_column_draws(kind):
+    passed = sum(_sum_within_bound_where_signs_pass(kind, g1, g2, g12)
+                 for g1, g2, g12, _ in _column_draws(kind))
+    assert passed > 20_000
+
+
 def test_trace_convention_regression():
     # the sign matrix is not symmetric, so the trace contraction and the
     # entrywise sum against it differ; only the former reproduces the
@@ -303,6 +354,22 @@ def test_trace_convention_regression():
 def test_bell_number_shape_guard():
     with pytest.raises(InvalidParameter):
         bell_number(np.zeros((3, 3)))
+
+
+def test_bell_number_updates_the_high_water_mark(monkeypatch):
+    # a checked matrix and a plain array each raise the mark to their B,
+    # and a lower B leaves it where it is
+    monkeypatch.setattr(bell, "_bell_high_water", 0.0)
+    fn = make_portrait_fn(CatState(1.0, 1.0), PartitionScheme.even_odd())
+    checked = bell_matrix(fn, BellSettings(0.1j, -0.2, 0.3, 0.1j))
+    b = bell_number(checked)
+    assert b > 0.0 and get_bell_high_water() == b
+    high = bell_number(PRINTED_MG)
+    assert high > b and get_bell_high_water() == high
+    flat = np.column_stack([[0.4, 0.3, 0.2, 0.1]] * 4)  # every correlation 0
+    for lower in (checked, flat, BellMatrix(flat, np.zeros(4))):
+        assert bell_number(lower) < high
+    assert get_bell_high_water() == high
 
 
 def test_bell_number_refuses_non_finite_entries(monkeypatch):
