@@ -12,9 +12,9 @@ counting (n1, n2) photons in the two modes after displacing the state by
 Cat and coherent tomograms have one formula over the coherent
 superposition terms (c_b, delta_b1, delta_b2):
 |sum_b c_b <n1|D(alpha1)|delta_b1> <n2|D(alpha2)|delta_b2>|^2, whose
-displaced Fock amplitudes have modulus at most 1. A table is one
-vectorized pass of it; the scalar ``cat_tomogram`` (also named
-``coherent_tomogram``) sums the same terms for one entry. A Gaussian
+displaced Fock amplitudes have modulus at most 1. A table forms them
+all with one exp and sums the terms with one matrix product; the scalar
+``cat_tomogram`` (also named ``coherent_tomogram``) sums them for one entry. A Gaussian
 table is the array of Taylor coefficients of the closed-form generating
 function G(s1, s2) = sum P(n1, n2) s1^n1 s2^n2, expanded in real
 arithmetic, and ``gaussian_tomogram`` reads one entry of it. The paper's
@@ -121,10 +121,11 @@ def _check_finite(value, name: str) -> None:
 
 
 @lru_cache(maxsize=8)
-def _log_factorials(nmax: int) -> np.ndarray:
-    """log n! for n = 0..nmax, read-only."""
-    out = np.array([_log_factorial(n) for n in range(nmax + 1)])
-    out.setflags(write=False)
+def _fock_exponents(nmax: int):
+    """n and -log(n!)/2 for n = 0..nmax, read-only: the exponents of <n|mu>."""
+    out = np.arange(nmax + 1.0), -0.5 * np.array([_log_factorial(n) for n in range(nmax + 1)])
+    for x in out:
+        x.setflags(write=False)
     return out
 
 
@@ -301,11 +302,6 @@ def gaussian_purity_family(k: float, l: float) -> GaussianSpec:
 # ---------------------------------------------------------------------------
 
 
-def _displacement_phase(alpha: complex, delta: complex) -> complex:
-    # D(alpha)|delta> = exp((alpha conj(delta) - conj(alpha) delta)/2) |alpha+delta>
-    return cmath.exp((alpha * delta.conjugate() - alpha.conjugate() * delta) / 2.0)
-
-
 def coherent_superposition_terms(state):
     """Expand a CatState or CoherentProduct into [(coeff, delta1, delta2), ...].
 
@@ -371,17 +367,6 @@ def _superposition_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: co
 cat_tomogram = coherent_tomogram = _superposition_tomogram
 
 
-def _fock_amplitudes(mu: complex, log_fact: np.ndarray) -> np.ndarray:
-    # <n|mu> for n = 0..len(log_fact) - 1; each has modulus <= 1
-    if mu == 0:
-        out = np.zeros(len(log_fact), dtype=complex)
-        out[0] = 1.0
-        return out
-    n = np.arange(len(log_fact))
-    log_mag = -abs(mu) ** 2 / 2.0 + n * math.log(abs(mu)) - 0.5 * log_fact
-    return np.exp(log_mag + 1j * cmath.phase(mu) * n)
-
-
 def coherent_superposition_table(
     state, alpha1: complex, alpha2: complex, nmax: int = DEFAULT_NMAX
 ) -> np.ndarray:
@@ -389,25 +374,39 @@ def coherent_superposition_table(
 
     The state's displaced Fock amplitudes, summed over its terms and
     squared, for every (n1, n2) at once: |sum_b c_b phi_b1 (x) phi_b2|^2,
-    where phi_bj holds the Fock amplitudes <n|alpha_j + delta_bj> for
-    n = 0..nmax and c_b is the term's
-    coefficient times its displacement phases. Every amplitude has modulus
-    at most 1, so no amplitude needs a log-domain branch.
+    with c_b the term's coefficient times its displacement phases and
+    phi_bj the row <n|mu> = exp(n log mu - |mu|^2/2 - log(n!)/2) for
+    n = 0..nmax at mu = alpha_j + delta_bj. One exp forms every row, with
+    log c_b in the constant of mode 1's row, and one matrix product sums
+    the terms. Every amplitude has modulus at most 1, so no row needs a
+    log-domain branch; a row at mu = 0 takes no log and is 0 past n = 0.
 
     Raises:
         InvalidParameter: nmax is not an integer >= 0, or a setting is not
             a finite number.
+        OverflowError: where |alpha + delta|^2 or a cat's |gamma|^2 leaves
+            the float range.
+        UnsupportedState: for a state that is neither.
     """
-    log_fact = _log_factorials(_integer(nmax, "nmax"))
+    n, neg_half_log_fact = _fock_exponents(_integer(nmax, "nmax"))
     _check_finite(alpha1, "alpha1")
     _check_finite(alpha2, "alpha2")
     a1, a2 = complex(alpha1), complex(alpha2)
-    amp = 0.0
+    # rows 2b and 2b + 1 are term b's mode-1 and mode-2 rows
+    slopes, constants, vacua = [], [], []
     for coeff, d1, d2 in coherent_superposition_terms(state):
-        c = coeff * _displacement_phase(a1, d1) * _displacement_phase(a2, d2)
-        amp = amp + np.outer(
-            c * _fock_amplitudes(a1 + d1, log_fact), _fock_amplitudes(a2 + d2, log_fact)
-        )
+        # D(alpha)|delta> = exp(i Im(alpha conj(delta))) |alpha + delta>
+        shift = cmath.log(coeff) + 1j * ((a1 * d1.conjugate()).imag + (a2 * d2.conjugate()).imag)
+        for mu in (a1 + d1, a2 + d2):
+            # on Python floats, which raise OverflowError before numpy sees an inf
+            constants.append(shift - abs(mu) ** 2 / 2.0)
+            shift = 0.0
+            vacua.append(mu == 0)
+            slopes.append(cmath.log(mu) if mu else 0j)
+    rows = np.exp(np.multiply.outer(slopes, n) + np.add.outer(constants, neg_half_log_fact))
+    if any(vacua):
+        rows[vacua, 1:] = 0.0
+    amp = rows[0::2].T @ rows[1::2]
     return amp.real ** 2 + amp.imag ** 2
 
 
@@ -621,8 +620,11 @@ def gaussian_tomogram_table(
     dE = _s2_multipliers(E[1:] * np.arange(1, n + 1)[:, None], n).reshape(n + 1, -1)
     P = np.zeros((n + 1, n + 1))
     P[n] = _exp_series(E[0].tolist())
+    flat = P.ravel()
     for k in range(n):
-        P[n - k - 1] = dE[:, : (k + 1) * (n + 1)] @ P[n - k:].ravel() / (k + 1)
+        row = P[n - k - 1]
+        np.matmul(dE[:, : (k + 1) * (n + 1)], flat[(n - k) * (n + 1):], out=row)
+        row /= k + 1
     w = P[::-1]
 
     # a NaN or an infinity shows in the minimum or the maximum

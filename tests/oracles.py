@@ -69,7 +69,6 @@ from tomobell.states import (
     CoherentProduct,
     GaussianSpec,
     TomogramSource,
-    _displacement_phase,
     _integer,
     _log_factorial,
     coherent_superposition_terms,
@@ -329,6 +328,11 @@ def hermite_oracle(params: HermiteParams, k) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _displacement_phase(alpha: complex, delta: complex) -> complex:
+    # D(alpha)|delta> = exp((alpha conj(delta) - conj(alpha) delta)/2) |alpha+delta>
+    return cmath.exp((alpha * delta.conjugate() - alpha.conjugate() * delta) / 2.0)
+
+
 def _fock_amplitude(n: int, mu: complex) -> complex:
     # <n|mu> = exp(-|mu|^2/2) mu^n / sqrt(n!)
     if mu == 0:
@@ -390,6 +394,35 @@ def mp_superposition_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: 
         else:
             raise TypeError(f"no closed product for {type(state).__name__}")
         return float(w)
+
+
+def _fock_amplitudes(mu: complex, log_fact: np.ndarray) -> np.ndarray:
+    # <n|mu> for n = 0..len(log_fact) - 1; each has modulus <= 1
+    if mu == 0:
+        out = np.zeros(len(log_fact), dtype=complex)
+        out[0] = 1.0
+        return out
+    n = np.arange(len(log_fact))
+    log_mag = -abs(mu) ** 2 / 2.0 + n * math.log(abs(mu)) - 0.5 * log_fact
+    return np.exp(log_mag + 1j * cmath.phase(mu) * n)
+
+
+def outer_product_superposition_table(state, alpha1: complex, alpha2: complex,
+                                      nmax: int) -> np.ndarray:
+    """``tomobell.coherent_superposition_table`` as it was written before
+    one exp formed every Fock row: per term, the coefficient times both
+    displacement phases times the outer product of the two modes' Fock
+    amplitudes, each row a magnitude and a phase of its own. The reference
+    the library's table must agree with."""
+    log_fact = np.array([_log_factorial(n) for n in range(_integer(nmax, "nmax") + 1)])
+    a1, a2 = complex(alpha1), complex(alpha2)
+    amp = 0.0
+    for coeff, d1, d2 in coherent_superposition_terms(state):
+        c = coeff * _displacement_phase(a1, d1) * _displacement_phase(a2, d2)
+        amp = amp + np.outer(
+            c * _fock_amplitudes(a1 + d1, log_fact), _fock_amplitudes(a2 + d2, log_fact)
+        )
+    return amp.real ** 2 + amp.imag ** 2
 
 
 class FockOracleSource(TomogramSource):

@@ -5,8 +5,9 @@ Usage::
 
     PYTHONPATH=src python3 tests/table_timing.py [REPEATS [SECTION ...]]
 
-runs the named sections (``tables``, ``closed_forms``, ``bell_sweep``), or
-all three in that order when none is named. Each line is the minimum over
+runs the named sections (``tables``, ``truncated_tables``,
+``closed_forms``, ``bell_sweep``), or all four in that order when none is
+named. Each line is the minimum over
 REPEATS (default 25) runs of about 5 ms each.
 
 At ``nmax`` 15 and 30 (``tables``), it prints one call of:
@@ -29,6 +30,18 @@ At ``nmax`` 15 and 30 (``tables``), it prints one call of:
 - the scalars ``cat_tomogram`` and ``coherent_tomogram`` of the cat state
   and the coherent product at (nmax, nmax), which sum that one entry's
   terms and cost about the same at every ``nmax``.
+
+Then (``truncated_tables``), the unit of work of the benchmark's
+``truncated-tables`` workload at the worked-example settings, per state
+kind (the squeezed example, the family member, the cat state and the
+coherent product): one ``portrait_truncated`` call, with the workload's
+``tail_eps`` of 1e-4, under each of even-odd, zero-nonzero, threshold-0
+(built through ``PartitionScheme.from_config``, as the workload builds it)
+and threshold-2, at ``nmax`` 15 and 30, and all eight of them as one line.
+A refused portrait (``TailTooLarge`` where the tail holds more than 1e-4)
+is timed up to its refusal, as the workload times it. Last in the section,
+one ``coherent_superposition_table`` of the cat state at alpha1 = -gamma1,
+where one branch's mode-1 row is the vacuum's and takes no log.
 
 Then (``closed_forms``), for the cat state, the coherent product, the squeezed example and
 the family member under each canonical partition, at the worked-example
@@ -74,6 +87,7 @@ take the lower figure. pytest does not collect this file.
 import sys
 import timeit
 
+from tomobell.errors import TomobellError
 from tomobell.bell import BellSettings, _closed_form_objective, bell_matrix, bell_number
 from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
 from tomobell.states import (
@@ -149,6 +163,39 @@ def tables(repeats):
             print(f"nmax {nmax:2d}  {name:40s} {_minimum_us(call, repeats):8.1f} us")
 
 
+def truncated_tables(repeats):
+    a1, a2 = SETTINGS
+    threshold_0 = PartitionScheme.from_config({"mode1": {"threshold": 0}, "mode2": {"threshold": 0}})
+    parts = {"even-odd": PartitionScheme.even_odd(), "zero-nonzero": PartitionScheme.zero_nonzero(),
+             "threshold-0": threshold_0, "threshold-2": PartitionScheme(2, 2)}
+    states = {"squeezed": GaussianSpec(SQUEEZED_M), "family": gaussian_purity_family(0.8, 0.02),
+              "cat": CatState(*AMPLITUDES), "coherent": CoherentProduct(*AMPLITUDES)}
+
+    def portrait(source, p, nmax):
+        try:
+            portrait_truncated(source, p, a1, a2, nmax, 1e-4)
+        except TomobellError:
+            pass
+
+    for kind, state in states.items():
+        source = make_source(state)
+        for nmax in (15, 30):
+            for name, p in parts.items():
+                us = _minimum_us(lambda: portrait(source, p, nmax), repeats)
+                print(f"{kind:9s} nmax {nmax:2d}  portrait_truncated {name:14s} {us:8.1f} us")
+
+        def unit():
+            for nmax in (15, 30):
+                for p in parts.values():
+                    portrait(source, p, nmax)
+
+        print(f"{kind:9s} all 8 portraits (2 nmax x 4 partitions)   {_minimum_us(unit, repeats):8.1f} us")
+    cat = states["cat"]
+    for nmax in (15, 30):
+        us = _minimum_us(lambda: coherent_superposition_table(cat, -cat.gamma1, a2, nmax), repeats)
+        print(f"{'cat':9s} nmax {nmax:2d}  coherent_superposition_table, branch at the vacuum {us:8.1f} us")
+
+
 def closed_forms(repeats):
     a1, a2 = SETTINGS
     squeezed, family = GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.8, 0.02)
@@ -214,7 +261,8 @@ def bell_sweep(repeats):
             print(f"{kind:9s} bell-sweep {name:40s} {us:8.1f} us")
 
 
-SECTIONS = {"tables": tables, "closed_forms": closed_forms, "bell_sweep": bell_sweep}
+SECTIONS = {"tables": tables, "truncated_tables": truncated_tables, "closed_forms": closed_forms,
+            "bell_sweep": bell_sweep}
 
 
 if __name__ == "__main__":

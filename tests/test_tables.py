@@ -1,5 +1,6 @@
-"""Photon-number tables: the Gaussian series expansion against its earlier
-forms, the caches behind the tables, and the checks on nmax."""
+"""Photon-number tables: the Gaussian series expansion and the coherent
+superposition table against their earlier forms, the caches behind the
+tables, and the checks on nmax."""
 
 import gc
 import math
@@ -10,7 +11,7 @@ import pytest
 
 from tomobell import portrait, states
 from tomobell.bell import MaximizeConfig
-from tomobell.errors import InvalidParameter, NumericalNegativity
+from tomobell.errors import InvalidParameter, NumericalNegativity, UnsupportedState
 from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
 from tomobell.states import (
     CatState,
@@ -18,6 +19,7 @@ from tomobell.states import (
     GaussianSource,
     GaussianSpec,
     TomogramSource,
+    cat_tomogram,
     coherent_superposition_table,
     gaussian_effective_mean,
     gaussian_purity_family,
@@ -25,7 +27,12 @@ from tomobell.states import (
     make_source,
 )
 
-from oracles import SQUEEZED_M, two_mode_squeezed_vacuum
+from oracles import (
+    SQUEEZED_M,
+    mp_superposition_tomogram,
+    outer_product_superposition_table,
+    two_mode_squeezed_vacuum,
+)
 
 
 # --- the series expansion as it was written before its per-call overhead
@@ -257,18 +264,93 @@ def test_gaussian_table_refuses_a_non_finite_table():
             gaussian_tomogram_table(g, a1, 0j, 5)
 
 
+# --- the coherent superposition table: one exp for every Fock row and one
+# matrix product, against the outer products it replaced ------------------
+
+
+def _superposition_draws(rng, count):
+    """Seeded cats and coherent products (|gamma_j| up to about 3), each
+    with settings at the worked-example scale (|Re|, |Im| <= 0.35) or
+    across the box (<= 2)."""
+    for i in range(count):
+        size = rng.uniform(0.0, 3.0)
+        gammas = [complex(*rng.uniform(-1.0, 1.0, 2)) * size / math.sqrt(2) for _ in range(2)]
+        state = (CatState if i % 2 else CoherentProduct)(*gammas)
+        scale = 0.35 if (i // 2) % 2 else 2.0
+        yield state, complex(*rng.uniform(-scale, scale, 2)), complex(*rng.uniform(-scale, scale, 2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nmax", [0, 1, 15, 30])
+def test_superposition_table_matches_the_outer_product_table(nmax):
+    for state, a1, a2 in _superposition_draws(np.random.default_rng(290 + nmax), 200):
+        got = coherent_superposition_table(state, a1, a2, nmax)
+        want = outer_product_superposition_table(state, a1, a2, nmax)
+        assert got.shape == (nmax + 1, nmax + 1)
+        assert np.max(np.abs(got - want)) <= 2e-15, (state, a1, a2)
+
+
+# a branch at the vacuum, the vacuum cat at the origin, and a cat whose
+# second branch lies near |mu| = 38, where exp(-|mu|^2/2) is subnormal and
+# its low rows underflow
+SUPERPOSITION_EDGES = {
+    "branch at the vacuum": (CatState(0.8 - 0.3j, 0.5j), -0.8 + 0.3j, 0.2 + 0.1j),
+    "vacuum cat": (CatState(0, 0), 0j, 0j),
+    "rows underflow": (CatState(18 + 6j, 0.4j), -20 + 2j, 0.3 - 0.2j),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", list(SUPERPOSITION_EDGES))
+def test_superposition_table_edges_match_the_scalar_and_the_closed_product(edge):
+    state, a1, a2 = SUPERPOSITION_EDGES[edge]
+    nmax = 30
+    table = coherent_superposition_table(state, a1, a2, nmax)
+    scalar = np.array([[cat_tomogram(state, i, j, a1, a2) for j in range(nmax + 1)]
+                       for i in range(nmax + 1)])
+    assert np.max(np.abs(table - scalar)) <= 1e-14
+    exact = np.array([[mp_superposition_tomogram(state, i, j, a1, a2)
+                       for j in range(nmax + 1)] for i in range(nmax + 1)])
+    big = exact > 1e-300
+    assert big.any()
+    assert np.max(np.abs(table[big] - exact[big]) / exact[big]) <= 1e-12
+    assert np.max(np.abs(table - outer_product_superposition_table(state, a1, a2, nmax))) <= 2e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_superposition_table_raises_where_it_did():
+    # the settings' checks come before the state's, and a square that
+    # leaves the float range raises before numpy sees an infinity
+    cat = CatState(1, 1)
+    with pytest.raises(InvalidParameter, match="nmax"):
+        coherent_superposition_table(object(), math.nan, math.nan, -1)
+    with pytest.raises(InvalidParameter, match="alpha1"):
+        coherent_superposition_table(object(), math.nan, math.nan, 3)
+    with pytest.raises(InvalidParameter, match="alpha2"):
+        coherent_superposition_table(object(), 0j, math.inf, 3)
+    with pytest.raises(UnsupportedState):
+        coherent_superposition_table(GaussianSpec(SQUEEZED_M), 0j, 0j, 3)
+    for state, a1, a2 in ((cat, 1e200, 0j), (cat, 0j, 2e154j), (CatState(1e200, 1), 0j, 0j),
+                          (CoherentProduct(0.5, 0.5j), 1e200, 0j)):
+        with pytest.raises(OverflowError):
+            coherent_superposition_table(state, a1, a2, 5)
+
+
 def test_table_caches_are_bounded_and_read_only():
     coherent_superposition_table(CatState(0.5, 0.3j), 0j, 0j, 7)
     portrait_truncated(make_source(CoherentProduct(0.5, 0.3j)), PartitionScheme(2, "even"),
                        0j, 0j, 7, tail_eps=1.0)
-    for cache in (states._log_factorials, portrait._cell_masks):
+    for cache in (states._fock_exponents, portrait._cell_masks):
         assert cache.cache_info().maxsize is not None
-    assert not states._log_factorials(7).flags.writeable
+    n, neg_half_log_fact = states._fock_exponents(7)
+    assert not n.flags.writeable and not neg_half_log_fact.flags.writeable
+    assert np.array_equal(n, range(8))
+    assert np.array_equal(neg_half_log_fact, [-0.5 * math.lgamma(k + 1) for k in range(8)])
     # a bad nmax is refused before the cache keyed by nmax is consulted
-    info = states._log_factorials.cache_info()
+    info = states._fock_exponents.cache_info()
     with pytest.raises(ValueError):
         coherent_superposition_table(CatState(0.5, 0.3j), 0j, 0j, 7.5)
-    assert states._log_factorials.cache_info() == info
+    assert states._fock_exponents.cache_info() == info
     rows1, cols2 = portrait._cell_masks(2, "even", 7)
     assert not rows1.flags.writeable and not cols2.flags.writeable
     m1, m2 = PartitionScheme(2, "even").masks(7)
