@@ -18,6 +18,10 @@ library's fast routes are tested against, written once:
 - the Fock-basis oracle for finite superpositions of two-mode coherent
   states: ``fock_oracle_tomogram`` sums the displaced Fock amplitudes term
   by term, and ``FockOracleSource`` serves it as a tomogram source;
+- ``outer_product_superposition_table``, the cat and coherent table as
+  it was written before one exp formed all of its Fock rows (one outer
+  product per term): the reference for
+  ``tomobell.coherent_superposition_table``;
 - ``mp_superposition_tomogram``, the paper's closed products for the cat
   and coherent tomograms in 60-digit ``mpmath``: the reference that does
   not share the Fock formula with ``tomobell.cat_tomogram``;
@@ -140,7 +144,14 @@ def haar_unitary(rng) -> np.ndarray:
 def random_physical_gaussian(rng, max_r=1.4, max_nu=1.5, mean=True):
     """(M, mean) of a random physical two-mode Gaussian: Haar passive
     parts, squeezings r in [0, max_r], nu in [1/2, max_nu], and a mean in
-    [-1, 1]^4 (zero for ``mean=False``)."""
+    [-1, 1]^4 (zero for ``mean=False``).
+
+    nu is drawn uniformly, so at the defaults no draw is a pure state
+    (nu = 1/2 in both modes has probability 0). The nmax-30 Gaussian
+    table's refusals of physical states have been seen only among pure
+    draws (ROADMAP item 4): a test that needs them draws pure states with
+    ``max_nu=0.5``, as ``test_physical_gaussian_routes_agree`` does for
+    every second state."""
     m = physical_gaussian_m(rng.uniform(0.0, max_r, 2), rng.uniform(0.5, max_nu, 2),
                             haar_unitary(rng), haar_unitary(rng))
     return m, rng.uniform(-1.0, 1.0, 4) if mean else np.zeros(4)

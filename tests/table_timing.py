@@ -87,8 +87,8 @@ take the lower figure. pytest does not collect this file.
 import sys
 import timeit
 
-from tomobell.errors import TomobellError
 from tomobell.bell import BellSettings, _closed_form_objective, bell_matrix, bell_number
+from tomobell.errors import TomobellError
 from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
 from tomobell.states import (
     CatState,
