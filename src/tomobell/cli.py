@@ -124,18 +124,14 @@ class ScanPreset:
         return [(a, b) for a in p1 for b in p2]
 
 
-def _build_cat(g1: float, g2: float) -> CatState:
-    return CatState(complex(g1), complex(g2))
-
-
 PRESETS = {
     "cat-zero-nonzero": ScanPreset(
         "cat-zero-nonzero", "zero-nonzero",
-        (0.5, 1.0, 1.5), (0.5, 1.0, 1.5), _build_cat,
+        (0.5, 1.0, 1.5), (0.5, 1.0, 1.5), CatState,
     ),
     "cat-even-odd": ScanPreset(
         "cat-even-odd", "even-odd",
-        (0.0, 1.0), (0.0, 1.0), _build_cat,
+        (0.0, 1.0), (0.0, 1.0), CatState,
     ),
     "gaussian-family": ScanPreset(
         "gaussian-family", "even-odd",

@@ -53,6 +53,7 @@ from .states import (
     CatState,
     CoherentProduct,
     GaussianSpec,
+    _cat_norm2,
     _check_finite,
     _integer,
     make_source,
@@ -438,7 +439,7 @@ class _CatG(ClosedFormPortrait):
         c1, c2 = abs(g1) ** 2, abs(g2) ** 2
         self._g1, self._g2 = (g1.real, g1.imag, c1), (g2.real, g2.imag, c2)
         self._s, self._k = s, 1.0 - s
-        self._norm2 = 0.5 / (1.0 + math.exp(-2.0 * (c1 + c2)))
+        self._norm2 = _cat_norm2(c1 + c2)
         self._one1, self._one2 = -2.0 * c1, -2.0 * c2
 
     def _columns(self, settings1, settings2):

@@ -4,11 +4,21 @@ assembly on closed forms, as ``timeit`` minima.
 Usage::
 
     PYTHONPATH=src python3 tests/table_timing.py [REPEATS [SECTION ...]]
+    PYTHONPATH=src python3 tests/table_timing.py [REPEATS] --against SRC
 
 runs the named sections (``tables``, ``truncated_tables``,
 ``closed_forms``, ``bell_sweep``), or all four in that order when none is
 named. Each line is the minimum over
 REPEATS (default 25) runs of about 5 ms each.
+
+With ``--against SRC``, where SRC is the ``src`` directory of another
+checkout, the script imports that checkout's package as
+``tomobell_against`` in the same process and runs the ``tables`` section
+on both trees: each line prints this tree's minimum, then the other's,
+from runs that alternate between the two (this tree first on even runs,
+the other first on odd ones). Separate processes drift apart by more than
+a few tenths of a microsecond on a busy machine; interleaved runs in one
+process see the same drift on both sides.
 
 At ``nmax`` 15 and 30 (``tables``), it prints one call of:
 
@@ -84,9 +94,14 @@ still shows its quiet moments; where two runs of the script disagree,
 take the lower figure. pytest does not collect this file.
 """
 
+import argparse
+import importlib.util
+import math
+import os
 import sys
 import timeit
 
+import tomobell
 from tomobell.bell import BellSettings, _closed_form_objective, bell_matrix, bell_number
 from tomobell.errors import TomobellError
 from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
@@ -94,12 +109,8 @@ from tomobell.states import (
     CatState,
     CoherentProduct,
     GaussianSpec,
-    cat_tomogram,
     coherent_superposition_table,
-    coherent_tomogram,
     gaussian_purity_family,
-    gaussian_tomogram,
-    gaussian_tomogram_table,
     DEFAULT_BOX,
     make_source,
 )
@@ -112,10 +123,20 @@ BELL_SETTINGS = BellSettings(-0.12j, 0.04j, 0.22j, -0.32j)
 AMPLITUDES = (0.7 + 0.3j, -0.5 + 0.2j)
 
 
-def _minimum_us(call, repeats):
+def _minima_us(calls, repeats):
+    """The minimum time of each of CALLS over REPEATS runs, the runs of the
+    calls interleaved, in alternating order from one run to the next."""
     # enough calls per run that one run takes about 5 ms
-    number = max(1, int(0.005 / max(timeit.timeit(call, number=1), 1e-7)))
-    return min(timeit.repeat(call, number=number, repeat=repeats)) / number * 1e6
+    numbers = [max(1, int(0.005 / max(timeit.timeit(call, number=1), 1e-7))) for call in calls]
+    best = [math.inf] * len(calls)
+    for r in range(repeats):
+        for i in range(len(calls)) if r % 2 == 0 else reversed(range(len(calls))):
+            best[i] = min(best[i], timeit.timeit(calls[i], number=numbers[i]) / numbers[i])
+    return [b * 1e6 for b in best]
+
+
+def _minimum_us(call, repeats):
+    return _minima_us([call], repeats)[0]
 
 
 def _fresh_us(build, call, repeats, count=400):
@@ -128,39 +149,64 @@ def _fresh_us(build, call, repeats, count=400):
     return best / count * 1e6
 
 
-def main(repeats=25, *sections):
+def main(repeats=25, *sections, against=None):
     unknown = [name for name in sections if name not in SECTIONS]
     if unknown:
         raise SystemExit(f"unknown section {', '.join(unknown)}; choose from {', '.join(SECTIONS)}")
+    if against is not None:
+        if sections not in ((), ("tables",)):
+            raise SystemExit("--against runs the tables section only")
+        tables(repeats, _load_against(against))
+        return
     for section in sections or SECTIONS:
         SECTIONS[section](repeats)
 
 
-def tables(repeats):
-    a1, a2 = SETTINGS
-    squeezed, family = GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.8, 0.02)
-    cat, coherent = CatState(*AMPLITUDES), CoherentProduct(*AMPLITUDES)
-    cat_source, threshold = make_source(cat), PartitionScheme(2, 2)
+def _load_against(src):
+    """The ``tomobell`` package under SRC, imported as ``tomobell_against``."""
+    init = os.path.join(src, "tomobell", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        "tomobell_against", init, submodule_search_locations=[os.path.dirname(init)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _table_calls(package, nmax):
+    """The ``tables`` section's calls at NMAX, through PACKAGE's own states."""
+    st, a1, a2 = package.states, *SETTINGS
+    squeezed, family = st.GaussianSpec(SQUEEZED_M), st.gaussian_purity_family(0.8, 0.02)
+    cat, coherent = st.CatState(*AMPLITUDES), st.CoherentProduct(*AMPLITUDES)
+    cat_source, threshold = st.make_source(cat), package.portrait.PartitionScheme(2, 2)
+    return {
+        "gaussian_tomogram_table squeezed": lambda: st.gaussian_tomogram_table(squeezed, a1, a2, nmax),
+        "gaussian_tomogram_table family": lambda: st.gaussian_tomogram_table(family, a1, a2, nmax),
+        "gaussian_tomogram_table family, cold spec":
+            lambda: st.gaussian_tomogram_table(st.GaussianSpec(family.M), a1, a2, nmax),
+        "coherent_superposition_table cat": lambda: st.coherent_superposition_table(cat, a1, a2, nmax),
+        "coherent_superposition_table coherent":
+            lambda: st.coherent_superposition_table(coherent, a1, a2, nmax),
+        "portrait_truncated cat threshold-2":
+            lambda: package.portrait.portrait_truncated(cat_source, threshold, a1, a2, nmax),
+        "gaussian_tomogram family (nmax, nmax)":
+            lambda: st.gaussian_tomogram(family, nmax, nmax, a1, a2),
+        "cat_tomogram cat (nmax, nmax)": lambda: st.cat_tomogram(cat, nmax, nmax, a1, a2),
+        "coherent_tomogram coherent (nmax, nmax)":
+            lambda: st.coherent_tomogram(coherent, nmax, nmax, a1, a2),
+    }
+
+
+def tables(repeats, against=None):
+    packages = [tomobell] if against is None else [tomobell, against]
     for nmax in (15, 30):
-        calls = {
-            "gaussian_tomogram_table squeezed": lambda: gaussian_tomogram_table(squeezed, a1, a2, nmax),
-            "gaussian_tomogram_table family": lambda: gaussian_tomogram_table(family, a1, a2, nmax),
-            "gaussian_tomogram_table family, cold spec":
-                lambda: gaussian_tomogram_table(GaussianSpec(family.M), a1, a2, nmax),
-            "coherent_superposition_table cat": lambda: coherent_superposition_table(cat, a1, a2, nmax),
-            "coherent_superposition_table coherent":
-                lambda: coherent_superposition_table(coherent, a1, a2, nmax),
-            "portrait_truncated cat threshold-2":
-                lambda: portrait_truncated(cat_source, threshold, a1, a2, nmax),
-            "gaussian_tomogram family (nmax, nmax)":
-                lambda: gaussian_tomogram(family, nmax, nmax, a1, a2),
-            "cat_tomogram cat (nmax, nmax)": lambda: cat_tomogram(cat, nmax, nmax, a1, a2),
-            "coherent_tomogram coherent (nmax, nmax)":
-                lambda: coherent_tomogram(coherent, nmax, nmax, a1, a2),
-        }
-        for name, call in calls.items():
-            call()
-            print(f"nmax {nmax:2d}  {name:40s} {_minimum_us(call, repeats):8.1f} us")
+        trees = [_table_calls(package, nmax) for package in packages]
+        for name in trees[0]:
+            calls = [tree[name] for tree in trees]
+            for call in calls:
+                call()
+            times = "  against ".join(f"{us:8.1f} us" for us in _minima_us(calls, repeats))
+            print(f"nmax {nmax:2d}  {name:40s} {times}")
 
 
 def truncated_tables(repeats):
@@ -266,4 +312,9 @@ SECTIONS = {"tables": tables, "truncated_tables": truncated_tables, "closed_form
 
 
 if __name__ == "__main__":
-    main(*(int(a) for a in sys.argv[1:2]), *sys.argv[2:])
+    parser = argparse.ArgumentParser(description="timeit minima of the library's layers")
+    parser.add_argument("repeats", nargs="?", type=int, default=25)
+    parser.add_argument("sections", nargs="*")
+    parser.add_argument("--against", metavar="SRC", help="another checkout's src directory")
+    args = parser.parse_args()
+    main(args.repeats, *args.sections, against=args.against)

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +24,10 @@ from tomobell.states import (
     CoherentSource,
     GaussianSpec,
     TomogramSource,
+    _cat_norm2,
     cat_tomogram,
     coherent_superposition_table,
+    coherent_superposition_terms,
     coherent_tomogram,
     gaussian_effective_mean,
     gaussian_purity_family,
@@ -40,6 +43,8 @@ from oracles import (
     SQUEEZED_M,
     DegenerateGaussian,
     FockOracleSource,
+    displaced_thermal,
+    displacement_operator,
     eigvalsh_det_refusal,
     fock_oracle_tomogram,
     gaussian_R,
@@ -149,9 +154,11 @@ def test_coherent_table_and_scalar_at_a_zero_amplitude():
     assert coherent_tomogram(s, 1, 0, -0.3, 0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_huge_displacements_raise_overflow_error():
     # float ** raises where a square leaves the float range; the library
-    # lets that OverflowError through, and the CLI reports it (exit 3)
+    # lets that OverflowError through, and the CLI reports it (exit 3).
+    # The scalar route raises it before any numpy warning
     cat, coherent = CatState(1, 1), CoherentProduct(0.5, 0.5j)
     with pytest.raises(OverflowError):
         cat_tomogram(cat, 1, 0, 1e200, 0)
@@ -159,6 +166,42 @@ def test_huge_displacements_raise_overflow_error():
         cat_tomogram(CatState(1e200, 1), 1, 0, 0, 0)
     with pytest.raises(OverflowError):
         coherent_tomogram(coherent, 1, 0, 1e200, 0)
+
+
+# 60 digits hold N = 1/sqrt(2 (1 + e^(-2S))) far beyond a float's 53 bits
+CAT_NORM_ULPS = 2
+
+
+def test_cat_norm_is_within_2_ulp_of_60_digit_mpmath():
+    # through log cosh S, N lost up to 2.9e-14 relative (about 185 ulp) to
+    # cancellation at S of several hundred; S is log-uniform over
+    # [1e-10, 700], split between the modes at a random angle, each
+    # amplitude at a random phase
+    draws = np.random.default_rng(30)
+    worst = 0.0
+    for log_s in np.append(draws.uniform(math.log(1e-10), math.log(700.0), 2000),
+                           [math.log(1e-10), math.log(700.0)]):
+        root, split = math.sqrt(math.exp(log_s)), draws.uniform(0.0, math.pi / 2)
+        g1, g2 = (root * r * cmath.exp(2j * math.pi * draws.random())
+                  for r in (math.cos(split), math.sin(split)))
+        (norm, _, _), _ = coherent_superposition_terms(CatState(g1, g2))
+        S = abs(g1) ** 2 + abs(g2) ** 2
+        with mpmath.workdps(60):
+            want = 1 / mpmath.sqrt(2 * (1 + mpmath.exp(-2 * mpmath.mpf(S))))
+            ulps = float(abs(mpmath.mpf(norm) - want)) / math.ulp(float(want))
+        worst = max(worst, ulps)
+    assert worst <= CAT_NORM_ULPS
+
+
+def test_cat_closed_forms_take_the_terms_normalization():
+    # one N^2 for the cat's terms and its closed-form portraits, bit for bit
+    for g1, g2 in ((1.0, 1.0), (0.7 + 0.3j, -0.5 + 0.2j), (0j, 0j), (math.sqrt(50), 5j),
+                   (20.0, 0.1j)):
+        cat = CatState(g1, g2)
+        n2 = _cat_norm2(abs(g1) ** 2 + abs(g2) ** 2)
+        assert coherent_superposition_terms(cat)[0][0] == math.sqrt(n2)
+        for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
+            assert make_portrait_fn(cat, p)._norm2 == n2
 
 
 def test_vacuum_cat_tomogram_at_origin():
@@ -334,27 +377,12 @@ def test_thermal_diagonal_is_geometric():
             assert abs(table[n1, n2] - want) <= GEOMETRIC_TOL * max(want, 1e-12)
 
 
-def _laguerre(n, x):
-    out = [1.0, 1.0 - x]
-    for k in range(1, n):
-        out.append(((2 * k + 1 - x) * out[k] - k * out[k - 1]) / (k + 1))
-    return np.array(out[: n + 1])
-
-
-def _displaced_thermal(nbar, beta, nmax):
-    # photon statistics of a thermal state with mean nbar displaced by beta
-    x = abs(beta) ** 2
-    n = np.arange(nmax + 1)
-    return (nbar ** n / (1 + nbar) ** (n + 1) * math.exp(-x / (1 + nbar))
-            * _laguerre(nmax, -x / (nbar * (1 + nbar))))
-
-
 def test_displaced_thermal_table_matches_laguerre_form():
     nbar1, nbar2 = 0.8, 2.3
     g = GaussianSpec(np.diag([nbar1 + 0.5, nbar2 + 0.5, nbar1 + 0.5, nbar2 + 0.5]))
     for a1, a2 in ((1.7 - 1.2j, -1.9 + 0.6j), (-2 + 2j, 0.4j), (0j, 0j)):
         table = gaussian_tomogram_table(g, a1, a2, 30)
-        want = np.outer(_displaced_thermal(nbar1, a1, 30), _displaced_thermal(nbar2, a2, 30))
+        want = np.outer(displaced_thermal(nbar1, a1, 30), displaced_thermal(nbar2, a2, 30))
         err = np.abs(table - want)
         assert err.max() <= 1e-14
         # criterion 7's relative metric and bound
@@ -371,19 +399,6 @@ def test_two_mode_squeezed_vacuum_table():
         for g in (two_mode_squeezed_vacuum(r), gaussian_purity_family(k, 0.0)):
             table = gaussian_tomogram_table(g, 0j, 0j, 30)
             assert np.max(np.abs(table - want)) <= 1e-14
-
-
-def _displacement(alpha, dim):
-    # D(alpha) = exp(alpha a^dag - conj(alpha) a) in the Fock basis 0..dim-1.
-    # With alpha = x e^(i phi), D(alpha) = e^(i phi n) exp(x (a^dag - a)) e^(-i phi n),
-    # and i (a^dag - a) is Hermitian, so exp(x (a^dag - a)) = V e^(-i lam x) V^H
-    # from its eigenvectors V and eigenvalues lam (within 2e-14 of scipy's
-    # expm of the generator, and twenty times faster)
-    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    lam, v = np.linalg.eigh(1j * (a.T - a))
-    phase = np.exp(1j * np.angle(alpha) * np.arange(dim))
-    real_shift = (v * np.exp(-1j * lam * abs(alpha))) @ v.conj().T
-    return phase[:, None] * real_shift * phase.conj()[None, :]
 
 
 # At box-scale settings the table of a strongly squeezed TMSV misses the
@@ -409,7 +424,7 @@ def test_displaced_two_mode_squeezed_vacuum_matches_fock_oracle(r, scale):
     amps = np.diag((-math.tanh(r)) ** np.arange(dim) / math.cosh(r))
     for _ in range(10):
         a1, a2 = (complex(*local.uniform(-scale, scale, 2)) for _ in range(2))
-        c = _displacement(a1, dim) @ amps @ _displacement(a2, dim).T
+        c = displacement_operator(a1, dim) @ amps @ displacement_operator(a2, dim).T
         want = np.abs(c[: nmax + 1, : nmax + 1]) ** 2
         table = gaussian_tomogram_table(tmsv, a1, a2, nmax)
         assert np.max(np.abs(table - want)) <= 1e-11, (a1, a2)
@@ -443,7 +458,7 @@ def test_gaussian_tomogram_is_the_table_entry():
     # the draw against the displaced-TMSV Fock amplitudes
     dim = 100
     amps = np.diag((-math.tanh(r)) ** np.arange(dim) / math.cosh(r))
-    c = _displacement(a1, dim) @ amps @ _displacement(a2, dim).T
+    c = displacement_operator(a1, dim) @ amps @ displacement_operator(a2, dim).T
     w = gaussian_tomogram(tmsv, 30, 30, a1, a2)
     assert 0.0 < w < 1e-29
     assert abs(w - abs(c[30, 30]) ** 2) <= 1e-11

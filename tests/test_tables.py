@@ -21,6 +21,7 @@ from tomobell.states import (
     TomogramSource,
     cat_tomogram,
     coherent_superposition_table,
+    coherent_tomogram,
     gaussian_effective_mean,
     gaussian_purity_family,
     gaussian_tomogram_table,
@@ -315,6 +316,20 @@ def test_superposition_table_edges_match_the_scalar_and_the_closed_product(edge)
     assert big.any()
     assert np.max(np.abs(table[big] - exact[big]) / exact[big]) <= 1e-12
     assert np.max(np.abs(table - outer_product_superposition_table(state, a1, a2, nmax))) <= 2e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nmax", [0, 1, 15, 30])
+def test_superposition_scalar_is_its_table_entry(nmax):
+    # the scalar evaluates the table's own rows at one entry; the edges add a
+    # cat branch and a coherent product at the vacuum, and the vacuum cat
+    draws = list(_superposition_draws(np.random.default_rng(300 + nmax), 40))
+    draws += [*SUPERPOSITION_EDGES.values(), (CoherentProduct(0.3, 0.5j), -0.3, 0.2 - 0.1j)]
+    for state, a1, a2 in draws:
+        scalar = cat_tomogram if isinstance(state, CatState) else coherent_tomogram
+        entries = [[scalar(state, i, j, a1, a2) for j in range(nmax + 1)] for i in range(nmax + 1)]
+        table = coherent_superposition_table(state, a1, a2, nmax)
+        assert np.max(np.abs(table - entries)) <= 1e-15, (state, a1, a2)
 
 
 @pytest.mark.filterwarnings("error")
