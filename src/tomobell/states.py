@@ -68,9 +68,9 @@ DEFAULT_BOX = 2.0
 # recomputes one (0.17 MB for nmax 0..30)
 DELTA_SERIES_CACHE_SIZE = DEFAULT_NMAX + 1
 
-# below this magnitude a float is subnormal: x86 arithmetic on it is slow,
-# and it carries fewer significant bits
-_TINY = float(np.finfo(float).tiny)
+# 2^100 times the smallest normal float: ``_flush_noise`` zeroes entries of
+# 1/Delta, log Delta and log G below it
+_NOISE_FLOOR = 2.0 ** -922
 
 _I4 = np.eye(4)
 
@@ -118,7 +118,8 @@ def _check_finite(value, name: str) -> None:
 
 @lru_cache(maxsize=8)
 def _fock_exponents(nmax: int):
-    """n and -log(n!)/2 for n = 0..nmax, read-only: the exponents of <n|mu>."""
+    """n and -log(n!)/2 for n = 0..nmax, read-only: the exponents of <n|mu>.
+    A Gaussian series scales its order-k row of a derivative by n[k]."""
     out = np.arange(nmax + 1.0), -0.5 * np.array([_log_factorial(n) for n in range(nmax + 1)])
     for x in out:
         x.setflags(write=False)
@@ -332,6 +333,9 @@ def _term_rows(coeff: complex, d1: complex, d2: complex, a1: complex, a2: comple
     the coefficient and both displacement phases, and k2 = -|mu2|^2/2.
     """
     mu1, mu2 = a1 + d1, a2 + d2
+    # an infinite mu_j (from finite a_j, d_j) would square without raising
+    if not (cmath.isfinite(mu1) and cmath.isfinite(mu2)):
+        raise OverflowError("coherent superposition: alpha + delta leaves the float range")
     # D(alpha)|delta> = exp(i Im(alpha conj(delta))) |alpha + delta>
     shift = cmath.log(coeff) + 1j * ((a1 * d1.conjugate()).imag + (a2 * d2.conjugate()).imag)
     # squares on Python floats raise OverflowError before numpy sees an inf
@@ -416,28 +420,33 @@ def coherent_superposition_table(
 # ---------------------------------------------------------------------------
 
 
-def gaussian_shifted_mean(g: GaussianSpec, alpha1: complex, alpha2: complex) -> np.ndarray:
-    """Quadrature mean of the displaced state, in (p1, p2, q1, q2) order.
-
-    Displacing by (alpha1, alpha2) shifts p_j by sqrt(2) Im alpha_j and
-    q_j by sqrt(2) Re alpha_j; the dispersion matrix M is unchanged.
-    """
-    a1, a2 = complex(alpha1), complex(alpha2)
-    # on Python floats, which round as numpy's float64 does but leave an
-    # overflow to infinity without a warning
-    r = math.sqrt(2.0)
-    return g.mean + np.array([r * a1.imag, r * a2.imag, r * a1.real, r * a2.real])
-
-
 def gaussian_effective_mean(g: GaussianSpec, alpha1: complex, alpha2: complex) -> np.ndarray:
     """Displaced mean as consumed by the tomogram kernel.
 
-    The generating function below takes the displaced mean with the p and
-    q pairs exchanged, i.e. in (q1, q2, p1, p2) order relative to
-    ``gaussian_shifted_mean``; the other order breaks normalization.
+    Displacing by (alpha1, alpha2) shifts p_j by sqrt(2) Im alpha_j and
+    q_j by sqrt(2) Re alpha_j. The generating function below takes that
+    mean with the p and q pairs exchanged, in (q1, q2, p1, p2) order; the
+    other order breaks normalization.
     """
-    m = gaussian_shifted_mean(g, alpha1, alpha2)
-    return m[[2, 3, 0, 1]]
+    a1, a2 = complex(alpha1), complex(alpha2)
+    m0, m1, m2, m3 = g.mean.tolist()
+    # on Python floats, which round as numpy's float64 does but leave an
+    # overflow to infinity without a warning
+    r = math.sqrt(2.0)
+    return np.array([m2 + r * a1.real, m3 + r * a2.real, m0 + r * a1.imag, m1 + r * a2.imag])
+
+
+# the 16 terms of Delta: mask m takes row i from 1/2 - M when bit i is set;
+# bits 0, 2 belong to mode 1 and bits 1, 3 to mode 2, so mask m carries
+# s1^a s2^b with _POWERS[m, a, b] = 1
+_MASKS = (np.arange(16)[:, None] >> np.arange(4)) & 1
+_POWERS = np.zeros((16, 3, 3))
+_POWERS[np.arange(16), _MASKS[:, 0] + _MASKS[:, 2], _MASKS[:, 1] + _MASKS[:, 3]] = 1.0
+# the three indices other than i, as rows and as columns of a 3x3 minor,
+# and the cofactor signs
+_KEPT = np.array([[k for k in range(4) if k != i] for i in range(4)])
+_MINOR_ROWS, _MINOR_COLUMNS = _KEPT[:, None, :, None], _KEPT[None, :, None, :]
+_COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
 
 
 def _generating_polynomials(M):
@@ -451,21 +460,13 @@ def _generating_polynomials(M):
     inversion and no cancellation between samples. Returns Delta[a, b] and
     A[i, j, a, b], the real coefficients of s1^a s2^b (a, b <= 2).
     """
-    # mask m takes row i from 1/2 - M when bit i is set; bits 0, 2 belong
-    # to mode 1 and bits 1, 3 to mode 2, so mask m carries s1^a s2^b with
-    # powers[m, a, b] = 1
-    masks = (np.arange(16)[:, None] >> np.arange(4)) & 1
-    powers = np.zeros((16, 3, 3))
-    powers[np.arange(16), masks[:, 0] + masks[:, 2], masks[:, 1] + masks[:, 3]] = 1.0
-    rows = np.where(masks[:, :, None] == 1, 0.5 * _I4 - M, M + 0.5 * _I4)
-    delta = np.einsum("m,mab->ab", np.linalg.det(rows), powers)
+    rows = np.where(_MASKS[:, :, None] == 1, 0.5 * _I4 - M, M + 0.5 * _I4)
+    delta = np.einsum("m,mab->ab", np.linalg.det(rows), _POWERS)
     # minors[m, i, j]: rows[m] without row i and column j
-    kept = np.array([[k for k in range(4) if k != i] for i in range(4)])
-    minors = np.linalg.det(rows[:, kept[:, None, :, None], kept[None, :, None, :]])
-    sign = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+    minors = np.linalg.det(rows[:, _MINOR_ROWS, _MINOR_COLUMNS])
     # adj(W)[i, j] is the cofactor of W[j, i], which does not involve row j
-    adjugates = np.swapaxes(sign * minors, 1, 2) * (masks[:, None, :] == 0)
-    adj = np.einsum("mij,mab->ijab", adjugates, powers)
+    adjugates = np.swapaxes(_COFACTOR_SIGN * minors, 1, 2) * (_MASKS[:, None, :] == 0)
+    adj = np.einsum("mij,mab->ijab", adjugates, _POWERS)
     # times diag(1 - s): column j gains a factor 1 - s of its own mode
     A = adj.copy()
     A[:, 0::2, 1:, :] -= adj[:, 0::2, :-1, :]
@@ -485,11 +486,12 @@ def _s2_multipliers(rows, n: int) -> np.ndarray:
     series and sums the products.
     """
     rows = np.atleast_2d(rows)[:, : n + 1]
+    # rows[r][t] in z[r, n - t], so that T[i, r, j] = z[r, n - i + j] is a
+    # strided view of z that reads forward along j, copied once
     z = np.zeros((len(rows), 2 * n + 1))
-    z[:, n : n + rows.shape[1]] = rows
-    # T[i, r, j] = z[r, n + i - j]: a strided view of z, copied once
+    z[:, n - rows.shape[1] + 1 : n + 1] = rows[:, ::-1]
     step = z.itemsize
-    view = np.ndarray((n + 1, len(rows), n + 1), float, z, n * step, (step, z.strides[0], -step))
+    view = np.ndarray((n + 1, len(rows), n + 1), float, z, n * step, (-step, z.strides[0], step))
     return view.copy()
 
 
@@ -509,20 +511,24 @@ def _exp_series(e: list) -> list:
     return f
 
 
-def _flush_subnormals(x: np.ndarray) -> None:
-    """Set the subnormal entries of x to zero in place, keeping their sign."""
-    np.multiply(x, 0.0, out=x, where=np.abs(x) < _TINY)
+def _flush_noise(x: np.ndarray) -> None:
+    """Set the entries of x (1/Delta, log Delta or log G) below 2^-922 to
+    zero in place, keeping their sign.
+
+    Rounding noise in Delta (-2.9e-16 where the exact coefficient is 0, on
+    the paper's squeezed example) leaves entries down to about 1e-307,
+    whose products with table entries are subnormal and slow. An entry e
+    enters the table only through products no larger than about
+    (nmax + 1) |e|, so zeroing it moves only table entries below about
+    1e-260, far below any that a portrait or a refusal reads.
+    """
+    np.multiply(x, 0.0, out=x, where=np.abs(x) < _NOISE_FLOOR)
 
 
 def _delta_series(delta: np.ndarray, n: int):
     """R = 1/Delta and L = log Delta as read-only (n + 1) x (n + 1) arrays
-    of Taylor coefficients in (s1, s2), subnormal entries set to zero.
-
-    They depend on M and n alone. Rounding noise in Delta (a coefficient
-    of -2.9e-16 where the exact one is 0, on the paper's squeezed
-    example) raised to high powers leaves subnormal entries, and every
-    product with one of them is slow; those entries are far below any
-    entry of the table.
+    of Taylor coefficients in (s1, s2), their rounding noise below 2^-922
+    set to zero (``_flush_noise``). They depend on M and n alone.
     """
     # R row by row in s1: Delta_0 R_k = -(Delta_1 R_(k-1) + Delta_2 R_(k-2)),
     # row 0 on Python floats. The other rows are written in place, with
@@ -554,9 +560,9 @@ def _delta_series(delta: np.ndarray, n: int):
     ]
     dlog = R @ d_rows[:, 1].T
     dlog[1:] += 2.0 * R[:-1] @ d_rows[:, 2].T
-    L[1:] = dlog[:-1] / np.arange(1, n + 1)[:, None]
+    L[1:] = dlog[:-1] / _fock_exponents(n)[0][1:, None]
     for x in (R, L):
-        _flush_subnormals(x)
+        _flush_noise(x)
         x.setflags(write=False)
     return R, L
 
@@ -580,6 +586,8 @@ def gaussian_tomogram_table(
     nmax, then exp(E) from the recurrence
     (k + 1) P_{k+1} = sum_j (j + 1) E_{j+1} P_{k-j} along s1, with
     products along s2. There is no complex arithmetic and no Hermite box.
+    R, L and E lose their rounding noise below 2^-922 (``_flush_noise``),
+    which moves no table entry above about 1e-260.
 
     Raises:
         InvalidParameter: nmax is not an integer >= 0, or a setting is not
@@ -601,24 +609,23 @@ def gaussian_tomogram_table(
     N = np.einsum("i,ijab,j->ab", mu, g._generating_polynomials[1], mu)
     # N overflows at displacements near 1e154; the products below would
     # turn its infinities into NaNs, with a numpy warning for each
-    if not np.isfinite(N).all():
+    if not all(map(math.isfinite, N.ravel().tolist())):
         raise OverflowError(
             "gaussian tomogram table: the setting's quadratic form leaves the float range"
         )
 
-    # E = -(N R + L)/2, with N of degree <= 2 in s1; its subnormal entries
-    # go for the reason given in ``_delta_series``
+    # E = -(N R + L)/2, with N of degree <= 2 in s1, flushed as R and L are
     n_rows = _s2_multipliers(N, n)
     NR = R @ n_rows[:, 0].T
     NR[1:] += R[:-1] @ n_rows[:, 1].T
     NR[2:] += R[:-2] @ n_rows[:, 2].T
     E = -0.5 * (NR + L)
-    _flush_subnormals(E)
+    _flush_noise(E)
 
     # P = exp(E): row 0 along s2, then P_(k+1) from P_k .. P_0 stored in
     # reverse (P_m in row n - m) so that they lie contiguous in memory.
     # ``@`` reads the column slice of dE in place, where np.dot copies it
-    dE = _s2_multipliers(E[1:] * np.arange(1, n + 1)[:, None], n).reshape(n + 1, -1)
+    dE = _s2_multipliers(E[1:] * _fock_exponents(n)[0][1:, None], n).reshape(n + 1, -1)
     P = np.zeros((n + 1, n + 1))
     P[n] = _exp_series(E[0].tolist())
     flat = P.ravel()
@@ -634,7 +641,7 @@ def gaussian_tomogram_table(
         raise NumericalNegativity("gaussian tomogram table is not finite")
     if low < -NEGATIVITY_TOL_HERMITE:
         raise NumericalNegativity(f"gaussian tomogram table hit {low:.6e}")
-    return np.clip(w, 0.0, None)
+    return np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) calls
 
 
 def gaussian_tomogram(

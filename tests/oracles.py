@@ -11,10 +11,10 @@ library's fast routes are tested against, written once:
 
   with mu the kernel-order displaced mean
   (``tomobell.states.gaussian_effective_mean``), R = ``gaussian_R(M)`` and
-  y = ``gaussian_y(M, shifted_mean)``. ``tomobell.hermite.hermite_box``
-  fills H^R_k(x) by recursion; ``hermite_oracle`` differentiates
-  exp(-x.R.x/2) symbolically instead, and is the ground truth for that
-  recursion;
+  y = ``gaussian_y(M, gaussian_shifted_mean(g, alpha1, alpha2))``.
+  ``tomobell.hermite.hermite_box`` fills H^R_k(x) by recursion;
+  ``hermite_oracle`` differentiates exp(-x.R.x/2) symbolically instead,
+  and is the ground truth for that recursion;
 - the Fock-basis oracle for finite superpositions of two-mode coherent
   states: ``fock_oracle_tomogram`` sums the displaced Fock amplitudes term
   by term, and ``FockOracleSource`` serves it as a tomogram source;
@@ -248,12 +248,25 @@ def gaussian_R(M) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
+def gaussian_shifted_mean(g: GaussianSpec, alpha1: complex, alpha2: complex) -> np.ndarray:
+    """Quadrature mean of the displaced state, in (p1, p2, q1, q2) order.
+
+    Displacing by (alpha1, alpha2) shifts p_j by sqrt(2) Im alpha_j and
+    q_j by sqrt(2) Re alpha_j; the dispersion matrix M is unchanged.
+    ``tomobell.states.gaussian_effective_mean`` is this vector in kernel
+    order, (q1, q2, p1, p2).
+    """
+    a1, a2 = complex(alpha1), complex(alpha2)
+    r = math.sqrt(2.0)
+    return g.mean + np.array([r * a1.imag, r * a2.imag, r * a1.real, r * a2.real])
+
+
 def gaussian_y(M, shifted_mean) -> np.ndarray:
     """Hermite argument y = 2 U^tr (I - 2M)^{-1} mu.
 
     ``shifted_mean`` is the displaced mean in (p1, p2, q1, q2) order as
-    returned by ``tomobell.states.gaussian_shifted_mean``; the kernel-order
-    exchange to (q1, q2, p1, p2) happens here.
+    returned by ``gaussian_shifted_mean``; the kernel-order exchange to
+    (q1, q2, p1, p2) happens here.
 
     Raises:
         DegenerateGaussian: when I - 2M is singular (coherent or vacuum

@@ -13,20 +13,27 @@ REPEATS (default 25) runs of about 5 ms each.
 
 With ``--against SRC``, where SRC is the ``src`` directory of another
 checkout, the script imports that checkout's package as
-``tomobell_against`` in the same process and runs the ``tables`` section
-on both trees: each line prints this tree's minimum, then the other's,
-from runs that alternate between the two (this tree first on even runs,
-the other first on odd ones). Separate processes drift apart by more than
-a few tenths of a microsecond on a busy machine; interleaved runs in one
-process see the same drift on both sides.
+``tomobell_against`` in the same process and runs the ``tables`` and
+``truncated_tables`` sections (or the one of them named) on both trees:
+each line prints this tree's minimum, then the other's, from runs that
+alternate between the two (this tree first on even runs, the other first
+on odd ones). Separate processes drift apart by more than a few tenths of
+a microsecond on a busy machine; interleaved runs in one process see the
+same drift on both sides.
 
 At ``nmax`` 15 and 30 (``tables``), it prints one call of:
 
 - ``gaussian_tomogram_table`` on the paper's squeezed example at the
-  worked-example settings (-0.12i, 0.04i), and on a purity-family member
-  (k = 0.8, l = 0.02) at the same settings. These specs are warm: they
-  keep their polynomials and their series 1/Delta and log Delta between
-  calls, so the lines time only the work that depends on the settings;
+  worked-example settings (-0.12i, 0.04i) and at the box-scale settings
+  (1.5 - 1i, -0.7 + 1.8i), on a purity-family member (k = 0.8,
+  l = 0.02) at the worked-example settings, and on a two-mode squeezed
+  vacuum (r = 0.4) with mean (0.3, -0.2, 0.1, 0.4) at both. Rounding
+  noise in the squeezed example's and the squeezed vacuum's Delta is
+  where products near the subnormal range showed before the series
+  were flushed below 2^-922; the family's Delta has none. These specs
+  are warm: they keep their polynomials and their series 1/Delta and
+  log Delta between calls, so the lines time only the work that depends
+  on the settings;
 - the same family table on a cold spec, built afresh for every call,
   which also pays for the spec's checks, its polynomials and its series
   (the warm lines alone would hide that cost, which a caller that makes
@@ -103,22 +110,21 @@ import timeit
 
 import tomobell
 from tomobell.bell import BellSettings, _closed_form_objective, bell_matrix, bell_number
-from tomobell.errors import TomobellError
-from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_truncated
+from tomobell.portrait import PartitionScheme, make_portrait_fn
 from tomobell.states import (
     CatState,
     CoherentProduct,
     GaussianSpec,
-    coherent_superposition_table,
     gaussian_purity_family,
     DEFAULT_BOX,
-    make_source,
 )
 
 from oracles import SQUEEZED_M, two_mode_squeezed_vacuum
 from test_optimizer import MIX
 
 SETTINGS = (-0.12j, 0.04j)
+BOX_SETTINGS = (1.5 - 1j, -0.7 + 1.8j)
+TMSV = two_mode_squeezed_vacuum(0.4, (0.3, -0.2, 0.1, 0.4))
 BELL_SETTINGS = BellSettings(-0.12j, 0.04j, 0.22j, -0.32j)
 AMPLITUDES = (0.7 + 0.3j, -0.5 + 0.2j)
 
@@ -154,9 +160,11 @@ def main(repeats=25, *sections, against=None):
     if unknown:
         raise SystemExit(f"unknown section {', '.join(unknown)}; choose from {', '.join(SECTIONS)}")
     if against is not None:
-        if sections not in ((), ("tables",)):
-            raise SystemExit("--against runs the tables section only")
-        tables(repeats, _load_against(against))
+        if not set(sections) <= {"tables", "truncated_tables"}:
+            raise SystemExit("--against runs the tables and truncated_tables sections only")
+        package = _load_against(against)
+        for section in sections or ("tables", "truncated_tables"):
+            SECTIONS[section](repeats, package)
         return
     for section in sections or SECTIONS:
         SECTIONS[section](repeats)
@@ -177,10 +185,16 @@ def _table_calls(package, nmax):
     """The ``tables`` section's calls at NMAX, through PACKAGE's own states."""
     st, a1, a2 = package.states, *SETTINGS
     squeezed, family = st.GaussianSpec(SQUEEZED_M), st.gaussian_purity_family(0.8, 0.02)
+    tmsv = st.GaussianSpec(TMSV.M, TMSV.mean)
     cat, coherent = st.CatState(*AMPLITUDES), st.CoherentProduct(*AMPLITUDES)
     cat_source, threshold = st.make_source(cat), package.portrait.PartitionScheme(2, 2)
     return {
         "gaussian_tomogram_table squeezed": lambda: st.gaussian_tomogram_table(squeezed, a1, a2, nmax),
+        "gaussian_tomogram_table squeezed, box setting":
+            lambda: st.gaussian_tomogram_table(squeezed, *BOX_SETTINGS, nmax),
+        "gaussian_tomogram_table TMSV r=0.4": lambda: st.gaussian_tomogram_table(tmsv, a1, a2, nmax),
+        "gaussian_tomogram_table TMSV r=0.4, box setting":
+            lambda: st.gaussian_tomogram_table(tmsv, *BOX_SETTINGS, nmax),
         "gaussian_tomogram_table family": lambda: st.gaussian_tomogram_table(family, a1, a2, nmax),
         "gaussian_tomogram_table family, cold spec":
             lambda: st.gaussian_tomogram_table(st.GaussianSpec(family.M), a1, a2, nmax),
@@ -197,49 +211,63 @@ def _table_calls(package, nmax):
     }
 
 
+def _print_interleaved(trees, repeats, width):
+    """One line per name of the dicts of calls in TREES, one for each tree:
+    the minima of each name's calls, from interleaved runs."""
+    for name in trees[0]:
+        calls = [tree[name] for tree in trees]
+        for call in calls:
+            call()
+        times = "  against ".join(f"{us:8.1f} us" for us in _minima_us(calls, repeats))
+        print(f"{name:{width}s} {times}")
+
+
 def tables(repeats, against=None):
     packages = [tomobell] if against is None else [tomobell, against]
     for nmax in (15, 30):
-        trees = [_table_calls(package, nmax) for package in packages]
-        for name in trees[0]:
-            calls = [tree[name] for tree in trees]
-            for call in calls:
-                call()
-            times = "  against ".join(f"{us:8.1f} us" for us in _minima_us(calls, repeats))
-            print(f"nmax {nmax:2d}  {name:40s} {times}")
+        trees = [{f"nmax {nmax:2d}  {name}": call for name, call in _table_calls(package, nmax).items()}
+                 for package in packages]
+        _print_interleaved(trees, repeats, 57)
 
 
-def truncated_tables(repeats):
-    a1, a2 = SETTINGS
-    threshold_0 = PartitionScheme.from_config({"mode1": {"threshold": 0}, "mode2": {"threshold": 0}})
-    parts = {"even-odd": PartitionScheme.even_odd(), "zero-nonzero": PartitionScheme.zero_nonzero(),
-             "threshold-0": threshold_0, "threshold-2": PartitionScheme(2, 2)}
-    states = {"squeezed": GaussianSpec(SQUEEZED_M), "family": gaussian_purity_family(0.8, 0.02),
-              "cat": CatState(*AMPLITUDES), "coherent": CoherentProduct(*AMPLITUDES)}
+def _truncated_calls(package):
+    """The ``truncated_tables`` section's calls, through PACKAGE's own code."""
+    st, pt, a1, a2 = package.states, package.portrait, *SETTINGS
+    threshold_0 = pt.PartitionScheme.from_config({"mode1": {"threshold": 0}, "mode2": {"threshold": 0}})
+    parts = {"even-odd": pt.PartitionScheme.even_odd(), "zero-nonzero": pt.PartitionScheme.zero_nonzero(),
+             "threshold-0": threshold_0, "threshold-2": pt.PartitionScheme(2, 2)}
+    states = {"squeezed": st.GaussianSpec(SQUEEZED_M), "family": st.gaussian_purity_family(0.8, 0.02),
+              "cat": st.CatState(*AMPLITUDES), "coherent": st.CoherentProduct(*AMPLITUDES)}
 
     def portrait(source, p, nmax):
         try:
-            portrait_truncated(source, p, a1, a2, nmax, 1e-4)
-        except TomobellError:
+            pt.portrait_truncated(source, p, a1, a2, nmax, 1e-4)
+        except package.errors.TomobellError:
             pass
 
+    def unit(source):
+        for nmax in (15, 30):
+            for p in parts.values():
+                portrait(source, p, nmax)
+
+    calls = {}
     for kind, state in states.items():
-        source = make_source(state)
+        source = st.make_source(state)
         for nmax in (15, 30):
             for name, p in parts.items():
-                us = _minimum_us(lambda: portrait(source, p, nmax), repeats)
-                print(f"{kind:9s} nmax {nmax:2d}  portrait_truncated {name:14s} {us:8.1f} us")
-
-        def unit():
-            for nmax in (15, 30):
-                for p in parts.values():
-                    portrait(source, p, nmax)
-
-        print(f"{kind:9s} all 8 portraits (2 nmax x 4 partitions)   {_minimum_us(unit, repeats):8.1f} us")
+                calls[f"{kind:9s} nmax {nmax:2d}  portrait_truncated {name}"] = (
+                    lambda source=source, p=p, nmax=nmax: portrait(source, p, nmax))
+        calls[f"{kind:9s} all 8 portraits (2 nmax x 4 partitions)"] = lambda source=source: unit(source)
     cat = states["cat"]
     for nmax in (15, 30):
-        us = _minimum_us(lambda: coherent_superposition_table(cat, -cat.gamma1, a2, nmax), repeats)
-        print(f"{'cat':9s} nmax {nmax:2d}  coherent_superposition_table, branch at the vacuum {us:8.1f} us")
+        calls[f"{'cat':9s} nmax {nmax:2d}  coherent_superposition_table, branch at the vacuum"] = (
+            lambda nmax=nmax: st.coherent_superposition_table(cat, -cat.gamma1, a2, nmax))
+    return calls
+
+
+def truncated_tables(repeats, against=None):
+    packages = [tomobell] if against is None else [tomobell, against]
+    _print_interleaved([_truncated_calls(package) for package in packages], repeats, 72)
 
 
 def closed_forms(repeats):

@@ -31,7 +31,6 @@ from tomobell.states import (
     coherent_tomogram,
     gaussian_effective_mean,
     gaussian_purity_family,
-    gaussian_shifted_mean,
     gaussian_tomogram,
     gaussian_tomogram_table,
     load_state,
@@ -48,6 +47,7 @@ from oracles import (
     eigvalsh_det_refusal,
     fock_oracle_tomogram,
     gaussian_R,
+    gaussian_shifted_mean,
     gaussian_y,
     mp_superposition_tomogram,
     physical_gaussians,
@@ -166,6 +166,13 @@ def test_huge_displacements_raise_overflow_error():
         cat_tomogram(CatState(1e200, 1), 1, 0, 0, 0)
     with pytest.raises(OverflowError):
         coherent_tomogram(coherent, 1, 0, 1e200, 0)
+    # finite amplitude and setting whose sum alpha + gamma is infinite:
+    # its square does not raise, and the rows would be NaN
+    far = CoherentProduct(1e308, 0)
+    with pytest.raises(OverflowError):
+        coherent_tomogram(far, 1, 0, 1e308, 0)
+    with pytest.raises(OverflowError):
+        coherent_superposition_table(far, 1e308, 0, 2)
 
 
 # 60 digits hold N = 1/sqrt(2 (1 + e^(-2S))) far beyond a float's 53 bits

@@ -32,6 +32,7 @@ from oracles import (
     SQUEEZED_M,
     mp_superposition_tomogram,
     outer_product_superposition_table,
+    random_physical_gaussian,
     two_mode_squeezed_vacuum,
 )
 
@@ -208,6 +209,47 @@ def test_gaussian_table_keeps_the_parent_bits_cold_and_warm():
                             compared += 1
     # both outcomes are exercised
     assert refused > 0 and compared > 0
+
+
+# 2^-922, below which the series lose their rounding noise
+NOISE_FLOOR = 2.0 ** -922
+
+
+def test_noise_floor_moves_no_table_entry_above_1e_250():
+    # the unflushed parent table against the library's: the paper's squeezed
+    # example, whose Delta carries rounding noise, at worked-example and box
+    # scale; squeezed vacua down to r = 0.001, with and without a mean; pure
+    # and mixed physical draws
+    rng = np.random.default_rng(31)
+    specs = [GaussianSpec(SQUEEZED_M)]
+    specs += [two_mode_squeezed_vacuum(r, mean) for r in (0.001, 0.01, 0.4, 1.1)
+              for mean in (None, rng.uniform(-1.0, 1.0, 4))]
+    specs += [GaussianSpec(*random_physical_gaussian(rng, max_nu=max_nu))
+              for max_nu in (0.5, 0.5, 0.5, 1.5, 1.5, 1.5)]
+    refused = compared = moved = 0
+    for spec in specs:
+        settings = [(-0.12j, 0.04j), (1.5 - 1j, -0.7 + 1.8j)]
+        settings += [tuple(complex(*rng.uniform(-scale, scale, 2)) for _ in range(2))
+                     for scale in (0.35, 2.0)]
+        for a1, a2 in settings:
+            for n in (0, 1, 2, 15, 30, 45):
+                want = _table_or_refusal(spec, a1, a2, n, _parent_table)
+                got = _table_or_refusal(GaussianSpec(spec.M, spec.mean), a1, a2, n)
+                if want is None:
+                    assert got is None, (spec, a1, a2, n)
+                    refused += 1
+                    continue
+                assert got is not None, (spec, a1, a2, n)
+                compared += 1
+                if n <= 30:
+                    assert np.array_equal(got, want), (spec, a1, a2, n)
+                    continue
+                got, want = got.view(float), want.view(float)
+                assert np.array_equal(got[want > 1e-250], want[want > 1e-250]), (spec, a1, a2, n)
+                assert np.max(np.abs(got - want)) <= NOISE_FLOOR * (n + 1), (spec, a1, a2, n)
+                moved += not np.array_equal(got, want)
+    # both outcomes are exercised, and the floor moves a tiny entry at 45
+    assert refused > 0 and compared > 0 and moved > 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 15, 30])
