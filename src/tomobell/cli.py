@@ -53,7 +53,6 @@ from .states import (
     _integer,
     gaussian_purity_family,
     load_state,
-    make_source,
 )
 
 # complex literal grammar: a, bi, a+bi, a-bi with decimal reals and no
@@ -274,14 +273,14 @@ def _portrait_fn_for(args, src):
 
 
 def cmd_tomogram(args) -> int:
-    src = make_source(load_state(args.state))
+    src = load_state(args.state)
     a1, a2 = _parse_settings(args, ("alpha1", "alpha2"))
     print(f"{src.tomogram(args.n1, args.n2, a1, a2):.12f}")
     return 0
 
 
 def cmd_portrait(args) -> int:
-    src = make_source(load_state(args.state))
+    src = load_state(args.state)
     a1, a2 = _parse_settings(args, ("alpha1", "alpha2"))
     v = _portrait_fn_for(args, src)(a1, a2)
     for name, value in (("w_pp", v.w_pp), ("w_pm", v.w_pm),
@@ -292,7 +291,7 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    src = make_source(load_state(args.state))
+    src = load_state(args.state)
     a1, a2, b1, b2 = _parse_settings(args, ("alpha1", "alpha2", "beta1", "beta2"))
     s = BellSettings(a1, a2, b1, b2)
     m = bell_matrix(_portrait_fn_for(args, src), s)
@@ -322,7 +321,7 @@ def _print_result(r: MaximizeResult) -> None:
 
 
 def cmd_maximize(args) -> int:
-    src = make_source(load_state(args.state))
+    src = load_state(args.state)
     p = PartitionScheme.from_config(args.partition)
     r = maximize_bell(src, p, MaximizeConfig(**_search_fields(args)))
     _print_result(r)

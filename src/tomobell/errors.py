@@ -30,7 +30,8 @@ class NumericalNegativity(TomobellError):
 
 class UnsupportedState(TomobellError):
     """A state of a kind the requested route does not handle: ``make_source``
-    and ``ClosedFormPortrait`` know only the library's state types."""
+    and the truncated route take only a ``TomogramSource``, and
+    ``ClosedFormPortrait`` only the library's state types."""
 
 
 class NonPhysicalSpec(TomobellError):

@@ -43,7 +43,6 @@ from .errors import (
     UnsupportedState,
 )
 from .states import (
-    _LIBRARY_SOURCES,
     _KERNEL_POINTS,
     _MODE1_IDX,
     _MODE2_IDX,
@@ -265,14 +264,14 @@ def portrait_truncated(
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> PortraitVector:
     """Portrait by direct cell sums over the table n1, n2 <= nmax of a
-    state or a tomogram source (``make_source``).
+    tomogram source: a library state or any other ``TomogramSource``.
 
     The mass beyond the truncation is reported as ``tail_deficit`` and the
     components are left un-renormalized. A deficit above ``tail_eps`` fails:
     the caller can raise nmax or move the displacement closer to origin.
 
     Raises:
-        UnsupportedState: src is neither a library state nor a source.
+        UnsupportedState: src is not a ``TomogramSource``.
         InvalidParameter: nmax is not an integer >= 1, tail_eps is not
             above 0, or a setting is not a finite number.
         TailTooLarge: deficit > tail_eps (carries the deficit value).
@@ -282,9 +281,9 @@ def portrait_truncated(
     _integer(nmax, "nmax", 1)
     if not tail_eps > 0.0:
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
-    # a library source's table checks the settings itself; another
+    # a library state's table checks the settings itself; another
     # source's table may not
-    if type(src) not in _LIBRARY_SOURCES:
+    if type(src) not in _CLOSED_FORM_STATES:
         _check_finite(alpha1, "alpha1")
         _check_finite(alpha2, "alpha2")
     table = src.tomogram_table(alpha1, alpha2, nmax)
@@ -730,19 +729,17 @@ def make_portrait_fn(
     nmax: int = DEFAULT_NMAX,
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> Callable[[complex, complex], PortraitVector]:
-    """Bind a state or source and a partition into a settings -> portrait map.
+    """Bind a tomogram source and a partition into a settings -> portrait map.
 
     Cat, coherent-product and Gaussian states under a canonical partition
-    get a ``ClosedFormPortrait``, given as the state object itself or in
-    the library's own ``CatSource``, ``CoherentSource`` or
-    ``GaussianSource``. A subclass of those sources may override its
-    tomograms, so it goes through truncated table sums with the given nmax
-    and tail_eps, as does everything else. The returned callable is what
-    the Bell-matrix assembly and the maximizer consume.
+    get a ``ClosedFormPortrait``. Every other ``TomogramSource``, a user's
+    source that holds one of those states included, goes through
+    truncated table sums of its own tomograms with the given nmax and
+    tail_eps, as does every other partition. The returned callable is
+    what the Bell-matrix assembly and the maximizer consume.
     """
     _integer(nmax, "nmax", 1)
-    state = src.state if type(src) in _LIBRARY_SOURCES else src
-    if p.kind in _CANONICAL and isinstance(state, _CLOSED_FORM_STATES):
-        return ClosedFormPortrait(state, p.kind)
+    if p.kind in _CANONICAL and isinstance(src, _CLOSED_FORM_STATES):
+        return ClosedFormPortrait(src, p.kind)
     source = make_source(src)
     return lambda a1, a2: portrait_truncated(source, p, a1, a2, nmax, tail_eps)

@@ -7,8 +7,8 @@ Usage::
     PYTHONPATH=src python3 tests/table_timing.py [REPEATS] --against SRC
 
 runs the named sections (``tables``, ``truncated_tables``,
-``closed_forms``, ``bell_sweep``), or all four in that order when none is
-named. Each line is the minimum over
+``closed_forms``, ``bell_sweep``, ``user_source``), or all five in that
+order when none is named. Each line is the minimum over
 REPEATS (default 25) runs of about 5 ms each.
 
 With ``--against SRC``, where SRC is the ``src`` directory of another
@@ -93,6 +93,14 @@ two-mode squeezed vacuum, r = 0.4). It prints:
 The whole state costs about the spec, the two portrait functions and 8
 Bell numbers, so a change to one layer can be split from the rest.
 
+Then (``user_source``), one ``nmax`` 15 table of a user's
+``TomogramSource`` that wraps a library scalar, filled entry by entry by
+the default ``TomogramSource.tomogram_table``: one wrapping
+``cat_tomogram`` of the cat state, and one wrapping ``gaussian_tomogram``
+of the family member on a warm spec, each of whose 256 entries is a whole
+table at max(n1, n2). These are what a user source pays today, against
+the library tables of the ``tables`` section.
+
 It times one table at a time, in one process, what the traced runs of
 the benchmark's ``truncated-tables`` workload report per table
 (``states.table.ms.*``, medians within whole samples). Each line is a
@@ -115,7 +123,10 @@ from tomobell.states import (
     CatState,
     CoherentProduct,
     GaussianSpec,
+    TomogramSource,
+    cat_tomogram,
     gaussian_purity_family,
+    gaussian_tomogram,
     DEFAULT_BOX,
 )
 
@@ -335,8 +346,31 @@ def bell_sweep(repeats):
             print(f"{kind:9s} bell-sweep {name:40s} {us:8.1f} us")
 
 
+class _WrappedSource(TomogramSource):
+    """A user source: a library scalar of one state, whose tables the
+    default ``tomogram_table`` fills entry by entry."""
+
+    def __init__(self, scalar, state):
+        self.scalar, self.state = scalar, state
+
+    def tomogram(self, n1, n2, alpha1, alpha2):
+        return self.scalar(self.state, n1, n2, alpha1, alpha2)
+
+
+def user_source(repeats):
+    a1, a2 = SETTINGS
+    sources = {
+        "cat_tomogram cat": _WrappedSource(cat_tomogram, CatState(*AMPLITUDES)),
+        "gaussian_tomogram family": _WrappedSource(gaussian_tomogram, gaussian_purity_family(0.8, 0.02)),
+    }
+    for name, source in sources.items():
+        call = lambda: source.tomogram_table(a1, a2, 15)  # noqa: E731
+        call()
+        print(f"nmax 15  user source {name:26s} entry by entry {_minimum_us(call, repeats):10.1f} us")
+
+
 SECTIONS = {"tables": tables, "truncated_tables": truncated_tables, "closed_forms": closed_forms,
-            "bell_sweep": bell_sweep}
+            "bell_sweep": bell_sweep, "user_source": user_source}
 
 
 if __name__ == "__main__":

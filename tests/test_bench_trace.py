@@ -44,3 +44,25 @@ def test_trace_install_finds_and_restores_every_name():
             assert vars(owner)[attribute] is original, (owner, attribute)
         else:
             assert attribute not in vars(owner), (owner, attribute)
+
+
+def test_trace_records_one_table_span_per_library_state():
+    # ``install`` wraps ``tomogram_table`` on the state classes (under their
+    # former source-class names), so one truncated portrait of each state
+    # records exactly one table span with its kind and nmax
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    cases = ((tomobell.CatState(1.0, 0.5j), "cat"),
+             (tomobell.CoherentProduct(0.3, -0.2j), "coherent"),
+             (tomobell.gaussian_purity_family(0.8, 0.0), "gaussian"))
+    try:
+        spans.install(tracer, tomobell)
+        for state, kind in cases:
+            tracer.clear()
+            tomobell.portrait.portrait_truncated(state, tomobell.PartitionScheme(2, 2),
+                                                 0.1, 0.2j, 15)
+            ids = tracer.spans()["states.table"]["ids"]
+            assert len(ids) == 1, kind
+            assert tracer.attrs[int(ids[0])] == {"kind": kind, "nmax": 15}
+    finally:
+        tracer.uninstall()

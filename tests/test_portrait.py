@@ -28,11 +28,10 @@ from tomobell.portrait import (
 )
 from tomobell.states import (
     DEFAULT_BOX,
-    CatSource,
     CatState,
     CoherentProduct,
-    GaussianSource,
     GaussianSpec,
+    TomogramSource,
     cat_tomogram,
     coherent_superposition_table,
     gaussian_purity_family,
@@ -643,24 +642,27 @@ def _fence(alpha1):
         raise TailTooLarge(1.0, f"|alpha1|={abs(alpha1):.3f} beyond fence")
 
 
-class _FencedSource(CatSource):
-    """A library source whose subclass refuses settings beyond a fence."""
+class _FencedSource(TomogramSource):
+    """A user source that holds a cat state and refuses settings beyond a fence."""
+
+    def __init__(self, state):
+        self.state = state
 
     def tomogram(self, n1, n2, alpha1, alpha2):
         _fence(alpha1)
         return cat_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
-class _FencedGaussianSource(GaussianSource):
+class _FencedGaussianSource(_FencedSource):
     def tomogram(self, n1, n2, alpha1, alpha2):
         _fence(alpha1)
         return gaussian_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
 def test_make_portrait_fn_closed_forms_only_for_library_sources():
-    # a subclass may override its tomograms, so only the state object and
-    # the library's own source classes are given the closed form, and the
-    # subclass's tables are built from its own tomogram
+    # a source's tomograms are its own, so only the state object is given
+    # the closed form, and the tables of a source that holds one are built
+    # from the source's own tomogram
     zn = PartitionScheme.zero_nonzero()
     for fenced_cls, state in ((_FencedSource, CatState(1, 1)),
                               (_FencedGaussianSource, gaussian_purity_family(0.9, 0.0))):
@@ -671,13 +673,13 @@ def test_make_portrait_fn_closed_forms_only_for_library_sources():
             portrait_truncated(fenced_cls(state), zn, 1.5, 0j, nmax=12, tail_eps=1.0)
         inside = fenced(0.5, 0j)
         assert inside.tail_deficit > 0.0
-        closed = make_portrait_fn(fenced_cls.__base__(state), zn)(1.5, 0j)
+        closed = make_portrait_fn(state, zn)(1.5, 0j)
         assert closed.tail_deficit == 0.0
-        assert closed == make_portrait_fn(state, zn)(1.5, 0j)
+        assert closed == make_portrait_fn(make_source(state), zn)(1.5, 0j)
 
 
 def test_make_portrait_fn_truncated_fallback():
-    # a source subclass takes the truncated route, here inside its fence
+    # a user source takes the truncated route, here inside its fence
     fn = make_portrait_fn(_FencedSource(CatState(1, 1)), PartitionScheme.even_odd(),
                           nmax=6, tail_eps=1e-2)
     v = fn(0.2 + 0.1j, -0.3j)

@@ -21,7 +21,6 @@ from tomobell.states import (
     DET_BOUND_SLACK,
     CatState,
     CoherentProduct,
-    CoherentSource,
     GaussianSpec,
     TomogramSource,
     _cat_norm2,
@@ -173,6 +172,27 @@ def test_huge_displacements_raise_overflow_error():
         coherent_tomogram(far, 1, 0, 1e308, 0)
     with pytest.raises(OverflowError):
         coherent_superposition_table(far, 1e308, 0, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_opposite_amplitude_and_setting_give_the_vacuum():
+    # alpha + gamma = 0, but Im(alpha conj(gamma)) formed as inf - inf made
+    # every route NaN, and the truncated portrait refused it
+    s, a1 = CoherentProduct(-1e200 + 1e200j, 0), 1e200 - 1e200j
+    assert coherent_tomogram(s, 0, 0, a1, 0) == 1.0
+    want = np.zeros((4, 4))
+    want[0, 0] = 1.0
+    assert np.array_equal(coherent_superposition_table(s, a1, 0, 3), want)
+    vacuum = [1.0, 0.0, 0.0, 0.0]
+    v = portrait_truncated(s, PartitionScheme(1, 1), a1, 0)
+    assert v.as_array().tolist() == vacuum and v.tail_deficit == 0.0
+    for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
+        truncated = portrait_truncated(s, p, a1, 0)
+        assert truncated == make_portrait_fn(s, p)(a1, 0)
+        assert truncated.as_array().tolist() == vacuum and truncated.tail_deficit == 0.0
+    # a phase that overflows in both forms raises
+    with pytest.raises(OverflowError, match="displacement phase"):
+        coherent_tomogram(CoherentProduct(1e300, 0), 0, 0, -1e300 + 1e10j, 0)
 
 
 # 60 digits hold N = 1/sqrt(2 (1 + e^(-2S))) far beyond a float's 53 bits
@@ -800,8 +820,12 @@ def test_truncated_portraits_and_tables_refuse_a_setting_that_is_not_finite(bad)
                 route(-0.2, bad)
 
 
-class _PoissonCoherentSource(CoherentSource):
-    """A subclass of a library source whose tomograms, by hand, check nothing."""
+class _PoissonCoherentSource(TomogramSource):
+    """A user source that holds a library state but whose tomograms, by
+    hand, check nothing."""
+
+    def __init__(self, state):
+        self.state = state
 
     tomogram = _PoissonSource.tomogram
 
@@ -903,9 +927,15 @@ def test_load_state_roundtrip(tmp_path):
 
 
 def test_make_source_dispatch():
+    # a library state is its own source, and so is a user's
+    for s in (CatState(1, 1), CoherentProduct(0.5, 0.3j), GaussianSpec(SQUEEZED_M)):
+        assert make_source(s) is s
     assert make_source(CatState(1, 1)).tomogram_table(0j, 0j, 3).shape == (4, 4)
-    with pytest.raises(UnsupportedState):
-        make_source("not a state")
+    user = _PoissonSource()
+    assert make_source(user) is user
+    for other in ("not a state", None, 1.0, [(1.0, 0.5, 0.5)], TomogramSource):
+        with pytest.raises(UnsupportedState):
+            make_source(other)
 
 
 def test_fock_oracle_rejects_gaussian():

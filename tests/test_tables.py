@@ -16,7 +16,6 @@ from tomobell.portrait import PartitionScheme, make_portrait_fn, portrait_trunca
 from tomobell.states import (
     CatState,
     CoherentProduct,
-    GaussianSource,
     GaussianSpec,
     TomogramSource,
     cat_tomogram,
@@ -24,6 +23,7 @@ from tomobell.states import (
     coherent_tomogram,
     gaussian_effective_mean,
     gaussian_purity_family,
+    gaussian_tomogram,
     gaussian_tomogram_table,
     make_source,
 )
@@ -425,11 +425,15 @@ def test_generating_polynomials_are_read_only():
     assert np.array_equal(gaussian_tomogram_table(g, 0.1j, 0.2, 6), before)
 
 
-class _EntryByEntry(GaussianSource):
-    """A Gaussian source whose table is filled from its scalar tomogram."""
+class _EntryByEntry(TomogramSource):
+    """A user source that holds a Gaussian spec: its table is filled from
+    the spec's scalar tomogram."""
+
+    def __init__(self, state):
+        self.state = state
 
     def tomogram(self, n1, n2, alpha1, alpha2):
-        return super().tomogram(n1, n2, alpha1, alpha2)
+        return gaussian_tomogram(self.state, n1, n2, alpha1, alpha2)
 
 
 def test_series_cache_is_per_spec_bounded_read_only_and_keyed_by_nmax():
