@@ -30,8 +30,8 @@ class NumericalNegativity(TomobellError):
 
 class UnsupportedState(TomobellError):
     """A state of a kind the requested route does not handle: ``make_source``
-    and the truncated route take only a ``TomogramSource``, and
-    ``ClosedFormPortrait`` only the library's state types."""
+    and the truncated route take only a ``TomogramSource``, and the named
+    closed forms and ``GaussianPortraitContext`` only a library state."""
 
 
 class NonPhysicalSpec(TomobellError):

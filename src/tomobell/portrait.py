@@ -272,8 +272,8 @@ def portrait_truncated(
 
     Raises:
         UnsupportedState: src is not a ``TomogramSource``.
-        InvalidParameter: nmax is not an integer >= 1, tail_eps is not
-            above 0, or a setting is not a finite number.
+        InvalidParameter: nmax is not an integer >= 1 or tail_eps is not
+            above 0, or the source's table finds a setting not finite.
         TailTooLarge: deficit > tail_eps (carries the deficit value).
         NumericalNegativity: propagated from the table evaluation.
     """
@@ -281,11 +281,6 @@ def portrait_truncated(
     _integer(nmax, "nmax", 1)
     if not tail_eps > 0.0:
         raise InvalidParameter(f"tail_eps must be > 0, got {tail_eps}")
-    # a library state's table checks the settings itself; another
-    # source's table may not
-    if type(src) not in _CLOSED_FORM_STATES:
-        _check_finite(alpha1, "alpha1")
-        _check_finite(alpha2, "alpha2")
     table = src.tomogram_table(alpha1, alpha2, nmax)
     rows1, cols2 = _cell_masks(p.rule1, p.rule2, nmax)
     cells = (rows1 @ table @ cols2).ravel().tolist()
@@ -349,8 +344,8 @@ _CANONICAL = {
 class ClosedFormPortrait:
     """Closed-form portrait function of one state under a canonical partition.
 
-    ``ClosedFormPortrait(state, kind)`` is an instance of the subclass for
-    the state's family (``_CatG``, ``_CoherentG`` or ``_GaussianG``), which
+    A library state names its family (``_CatG``, ``_CoherentG`` or
+    ``_GaussianG``) as ``_closed_form``, and ``family(state, kind)``
     evaluates that family's G with every measured mode at the same point s
     (-1 for parity, 0 for vacuum). Calling it with (alpha1, alpha2) gives
     one PortraitVector with zero tail deficit.
@@ -370,16 +365,6 @@ class ClosedFormPortrait:
     the closed form before the cells are clamped at 0, which moves a cell
     by at most the negativity tolerance.
     """
-
-    def __new__(cls, state=None, kind=None):
-        # a family class makes its own instances (pickle and copy call it
-        # with no arguments); the base class picks the state's family
-        if cls is not ClosedFormPortrait:
-            return object.__new__(cls)
-        for state_cls, family in _GENERATING_FUNCTIONS:
-            if isinstance(state, state_cls):
-                return object.__new__(family)
-        raise UnsupportedState(f"no closed-form portrait for {type(state).__name__}")
 
     def __init__(self, state, kind: str):
         s, self._column, self._weights = _CANONICAL[kind]
@@ -670,12 +655,8 @@ class _GaussianG(ClosedFormPortrait):
         return columns, grads
 
 
-_GENERATING_FUNCTIONS = (
-    (CatState, _CatG),
-    (CoherentProduct, _CoherentG),
-    (GaussianSpec, _GaussianG),
-)
-_CLOSED_FORM_STATES = tuple(cls for cls, _ in _GENERATING_FUNCTIONS)
+# each library state names its closed-form family
+CatState._closed_form, CoherentProduct._closed_form, GaussianSpec._closed_form = _CatG, _CoherentG, _GaussianG
 
 
 # ---------------------------------------------------------------------------
@@ -683,14 +664,22 @@ _CLOSED_FORM_STATES = tuple(cls for cls, _ in _GENERATING_FUNCTIONS)
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_portrait(state, kind: str) -> ClosedFormPortrait:
+    """The closed form of the state's family; UnsupportedState if it names none."""
+    family = getattr(state, "_closed_form", None)
+    if family is None:
+        raise UnsupportedState(f"no closed-form portrait for {type(state).__name__}")
+    return family(state, kind)
+
+
 def _even_odd_portrait(state, alpha1: complex, alpha2: complex) -> PortraitVector:
     """Even-odd portrait of a cat, coherent-product or Gaussian state in closed form."""
-    return ClosedFormPortrait(state, "even-odd")(alpha1, alpha2)
+    return _closed_form_portrait(state, "even-odd")(alpha1, alpha2)
 
 
 def _zero_nonzero_portrait(state, alpha1: complex, alpha2: complex) -> PortraitVector:
     """Zero-nonzero portrait of a cat, coherent-product or Gaussian state in closed form."""
-    return ClosedFormPortrait(state, "zero-nonzero")(alpha1, alpha2)
+    return _closed_form_portrait(state, "zero-nonzero")(alpha1, alpha2)
 
 
 # the per-state public names; ``perfbench/spans.py`` wraps the cat and
@@ -708,8 +697,8 @@ class GaussianPortraitContext:
 
     def __init__(self, g: GaussianSpec):
         self.spec = g
-        self._even_odd = ClosedFormPortrait(g, "even-odd")
-        self._zero_nonzero = ClosedFormPortrait(g, "zero-nonzero")
+        self._even_odd = _closed_form_portrait(g, "even-odd")
+        self._zero_nonzero = _closed_form_portrait(g, "zero-nonzero")
 
     def even_odd(self, alpha1: complex, alpha2: complex) -> PortraitVector:
         return self._even_odd(alpha1, alpha2)
@@ -732,14 +721,15 @@ def make_portrait_fn(
     """Bind a tomogram source and a partition into a settings -> portrait map.
 
     Cat, coherent-product and Gaussian states under a canonical partition
-    get a ``ClosedFormPortrait``. Every other ``TomogramSource``, a user's
-    source that holds one of those states included, goes through
-    truncated table sums of its own tomograms with the given nmax and
-    tail_eps, as does every other partition. The returned callable is
-    what the Bell-matrix assembly and the maximizer consume.
+    get a ``ClosedFormPortrait`` of the family the state names. Any other
+    ``TomogramSource``, a user's source that holds such a state included,
+    goes through truncated table sums of its own tomograms with the given
+    nmax and tail_eps, as does every other partition. The returned callable
+    is what the Bell-matrix assembly and the maximizer consume.
     """
     _integer(nmax, "nmax", 1)
-    if p.kind in _CANONICAL and isinstance(src, _CLOSED_FORM_STATES):
-        return ClosedFormPortrait(src, p.kind)
+    family = getattr(src, "_closed_form", None)
+    if family is not None and p.kind in _CANONICAL:
+        return family(src, p.kind)
     source = make_source(src)
     return lambda a1, a2: portrait_truncated(source, p, a1, a2, nmax, tail_eps)

@@ -134,14 +134,18 @@ def _fock_exponents(nmax: int):
 
 class TomogramSource:
     """Anything that can evaluate w(n1, n2, alpha1, alpha2): the one way in
-    for a tomogram. The default ``tomogram_table`` fills a table entry by
-    entry; the library states override it with their table functions."""
+    for a tomogram. The default ``tomogram_table`` checks nmax and both
+    settings once and fills a table entry by entry. The library states
+    override it with their table functions, which check their own
+    settings, and so must any override (InvalidParameter)."""
 
     def tomogram(self, n1: int, n2: int, alpha1: complex, alpha2: complex) -> float:
         raise NotImplementedError
 
     def tomogram_table(self, alpha1, alpha2, nmax):
         n = _integer(nmax, "nmax") + 1
+        _check_finite(alpha1, "alpha1")
+        _check_finite(alpha2, "alpha2")
         out = np.empty((n, n))
         for i in range(n):
             for j in range(n):
@@ -342,13 +346,14 @@ def coherent_superposition_terms(state):
     )
 
 
-def _term_rows(coeff: complex, d1: complex, d2: complex, a1: complex, a2: complex):
+def _term_rows(coeff: complex, d1: complex, d2: complex, a1: complex, a2: complex, lone: bool):
     """Term c <n1|D(a1)|d1> <n2|D(a2)|d2> as two rows exp(n s_j + k_j - log(n!)/2).
 
     Returns (s1, s2, k1, k2, mu1 == 0, mu2 == 0) with mu_j = a_j + d_j and
     s_j = log mu_j (0 where mu_j = 0, whose row is 0 past n = 0);
     k1 = log c + i (Im a1 conj(d1) + Im a2 conj(d2)) - |mu1|^2/2 carries
     the coefficient and both displacement phases, and k2 = -|mu2|^2/2.
+    ``lone``: the term is its superposition's only one.
     """
     mu1, mu2 = a1 + d1, a2 + d2
     # an infinite mu_j (from finite a_j, d_j) would square without raising
@@ -361,8 +366,11 @@ def _term_rows(coeff: complex, d1: complex, d2: complex, a1: complex, a2: comple
         # conj(mu)) as alpha conj(alpha) is real; the forms round differently
         phase = (a1 * mu1.conjugate()).imag + (a2 * mu2.conjugate()).imag
         if not math.isfinite(phase):
-            raise OverflowError(
-                "coherent superposition: a displacement phase leaves the float range")
+            # the lone term's phase turns amp but cancels in |amp|^2: take 0
+            if not lone:
+                raise OverflowError(
+                    "coherent superposition: a displacement phase leaves the float range")
+            phase = 0.0
     shift = cmath.log(coeff) + 1j * phase
     # squares on Python floats raise OverflowError before numpy sees an inf
     return (cmath.log(mu1) if mu1 else 0j, cmath.log(mu2) if mu2 else 0j,
@@ -388,8 +396,9 @@ def _superposition_tomogram(state, n1: int, n2: int, alpha1: complex, alpha2: co
     a1, a2 = complex(alpha1), complex(alpha2)
     h = -0.5 * (_log_factorial(n1) + _log_factorial(n2))
     amp = 0.0
-    for coeff, d1, d2 in coherent_superposition_terms(state):
-        s1, s2, k1, k2, vacuum1, vacuum2 = _term_rows(coeff, d1, d2, a1, a2)
+    terms = coherent_superposition_terms(state)
+    for coeff, d1, d2 in terms:
+        s1, s2, k1, k2, vacuum1, vacuum2 = _term_rows(coeff, d1, d2, a1, a2, len(terms) == 1)
         if not (vacuum1 and n1 or vacuum2 and n2):
             amp += cmath.exp(s1 * n1 + s2 * n2 + (k1 + k2 + h))
     return amp.real ** 2 + amp.imag ** 2
@@ -426,14 +435,12 @@ def coherent_superposition_table(
     a1, a2 = complex(alpha1), complex(alpha2)
     # rows 2b and 2b + 1 are term b's mode-1 and mode-2 rows
     slopes, constants, vacua = [], [], []
-    for coeff, d1, d2 in coherent_superposition_terms(state):
-        s1, s2, k1, k2, vacuum1, vacuum2 = _term_rows(coeff, d1, d2, a1, a2)
-        slopes.append(s1)
-        slopes.append(s2)
-        constants.append(k1)
-        constants.append(k2)
-        vacua.append(vacuum1)
-        vacua.append(vacuum2)
+    terms = coherent_superposition_terms(state)
+    for coeff, d1, d2 in terms:
+        s1, s2, k1, k2, vacuum1, vacuum2 = _term_rows(coeff, d1, d2, a1, a2, len(terms) == 1)
+        slopes += s1, s2
+        constants += k1, k2
+        vacua += vacuum1, vacuum2
     rows = np.exp(np.multiply.outer(slopes, n) + np.add.outer(constants, neg_half_log_fact))
     if any(vacua):
         rows[vacua, 1:] = 0.0

@@ -13,13 +13,14 @@ REPEATS (default 25) runs of about 5 ms each.
 
 With ``--against SRC``, where SRC is the ``src`` directory of another
 checkout, the script imports that checkout's package as
-``tomobell_against`` in the same process and runs the ``tables`` and
-``truncated_tables`` sections (or the one of them named) on both trees:
-each line prints this tree's minimum, then the other's, from runs that
-alternate between the two (this tree first on even runs, the other first
-on odd ones). Separate processes drift apart by more than a few tenths of
-a microsecond on a busy machine; interleaved runs in one process see the
-same drift on both sides.
+``tomobell_against`` in the same process and runs the ``tables``,
+``truncated_tables``, ``closed_forms`` and ``bell_sweep`` sections (or
+those of them named) on both trees, each tree on states of its own
+package: each line prints this tree's minimum, then the other's, from
+runs that alternate between the two (this tree first on even runs, the
+other first on odd ones). Separate processes drift apart by more than a
+few tenths of a microsecond on a busy machine; interleaved runs in one
+process see the same drift on both sides.
 
 At ``nmax`` 15 and 30 (``tables``), it prints one call of:
 
@@ -117,11 +118,8 @@ import sys
 import timeit
 
 import tomobell
-from tomobell.bell import BellSettings, _closed_form_objective, bell_matrix, bell_number
-from tomobell.portrait import PartitionScheme, make_portrait_fn
 from tomobell.states import (
     CatState,
-    CoherentProduct,
     GaussianSpec,
     TomogramSource,
     cat_tomogram,
@@ -136,7 +134,8 @@ from test_optimizer import MIX
 SETTINGS = (-0.12j, 0.04j)
 BOX_SETTINGS = (1.5 - 1j, -0.7 + 1.8j)
 TMSV = two_mode_squeezed_vacuum(0.4, (0.3, -0.2, 0.1, 0.4))
-BELL_SETTINGS = BellSettings(-0.12j, 0.04j, 0.22j, -0.32j)
+# (alpha1, alpha2, beta1, beta2)
+BELL_POINTS = (-0.12j, 0.04j, 0.22j, -0.32j)
 AMPLITUDES = (0.7 + 0.3j, -0.5 + 0.2j)
 
 
@@ -156,14 +155,17 @@ def _minimum_us(call, repeats):
     return _minima_us([call], repeats)[0]
 
 
-def _fresh_us(build, call, repeats, count=400):
-    """The minimum time of ``call(state)`` over REPEATS runs, each on COUNT
-    states that ``build`` made before the run started."""
-    best = float("inf")
-    for _ in range(repeats):
-        fresh = [build() for _ in range(count)]
-        best = min(best, timeit.timeit(lambda: [call(state) for state in fresh], number=1))
-    return best / count * 1e6
+def _fresh_minima_us(pairs, repeats, count=400):
+    """The minimum time of ``call(state)`` for each (build, call) of PAIRS
+    over REPEATS runs, each on COUNT states that ``build`` made before the
+    run started; the runs interleaved as in ``_minima_us``."""
+    best = [math.inf] * len(pairs)
+    for r in range(repeats):
+        for i in range(len(pairs)) if r % 2 == 0 else reversed(range(len(pairs))):
+            build, call = pairs[i]
+            fresh = [build() for _ in range(count)]
+            best[i] = min(best[i], timeit.timeit(lambda: [call(state) for state in fresh], number=1))
+    return [b / count * 1e6 for b in best]
 
 
 def main(repeats=25, *sections, against=None):
@@ -171,10 +173,10 @@ def main(repeats=25, *sections, against=None):
     if unknown:
         raise SystemExit(f"unknown section {', '.join(unknown)}; choose from {', '.join(SECTIONS)}")
     if against is not None:
-        if not set(sections) <= {"tables", "truncated_tables"}:
-            raise SystemExit("--against runs the tables and truncated_tables sections only")
+        if not set(sections) <= set(AGAINST_SECTIONS):
+            raise SystemExit(f"--against runs the {', '.join(AGAINST_SECTIONS)} sections only")
         package = _load_against(against)
-        for section in sections or ("tables", "truncated_tables"):
+        for section in sections or AGAINST_SECTIONS:
             SECTIONS[section](repeats, package)
         return
     for section in sections or SECTIONS:
@@ -224,12 +226,17 @@ def _table_calls(package, nmax):
 
 def _print_interleaved(trees, repeats, width):
     """One line per name of the dicts of calls in TREES, one for each tree:
-    the minima of each name's calls, from interleaved runs."""
+    the minima of each name's calls, from interleaved runs. A call given as
+    a (build, call) pair is timed on fresh states (``_fresh_minima_us``)."""
     for name in trees[0]:
         calls = [tree[name] for tree in trees]
-        for call in calls:
-            call()
-        times = "  against ".join(f"{us:8.1f} us" for us in _minima_us(calls, repeats))
+        if isinstance(calls[0], tuple):
+            minima = _fresh_minima_us(calls, repeats)
+        else:
+            for call in calls:
+                call()
+            minima = _minima_us(calls, repeats)
+        times = "  against ".join(f"{us:8.1f} us" for us in minima)
         print(f"{name:{width}s} {times}")
 
 
@@ -281,69 +288,87 @@ def truncated_tables(repeats, against=None):
     _print_interleaved([_truncated_calls(package) for package in packages], repeats, 72)
 
 
-def closed_forms(repeats):
-    a1, a2 = SETTINGS
-    squeezed, family = GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.8, 0.02)
-    cat, coherent = CatState(*AMPLITUDES), CoherentProduct(*AMPLITUDES)
-    s = BELL_SETTINGS
+def _own(package, state, p):
+    """STATE and partition P of this tree's package rebuilt in PACKAGE."""
+    st = package.states
+    if isinstance(state, GaussianSpec):
+        state = st.GaussianSpec(state.M, state.mean)
+    else:
+        state = getattr(st, type(state).__name__)(state.gamma1, state.gamma2)
+    return state, package.portrait.PartitionScheme(p.rule1, p.rule2)
+
+
+def _closed_form_calls(package):
+    """The ``closed_forms`` section's calls, through PACKAGE's own code."""
+    st, pt, bl, a1, a2 = package.states, package.portrait, package.bell, *SETTINGS
+    squeezed, family = st.GaussianSpec(SQUEEZED_M), st.gaussian_purity_family(0.8, 0.02)
+    cat, coherent = st.CatState(*AMPLITUDES), st.CoherentProduct(*AMPLITUDES)
+    s = bl.BellSettings(*BELL_POINTS)
+    calls = {}
     for kind, state in (("cat", cat), ("coherent", coherent), ("squeezed", squeezed), ("family", family)):
-        for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
-            fn = make_portrait_fn(state, p)
-            calls = {
-                "bell_columns": lambda: fn.bell_columns(s),
-                "bell_number(bell_matrix)": lambda: bell_number(bell_matrix(fn, s)),
-                "portrait call fn(a1, a2)": lambda: fn(a1, a2),
-            }
-            for name, call in calls.items():
-                call()
-                label = f"{kind} {p.kind}"
-                print(f"{label:23s} {name:26s} {_minimum_us(call, repeats):8.1f} us")
+        for p in (pt.PartitionScheme.even_odd(), pt.PartitionScheme.zero_nonzero()):
+            fn = pt.make_portrait_fn(state, p)
+            label = f"{kind} {p.kind}"
+            calls[f"{label:23s} {'bell_columns':26s}"] = lambda fn=fn: fn.bell_columns(s)
+            calls[f"{label:23s} {'bell_number(bell_matrix)':26s}"] = (
+                lambda fn=fn: bl.bell_number(bl.bell_matrix(fn, s)))
+            calls[f"{label:23s} {'portrait call fn(a1, a2)':26s}"] = lambda fn=fn: fn(a1, a2)
     x = s.as_vector().tolist()
     for label, (state, p, _, _) in MIX.items():
-        negative_b = _closed_form_objective(make_portrait_fn(state, p), DEFAULT_BOX)
-        negative_b(x)
-        us = _minimum_us(lambda: negative_b(x), repeats)
-        print(f"{label:23s} {'fused value and gradient':26s} {us:8.1f} us")
+        negative_b = bl._closed_form_objective(pt.make_portrait_fn(*_own(package, state, p)), DEFAULT_BOX)
+        calls[f"{label:23s} {'fused value and gradient':26s}"] = lambda negative_b=negative_b: negative_b(x)
+    return calls
 
 
-def bell_sweep(repeats):
-    s = BELL_SETTINGS
-    eo, zn = PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()
-    tmsv = two_mode_squeezed_vacuum(0.4, (0.3, -0.2, 0.1, 0.4))
+def closed_forms(repeats, against=None):
+    packages = [tomobell] if against is None else [tomobell, against]
+    _print_interleaved([_closed_form_calls(package) for package in packages], repeats, 50)
+
+
+def _bell_sweep_calls(package):
+    """The ``bell_sweep`` section's calls, through PACKAGE's own code; the
+    portrait functions are timed on fresh states, as (build, call) pairs."""
+    st, pt, bl = package.states, package.portrait, package.bell
+    s = bl.BellSettings(*BELL_POINTS)
+    eo, zn = pt.PartitionScheme.even_odd(), pt.PartitionScheme.zero_nonzero()
     builders = {
-        "cat": lambda: CatState(*AMPLITUDES),
-        "coherent": lambda: CoherentProduct(*AMPLITUDES),
-        "squeezed": lambda: GaussianSpec(SQUEEZED_M),
-        "family": lambda: gaussian_purity_family(0.8, 0.02),
-        "physical": lambda: GaussianSpec(tmsv.M, tmsv.mean),
+        "cat": lambda: st.CatState(*AMPLITUDES),
+        "coherent": lambda: st.CoherentProduct(*AMPLITUDES),
+        "squeezed": lambda: st.GaussianSpec(SQUEEZED_M),
+        "family": lambda: st.gaussian_purity_family(0.8, 0.02),
+        "physical": lambda: st.GaussianSpec(TMSV.M, TMSV.mean),
     }
 
     def after_even_odd(build):
         state = build()
-        make_portrait_fn(state, eo)
+        pt.make_portrait_fn(state, eo)
         return state
 
     def whole(state):
         for p in (eo, zn):
-            fn = make_portrait_fn(state, p)
+            fn = pt.make_portrait_fn(state, p)
             for _ in range(4):
-                bell_number(bell_matrix(fn, s))
+                bl.bell_number(bl.bell_matrix(fn, s))
 
+    calls = {}
     for kind, build in builders.items():
-        lines = {"spec": _minimum_us(build, repeats)}
-        if isinstance(build(), GaussianSpec):
-            lines["kernels"] = _fresh_us(build, lambda st: st._kernels, repeats)
-        lines["first portrait function (even-odd)"] = _fresh_us(
-            build, lambda st: make_portrait_fn(st, eo), repeats)
-        lines["second portrait function (zero-nonzero)"] = _fresh_us(
-            lambda: after_even_odd(build), lambda st: make_portrait_fn(st, zn), repeats)
+        lines = {"spec": build}
+        if isinstance(build(), st.GaussianSpec):
+            lines["kernels"] = (build, lambda state: state._kernels)
+        lines["first portrait function (even-odd)"] = (build, lambda state: pt.make_portrait_fn(state, eo))
+        lines["second portrait function (zero-nonzero)"] = (
+            lambda build=build: after_even_odd(build), lambda state: pt.make_portrait_fn(state, zn))
         for p in (eo, zn):
-            fn = make_portrait_fn(build(), p)
-            lines[f"one Bell number ({p.kind})"] = _minimum_us(
-                lambda: bell_number(bell_matrix(fn, s)), repeats)
-        lines["whole state: 2 fns, 8 Bell numbers"] = _minimum_us(lambda: whole(build()), repeats)
-        for name, us in lines.items():
-            print(f"{kind:9s} bell-sweep {name:40s} {us:8.1f} us")
+            fn = pt.make_portrait_fn(build(), p)
+            lines[f"one Bell number ({p.kind})"] = lambda fn=fn: bl.bell_number(bl.bell_matrix(fn, s))
+        lines["whole state: 2 fns, 8 Bell numbers"] = lambda build=build: whole(build())
+        calls.update((f"{kind:9s} bell-sweep {name:40s}", call) for name, call in lines.items())
+    return calls
+
+
+def bell_sweep(repeats, against=None):
+    packages = [tomobell] if against is None else [tomobell, against]
+    _print_interleaved([_bell_sweep_calls(package) for package in packages], repeats, 61)
 
 
 class _WrappedSource(TomogramSource):
@@ -371,6 +396,7 @@ def user_source(repeats):
 
 SECTIONS = {"tables": tables, "truncated_tables": truncated_tables, "closed_forms": closed_forms,
             "bell_sweep": bell_sweep, "user_source": user_source}
+AGAINST_SECTIONS = ("tables", "truncated_tables", "closed_forms", "bell_sweep")
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from tomobell.errors import (
     InvalidStochasticMatrix,
     NumericalNegativity,
     TailTooLarge,
+    UnsupportedState,
 )
 from tomobell.portrait import (
     _CANONICAL,
@@ -105,7 +106,9 @@ def test_settings_are_finite_numbers_and_no_bool(bad):
 def test_bell_matrix_validation():
     col = np.array([0.4, 0.3, 0.2, 0.1])
     m = np.column_stack([col] * 4)
-    BellMatrix(m, np.zeros(4))
+    assert repr(BellMatrix(m, np.zeros(4))) == f"BellMatrix(matrix={m!r}, column_deficits={np.zeros(4)!r})"
+    with pytest.raises(InvalidStochasticMatrix, match="must be 4x4 with 4 deficits"):
+        BellMatrix(m[:3], np.zeros(4))
     with pytest.raises(InvalidStochasticMatrix):
         BellMatrix(m - 0.05, np.zeros(4))  # negative entries
     with pytest.raises(InvalidStochasticMatrix):
@@ -643,6 +646,23 @@ def test_maximize_raises_when_all_starts_fail():
     cfg = MaximizeConfig(starts=4, seed=0, nmax=10, tail_eps=1.0)
     with pytest.raises(TailTooLarge):
         maximize_bell(src, PartitionScheme.zero_nonzero(), cfg)
+    # a bad parameter or state fails no start: the first one ends the search
+    for error in (InvalidParameter("bad"), UnsupportedState("none")):
+        refusing = _RefusingSource(error)
+        with pytest.raises(type(error)):
+            maximize_bell(refusing, PartitionScheme.zero_nonzero(), cfg)
+        assert refusing.calls == 1
+
+
+class _RefusingSource(TomogramSource):
+    """A user source whose tomogram raises ``error`` at every call."""
+
+    def __init__(self, error):
+        self.error, self.calls = error, 0
+
+    def tomogram(self, n1, n2, alpha1, alpha2):
+        self.calls += 1
+        raise self.error
 
 
 def test_cirelson_ceiling_500_random_valid_inputs():

@@ -15,7 +15,6 @@ from tomobell.errors import (
     UnsupportedState,
 )
 from tomobell.portrait import (
-    ClosedFormPortrait,
     PartitionScheme,
     PortraitVector,
     cat_portrait_even_odd,
@@ -94,6 +93,8 @@ def test_partition_from_config_names():
     assert PartitionScheme.from_config("zero-nonzero").kind == "zero-nonzero"
     with pytest.raises(InvalidParameter):
         PartitionScheme.from_config("bands")
+    with pytest.raises(InvalidParameter, match="cannot build a partition"):
+        PartitionScheme.from_config(["even", "even"])
 
 
 def test_partition_from_config_rules():
@@ -215,6 +216,7 @@ def test_truncated_tail_too_large():
     with pytest.raises(TailTooLarge) as info:
         portrait_truncated(s, eo, 1.0, 1.0, nmax=4, tail_eps=1e-4)
     assert info.value.tail_deficit > 1e-4
+    assert str(TailTooLarge(0.25)) == "tail deficit 0.25 exceeds tolerance"
 
 
 def test_truncated_parameter_validation():
@@ -354,7 +356,7 @@ def test_marginal_gradients_are_the_joint_gradient_bit_for_bit(state, kind):
     # of a zero, on settings near 0 as well as in the box. Each draw is
     # mode 1's and mode 2's first setting, and turned by a quarter (exactly)
     # their second.
-    fused, ref = ClosedFormPortrait(state, kind), PerColumnPortrait(state, kind)
+    fused, ref = make_portrait_fn(state, PartitionScheme.from_config(kind)), PerColumnPortrait(state, kind)
     g = ref._g
     if isinstance(state, CatState):
         still = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
@@ -439,7 +441,7 @@ def test_physical_gaussian_table_at_box_scale():
     src = make_source(g)
     for p in (PartitionScheme.even_odd(), PartitionScheme.zero_nonzero()):
         v = portrait_truncated(src, p, a1, a2, nmax=30)
-        d = ClosedFormPortrait(g, p.kind)(a1, a2).as_array() - v.as_array()
+        d = make_portrait_fn(g, p)(a1, a2).as_array() - v.as_array()
         assert d.min() >= -1e-12
         assert d.max() <= v.tail_deficit + 1e-12
 
@@ -498,9 +500,9 @@ def test_gaussian_context_matches_one_shot():
     for _ in range(10):
         a1, a2 = _random_amplitude(), _random_amplitude()
         assert np.array_equal(ctx.even_odd(a1, a2).as_array(),
-                              ClosedFormPortrait(g, "even-odd")(a1, a2).as_array())
+                              make_portrait_fn(g, PartitionScheme.even_odd())(a1, a2).as_array())
         assert np.array_equal(ctx.zero_nonzero(a1, a2).as_array(),
-                              ClosedFormPortrait(g, "zero-nonzero")(a1, a2).as_array())
+                              make_portrait_fn(g, PartitionScheme.zero_nonzero())(a1, a2).as_array())
 
 
 def _kernel_specs():
@@ -627,6 +629,11 @@ def test_named_closed_forms_are_two_functions_of_any_closed_form_state():
                 want = fn(a1, a2).as_array()
                 for named in names:
                     assert np.array_equal(named(state, a1, a2).as_array(), want)
+    # a user source names no closed form, though it holds a state
+    user = _FencedSource(states[0])
+    for closed_form in (*even_odd, *zero_nonzero, lambda src, *_: GaussianPortraitContext(src)):
+        with pytest.raises(UnsupportedState, match="no closed-form portrait for _FencedSource"):
+            closed_form(user, 0j, 0j)
 
 
 def test_make_portrait_fn_prefers_closed_forms():

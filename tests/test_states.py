@@ -13,6 +13,7 @@ from tomobell.errors import (
     InvalidParameter,
     NonPhysicalSpec,
     NumericalNegativity,
+    TailTooLarge,
     UnsupportedState,
 )
 from tomobell.hermite import HermiteParams, hermite_box
@@ -190,9 +191,36 @@ def test_huge_opposite_amplitude_and_setting_give_the_vacuum():
         truncated = portrait_truncated(s, p, a1, 0)
         assert truncated == make_portrait_fn(s, p)(a1, 0)
         assert truncated.as_array().tolist() == vacuum and truncated.tail_deficit == 0.0
-    # a phase that overflows in both forms raises
-    with pytest.raises(OverflowError, match="displacement phase"):
-        coherent_tomogram(CoherentProduct(1e300, 0), 0, 0, -1e300 + 1e10j, 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_lone_term_leaves_out_a_phase_that_overflows_in_both_forms():
+    # at mu = alpha + gamma = 1e10i, Im(alpha conj(gamma)) and
+    # Im(alpha conj(mu)) both overflow. A coherent product's one phase is a
+    # unit factor that cancels in |amp|^2, so the tables give the limit the
+    # closed forms give, where they raised OverflowError
+    s, a1 = CoherentProduct(1e300, 0), -1e300 + 1e10j
+    assert coherent_tomogram(s, 0, 0, a1, 0) == 0.0
+    assert np.array_equal(coherent_superposition_table(s, a1, 0, 3), np.zeros((4, 4)))
+    with pytest.raises(TailTooLarge) as err:
+        portrait_truncated(s, PartitionScheme(1, 1), a1, 0)
+    assert err.value.tail_deficit == 1.0
+    zn, eo = PartitionScheme.zero_nonzero(), PartitionScheme.even_odd()
+    assert make_portrait_fn(s, zn)(a1, 0).as_array().tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert make_portrait_fn(s, eo)(a1, 0).as_array().tolist() == [0.5, 0.0, 0.5, 0.0]
+    # a cat's two terms keep their phases, and its |gamma|^2 overflows
+    cat = CatState(1e300, 0)
+    routes = {
+        "scalar": lambda: coherent_tomogram(cat, 0, 0, a1, 0),
+        "table": lambda: coherent_superposition_table(cat, a1, 0, 3),
+        "truncated portrait": lambda: portrait_truncated(cat, PartitionScheme(1, 1), a1, 0),
+        "zero-nonzero": lambda: make_portrait_fn(cat, zn)(a1, 0),
+        "even-odd": lambda: make_portrait_fn(cat, eo)(a1, 0),
+    }
+    for route, call in routes.items():
+        with pytest.raises(OverflowError):
+            call()
+            pytest.fail(f"{route} returned")
 
 
 # 60 digits hold N = 1/sqrt(2 (1 + e^(-2S))) far beyond a float's 53 bits
@@ -807,12 +835,11 @@ def test_truncated_portraits_and_tables_refuse_a_setting_that_is_not_finite(bad)
     tables = [(CatState(1.0, 1.0), coherent_superposition_table),
               (CoherentProduct(1.0, 1.0), coherent_superposition_table),
               (family, gaussian_tomogram_table),
-              (_PoissonSource(), None)]
+              (_PoissonSource(), TomogramSource.tomogram_table)]
     for state, table in tables:
         routes = [lambda a1, a2: portrait_truncated(state, PartitionScheme(2, 2), a1, a2),
-                  make_portrait_fn(state, PartitionScheme(1, 1))]
-        if table is not None:
-            routes.append(lambda a1, a2: table(state, a1, a2, 8))
+                  make_portrait_fn(state, PartitionScheme(1, 1)),
+                  lambda a1, a2: table(state, a1, a2, 8)]
         for route in routes:
             with pytest.raises(InvalidParameter, match="alpha1 must be a finite number"):
                 route(bad, 0.3j)
