@@ -510,6 +510,16 @@ def _generating_polynomials(M):
     return delta, A
 
 
+def _toeplitz_source(count: int, n: int):
+    """A zeroed (count, 2n + 1) array z and its strided view T with
+    T[i, r, j] = z[r, n - i + j], which reads forward along j. With a
+    series written reversed into row r of z, s[t] in z[r, n - t], T[:, r]
+    is the lower-triangular Toeplitz matrix that multiplies by s."""
+    z = np.zeros((count, 2 * n + 1))
+    step = z.itemsize
+    return z, np.ndarray((n + 1, count, n + 1), float, z, n * step, (-step, z.strides[0], step))
+
+
 def _s2_multipliers(rows, n: int) -> np.ndarray:
     """Multiplication by each s2-series in ``rows``, truncated at order n.
 
@@ -519,13 +529,46 @@ def _s2_multipliers(rows, n: int) -> np.ndarray:
     series and sums the products.
     """
     rows = np.atleast_2d(rows)[:, : n + 1]
-    # rows[r][t] in z[r, n - t], so that T[i, r, j] = z[r, n - i + j] is a
-    # strided view of z that reads forward along j, copied once
-    z = np.zeros((len(rows), 2 * n + 1))
+    z, view = _toeplitz_source(len(rows), n)
     z[:, n - rows.shape[1] + 1 : n + 1] = rows[:, ::-1]
-    step = z.itemsize
-    view = np.ndarray((n + 1, len(rows), n + 1), float, z, n * step, (-step, z.strides[0], step))
     return view.copy()
+
+
+class _TableWorkspace:
+    """The buffers and views of ``gaussian_tomogram_table`` at nmax n.
+
+    A call writes N and the scaled rows of E reversed into the windows of
+    their Toeplitz sources (``_toeplitz_source``, whose other entries stay
+    0) and copies the strided views into contiguous buffers: the arrays
+    ``_s2_multipliers`` would return, so every product reads the same
+    values in the same layout and the table keeps its bits. ``steps``
+    holds, per row of the exp recurrence, its multiplier block, the rows of
+    P it reads, the row it writes and its divisor.
+    """
+
+    def __init__(self, n: int):
+        # N's columns up to order n, reversed into the window that ends at n
+        width = min(n + 1, 3)
+        n_source, self.n_view = _toeplitz_source(3, n)
+        self.n_window = n_source[:, n - width + 1 : n + 1]
+        self.n_reversed = slice(width - 1, None, -1)
+        self.n_multipliers = np.empty((n + 1, 3, n + 1))
+        self.n_columns = tuple(self.n_multipliers[:, r].T for r in range(3))
+        e_source, self.e_view = _toeplitz_source(n, n)
+        self.e_window = e_source[:, : n + 1]
+        self.fock_column = _fock_exponents(n)[0][1:, None]
+        self.e_multipliers = np.empty((n + 1, n, n + 1))
+        dE = self.e_multipliers.reshape(n + 1, -1)
+        self.P = np.empty((n + 1, n + 1))
+        flat = self.P.ravel()
+        self.steps = [(dE[:, : (k + 1) * (n + 1)], flat[(n - k) * (n + 1):], self.P[n - k - 1], k + 1)
+                      for k in range(n)]
+
+
+# the table workspaces by nmax, for nmax <= DEFAULT_NMAX only (0.29 MB at
+# nmax 30, about 2.7 MB if every nmax from 0 to 30 is used): a call takes
+# its nmax's out and puts it back when done, so no two calls share one
+_WORKSPACES = {}
 
 
 def _exp_series(e: list) -> list:
@@ -620,7 +663,10 @@ def gaussian_tomogram_table(
     (k + 1) P_{k+1} = sum_j (j + 1) E_{j+1} P_{k-j} along s1, with
     products along s2. There is no complex arithmetic and no Hermite box.
     R, L and E lose their rounding noise below 2^-922 (``_flush_noise``),
-    which moves no table entry above about 1e-260.
+    which moves no table entry above about 1e-260. The products write into
+    a workspace of buffers taken per nmax (``_TableWorkspace``), kept for
+    the next call at nmax <= DEFAULT_NMAX; the table returned is a fresh
+    array.
 
     Raises:
         InvalidParameter: nmax is not an integer >= 0, or a setting is not
@@ -647,34 +693,41 @@ def gaussian_tomogram_table(
             "gaussian tomogram table: the setting's quadratic form leaves the float range"
         )
 
-    # E = -(N R + L)/2, with N of degree <= 2 in s1, flushed as R and L are
-    n_rows = _s2_multipliers(N, n)
-    NR = R @ n_rows[:, 0].T
-    NR[1:] += R[:-1] @ n_rows[:, 1].T
-    NR[2:] += R[:-2] @ n_rows[:, 2].T
-    E = -0.5 * (NR + L)
-    _flush_noise(E)
+    ws = _WORKSPACES.pop(n, None) or _TableWorkspace(n)
+    try:
+        # E = -(N R + L)/2, with N of degree <= 2 in s1, flushed as R and L are
+        np.copyto(ws.n_window, N[:, ws.n_reversed])
+        np.copyto(ws.n_multipliers, ws.n_view)
+        t0, t1, t2 = ws.n_columns
+        NR = R @ t0
+        NR[1:] += R[:-1] @ t1
+        NR[2:] += R[:-2] @ t2
+        E = -0.5 * (NR + L)
+        _flush_noise(E)
 
-    # P = exp(E): row 0 along s2, then P_(k+1) from P_k .. P_0 stored in
-    # reverse (P_m in row n - m) so that they lie contiguous in memory.
-    # ``@`` reads the column slice of dE in place, where np.dot copies it
-    dE = _s2_multipliers(E[1:] * _fock_exponents(n)[0][1:, None], n).reshape(n + 1, -1)
-    P = np.zeros((n + 1, n + 1))
-    P[n] = _exp_series(E[0].tolist())
-    flat = P.ravel()
-    for k in range(n):
-        row = P[n - k - 1]
-        np.matmul(dE[:, : (k + 1) * (n + 1)], flat[(n - k) * (n + 1):], out=row)
-        row /= k + 1
-    w = P[::-1]
+        # P = exp(E): row 0 along s2, then P_(k+1) from P_k .. P_0 stored in
+        # reverse (P_m in row n - m) so that they lie contiguous in memory.
+        # ``matmul`` reads the column slice of dE in place, where np.dot copies it
+        np.multiply(E[1:, ::-1], ws.fock_column, out=ws.e_window)
+        np.copyto(ws.e_multipliers, ws.e_view)
+        P = ws.P
+        P[n] = _exp_series(E[0].tolist())
+        for a, b, row, d in ws.steps:
+            np.matmul(a, b, out=row)
+            row /= d
+        w = P[::-1]
 
-    # a NaN or an infinity shows in the minimum or the maximum
-    low, high = float(w.min()), float(w.max())
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise NumericalNegativity("gaussian tomogram table is not finite")
-    if low < -NEGATIVITY_TOL_HERMITE:
-        raise NumericalNegativity(f"gaussian tomogram table hit {low:.6e}")
-    return np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) calls
+        # a NaN or an infinity shows in the minimum or the maximum
+        low, high = float(w.min()), float(w.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise NumericalNegativity("gaussian tomogram table is not finite")
+        if low < -NEGATIVITY_TOL_HERMITE:
+            raise NumericalNegativity(f"gaussian tomogram table hit {low:.6e}")
+        return np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) calls
+    finally:
+        # back once the fresh table is formed, and after a refusal
+        if n <= DEFAULT_NMAX:
+            _WORKSPACES[n] = ws
 
 
 def gaussian_tomogram(
@@ -683,6 +736,8 @@ def gaussian_tomogram(
     """Photon-number tomogram of a Gaussian state: entry (n1, n2) of
     ``gaussian_tomogram_table`` at nmax = max(n1, n2), built whole: its exp
     recurrence's multipliers take 15.2 MB at nmax 120, about 1.9 GB at 600.
+    Only the workspaces of nmax <= DEFAULT_NMAX stay in the table's pool
+    (about 2.7 MB for all of 0..30); a larger nmax frees its own.
 
     Raises:
         InvalidParameter: a count is not an integer >= 0, or a setting is

@@ -4,6 +4,8 @@ tables, and the checks on nmax."""
 
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -305,6 +307,126 @@ def test_gaussian_table_refuses_a_non_finite_table():
     for a1 in (1e200, 1e154, 1e170j):
         with pytest.raises(OverflowError, match="quadratic form leaves the float range"):
             gaussian_tomogram_table(g, a1, 0j, 5)
+
+
+# --- the pool of table workspaces: a table keeps its bits whatever the pool
+# held before, and never shares memory with a workspace ---------------------
+
+
+def _workspace_buffers():
+    # a copy, since other threads' calls may take from or return to the pool
+    return [buf for ws in states._WORKSPACES.copy().values()
+            for buf in (ws.P, ws.e_multipliers, ws.n_multipliers, ws.e_view, ws.n_view)]
+
+
+def _pooled(g, a1, a2, n):
+    """The table's int64 view as the pool gives it, or None where refused,
+    after checking that it shares no memory with a pooled workspace."""
+    table = _table_or_refusal(g, a1, a2, n)
+    if table is not None:
+        assert not any(np.shares_memory(table, buf) for buf in _workspace_buffers())
+    return table
+
+
+def _empty_pool(g, a1, a2, n):
+    """The table's int64 view, or None where refused, on a new workspace."""
+    states._WORKSPACES.clear()
+    return _table_or_refusal(g, a1, a2, n)
+
+
+def _same(got, want):
+    return got is None and want is None or (
+        got is not None and want is not None and np.array_equal(got, want))
+
+
+def _pool_draws(rng, count):
+    """COUNT (spec, a1, a2), the four specs in turn, at worked-example and
+    box scale in turn."""
+    specs = [GaussianSpec(SQUEEZED_M), gaussian_purity_family(0.8, 0.02), _physical_gaussian(rng),
+             two_mode_squeezed_vacuum(1.1, rng.uniform(-1.0, 1.0, 4))]
+    draws = []
+    for i in range(count):
+        scale = (0.35, 2.0)[i % 2]
+        draws.append((specs[i % 4], *(complex(*rng.uniform(-scale, scale, 2)) for _ in range(2))))
+    return draws
+
+
+def test_pooled_tables_of_interleaved_specs_keep_their_bits():
+    rng = np.random.default_rng(341)
+    for n in (2, 15, 30):
+        draws = _pool_draws(rng, 12)
+        want = [_empty_pool(g, a1, a2, n) for g, a1, a2 in draws]
+        # the specs take turns on one pooled workspace
+        got = [_pooled(g, a1, a2, n) for g, a1, a2 in draws]
+        assert all(map(_same, got, want)), n
+        assert list(states._WORKSPACES) == [n]
+
+
+def test_pooled_tables_keep_their_bits_in_falling_and_mixed_nmax_orders():
+    rng = np.random.default_rng(342)
+    draws = _pool_draws(rng, 4)
+    orders = ((30, 15, 2, 1, 0), (2, 30, 0, 15, 1, 30, 2, 0, 15))
+    want = {(i, n): _empty_pool(*draw, n) for i, draw in enumerate(draws) for n in orders[1]}
+    for order in orders:
+        for i, draw in enumerate(draws):
+            for n in order:
+                assert _same(_pooled(*draw, n), want[i, n]), (i, n)
+    assert sorted(states._WORKSPACES) == [0, 1, 2, 15, 30]
+
+
+def test_a_refused_table_leaves_its_workspace_good_for_the_next_call():
+    good, a1, a2, n = gaussian_purity_family(0.8, 0.02), -0.12j, 0.04j, 30
+    want = _empty_pool(good, a1, a2, n)
+    ws = states._WORKSPACES[n]
+    # refused after the recurrence has filled the workspace, which goes back
+    # to the pool and serves the next call
+    with pytest.raises(NumericalNegativity):
+        gaussian_tomogram_table(two_mode_squeezed_vacuum(1.4), 2 - 2j, 2 + 2j, n)
+    assert states._WORKSPACES[n] is ws
+    assert _same(_pooled(good, a1, a2, n), want)
+    with pytest.raises(OverflowError):
+        gaussian_tomogram_table(good, 1e200, 0j, n)
+    assert states._WORKSPACES[n] is ws
+    assert _same(_pooled(good, a1, a2, n), want)
+
+
+def test_pooled_tables_keep_their_bits_across_threads():
+    rng = np.random.default_rng(344)
+    draws = [(*draw, n) for draw, n in zip(_pool_draws(rng, 50), [15, 30, 2, 30, 15] * 10)]
+    want = [_empty_pool(*draw) for draw in draws]
+    start = threading.Barrier(4)
+
+    def worker(offset, out):
+        start.wait()
+        # each thread runs all 50 in its own rotation, so they meet on every nmax
+        for i in range(len(draws)):
+            j = (i + 13 * offset) % len(draws)
+            out.append((j, _pooled(*draws[j])))
+
+    outs = [[] for _ in range(4)]
+    threads = [threading.Thread(target=worker, args=(k, outs[k])) for k in range(4)]
+    # switches inside a table, where a shared buffer would be overwritten
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(out) for out in outs] == [50] * 4
+    assert all(_same(got, want[j]) for out in outs for j, got in out)
+
+
+def test_pool_keeps_no_workspace_above_the_default_nmax():
+    g = gaussian_purity_family(0.8, 0.02)
+    gaussian_tomogram_table(g, -0.12j, 0.04j, 15)
+    gaussian_tomogram_table(g, -0.12j, 0.04j, 45)
+    gaussian_tomogram(g, 60, 0, -0.12j, 0.04j)
+    assert 15 in states._WORKSPACES
+    assert max(states._WORKSPACES) <= states.DEFAULT_NMAX
 
 
 # --- the coherent superposition table: one exp for every Fock row and one
